@@ -246,7 +246,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args, parser)
+    # Python 3.11+ refuses int -> str past 4300 digits; bounds such as
+    # `bound 6 20000` go past it.  Lift the limit for the command only, since
+    # main may run inside a longer-lived process.
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        return args.func(args, parser)
+    old_limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        return args.func(args, parser)
+    finally:
+        sys.set_int_max_str_digits(old_limit)
 
 
 if __name__ == "__main__":

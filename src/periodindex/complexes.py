@@ -162,8 +162,9 @@ def model_homology(n: int, max_degree: int) -> GradedAbelianGroup:
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    result = GradedAbelianGroup.unit(max_degree)
-    for p, r in factorize(n):
+    (p, r), *rest = factorize(n)
+    result = primary_model_homology(p, r, max_degree)
+    for p, r in rest:
         result = kunneth(result, primary_model_homology(p, r, max_degree), max_degree)
     return result
 

@@ -1,12 +1,13 @@
-"""Finitely generated graded abelian groups in canonical form.
+"""Finitely generated graded abelian groups in multiplicity form.
 
 A cyclic summand is encoded by its order: 0 stands for an infinite cyclic
 group Z, any integer >= 2 for Z/n.  Order-1 summands are trivial and get
 dropped during normalisation.  A graded group stores, per degree, the free
-rank together with the sorted multiset of finite orders; composite orders
-such as Z/6 are kept as-is (primary decomposition happens lazily through
-``primary_part``), because the homology formulas feeding this module
-produce composite orders directly.
+rank and the distinct finite orders, each with its multiplicity, so a
+million copies of Z/4 cost one pair.  Composite orders such as Z/6 are
+kept as-is (``primary_part`` splits them on request), because the homology
+formulas feeding this module produce them directly.  Only ``summands``,
+``describe`` and ``to_json`` list every summand.
 
 Every group carries a truncation cap ``max_degree``: content is only known
 up to that degree, and reading past it is an error rather than a silent
@@ -15,11 +16,12 @@ zero.
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import chain, repeat, zip_longest
 from math import gcd, lcm, prod
 
-from .bounds import factorize
+from .bounds import factorize, padic_valuation
 
 
 def tensor_summands(a: int, b: int) -> int | None:
@@ -42,31 +44,28 @@ def tor_summands(a: int, b: int) -> int | None:
 
 @dataclass(frozen=True)
 class GradedAbelianGroup:
-    """Graded abelian group: parts[n] = (free rank, sorted finite orders).
+    """Graded abelian group: parts[n] = (free rank, sorted (order, multiplicity) pairs).
 
     The length of ``parts`` is max_degree + 1; trailing empty degrees are
     meaningful (they assert the group is known to be trivial there).
 
-    >>> g = GradedAbelianGroup.from_summands({0: [0], 2: [4, 2]}, max_degree=3)
-    >>> g.summands(2)
-    (0, (2, 4))
-    >>> g.describe(2)
-    'Z/2 + Z/4'
+    >>> g = GradedAbelianGroup.from_summands({0: [0], 2: [4, 2, 4]}, max_degree=3)
+    >>> g.parts[2], g.summands(2), g.describe(2)
+    ((0, ((2, 1), (4, 2))), (0, (2, 4, 4)), 'Z/2 + Z/4 + Z/4')
     """
 
-    parts: tuple[tuple[int, tuple[int, ...]], ...]
+    parts: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
 
     def __post_init__(self):
         if not self.parts:
             raise ValueError("a graded group needs at least degree 0")
         fixed = []
-        for free, torsion in self.parts:
-            if free < 0:
-                raise ValueError("negative free rank")
-            orders = sorted(int(t) for t in torsion)
-            if any(t < 2 for t in orders):
-                raise ValueError("torsion orders must be >= 2 in canonical form")
-            fixed.append((int(free), tuple(orders)))
+        for free, pairs in self.parts:
+            pairs = tuple(sorted(pairs))
+            if (free < 0 or any(t < 2 or m < 1 for t, m in pairs)
+                    or len({t for t, _ in pairs}) < len(pairs)):
+                raise ValueError("parts need rank >= 0, distinct orders >= 2 and counts >= 1")
+            fixed.append((free, pairs))
         object.__setattr__(self, "parts", tuple(fixed))
 
     @classmethod
@@ -78,22 +77,18 @@ class GradedAbelianGroup:
         """
         if max_degree < 0:
             raise ValueError("max_degree must be >= 0")
-        parts = [[0, []] for _ in range(max_degree + 1)]
+        counts = [Counter() for _ in range(max_degree + 1)]
         for degree, orders in summands.items():
-            orders = list(orders)
-            if not orders:
-                continue
-            if not 0 <= degree <= max_degree:
+            orders = Counter(orders)
+            if orders and not 0 <= degree <= max_degree:
                 raise ValueError(
                     f"summands in degree {degree} fall outside the truncation cap {max_degree}")
-            for order in orders:
-                if order < 0:
-                    raise ValueError("cyclic order must be >= 0")
-                if order == 0:
-                    parts[degree][0] += 1
-                elif order > 1:
-                    parts[degree][1].append(order)
-        return cls(tuple((f, tuple(t)) for f, t in parts))
+            if any(order < 0 for order in orders):
+                raise ValueError("cyclic order must be >= 0")
+            orders.pop(1, None)
+            if orders:
+                counts[degree] = orders
+        return cls(tuple((c.pop(0, 0), c.items()) for c in counts))
 
     @classmethod
     def unit(cls, max_degree: int) -> "GradedAbelianGroup":
@@ -104,12 +99,15 @@ class GradedAbelianGroup:
     def max_degree(self) -> int:
         return len(self.parts) - 1
 
+    def _part(self, degree: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+        if not 0 <= degree <= self.max_degree:
+            raise ValueError(f"degree {degree} is outside the trusted range 0..{self.max_degree}")
+        return self.parts[degree]
+
     def summands(self, degree: int) -> tuple[int, tuple[int, ...]]:
         """(free rank, sorted finite orders) in one degree; errors past the cap."""
-        if not 0 <= degree <= self.max_degree:
-            raise ValueError(
-                f"degree {degree} is outside the trusted range 0..{self.max_degree}")
-        return self.parts[degree]
+        free, pairs = self._part(degree)
+        return free, tuple(chain.from_iterable(repeat(t, m) for t, m in pairs))
 
     def nonzero_degrees(self) -> list[int]:
         return [d for d, (free, tors) in enumerate(self.parts) if free or tors]
@@ -117,23 +115,19 @@ class GradedAbelianGroup:
     def invariant_factors(self, degree: int) -> tuple[int, ...]:
         """Torsion in divisibility-chain form d_1 | d_2 | ..., ascending.
 
-        The stored multiset keeps summands as they were produced, so the
-        isomorphic groups Z/2 + Z/3 and Z/6 store differently; this is the
-        isomorphism-invariant shape, and the form a Smith-normal-form
-        homology computation reports.
+        This is the isomorphism-invariant shape, and the form a
+        Smith-normal-form homology computation reports.
 
         >>> GradedAbelianGroup.from_summands({1: [4, 6]}, 1).invariant_factors(1)
         (2, 12)
         """
-        _, torsion = self.summands(degree)
-        by_prime: dict[int, list[int]] = {}
-        for order in torsion:
+        _, pairs = self._part(degree)
+        towers: dict[int, list[int]] = {}
+        for order, mult in pairs:  # each distinct order is factorised once
             for p, e in factorize(order):
-                by_prime.setdefault(p, []).append(e)
-        towers = [sorted((p ** e for e in exps), reverse=True)
-                  for p, exps in sorted(by_prime.items())]
-        chain = [prod(tier) for tier in zip_longest(*towers, fillvalue=1)]
-        return tuple(sorted(chain))
+                towers.setdefault(p, []).extend([p ** e] * mult)
+        tiers = zip_longest(*(sorted(t, reverse=True) for t in towers.values()), fillvalue=1)
+        return tuple(prod(tier) for tier in tiers)[::-1]
 
     def restrict(self, new_max_degree: int) -> "GradedAbelianGroup":
         """Lower the truncation cap, discarding the degrees above it."""
@@ -155,27 +149,45 @@ class GradedAbelianGroup:
         """{str(degree): {"free": rank, "torsion": [decimal strings]}}.
 
         Every degree up to the cap is present, so the cap round-trips.
-        Orders are decimal strings: they can exceed what consumers with
-        fixed-width numbers parse losslessly.
+        Orders are decimal strings, one per summand: they can exceed what
+        consumers with fixed-width numbers parse losslessly.
         """
         return {
-            str(d): {"free": free, "torsion": [str(t) for t in torsion]}
-            for d, (free, torsion) in enumerate(self.parts)
+            str(d): {"free": free,
+                     "torsion": list(chain.from_iterable([str(t)] * m for t, m in pairs))}
+            for d, (free, pairs) in enumerate(self.parts)
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "GradedAbelianGroup":
-        degrees = {int(k): v for k, v in data.items()}
-        max_degree = max(degrees)
-        summands = {
-            d: [0] * entry["free"] + [int(t) for t in entry["torsion"]]
-            for d, entry in degrees.items()
-        }
-        return cls.from_summands(summands, max_degree)
+        """Inverse of ``to_json``; malformed input raises a one-line ValueError."""
+        if not isinstance(data, dict) or not data:
+            raise ValueError("a graded group in JSON needs an object with at least one degree")
+        parts = {}
+        for key, entry in data.items():
+            degree = _json_int(key, "degree key", 0)
+            if degree in parts:
+                raise ValueError(f"degree {degree} appears twice")
+            if not (isinstance(entry, dict) and isinstance(entry.get("torsion"), list)
+                    and "free" in entry):
+                raise ValueError(f"degree {key!r} needs a 'free' rank and a 'torsion' list")
+            orders = [_json_int(t, f"degree {key}: torsion order", 2)
+                      for t in entry["torsion"]]
+            parts[degree] = (_json_int(entry["free"], f"degree {key}: free rank", 0),
+                             Counter(orders).items())
+        return cls(tuple(parts.get(d, (0, ())) for d in range(max(parts) + 1)))
 
     def __str__(self):
         lines = [f"H_{d} = {self.describe(d)}" for d in self.nonzero_degrees()]
         return "\n".join(lines) if lines else "0"
+
+
+def _json_int(value, what: str, low: int) -> int:
+    """An int, or a decimal string as ``to_json`` writes one, that is >= ``low``."""
+    number = int(value) if isinstance(value, str) and value.isdecimal() else value
+    if isinstance(number, int) and not isinstance(number, bool) and number >= low:
+        return number
+    raise ValueError(f"{what} {value!r} is not an integer >= {low}")
 
 
 def kunneth(a: GradedAbelianGroup, b: GradedAbelianGroup,
@@ -185,65 +197,52 @@ def kunneth(a: GradedAbelianGroup, b: GradedAbelianGroup,
     Degree n of the result is the sum of A_i ox B_j over i + j = n plus
     Tor(A_i, B_j) over i + j = n - 1.  Both factors must be trusted up to
     the requested cap: a factor of unknown content in low degrees could
-    otherwise leak wrong answers below the cap.
+    otherwise leak wrong answers below the cap.  The loops run over
+    distinct orders, and a product of multiplicities counts the summands.
     """
     if max_degree > min(a.max_degree, b.max_degree):
         raise ValueError(
             f"kunneth truncated at {max_degree} needs both factors trusted that far "
             f"(caps are {a.max_degree} and {b.max_degree})")
-    acc: dict[int, list[int]] = {}
-    for i in range(max_degree + 1):
-        free_a, tors_a = a.summands(i)
-        if not free_a and not tors_a:
-            continue
-        cyclics_a = [0] * free_a + list(tors_a)
-        for j in range(max_degree - i + 1):
-            free_b, tors_b = b.summands(j)
-            if not free_b and not tors_b:
-                continue
-            cyclics_b = [0] * free_b + list(tors_b)
-            tensor_bucket = acc.setdefault(i + j, [])
-            for x in cyclics_a:
-                for y in cyclics_b:
-                    t = tensor_summands(x, y)
-                    if t is not None:
-                        tensor_bucket.append(t)
-            if i + j + 1 <= max_degree:
-                tor_bucket = acc.setdefault(i + j + 1, [])
-                for x in cyclics_a:
-                    for y in cyclics_b:
-                        t = tor_summands(x, y)
-                        if t is not None:
-                            tor_bucket.append(t)
-    return GradedAbelianGroup.from_summands(acc, max_degree)
+
+    def cyclics(g):  # [(degree, [(order, multiplicity)])] over nonzero degrees, Z as order 0
+        return [(d, [(0, free)] * bool(free) + list(pairs))
+                for d, (free, pairs) in enumerate(g.parts[:max_degree + 1]) if free or pairs]
+
+    counts = [defaultdict(int) for _ in range(max_degree + 1)]
+    cyclics_b = cyclics(b)
+    for i, cyc_a in cyclics(a):
+        for j, cyc_b in cyclics_b:
+            if i + j > max_degree:
+                break
+            tensor_bucket = counts[i + j]
+            tor_bucket = counts[i + j + 1] if i + j < max_degree else None
+            for x, m in cyc_a:
+                for y, k in cyc_b:
+                    g = gcd(x, y)  # tensor_summands and tor_summands share this gcd
+                    if g != 1:
+                        tensor_bucket[g] += m * k
+                        if x and y and tor_bucket is not None:
+                            tor_bucket[g] += m * k
+    return GradedAbelianGroup(tuple((c.pop(0, 0), c.items()) for c in counts))
 
 
 def exponent(a: GradedAbelianGroup, degree: int) -> tuple[int, int]:
-    """(torsion exponent, free rank) in one degree.
+    """(lcm of the finite orders, 1 if there are none; free rank) in one degree.
 
-    The exponent is the lcm of the finite orders, 1 for a torsion-free
-    degree.  Free rank is reported separately since no finite integer
-    kills a Z summand.
+    Free rank is reported separately since no finite integer kills a Z summand.
     """
-    free, torsion = a.summands(degree)
-    return (lcm(*torsion) if torsion else 1, free)
+    free, pairs = a._part(degree)
+    return lcm(*(t for t, _ in pairs)), free
 
 
 def primary_part(a: GradedAbelianGroup, p: int) -> GradedAbelianGroup:
     """Keep only the p-power part of every finite summand; drop free parts."""
     if p < 2:
         raise ValueError("p must be a prime")
-    summands: dict[int, list[int]] = {}
-    for d in range(a.max_degree + 1):
-        _, torsion = a.summands(d)
-        orders = []
-        for m in torsion:
-            q = 1
-            while m % p == 0:
-                m //= p
-                q *= p
-            if q > 1:
-                orders.append(q)
-        if orders:
-            summands[d] = orders
-    return GradedAbelianGroup.from_summands(summands, a.max_degree)
+    counts = [Counter() for _ in a.parts]
+    for c, (_, pairs) in zip(counts, a.parts):
+        for m, mult in pairs:
+            if m % p == 0:
+                c[p ** padic_valuation(p, m)] += mult
+    return GradedAbelianGroup(tuple((0, c.items()) for c in counts))

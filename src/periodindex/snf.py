@@ -83,12 +83,6 @@ class IntegerMatrix:
     def column(self, j: int) -> list[int]:
         return [self.entries[i * self.cols + j] for i in range(self.rows)]
 
-    def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix(
-            self.cols, self.rows,
-            tuple(self.entries[i * self.cols + j]
-                  for j in range(self.cols) for i in range(self.rows)))
-
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.entries)
 
@@ -108,9 +102,6 @@ class IntegerMatrix:
                         row[j] += aik * bk[j]
             out.append(row)
         return IntegerMatrix.from_rows(out, cols=other.cols)
-
-    def diagonal(self) -> list[int]:
-        return [self.entry(i, i) for i in range(min(self.rows, self.cols))]
 
 
 def determinant(m: IntegerMatrix) -> int:

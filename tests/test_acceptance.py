@@ -9,6 +9,8 @@ import time
 from math import factorial, gcd
 
 from periodindex.bounds import compare_bounds, index_bound
+from periodindex.complexes import model_homology, primary_model_homology
+from periodindex.graded import exponent
 from periodindex.verify import suite_elementary, suite_snf, suite_xp_exponent
 from periodindex.words import enumerate_words, gamma, phi, psi, sigma, Word
 
@@ -110,3 +112,18 @@ def test_criterion_8_snf_property_suite():
         results = suite_snf(seed=2024, cases=100)
         failures = [r for r in results if not r.passed]
         assert not failures, failures
+
+
+def test_criterion_9_kunneth_frontier_composite():
+    with _Timed("criterion 9: model_homology(360, 200) with every exponent", 2.0):
+        h = model_homology(360, 200)
+        exponents = [exponent(h, d)[0] for d in range(201)]
+    # each p-primary model keeps its Z/(p^r k) in degree 2k, so 360k divides
+    assert all(exponents[2 * k] % (360 * k) == 0 for k in range(1, 101))
+
+
+def test_criterion_10_kunneth_frontier_deep_prime_power():
+    with _Timed("criterion 10: primary_model_homology(2, 1, 1000) with every exponent", 2.0):
+        h = primary_model_homology(2, 1, 1000)
+        exponents = [exponent(h, d)[0] for d in range(1001)]
+    assert all(exponents[2 * k] == 2 * k for k in range(1, 501))

@@ -1,6 +1,7 @@
 """CLI surface: output formats, exit codes, determinism."""
 
 import json
+import sys
 
 import pytest
 
@@ -55,6 +56,38 @@ class TestBound:
         assert run_usage_error(capsys, "bound", "0", "3") == 2
         assert run_usage_error(capsys, "bound", "3", "-1") == 2
         assert run_usage_error(capsys, "bound", "x", "3") == 2
+
+
+class TestBigBound:
+    """A bound past Python's 4300-digit int -> str limit prints in full."""
+
+    @pytest.fixture
+    def expected(self):
+        value = index_bound(6, 20000).theorem_a_bound
+        get_limit = getattr(sys, "get_int_max_str_digits", None)
+        if get_limit is None:
+            return str(value)
+        old = get_limit()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(value)
+        finally:
+            sys.set_int_max_str_digits(old)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "pretty-table"])
+    def test_decimal_in_every_format(self, capsys, expected, fmt):
+        limit_before = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out = run(capsys, "bound", "6", "20000", "--format", fmt)
+        assert code == 0
+        assert len(expected) > 4300
+        if fmt == "json":
+            assert json.loads(out)["theorem_a"] == expected
+        elif fmt == "csv":
+            assert out.splitlines()[1].split(",")[2] == expected
+        else:
+            assert f"theorem_a = {expected}\n" in out
+        # main lifts the limit for its own command only
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit_before
 
 
 class TestTable:

@@ -1,6 +1,7 @@
 """Graded abelian groups, Kunneth product, exponents, primary parts."""
 
 import random
+import re
 from math import lcm
 
 import pytest
@@ -233,3 +234,30 @@ class TestJson:
         g = G({2: [0, 0, 2, 4]}, 2)
         assert g.describe(2) == "Z^2 + Z/2 + Z/4"
         assert g.describe(0) == "0"
+
+    @pytest.mark.parametrize("payload, problem", [
+        ({}, "at least one degree"),
+        ({"0": {"torsion": []}}, "'free' rank"),
+        ({"0": {"free": 1}}, "'torsion' list"),
+        ({"0": {"free": 1, "torsion": "2"}}, "'torsion' list"),
+        ({"x": {"free": 1, "torsion": []}}, "degree key 'x'"),
+        ({"1.5": {"free": 1, "torsion": []}}, "degree key '1.5'"),
+        ({"-1": {"free": 1, "torsion": []}}, "degree key '-1'"),
+        ({"0": {"free": 0, "torsion": ["-2"]}}, "torsion order '-2'"),
+        ({"0": {"free": 0, "torsion": [-2]}}, "torsion order -2"),
+        ({"0": {"free": 0, "torsion": ["2.5"]}}, "torsion order '2.5'"),
+        ({"0": {"free": 0, "torsion": [2.0]}}, "torsion order 2.0"),
+        ({"0": {"free": 0, "torsion": ["1"]}}, "torsion order '1'"),
+        ({"0": {"free": -1, "torsion": []}}, "free rank -1"),
+        ({"0": {"free": "many", "torsion": []}}, "free rank 'many'"),
+        ({"1": {"free": 1, "torsion": []}, "01": {"free": 0, "torsion": []}},
+         "degree 1 appears twice"),
+    ])
+    def test_from_json_rejects_malformed_input(self, payload, problem):
+        with pytest.raises(ValueError, match=re.escape(problem)) as err:
+            GradedAbelianGroup.from_json(payload)
+        assert "\n" not in str(err.value)
+
+    def test_from_json_fills_missing_degrees(self):
+        g = GradedAbelianGroup.from_json({"2": {"free": 0, "torsion": [4, "4"]}})
+        assert g == G({2: [4, 4]}, 2)

@@ -1,0 +1,98 @@
+"""Property tests: the multiplicity-form Kunneth product against the
+pairwise list product it replaced, plus its algebraic laws and JSON."""
+
+from math import lcm
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st
+
+from periodindex.graded import (GradedAbelianGroup, exponent, kunneth,
+                                tensor_summands, tor_summands)
+
+
+def reference_kunneth(a, b, max_degree):
+    """Kunneth product with one list entry per pair of cyclic summands."""
+    acc = {}
+    for i in range(max_degree + 1):
+        free_a, tors_a = a.summands(i)
+        cyclics_a = [0] * free_a + list(tors_a)
+        for j in range(max_degree - i + 1):
+            free_b, tors_b = b.summands(j)
+            cyclics_b = [0] * free_b + list(tors_b)
+            for x in cyclics_a:
+                for y in cyclics_b:
+                    t = tensor_summands(x, y)
+                    if t is not None:
+                        acc.setdefault(i + j, []).append(t)
+                    t = tor_summands(x, y)
+                    if t is not None and i + j + 1 <= max_degree:
+                        acc.setdefault(i + j + 1, []).append(t)
+    return GradedAbelianGroup.from_summands(acc, max_degree)
+
+
+ORDERS = st.sampled_from([0, 1, 2, 3, 4, 5, 6, 8, 9, 12, 16, 30])
+CAPS = st.integers(0, 8)
+SETTINGS = settings(max_examples=80, deadline=None, database=None)
+
+
+@st.composite
+def groups(draw, cap=None):
+    cap = draw(CAPS) if cap is None else cap
+    summands = {d: draw(st.lists(ORDERS, max_size=4)) for d in range(cap + 1)}
+    return GradedAbelianGroup.from_summands(summands, cap)
+
+
+def same_cap(n):
+    return CAPS.flatmap(lambda cap: st.tuples(*(groups(cap) for _ in range(n))))
+
+
+def iso_type(g):
+    """Free rank and invariant factors per degree: the group up to isomorphism."""
+    return [(g.summands(d)[0], g.invariant_factors(d)) for d in range(g.max_degree + 1)]
+
+
+@SETTINGS
+@given(groups(), groups())
+def test_kunneth_equals_pairwise_reference(a, b):
+    cap = min(a.max_degree, b.max_degree)
+    out, expected = kunneth(a, b, cap), reference_kunneth(a, b, cap)
+    assert out == expected
+    assert out.to_json() == expected.to_json()
+
+
+@SETTINGS
+@given(same_cap(2))
+def test_kunneth_commutes_up_to_isomorphism(pair):
+    a, b = pair
+    cap = a.max_degree
+    assert iso_type(kunneth(a, b, cap)) == iso_type(kunneth(b, a, cap))
+
+
+@SETTINGS
+@given(same_cap(3))
+def test_kunneth_associates_up_to_isomorphism(triple):
+    a, b, c = triple
+    cap = a.max_degree
+    left = kunneth(kunneth(a, b, cap), c, cap)
+    right = kunneth(a, kunneth(b, c, cap), cap)
+    assert iso_type(left) == iso_type(right)
+
+
+@SETTINGS
+@given(groups())
+def test_json_round_trip_is_exact(g):
+    payload = g.to_json()
+    back = GradedAbelianGroup.from_json(payload)
+    assert back == g
+    assert back.to_json() == payload
+
+
+@SETTINGS
+@given(groups())
+def test_exponent_is_lcm_of_expanded_summands(g):
+    for d in range(g.max_degree + 1):
+        free, torsion = g.summands(d)
+        assert exponent(g, d) == (lcm(*torsion), free)
