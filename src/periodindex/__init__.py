@@ -23,14 +23,14 @@ from .bounds import (BoundComparison, BoundReport, SharpBound, compare_bounds,
                      known_sharp_bound, legendre_valuation, padic_valuation,
                      prime_power_index_bound)
 from .complexes import (ComplexKind, ElementaryComplex, ModelFactorization,
-                        closed_form_homology, exponent_bound, model_homology,
-                        primary_model, primary_model_chain_complex,
+                        closed_form_homology, exponent_bound, model_chain_complex,
+                        model_homology, primary_model, primary_model_chain_complex,
                         primary_model_homology, realize_chain_complex,
                         tensor_chain_complex)
 from .graded import (GradedAbelianGroup, exponent, kunneth, primary_part,
                      tensor_summands, tor_summands)
 from .snf import (ChainComplex, IntegerMatrix, SmithNormalForm, determinant,
-                  homology_of_complex, kernel_basis, smith_normal_form)
+                  homology_of_complex, smith_normal_form)
 from .words import (Symbol, SymbolKind, Word, degree, enumerate_words,
                     format_word, gamma, height, is_admissible, phi, psi, sigma)
 
@@ -42,13 +42,13 @@ __all__ = [
     "known_sharp_bound", "legendre_valuation", "padic_valuation",
     "prime_power_index_bound",
     "ComplexKind", "ElementaryComplex", "ModelFactorization",
-    "closed_form_homology", "exponent_bound", "model_homology",
+    "closed_form_homology", "exponent_bound", "model_chain_complex", "model_homology",
     "primary_model", "primary_model_chain_complex", "primary_model_homology",
     "realize_chain_complex", "tensor_chain_complex",
     "GradedAbelianGroup", "exponent", "kunneth", "primary_part",
     "tensor_summands", "tor_summands",
     "ChainComplex", "IntegerMatrix", "SmithNormalForm", "determinant",
-    "homology_of_complex", "kernel_basis", "smith_normal_form",
+    "homology_of_complex", "smith_normal_form",
     "Symbol", "SymbolKind", "Word", "degree", "enumerate_words", "format_word",
     "gamma", "height", "is_admissible", "phi", "psi", "sigma",
     "__version__",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, prod
+from math import prod
 
 
 def is_prime(n: int) -> bool:
@@ -94,18 +94,12 @@ def differential_order_bound(p: int, r: int, j: int) -> int:
 def prime_power_index_bound(p: int, r: int, d: int) -> int:
     """Index bound for period p^r in dimension 2d: p^((d-1)r + v_p((d-1)!)).
 
-    Evaluated both as the product of the per-differential bounds and in
-    closed form; the two routes must agree.
+    This is the product of the per-differential bounds
+    ``differential_order_bound(p, r, j)`` over j = 1..d-1, in closed form.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    via_product = prod(differential_order_bound(p, r, j) for j in range(1, d))
-    closed_form = p ** ((d - 1) * r + legendre_valuation(p, d - 1))
-    if via_product != closed_form:
-        raise AssertionError(
-            f"differential product {via_product} != closed form {closed_form} "
-            f"for p={p}, r={r}, d={d}")
-    return closed_form
+    return p ** ((d - 1) * r + legendre_valuation(p, d - 1))
 
 
 @dataclass(frozen=True)
@@ -199,19 +193,13 @@ def index_bound(n: int, d: int) -> BoundReport:
         raise ValueError("n and d must be >= 1")
     breakdown = tuple(
         (p, r, prime_power_index_bound(p, r, d)) for p, r in factorize(n))
-    total = prod(bound for _, _, bound in breakdown)
-    # Coprimality with (d-1)! two ways: directly, and as "every prime of n
-    # exceeds d-1"; they must agree.
-    coprime = gcd(n, factorial(d - 1)) == 1
-    coprime_by_primes = all(p > d - 1 for p, _, _ in breakdown)
-    if coprime != coprime_by_primes:
-        raise AssertionError(f"coprimality checks disagree for n={n}, d={d}")
     return BoundReport(
         n=n,
         d=d,
         prime_breakdown=breakdown,
-        theorem_a_bound=total,
-        corollary_b_applies=coprime,
+        theorem_a_bound=prod(bound for _, _, bound in breakdown),
+        # gcd(n, (d-1)!) == 1 exactly when every prime of n exceeds d-1
+        corollary_b_applies=all(p > d - 1 for p, _, _ in breakdown),
         known_sharp=known_sharp_bound(n, d),
     )
 

@@ -4,7 +4,8 @@ Subcommands: ``bound`` (index bound for one (n, d)), ``table`` (a grid of
 bounds), ``homology`` (model homology for an order or a prime power),
 ``words`` (admissible and auxiliary word enumeration) and ``verify`` (the
 oracle cross-check suites).  Data goes to stdout, diagnostics to stderr.
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error or a refused
+input (a ``homology`` listing of more than a million summands).
 """
 
 from __future__ import annotations
@@ -22,6 +23,10 @@ from .verify import SUITES, run_suite
 from .words import enumerate_words, format_word
 
 FORMATS = ("pretty-table", "json", "csv")
+
+# `homology` lists every cyclic summand; past this many it refuses (exit 2)
+# instead of growing its output until memory runs out.
+MAX_LISTED_SUMMANDS = 10 ** 6
 
 
 def _use_color() -> bool:
@@ -137,6 +142,12 @@ def _cmd_homology(args, parser) -> int:
         if args.n < 2:
             parser.error("n must be >= 2")
         group = model_homology(args.n, args.max_degree)
+    listed = sum(m for _, pairs in group.parts for _, m in pairs)
+    if listed > MAX_LISTED_SUMMANDS:
+        print(f"periodindex homology: error: the listing would hold {listed} torsion "
+              f"summands, over the limit of {MAX_LISTED_SUMMANDS}; lower --max-degree",
+              file=sys.stderr)
+        return 2
 
     if args.format == "json":
         print(json.dumps(group.to_json(), sort_keys=True))

@@ -30,7 +30,7 @@ from enum import Enum
 
 from .bounds import factorize, is_prime, padic_valuation
 from .graded import GradedAbelianGroup, kunneth
-from .snf import ChainComplex, IntegerMatrix
+from .snf import ChainComplex
 
 
 class ComplexKind(Enum):
@@ -198,14 +198,17 @@ def realize_chain_complex(c: ElementaryComplex, max_degree: int) -> ChainComplex
 
         EP:  d(gamma_k(y)) = h * x gamma_{k-1}(y),  d(x gamma_k(y)) = 0
         PE:  d(y gamma_k(x)) = h(k+1) gamma_{k+1}(x),  d(gamma_k(x)) = 0
+
+    Even and odd degrees hold different generators, so every degree has at
+    most one basis element and each boundary is at most the single entry
+    ``{0: coefficient}`` in its single column.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     top = max_degree + 1
     q = c.q
     labels: list[list[str]] = [[] for _ in range(top + 1)]
-    # boundary entries recorded as (degree, row label, column label, coefficient)
-    entries: list[tuple[int, str, str, int]] = []
+    boundaries: dict[int, list[dict[int, int]]] = {}
 
     if c.kind is ComplexKind.EXTERIOR_FIRST:
         labels[0].append("1")
@@ -221,17 +224,13 @@ def realize_chain_complex(c: ElementaryComplex, max_degree: int) -> ChainComplex
         k = 0
         while 2 * q * k <= top:
             labels[2 * q * k].append(_gamma_basis_label("y", k))
+            if k >= 1:
+                boundaries[2 * q * k] = [{0: c.h}]
             k += 1
         k = 0
         while 2 * q - 1 + 2 * q * k <= top:
             lbl = "x" if k == 0 else f"x·{_gamma_basis_label('y', k)}"
             labels[2 * q - 1 + 2 * q * k].append(lbl)
-            k += 1
-        k = 1
-        while 2 * q * k <= top:
-            src = _gamma_basis_label("y", k)
-            dst = "x" if k == 1 else f"x·{_gamma_basis_label('y', k - 1)}"
-            entries.append((2 * q * k, dst, src, c.h))
             k += 1
     else:  # PE: gamma_k(x) degree 2qk, y gamma_k(x) degree 2q+1+2qk
         k = 0
@@ -242,21 +241,8 @@ def realize_chain_complex(c: ElementaryComplex, max_degree: int) -> ChainComplex
         while 2 * q + 1 + 2 * q * k <= top:
             lbl = "y" if k == 0 else f"y·{_gamma_basis_label('x', k)}"
             labels[2 * q + 1 + 2 * q * k].append(lbl)
+            boundaries[2 * q + 1 + 2 * q * k] = [{0: c.h * (k + 1)}]
             k += 1
-        k = 0
-        while 2 * q + 1 + 2 * q * k <= top:
-            src = "y" if k == 0 else f"y·{_gamma_basis_label('x', k)}"
-            dst = _gamma_basis_label("x", k + 1)
-            entries.append((2 * q + 1 + 2 * q * k, dst, src, c.h * (k + 1)))
-            k += 1
-
-    boundaries: dict[int, IntegerMatrix] = {}
-    for n in range(1, top + 1):
-        rows = [[0] * len(labels[n]) for _ in labels[n - 1]]
-        for deg, dst, src, coeff in entries:
-            if deg == n:
-                rows[labels[n - 1].index(dst)][labels[n].index(src)] = coeff
-        boundaries[n] = IntegerMatrix.from_rows(rows, cols=len(labels[n]))
     return ChainComplex(labels, boundaries)
 
 
@@ -267,52 +253,57 @@ def tensor_chain_complex(c1: ChainComplex, c2: ChainComplex,
     The differential follows the Koszul convention d(a ox b) = da ox b +
     (-1)^|a| a ox db.  Both inputs must satisfy d o d = 0 and be complete
     up to max_degree + 1 (anything they are missing above their own caps
-    is treated as zero, which is the caller's responsibility).
+    is treated as zero, which is the caller's responsibility).  The inputs
+    are not re-checked: an input that breaks d o d = 0 breaks it in the
+    product too, which the product's own check on construction reports.
+
+    In degree d the basis runs over i = 0..d, then a in C1_i, then b in
+    C2_(d-i), so a ox b sits at offset[d][i] + a * dim C2_(d-i) + b.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    c1.validate()
-    c2.validate()
     top = max_degree + 1
 
-    # per degree: ordered (i, a_index, b_index) with i + j = degree
-    index: list[list[tuple[int, int, int]]] = []
-    position: list[dict[tuple[int, int, int], int]] = []
+    dim1, dim2 = ([len(b) for b in c.basis_labels[:top + 1]] + [0] * (top - c.max_degree)
+                  for c in (c1, c2))
+    offsets: list[list[int]] = []
     labels: list[list[str]] = []
     for d in range(top + 1):
-        triples = []
-        lbls = []
-        for i in range(min(d, c1.max_degree) + 1):
-            j = d - i
-            if j > c2.max_degree:
-                continue
-            for ai, la in enumerate(c1.basis_labels[i]):
-                for bi, lb in enumerate(c2.basis_labels[j]):
-                    triples.append((i, ai, bi))
-                    lbls.append(f"{la}⊗{lb}")
-        index.append(triples)
-        position.append({t: k for k, t in enumerate(triples)})
+        start, lbls = [], []
+        for i in range(d + 1):
+            start.append(len(lbls))
+            if dim1[i] and dim2[d - i]:
+                lbls.extend(f"{la}⊗{lb}" for la in c1.basis_labels[i]
+                            for lb in c2.basis_labels[d - i])
+        offsets.append(start)
         labels.append(lbls)
 
-    boundaries: dict[int, IntegerMatrix] = {}
+    boundaries: dict[int, list[dict[int, int]]] = {}
     for d in range(1, top + 1):
-        rows = [[0] * len(index[d]) for _ in index[d - 1]]
-        for col, (i, ai, bi) in enumerate(index[d]):
+        columns = []
+        below = offsets[d - 1]
+        for i in range(d + 1):
             j = d - i
-            if i >= 1:
-                da = c1.differential(i)
-                for ar in range(da.rows):
-                    coeff = da.entry(ar, ai)
-                    if coeff:
-                        rows[position[d - 1][(i - 1, ar, bi)]][col] += coeff
-            if j >= 1:
-                db = c2.differential(j)
-                sign = -1 if i % 2 else 1
-                for br in range(db.rows):
-                    coeff = db.entry(br, bi)
-                    if coeff:
-                        rows[position[d - 1][(i, ai, br)]][col] += sign * coeff
-        boundaries[d] = IntegerMatrix.from_rows(rows, cols=len(index[d]))
+            n1, n2 = dim1[i], dim2[j]
+            if not (n1 and n2):
+                continue
+            da = c1.columns(i) if i >= 1 else None
+            db = c2.columns(j) if j >= 1 else None
+            sign = -1 if i % 2 else 1
+            below_n2 = dim2[j - 1] if j >= 1 else 0
+            for a in range(n1):
+                for b in range(n2):
+                    col = {}
+                    if da is not None:  # da ox b, in block (i-1, j)
+                        base = below[i - 1] + b
+                        for r, coeff in da[a].items():
+                            col[base + r * n2] = coeff
+                    if db is not None:  # (-1)^i a ox db, in block (i, j-1)
+                        base = below[i] + a * below_n2
+                        for r, coeff in db[b].items():
+                            col[base + r] = sign * coeff
+                    columns.append(col)
+        boundaries[d] = columns
     return ChainComplex(labels, boundaries)
 
 
@@ -323,4 +314,17 @@ def primary_model_chain_complex(p: int, r: int, max_degree: int) -> ChainComplex
     for factor in model.factors[1:]:
         result = tensor_chain_complex(
             result, realize_chain_complex(factor, max_degree), max_degree)
+    return result
+
+
+def model_chain_complex(n: int, max_degree: int) -> ChainComplex:
+    """The full model for order n as one based chain complex: the tensor
+    product of the prime-power ones (the oracle route to ``model_homology``)."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    (p, r), *rest = factorize(n)
+    result = primary_model_chain_complex(p, r, max_degree)
+    for p, r in rest:
+        result = tensor_chain_complex(
+            result, primary_model_chain_complex(p, r, max_degree), max_degree)
     return result

@@ -1,31 +1,20 @@
 """Exact integer linear algebra and homology of free chain complexes.
 
-Everything here runs over Python's arbitrary-precision integers; there is
-no floating point and no coefficient reduction, so results are exact.
-Matrices are small at the scale this package works at (a few hundred rows
-at most), which is why the Smith normal form below uses the simple
-minimal-pivot strategy instead of a modular or lattice-assisted algorithm.
-Swapping in a faster SNF would only touch ``smith_normal_form``.
+Everything here runs over Python's arbitrary-precision integers, so results
+are exact.  Chain complexes store boundaries as sparse columns, since the
+tensor models' boundaries are a few percent non-zero and split into small
+connected blocks.  Homology is read off the boundaries' invariant factors:
+one dense minimal-pivot Smith normal form per block, merged into a single
+divisibility chain (Dumas, Saunders and Villard, JSC 2001).  Swapping in a
+faster SNF would only touch ``smith_normal_form``.
 """
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-
-
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with x*a + y*b == g == gcd(a, b) and g >= 0."""
-    x, next_x = 1, 0
-    y, next_y = 0, 1
-    g, next_g = a, b
-    while next_g:
-        q = g // next_g
-        x, next_x = next_x, x - q * next_x
-        y, next_y = next_y, y - q * next_y
-        g, next_g = next_g, g - q * next_g
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return g, x, y
+from itertools import chain, repeat
+from math import gcd, lcm
 
 
 @dataclass(frozen=True)
@@ -79,9 +68,6 @@ class IntegerMatrix:
     def to_rows(self) -> list[list[int]]:
         c = self.cols
         return [list(self.entries[i * c:(i + 1) * c]) for i in range(self.rows)]
-
-    def column(self, j: int) -> list[int]:
-        return [self.entries[i * self.cols + j] for i in range(self.rows)]
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.entries)
@@ -276,89 +262,76 @@ def smith_normal_form(m: IntegerMatrix, with_transforms: bool = False) -> SmithN
     )
 
 
-def _column_reduction(m: IntegerMatrix):
-    """Column-style Hermite reduction tracking the transform and its inverse.
+def _divisibility_chain(factors) -> tuple[int, ...]:
+    """Invariant factors > 1 of the sum of Z/e over ``factors``, ascending.
 
-    Returns (reduced, t, tinv, npivots) with reduced == m @ t, t unimodular,
-    tinv == t^-1, and columns npivots.. of reduced identically zero.  The
-    corresponding columns of t are a basis of the integer kernel of m.
+    Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b): neighbouring orders that do not
+    divide one another are replaced by their gcd and lcm until the distinct
+    orders form a chain.  Each step spreads a pair apart at a fixed product,
+    so the loop ends.
+
+    >>> _divisibility_chain([2, 3, 4, 1])
+    (2, 12)
     """
-    rows, cols = m.rows, m.cols
-    r = m.to_rows()
-    t = IntegerMatrix.identity(cols).to_rows()
-    tinv = IntegerMatrix.identity(cols).to_rows()
+    counts = Counter(factors)
+    while True:
+        orders = sorted(e for e, m in counts.items() if m and e > 1)
+        pair = next(((a, b) for a, b in zip(orders, orders[1:]) if b % a), None)
+        if pair is None:
+            return tuple(chain.from_iterable(repeat(e, counts[e]) for e in orders))
+        a, b = pair
+        t = min(counts[a], counts[b])
+        counts.update({a: -t, b: -t, gcd(a, b): t, lcm(a, b): t})
 
-    def swap(j0, j1):
-        for row in r:
-            row[j0], row[j1] = row[j1], row[j0]
-        for row in t:
-            row[j0], row[j1] = row[j1], row[j0]
-        tinv[j0], tinv[j1] = tinv[j1], tinv[j0]
 
-    def combine(row_idx, j0, j1):
-        # Zero r[row_idx][j1] against column j0 by a unimodular 2-column op.
-        a_, b_ = r[row_idx][j0], r[row_idx][j1]
-        if b_ == 0:
-            return
-        if a_ == 0:
-            swap(j0, j1)
-            return
-        if b_ % a_ == 0:
-            q = b_ // a_
-            for row in r:
-                row[j1] -= q * row[j0]
-            for row in t:
-                row[j1] -= q * row[j0]
-            ti0, ti1 = tinv[j0], tinv[j1]
-            tinv[j0] = [x + q * y for x, y in zip(ti0, ti1)]
-            return
-        g, x, y = xgcd(a_, b_)
-        ag, bg = a_ // g, b_ // g
-        for row in r:
-            c0, c1 = row[j0], row[j1]
-            row[j0] = x * c0 + y * c1
-            row[j1] = -bg * c0 + ag * c1
-        for row in t:
-            c0, c1 = row[j0], row[j1]
-            row[j0] = x * c0 + y * c1
-            row[j1] = -bg * c0 + ag * c1
-        ti0, ti1 = tinv[j0], tinv[j1]
-        tinv[j0] = [ag * p + bg * q for p, q in zip(ti0, ti1)]
-        tinv[j1] = [-y * p + x * q for p, q in zip(ti0, ti1)]
+def _block_invariants(columns) -> tuple[int, tuple[int, ...]]:
+    """(rank, invariant factors > 1) of sparse columns, from the dense Smith
+    normal forms of the connected blocks of their row/column graph."""
+    parent = list(range(len(columns)))
 
-    piv = 0
-    for row_idx in range(rows):
-        if piv >= cols:
-            break
-        lead = None
-        for j in range(piv, cols):
-            if r[row_idx][j]:
-                lead = j
-                break
-        if lead is None:
+    def root(j):
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        return j
+
+    first_column = {}
+    for j, col in enumerate(columns):
+        for r in col:
+            k = first_column.setdefault(r, j)
+            if k != j:
+                parent[root(k)] = root(j)
+    blocks = defaultdict(list)
+    for j, col in enumerate(columns):
+        if col:
+            blocks[root(j)].append(col)
+    rank, factors = 0, []
+    for cols in blocks.values():
+        if len(cols) == 1 and len(cols[0]) == 1:  # a lone entry is its own SNF
+            rank += 1
+            factors.extend(abs(a) for a in cols[0].values())
             continue
-        for j in range(lead + 1, cols):
-            combine(row_idx, lead, j)
-        if lead != piv:
-            swap(lead, piv)
-        piv += 1
-    return r, t, tinv, piv
-
-
-def kernel_basis(m: IntegerMatrix) -> list[list[int]]:
-    """Basis of the integer kernel {x : m @ x = 0}, one vector per entry."""
-    _, t, _, piv = _column_reduction(m)
-    return [[t[i][j] for i in range(m.cols)] for j in range(piv, m.cols)]
+        rows = {r: i for i, r in enumerate(sorted({r for col in cols for r in col}))}
+        entries = [0] * (len(rows) * len(cols))
+        for j, col in enumerate(cols):
+            for r, a in col.items():
+                entries[rows[r] * len(cols) + j] = a
+        s = smith_normal_form(IntegerMatrix(len(rows), len(cols), tuple(entries)))
+        rank += s.rank
+        factors.extend(s.invariant_factors)
+    return rank, _divisibility_chain(factors)
 
 
 class ChainComplex:
     """Based free chain complex over the integers, truncated at ``max_degree``.
 
-    ``basis_labels[n]`` lists the basis of the degree-n chain group; the
-    boundary in degree n is a matrix whose columns are indexed by the
-    degree-n basis and whose rows are indexed by the degree-(n-1) basis.
-    Degrees above ``max_degree`` are unknown, which is why homology can only
-    be asked for strictly below the cap.
+    ``basis_labels[n]`` lists the basis of the degree-n chain group.  The
+    degree-n boundary is stored sparse, one ``{row: coefficient}`` map per
+    degree-n basis element with rows indexing the degree-(n-1) basis; it may
+    be given so or as a dense ``IntegerMatrix``, and missing degrees are
+    zero.  d o d = 0 is checked once, here, unless ``validate`` is False.
+    Each boundary's rank and invariant factors are kept once computed, as
+    they serve two degrees of homology.  Degrees above ``max_degree`` are
+    unknown, so homology can only be asked for strictly below the cap.
     """
 
     def __init__(self, basis_labels, boundaries, validate: bool = True):
@@ -366,67 +339,91 @@ class ChainComplex:
         if not self.basis_labels:
             raise ValueError("need at least the degree-0 basis")
         self.max_degree = len(self.basis_labels) - 1
-        bnd = {}
-        for n in range(1, self.max_degree + 1):
-            mat = boundaries.get(n)
-            if mat is None:
-                mat = IntegerMatrix.zeros(self.dim(n - 1), self.dim(n))
-            bnd[n] = mat
-        self._boundaries = bnd
+        self._columns = {n: self._sparse(n, boundaries.get(n))
+                         for n in range(1, self.max_degree + 1)}
+        self._invariants: dict[int, tuple[int, tuple[int, ...]]] = {0: (0, ())}
+        self._validated = False
         if validate:
             self.validate()
+
+    def _sparse(self, n: int, boundary) -> tuple[dict[int, int], ...]:
+        rows, cols = self.dim(n - 1), self.dim(n)
+        if boundary is None:
+            boundary = [{}] * cols
+        elif isinstance(boundary, IntegerMatrix):
+            if (boundary.rows, boundary.cols) != (rows, cols):
+                raise ValueError(f"boundary shape mismatch in degree {n}")
+            boundary = [dict(enumerate(boundary.entries[j::cols])) for j in range(cols)]
+        columns = tuple({r: a for r, a in col.items() if a} for col in boundary)
+        if len(columns) != cols or any(not 0 <= r < rows for col in columns for r in col):
+            raise ValueError(f"boundary shape mismatch in degree {n}")
+        return columns
 
     def dim(self, n: int) -> int:
         if not 0 <= n <= self.max_degree:
             raise ValueError(f"degree {n} outside stored range 0..{self.max_degree}")
         return len(self.basis_labels[n])
 
-    def differential(self, n: int) -> IntegerMatrix:
-        if n == 0:
-            return IntegerMatrix.zeros(0, self.dim(0))
+    def columns(self, n: int) -> tuple[dict[int, int], ...]:
+        """The degree-n boundary as sparse columns; read them, do not mutate."""
         if not 1 <= n <= self.max_degree:
             raise ValueError(f"no boundary stored in degree {n}")
-        return self._boundaries[n]
+        return self._columns[n]
+
+    def differential(self, n: int) -> IntegerMatrix:
+        """The degree-n boundary as a dense matrix, built on each call."""
+        if n == 0:
+            return IntegerMatrix.zeros(0, self.dim(0))
+        columns, rows = self.columns(n), self.dim(n - 1)
+        entries = [0] * (rows * len(columns))
+        for j, col in enumerate(columns):
+            for r, a in col.items():
+                entries[r * len(columns) + j] = a
+        return IntegerMatrix(rows, len(columns), tuple(entries))
+
+    def _composite_vanishes(self, n: int) -> bool:
+        """Whether d_(n-1) o d_n == 0, column by sparse column."""
+        if n < 2:
+            return True
+        lower = self._columns[n - 1]
+        for col in self._columns[n]:
+            image = defaultdict(int)
+            for r, a in col.items():
+                for s, b in lower[r].items():
+                    image[s] += a * b
+            if any(image.values()):
+                return False
+        return True
 
     def validate(self) -> None:
-        """Check matrix shapes and the boundary condition d o d = 0."""
-        for n in range(1, self.max_degree + 1):
-            mat = self._boundaries[n]
-            if mat.rows != self.dim(n - 1) or mat.cols != self.dim(n):
-                raise ValueError(f"boundary shape mismatch in degree {n}")
+        """Check the boundary condition d o d = 0 (shapes are checked on construction)."""
         for n in range(2, self.max_degree + 1):
-            if not (self._boundaries[n - 1] @ self._boundaries[n]).is_zero():
+            if not self._composite_vanishes(n):
                 raise ValueError(f"d o d != 0 between degrees {n} and {n - 2}")
+        self._validated = True
+
+    def boundary_invariants(self, n: int) -> tuple[int, tuple[int, ...]]:
+        """(rank, invariant factors > 1) of the degree-n boundary, memoised."""
+        if n not in self._invariants:
+            self._invariants[n] = _block_invariants(self.columns(n))
+        return self._invariants[n]
 
 
 def homology_of_complex(c: ChainComplex, n: int) -> tuple[int, list[int]]:
-    """H_n(c) as (free rank, invariant factors > 1, sorted).
+    """H_n(c) as (free rank, invariant factors > 1, ascending).
 
-    Computes ker d_n, rewrites the columns of d_{n+1} in coordinates on the
-    kernel basis, and reads the quotient off the Smith normal form of that
-    coordinate matrix.  Raises for n == max_degree, where the incoming
-    boundary is unknown under truncation.
+    H_n = Z^(dim C_n - rk d_n - rk d_(n+1)) + the sum of Z/e over the
+    invariant factors e > 1 of d_(n+1), both boundaries reduced block by
+    block (``ChainComplex.boundary_invariants``).  An unvalidated complex
+    has d_n o d_(n+1) checked here.  Raises for n == max_degree, where the
+    incoming boundary is unknown under truncation.
     """
     if not 0 <= n < c.max_degree:
         raise ValueError(
             f"homology needs the boundary from degree {n + 1}; "
             f"complex is truncated at {c.max_degree}")
-    dn = c.differential(n)
-    dn1 = c.differential(n + 1)
-    _, _, tinv, piv = _column_reduction(dn)
-    kdim = dn.cols - piv
-    coord_rows = [[0] * dn1.cols for _ in range(kdim)]
-    incoming = dn1.to_rows()
-    for col in range(dn1.cols):
-        vec = [incoming[i][col] for i in range(dn1.rows)]
-        for a in range(dn.cols):
-            s = sum(tinv[a][b] * vec[b] for b in range(dn.cols) if vec[b])
-            if a < piv:
-                if s != 0:
-                    raise ValueError("image of d_{n+1} is not contained in ker d_n")
-            else:
-                coord_rows[a - piv][col] = s
-    quotient = smith_normal_form(IntegerMatrix.from_rows(coord_rows, cols=dn1.cols))
-    free = kdim - quotient.rank
-    torsion = sorted(d for d in quotient.invariant_factors if d > 1)
-    return free, torsion
+    if not c._validated and not c._composite_vanishes(n + 1):
+        raise ValueError("image of d_{n+1} is not contained in ker d_n")
+    rank_out, _ = c.boundary_invariants(n)
+    rank_in, torsion = c.boundary_invariants(n + 1)
+    return c.dim(n) - rank_out - rank_in, list(torsion)

@@ -127,3 +127,10 @@ def test_criterion_10_kunneth_frontier_deep_prime_power():
         h = primary_model_homology(2, 1, 1000)
         exponents = [exponent(h, d)[0] for d in range(1001)]
     assert all(exponents[2 * k] == 2 * k for k in range(1, 501))
+
+
+def test_criterion_11_oracle_frontier():
+    with _Timed("criterion 11: SNF oracle exponent law to k = 40", 5.0):
+        results = suite_xp_exponent(max_k=40)
+    failures = [r for r in results if not r.passed]
+    assert not failures, failures

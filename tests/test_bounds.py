@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, prod
 
 import pytest
 
@@ -68,12 +68,13 @@ class TestPrimePowerIndexBound:
         assert prime_power_index_bound(p, r, d) == expected
 
     def test_two_routes_agree(self):
-        # the implementation asserts internally; drive the grid anyway
+        # the product of the per-differential bounds equals the closed form
         for p in (2, 3, 5, 7):
             for r in (1, 2, 3):
                 for d in range(1, 11):
                     closed = p ** ((d - 1) * r + legendre_valuation(p, d - 1))
-                    assert prime_power_index_bound(p, r, d) == closed
+                    via_product = prod(differential_order_bound(p, r, j) for j in range(1, d))
+                    assert prime_power_index_bound(p, r, d) == closed == via_product
 
     def test_divisibility_in_d(self):
         for p in (2, 3, 5):

@@ -2,6 +2,7 @@
 
 import json
 import sys
+import time
 
 import pytest
 
@@ -158,6 +159,21 @@ class TestHomology:
     def test_nonprime_rejected(self, capsys):
         assert run_usage_error(capsys, "homology", "--prime", "4",
                                "--exponent", "1", "--max-degree", "3") == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("--prime", "2", "--exponent", "1", "--max-degree", "1000"),  # 2.9e10 summands
+        ("360", "--max-degree", "200"),                               # 1.95e8 summands
+    ])
+    def test_oversized_listing_refused(self, capsys, argv):
+        start = time.perf_counter()
+        code = cli.main(["homology", *argv])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "Traceback" not in captured.err and "summands" in captured.err
+        assert elapsed < 1.0
 
 
 class TestWords:

@@ -5,7 +5,7 @@ import pytest
 from periodindex.bounds import padic_valuation
 from periodindex.complexes import (ComplexKind, ElementaryComplex,
                                    closed_form_homology, exponent_bound,
-                                   model_homology, primary_model,
+                                   model_chain_complex, model_homology, primary_model,
                                    primary_model_chain_complex,
                                    primary_model_homology,
                                    realize_chain_complex, tensor_chain_complex)
@@ -284,3 +284,14 @@ class TestModelChainComplex:
                 free, torsion = homology_of_complex(chain, d)
                 assert free == expected.summands(d)[0]
                 assert tuple(torsion) == expected.invariant_factors(d)
+
+    def test_order_30_both_routes_to_degree_24(self):
+        # n * k = 330 at k = 11, but both routes find Z/660 in degree 22
+        chain = model_chain_complex(30, 24)
+        expected = model_homology(30, 24)
+        for d in range(25):
+            free, torsion = homology_of_complex(chain, d)
+            assert (free, tuple(torsion)) == \
+                (expected.summands(d)[0], expected.invariant_factors(d))
+        assert exponent(expected, 22) == (660, 0)
+        assert homology_of_complex(chain, 22)[1][-1] == 660

@@ -1,4 +1,4 @@
-"""Smith normal form, kernels, and chain-complex homology."""
+"""Smith normal form and chain-complex homology."""
 
 import random
 from math import gcd, prod
@@ -7,7 +7,7 @@ import pytest
 
 from periodindex.complexes import ComplexKind, ElementaryComplex, realize_chain_complex
 from periodindex.snf import (ChainComplex, IntegerMatrix, determinant,
-                             homology_of_complex, kernel_basis, smith_normal_form)
+                             homology_of_complex, smith_normal_form)
 
 
 def rows(m):
@@ -156,23 +156,6 @@ class TestDeterminant:
             b = IntegerMatrix.from_rows(
                 [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)], cols=n)
             assert determinant(a @ b) == determinant(a) * determinant(b)
-
-
-class TestKernelBasis:
-    def test_annihilates(self):
-        rng = random.Random(71)
-        for _ in range(40):
-            r, c = rng.randint(1, 6), rng.randint(1, 6)
-            m = IntegerMatrix.from_rows(
-                [[rng.randint(-5, 5) for _ in range(c)] for _ in range(r)], cols=c)
-            basis = kernel_basis(m)
-            assert len(basis) == c - smith_normal_form(m).rank
-            for vec in basis:
-                image = [sum(m.entry(i, j) * vec[j] for j in range(c)) for i in range(r)]
-                assert all(x == 0 for x in image)
-
-    def test_zero_row_matrix_kernel_is_everything(self):
-        assert len(kernel_basis(IntegerMatrix.zeros(0, 4))) == 4
 
 
 class TestChainComplex:

@@ -1,0 +1,80 @@
+"""Property tests: the block-by-block sparse Smith normal form against the
+dense one, on scrambled block-diagonal matrices, with sympy as an optional
+third opinion."""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st
+
+from periodindex.snf import ChainComplex, IntegerMatrix, homology_of_complex, smith_normal_form
+
+SETTINGS = settings(max_examples=80, deadline=None, database=None)
+
+ENTRIES = st.integers(-6, 6)
+# diagonal entries whose orders are pairwise coprime or nested, so that the
+# blocks' factors only form one chain after the gcd/lcm merge
+COPRIME_ORDERS = st.sampled_from([1, 2, 3, 4, 5, 6, 9, 10, 15])
+
+
+@st.composite
+def block(draw):
+    if draw(st.booleans()):
+        return [[draw(COPRIME_ORDERS)]]
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return [[draw(ENTRIES) for _ in range(cols)] for _ in range(rows)]
+
+
+@st.composite
+def scrambled_block_diagonal(draw):
+    """(dense block-diagonal matrix, its rows and columns scrambled as sparse columns)."""
+    blocks = draw(st.lists(block(), min_size=1, max_size=6))
+    rows = sum(len(b) for b in blocks)
+    cols = sum(len(b[0]) for b in blocks)
+    dense = [[0] * cols for _ in range(rows)]
+    r0 = c0 = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            dense[r0 + i][c0:c0 + len(row)] = row
+        r0, c0 = r0 + len(b), c0 + len(b[0])
+    row_perm = draw(st.permutations(range(rows)))
+    col_perm = draw(st.permutations(range(cols)))
+    columns = [{row_perm[i]: dense[i][j] for i in range(rows) if dense[i][j]} for j in col_perm]
+    return IntegerMatrix.from_rows(dense, cols=cols), columns
+
+
+def cokernel_complex(rows, columns):
+    """Two-term complex with d_1 given by ``columns``, so H_0 = coker d_1."""
+    return ChainComplex([[f"r{i}" for i in range(rows)],
+                         [f"c{j}" for j in range(len(columns))]], {1: columns})
+
+
+@SETTINGS
+@given(scrambled_block_diagonal())
+def test_block_factors_equal_dense_factors(case):
+    dense, columns = case
+    reference = smith_normal_form(dense)
+    torsion = tuple(f for f in reference.invariant_factors if f > 1)
+    chain = cokernel_complex(dense.rows, columns)
+    assert chain.boundary_invariants(1) == (reference.rank, torsion)
+    assert homology_of_complex(chain, 0) == (dense.rows - reference.rank, list(torsion))
+
+
+def test_coprime_blocks_merge_into_one_factor():
+    # Z/2 + Z/3 is Z/6: blocks (2) and (3) must come out as (6,), not (2, 3)
+    chain = cokernel_complex(3, [{2: 3}, {}, {0: 2}])
+    assert chain.boundary_invariants(1) == (2, (6,))
+    assert homology_of_complex(chain, 0) == (1, [6])
+
+
+@SETTINGS
+@given(scrambled_block_diagonal())
+def test_dense_factors_match_sympy(case):
+    pytest.importorskip("sympy")
+    from sympy import Matrix, ZZ
+    from sympy.matrices.normalforms import invariant_factors
+
+    dense, _ = case
+    theirs = invariant_factors(Matrix(dense.to_rows()), domain=ZZ)
+    assert smith_normal_form(dense).invariant_factors == tuple(abs(f) for f in theirs if f)
