@@ -22,9 +22,9 @@ from .bounds import (BoundComparison, BoundReport, SharpBound, compare_bounds,
                      differential_order_bound, factorize, index_bound, is_prime,
                      known_sharp_bound, legendre_valuation, padic_valuation,
                      prime_power_index_bound)
-from .complexes import (ComplexKind, ElementaryComplex, ModelFactorization,
-                        closed_form_homology, exponent_bound, model_chain_complex,
-                        model_homology, primary_model, primary_model_chain_complex,
+from .complexes import (ComplexKind, ElementaryComplex, closed_form_homology,
+                        exponent_bound, model_chain_complex, model_homology,
+                        primary_model, primary_model_chain_complex,
                         primary_model_homology, realize_chain_complex,
                         tensor_chain_complex)
 from .graded import (GradedAbelianGroup, exponent, kunneth, primary_part,
@@ -41,8 +41,7 @@ __all__ = [
     "differential_order_bound", "factorize", "index_bound", "is_prime",
     "known_sharp_bound", "legendre_valuation", "padic_valuation",
     "prime_power_index_bound",
-    "ComplexKind", "ElementaryComplex", "ModelFactorization",
-    "closed_form_homology", "exponent_bound", "model_chain_complex", "model_homology",
+    "ComplexKind", "ElementaryComplex", "closed_form_homology", "exponent_bound", "model_chain_complex", "model_homology",
     "primary_model", "primary_model_chain_complex", "primary_model_homology",
     "realize_chain_complex", "tensor_chain_complex",
     "GradedAbelianGroup", "exponent", "kunneth", "primary_part",

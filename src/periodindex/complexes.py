@@ -105,18 +105,8 @@ def closed_form_homology(c: ElementaryComplex, max_degree: int) -> GradedAbelian
     return GradedAbelianGroup.from_summands(summands, max_degree)
 
 
-@dataclass(frozen=True)
-class ModelFactorization:
-    """The factor list of the p-primary model, truncated at ``max_degree``."""
-
-    prime: int
-    exponent: int
-    factors: tuple[ElementaryComplex, ...]
-    max_degree: int
-
-
-def primary_model(p: int, r: int, max_degree: int) -> ModelFactorization:
-    """Assemble the model for period p^r up to ``max_degree``.
+def primary_model(p: int, r: int, max_degree: int) -> tuple[ElementaryComplex, ...]:
+    """The factors of the model for period p^r up to ``max_degree``.
 
     The leading factor is P(u, 2) ox E(u', 3) twisted by p^r.  The k-th
     remaining factor E ox P has generator degrees (1+2p^(k+1), 2+2p^(k+1))
@@ -142,14 +132,14 @@ def primary_model(p: int, r: int, max_degree: int) -> ModelFactorization:
             ComplexKind.EP_SECOND, q=1 + p ** (k + 1), h=p,
             label=f"E({e_word}, {1 + 2 * p ** (k + 1)})⊗P({p_word}, {2 + 2 * p ** (k + 1)})"))
         k += 1
-    return ModelFactorization(p, r, tuple(factors), max_degree)
+    return tuple(factors)
 
 
 def primary_model_homology(p: int, r: int, max_degree: int) -> GradedAbelianGroup:
     """Homology of the p-primary model, via Kunneth over the factor list."""
-    model = primary_model(p, r, max_degree)
-    result = closed_form_homology(model.factors[0], max_degree)
-    for factor in model.factors[1:]:
+    first, *rest = primary_model(p, r, max_degree)
+    result = closed_form_homology(first, max_degree)
+    for factor in rest:
         result = kunneth(result, closed_form_homology(factor, max_degree), max_degree)
     return result
 
@@ -251,11 +241,10 @@ def tensor_chain_complex(c1: ChainComplex, c2: ChainComplex,
     """Tensor product of based complexes, truncated at ``max_degree`` + 1.
 
     The differential follows the Koszul convention d(a ox b) = da ox b +
-    (-1)^|a| a ox db.  Both inputs must satisfy d o d = 0 and be complete
-    up to max_degree + 1 (anything they are missing above their own caps
-    is treated as zero, which is the caller's responsibility).  The inputs
-    are not re-checked: an input that breaks d o d = 0 breaks it in the
-    product too, which the product's own check on construction reports.
+    (-1)^|a| a ox db.  Both inputs must be complete up to max_degree + 1
+    (anything they are missing above their own caps is treated as zero,
+    which is the caller's responsibility).  The product is a
+    ``ChainComplex`` and so has d o d = 0 checked when it is built.
 
     In degree d the basis runs over i = 0..d, then a in C1_i, then b in
     C2_(d-i), so a ox b sits at offset[d][i] + a * dim C2_(d-i) + b.
@@ -309,9 +298,9 @@ def tensor_chain_complex(c1: ChainComplex, c2: ChainComplex,
 
 def primary_model_chain_complex(p: int, r: int, max_degree: int) -> ChainComplex:
     """The p-primary model as one based chain complex (the oracle route)."""
-    model = primary_model(p, r, max_degree)
-    result = realize_chain_complex(model.factors[0], max_degree)
-    for factor in model.factors[1:]:
+    first, *rest = primary_model(p, r, max_degree)
+    result = realize_chain_complex(first, max_degree)
+    for factor in rest:
         result = tensor_chain_complex(
             result, realize_chain_complex(factor, max_degree), max_degree)
     return result

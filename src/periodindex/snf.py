@@ -5,8 +5,12 @@ are exact.  Chain complexes store boundaries as sparse columns, since the
 tensor models' boundaries are a few percent non-zero and split into small
 connected blocks.  Homology is read off the boundaries' invariant factors:
 one dense minimal-pivot Smith normal form per block, merged into a single
-divisibility chain (Dumas, Saunders and Villard, JSC 2001).  Swapping in a
-faster SNF would only touch ``smith_normal_form``.
+divisibility chain (Dumas, Saunders and Villard, JSC 2001).  Every complex
+has d o d = 0 checked when it is built, so every complex here is a chain
+complex.  Swapping in a faster SNF would only touch ``smith_normal_form``.
+
+This module imports nothing else from the package: the oracle knows no
+closed form.
 """
 
 from __future__ import annotations
@@ -53,24 +57,12 @@ class IntegerMatrix:
         return cls(0, cols, ())
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntegerMatrix":
-        return cls(rows, cols, (0,) * (rows * cols))
-
-    @classmethod
     def identity(cls, n: int) -> "IntegerMatrix":
         return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-    def entry(self, i: int, j: int) -> int:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError((i, j))
-        return self.entries[i * self.cols + j]
 
     def to_rows(self) -> list[list[int]]:
         c = self.cols
         return [list(self.entries[i * c:(i + 1) * c]) for i in range(self.rows)]
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
 
     def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.cols != other.rows:
@@ -119,14 +111,13 @@ def determinant(m: IntegerMatrix) -> int:
 
 @dataclass(frozen=True)
 class SmithNormalForm:
-    """Diagonalisation U @ M @ V == S with d_1 | d_2 | ... on the diagonal.
+    """Invariant factors d_1 | d_2 | ... of M, all positive.
 
-    ``invariant_factors`` lists the nonzero diagonal entries; the remaining
-    min(rows, cols) - rank diagonal entries of S are zero.  ``left`` and
-    ``right`` (U and V) are populated only when transforms were requested.
+    U @ M @ V is the matrix of M's shape with the invariant factors leading
+    its diagonal and zeros everywhere else.  ``left`` and ``right`` (U and
+    V) are populated only when transforms were requested.
     """
 
-    matrix: IntegerMatrix
     invariant_factors: tuple[int, ...]
     rank: int
     left: IntegerMatrix | None = None
@@ -254,7 +245,6 @@ def smith_normal_form(m: IntegerMatrix, with_transforms: bool = False) -> SmithN
             break
         factors.append(d)
     return SmithNormalForm(
-        matrix=IntegerMatrix.from_rows(a, cols=cols),
         invariant_factors=tuple(factors),
         rank=len(factors),
         left=IntegerMatrix.from_rows(u, cols=rows) if u is not None else None,
@@ -325,16 +315,16 @@ class ChainComplex:
     """Based free chain complex over the integers, truncated at ``max_degree``.
 
     ``basis_labels[n]`` lists the basis of the degree-n chain group.  The
-    degree-n boundary is stored sparse, one ``{row: coefficient}`` map per
-    degree-n basis element with rows indexing the degree-(n-1) basis; it may
-    be given so or as a dense ``IntegerMatrix``, and missing degrees are
-    zero.  d o d = 0 is checked once, here, unless ``validate`` is False.
-    Each boundary's rank and invariant factors are kept once computed, as
-    they serve two degrees of homology.  Degrees above ``max_degree`` are
+    degree-n boundary is given sparse, one ``{row: coefficient}`` map per
+    degree-n basis element with rows indexing the degree-(n-1) basis;
+    missing degrees are zero.  Shapes and d o d = 0 are checked here, on
+    every complex, so a complex that exists is a chain complex.  Each
+    boundary's rank and invariant factors are kept once computed, as they
+    serve two degrees of homology.  Degrees above ``max_degree`` are
     unknown, so homology can only be asked for strictly below the cap.
     """
 
-    def __init__(self, basis_labels, boundaries, validate: bool = True):
+    def __init__(self, basis_labels, boundaries):
         self.basis_labels = tuple(tuple(labels) for labels in basis_labels)
         if not self.basis_labels:
             raise ValueError("need at least the degree-0 basis")
@@ -342,18 +332,12 @@ class ChainComplex:
         self._columns = {n: self._sparse(n, boundaries.get(n))
                          for n in range(1, self.max_degree + 1)}
         self._invariants: dict[int, tuple[int, tuple[int, ...]]] = {0: (0, ())}
-        self._validated = False
-        if validate:
-            self.validate()
+        self.validate()
 
     def _sparse(self, n: int, boundary) -> tuple[dict[int, int], ...]:
         rows, cols = self.dim(n - 1), self.dim(n)
         if boundary is None:
             boundary = [{}] * cols
-        elif isinstance(boundary, IntegerMatrix):
-            if (boundary.rows, boundary.cols) != (rows, cols):
-                raise ValueError(f"boundary shape mismatch in degree {n}")
-            boundary = [dict(enumerate(boundary.entries[j::cols])) for j in range(cols)]
         columns = tuple({r: a for r, a in col.items() if a} for col in boundary)
         if len(columns) != cols or any(not 0 <= r < rows for col in columns for r in col):
             raise ValueError(f"boundary shape mismatch in degree {n}")
@@ -371,9 +355,11 @@ class ChainComplex:
         return self._columns[n]
 
     def differential(self, n: int) -> IntegerMatrix:
-        """The degree-n boundary as a dense matrix, built on each call."""
-        if n == 0:
-            return IntegerMatrix.zeros(0, self.dim(0))
+        """The degree-n boundary (n >= 1) as a dense matrix, built on each call.
+
+        The package reads ``columns``; this dense copy is kept for
+        ``perfbench/tracer.py``, which counts boundary sizes with it.
+        """
         columns, rows = self.columns(n), self.dim(n - 1)
         entries = [0] * (rows * len(columns))
         for j, col in enumerate(columns):
@@ -381,26 +367,17 @@ class ChainComplex:
                 entries[r * len(columns) + j] = a
         return IntegerMatrix(rows, len(columns), tuple(entries))
 
-    def _composite_vanishes(self, n: int) -> bool:
-        """Whether d_(n-1) o d_n == 0, column by sparse column."""
-        if n < 2:
-            return True
-        lower = self._columns[n - 1]
-        for col in self._columns[n]:
-            image = defaultdict(int)
-            for r, a in col.items():
-                for s, b in lower[r].items():
-                    image[s] += a * b
-            if any(image.values()):
-                return False
-        return True
-
     def validate(self) -> None:
-        """Check the boundary condition d o d = 0 (shapes are checked on construction)."""
+        """Check d o d = 0, column by sparse column; run on construction."""
         for n in range(2, self.max_degree + 1):
-            if not self._composite_vanishes(n):
-                raise ValueError(f"d o d != 0 between degrees {n} and {n - 2}")
-        self._validated = True
+            lower = self._columns[n - 1]
+            for col in self._columns[n]:
+                image = defaultdict(int)
+                for r, a in col.items():
+                    for s, b in lower[r].items():
+                        image[s] += a * b
+                if any(image.values()):
+                    raise ValueError(f"d o d != 0 between degrees {n} and {n - 2}")
 
     def boundary_invariants(self, n: int) -> tuple[int, tuple[int, ...]]:
         """(rank, invariant factors > 1) of the degree-n boundary, memoised."""
@@ -414,16 +391,13 @@ def homology_of_complex(c: ChainComplex, n: int) -> tuple[int, list[int]]:
 
     H_n = Z^(dim C_n - rk d_n - rk d_(n+1)) + the sum of Z/e over the
     invariant factors e > 1 of d_(n+1), both boundaries reduced block by
-    block (``ChainComplex.boundary_invariants``).  An unvalidated complex
-    has d_n o d_(n+1) checked here.  Raises for n == max_degree, where the
-    incoming boundary is unknown under truncation.
+    block (``ChainComplex.boundary_invariants``).  Raises for n ==
+    max_degree, where the incoming boundary is unknown under truncation.
     """
     if not 0 <= n < c.max_degree:
         raise ValueError(
             f"homology needs the boundary from degree {n + 1}; "
             f"complex is truncated at {c.max_degree}")
-    if not c._validated and not c._composite_vanishes(n + 1):
-        raise ValueError("image of d_{n+1} is not contained in ker d_n")
     rank_out, _ = c.boundary_invariants(n)
     rank_in, torsion = c.boundary_invariants(n + 1)
     return c.dim(n) - rank_out - rank_in, list(torsion)

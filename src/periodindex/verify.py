@@ -149,8 +149,11 @@ def _check_one_snf(rng: random.Random, name: str) -> CheckResult:
         if b % a:
             problems.append(f"divisibility chain broken: {s.invariant_factors}")
             break
-    if (s.left @ m @ s.right).entries != s.matrix.entries:
-        problems.append("U @ M @ V != S")
+    diagonal = [0] * (rows * cols)
+    for i, d in enumerate(s.invariant_factors):
+        diagonal[i * cols + i] = d
+    if (s.left @ m @ s.right).entries != tuple(diagonal):
+        problems.append("U @ M @ V != diag(invariant factors)")
     if abs(determinant(s.left)) != 1 or abs(determinant(s.right)) != 1:
         problems.append("transform is not unimodular")
     p = _random_unimodular(rng, rows)

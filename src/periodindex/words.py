@@ -172,6 +172,8 @@ def enumerate_words(p: int, r: int, max_degree: int) -> list[tuple[Word, int, in
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
 
+    # Symbols are frozen, so one instance of each serves every word.
+    s, g, f = sigma(), gamma(p), phi(p)
     found: list[tuple[Word, int, int]] = []
 
     def record(symbols):
@@ -185,24 +187,25 @@ def enumerate_words(p: int, r: int, max_degree: int) -> list[tuple[Word, int, in
             record(suffix)
         nxt = 1 + deg
         if nxt <= max_degree:
-            grow([sigma()] + suffix, nxt, sigma_count + 1)
+            grow([s] + suffix, nxt, sigma_count + 1)
         if sigma_count % 2 == 0:
             nxt = p * deg
             if nxt <= max_degree:
-                grow([gamma(p)] + suffix, nxt, sigma_count)
+                grow([g] + suffix, nxt, sigma_count)
             nxt = 2 + p * deg
             if nxt <= max_degree:
-                grow([phi(p)] + suffix, nxt, sigma_count)
+                grow([f] + suffix, nxt, sigma_count)
 
     if max_degree >= 1:
-        grow([sigma()], 1, 1)
+        grow([s], 1, 1)
     if max_degree >= 2:
-        grow([phi(p)], 2, 0)
+        grow([f], 2, 0)
 
     # auxiliary family: sigma^(h-1) psi_{p^r} has degree h + 1
+    last = psi(p, r)
     h = 1
     while h + 1 <= max_degree:
-        record([sigma()] * (h - 1) + [psi(p, r)])
+        record([s] * (h - 1) + [last])
         h += 1
 
     def sort_key(item):

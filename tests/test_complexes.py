@@ -10,7 +10,7 @@ from periodindex.complexes import (ComplexKind, ElementaryComplex,
                                    primary_model_homology,
                                    realize_chain_complex, tensor_chain_complex)
 from periodindex.graded import exponent
-from periodindex.snf import ChainComplex, IntegerMatrix, homology_of_complex
+from periodindex.snf import ChainComplex, homology_of_complex
 
 E = ComplexKind.EXTERIOR_FIRST
 P = ComplexKind.DIVIDED_POWER_FIRST
@@ -79,22 +79,20 @@ class TestRealization:
     def test_pe_boundary_coefficient(self):
         # d(y gamma_1 x) = 2*2 gamma_2(x): entry 4 from degree 5 to degree 4
         chain = realize_chain_complex(ElementaryComplex(PE, q=1, h=2), 4)
-        d5 = chain.differential(5)
-        assert d5.rows == 1 and d5.cols == 1 and d5.entry(0, 0) == 4
+        assert (chain.dim(4), chain.columns(5)) == (1, ({0: 4},))
         assert homology_of_complex(chain, 4) == (0, [4])
 
     def test_ep_boundary_coefficient(self):
         # d(gamma_1 y) = 3x: entry 3 from degree 4 to degree 3
         chain = realize_chain_complex(ElementaryComplex(EP, q=2, h=3), 7)
-        d4 = chain.differential(4)
-        assert d4.rows == 1 and d4.cols == 1 and d4.entry(0, 0) == 3
+        assert (chain.dim(3), chain.columns(4)) == (1, ({0: 3},))
         assert homology_of_complex(chain, 3) == (0, [3])
 
     def test_first_type_boundaries_vanish(self):
         for c in (ElementaryComplex(E, 2), ElementaryComplex(P, 2)):
             chain = realize_chain_complex(c, 10)
             for n in range(1, chain.max_degree + 1):
-                assert chain.differential(n).is_zero()
+                assert not any(chain.columns(n))
 
     def test_one_degree_above_cap(self):
         chain = realize_chain_complex(ElementaryComplex(PE, q=1, h=2), 6)
@@ -119,7 +117,7 @@ class TestTensor:
             if n <= c.max_degree:
                 assert out.dim(n) == c.dim(n)
                 if n >= 1:
-                    assert out.differential(n).entries == c.differential(n).entries
+                    assert out.columns(n) == c.columns(n)
             else:
                 assert out.dim(n) == 0
 
@@ -133,15 +131,15 @@ class TestTensor:
         labels2 = out.basis_labels[2]
         col = labels3.index("x⊗y")        # x ox gamma_1(y), degrees 1 + 2
         row = labels2.index("x⊗x")        # x ox (x gamma_0(y)), degrees 1 + 1
-        assert out.differential(3).entry(row, col) == -2
+        assert out.columns(3)[col][row] == -2
 
     def test_dd_zero_enforced(self):
-        bad = ChainComplex([["a"], ["b"], ["c"]],
-                           {1: IntegerMatrix.from_rows([[1]]),
-                            2: IntegerMatrix.from_rows([[1]])},
-                           validate=False)
+        # a complex whose boundary is corrupted after it was checked still
+        # cannot pass through a product: the product checks itself
+        bad = ChainComplex([["a"], ["b"], ["c"]], {1: [{0: 1}]})
+        bad._columns[2] = ({0: 1},)
         good = ChainComplex([["1"]], {})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="d o d != 0"):
             tensor_chain_complex(bad, good, 2)
 
     def test_tensor_matches_kunneth_route(self):
@@ -154,22 +152,19 @@ class TestTensor:
 
 class TestPrimaryModel:
     def test_factor_list_p2(self):
-        m = primary_model(2, 1, 12)
-        kinds = [(f.kind, f.q, f.h) for f in m.factors]
+        kinds = [(f.kind, f.q, f.h) for f in primary_model(2, 1, 12)]
         assert kinds == [(PE, 1, 2), (EP, 3, 2), (EP, 5, 2)]
 
     def test_factor_list_p5_r2(self):
-        m = primary_model(5, 2, 10)
-        assert [(f.kind, f.q, f.h) for f in m.factors] == [(PE, 1, 25)]
+        assert [(f.kind, f.q, f.h) for f in primary_model(5, 2, 10)] == [(PE, 1, 25)]
 
     def test_factor_list_p3(self):
-        assert [(f.kind, f.q, f.h) for f in primary_model(3, 1, 6).factors] == \
+        assert [(f.kind, f.q, f.h) for f in primary_model(3, 1, 6)] == \
             [(PE, 1, 3)]
 
     def test_omitted_factors_are_silent_below_cap(self):
         # the first omitted factor has no positive-degree homology under the cap
-        m = primary_model(2, 1, 12)
-        k = len(m.factors) - 1  # next EP factor index
+        k = len(primary_model(2, 1, 12)) - 1  # next EP factor index
         next_factor = ElementaryComplex(EP, q=1 + 2 ** (k + 1), h=2)
         h = closed_form_homology(next_factor, 12)
         assert h.nonzero_degrees() == [0]
@@ -202,7 +197,7 @@ class TestPrimaryModelHomology:
         for p, r in ((2, 1), (2, 2), (3, 1)):
             whole = primary_model_homology(p, r, 16)
             leading = closed_form_homology(
-                primary_model(p, r, 16).factors[0], 16)
+                primary_model(p, r, 16)[0], 16)
             for k in range(1, 9):
                 exp_whole, _ = exponent(whole, 2 * k)
                 exp_lead, _ = exponent(leading, 2 * k)
@@ -267,31 +262,17 @@ class TestModelChainComplex:
             expected = primary_model_homology(p, r, cap)
             assert oracle_groups(chain, cap) == closed_groups(expected)
 
-    def test_composite_order_agrees_up_to_isomorphism(self):
-        # Tensor the prime-power models into one chain complex and compare
-        # with the Kunneth route.  SNF reports invariant factors while the
-        # graded multiset keeps summands as produced (Z/2 + Z/3, not Z/6),
-        # so the comparison has to go through the invariant-factor form.
-        from periodindex.bounds import factorize
-        for n, cap in ((6, 8), (12, 8), (10, 6)):
-            chain = None
-            for p, r in factorize(n):
-                piece = primary_model_chain_complex(p, r, cap)
-                chain = piece if chain is None else \
-                    tensor_chain_complex(chain, piece, cap)
-            expected = model_homology(n, cap)
-            for d in range(cap + 1):
-                free, torsion = homology_of_complex(chain, d)
-                assert free == expected.summands(d)[0]
-                assert tuple(torsion) == expected.invariant_factors(d)
-
-    def test_order_30_both_routes_to_degree_24(self):
-        # n * k = 330 at k = 11, but both routes find Z/660 in degree 22
-        chain = model_chain_complex(30, 24)
-        expected = model_homology(30, 24)
-        for d in range(25):
+    @pytest.mark.parametrize("n, cap", [(6, 8), (12, 8), (10, 6), (30, 24)])
+    def test_composite_order_agrees_up_to_isomorphism(self, n, cap):
+        # SNF reports invariant factors while the graded group keeps orders
+        # as produced (Z/2 + Z/3, not Z/6), so the comparison goes through
+        # the invariant-factor form.
+        chain = model_chain_complex(n, cap)
+        expected = model_homology(n, cap)
+        for d in range(cap + 1):
             free, torsion = homology_of_complex(chain, d)
             assert (free, tuple(torsion)) == \
                 (expected.summands(d)[0], expected.invariant_factors(d))
-        assert exponent(expected, 22) == (660, 0)
-        assert homology_of_complex(chain, 22)[1][-1] == 660
+        if n == 30:  # n * k = 330 at k = 11, but both routes find Z/660
+            assert exponent(expected, 22) == (660, 0)
+            assert homology_of_complex(chain, 22)[1][-1] == 660
