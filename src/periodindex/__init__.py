@@ -18,10 +18,10 @@ Smith-normal-form oracle; see :mod:`periodindex.verify` and the ``verify``
 CLI subcommand.
 """
 
-from .bounds import (BoundComparison, BoundReport, SharpBound, compare_bounds,
-                     differential_order_bound, factorize, index_bound, is_prime,
-                     known_sharp_bound, legendre_valuation, padic_valuation,
-                     prime_power_index_bound)
+from .bounds import (PRIME_CEILING, BoundComparison, BoundReport, CeilingError,
+                     SharpBound, compare_bounds, differential_order_bound,
+                     factorize, index_bound, is_prime, known_sharp_bound,
+                     legendre_valuation, padic_valuation, prime_power_index_bound)
 from .complexes import (ComplexKind, ElementaryComplex, closed_form_homology,
                         exponent_bound, model_chain_complex, model_homology,
                         primary_model, primary_model_chain_complex,
@@ -31,13 +31,14 @@ from .graded import (GradedAbelianGroup, exponent, kunneth, primary_part,
                      tensor_summands, tor_summands)
 from .snf import (ChainComplex, IntegerMatrix, SmithNormalForm, determinant,
                   homology_of_complex, smith_normal_form)
-from .words import (Symbol, SymbolKind, Word, degree, enumerate_words,
+from .words import (Symbol, SymbolKind, Word, count_words, degree, enumerate_words,
                     format_word, gamma, height, is_admissible, phi, psi, sigma)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundComparison", "BoundReport", "SharpBound", "compare_bounds",
+    "PRIME_CEILING", "BoundComparison", "BoundReport", "CeilingError",
+    "SharpBound", "compare_bounds",
     "differential_order_bound", "factorize", "index_bound", "is_prime",
     "known_sharp_bound", "legendre_valuation", "padic_valuation",
     "prime_power_index_bound",
@@ -48,7 +49,8 @@ __all__ = [
     "tensor_summands", "tor_summands",
     "ChainComplex", "IntegerMatrix", "SmithNormalForm", "determinant",
     "homology_of_complex", "smith_normal_form",
-    "Symbol", "SymbolKind", "Word", "degree", "enumerate_words", "format_word",
+    "Symbol", "SymbolKind", "Word", "count_words", "degree", "enumerate_words",
+    "format_word",
     "gamma", "height", "is_admissible", "phi", "psi", "sigma",
     "__version__",
 ]

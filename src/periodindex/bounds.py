@@ -14,44 +14,136 @@ key "theorem_a" and the coprime-case flag under "corollary_b".
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from itertools import compress, count
+from math import gcd, isqrt, prod
+
+
+def _primes_below(limit: int) -> tuple[int, ...]:
+    """Sieve of Eratosthenes."""
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, limit, p)))
+    return tuple(compress(range(limit), sieve))
+
+
+# factorize divides these out first; what is left has no factor below 1000
+_SMALL_PRIMES = _primes_below(1000)
+# Miller-Rabin with the first 13 primes as bases decides every n below
+# psi_13 = 3317044064679887385961981 (Sorenson and Webster 2015)
+_BASES = _SMALL_PRIMES[:13]
+PRIME_CEILING = 3317044064679887385961981
+
+
+class CeilingError(ValueError):
+    """An integer at or above PRIME_CEILING, where is_prime is no longer exact."""
 
 
 def is_prime(n: int) -> bool:
-    """Trial-division primality test; inputs here are desk-scale."""
+    """Deterministic Miller-Rabin test, exact for n < PRIME_CEILING.
+
+    Raises CeilingError for n >= PRIME_CEILING rather than guess.
+    """
+    if n >= PRIME_CEILING:
+        raise CeilingError(f"{n} is not below {PRIME_CEILING}, the limit of exact "
+                           "primality testing")
     if n < 2:
         return False
-    if n < 4:
+    for p in _BASES:
+        if n % p == 0:
+            return n == p
+    if n < _BASES[-1] ** 2:  # no prime factor up to 41, so n is prime
         return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
+def _pollard_brent(n: int) -> int:
+    """A proper factor of n, an odd composite with no factor below 1000.
+
+    Brent's cycle-finding variant of Pollard's rho (Brent 1980), taking
+    gcds over batches of 128 steps of x -> x^2 + c; a batch that overshoots
+    is replayed one step at a time, and a cycle with no proper factor
+    moves on to the next c.
+    """
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
 def factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorisation of n >= 1 as ascending (prime, exponent) pairs."""
+    """Prime factorisation of n >= 1 as ascending (prime, exponent) pairs.
+
+    Trial division by the primes below 1000, then Pollard-Brent on what is
+    left.  Raises CeilingError when the part left after trial division is
+    not below PRIME_CEILING, where primality is no longer decided exactly.
+    """
     if n < 1:
         raise ValueError("factorize needs n >= 1")
-    out = []
-    p = 2
-    while p * p <= n:
+    whole, out = n, []
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
         if n % p == 0:
             r = 0
             while n % p == 0:
                 n //= p
                 r += 1
             out.append((p, r))
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out.append((n, 1))
-    return out
+    # n has no prime factor below 1000 now, so below 1000^2 it is 1 or prime
+    if n < 1000 ** 2:
+        if n > 1:
+            out.append((n, 1))
+        return out
+    if n >= PRIME_CEILING:
+        raise CeilingError(f"cannot factorise {whole}: its part {n} without prime "
+                           f"factors below 1000 is not below {PRIME_CEILING}")
+    large = Counter()
+    pending = [n]
+    while pending:
+        m = pending.pop()
+        if is_prime(m):
+            large[m] += 1
+        else:
+            f = _pollard_brent(m)
+            pending += [f, m // f]
+    return out + sorted(large.items())
 
 
 def padic_valuation(p: int, m: int) -> int:

@@ -5,7 +5,8 @@ bounds), ``homology`` (model homology for an order or a prime power),
 ``words`` (admissible and auxiliary word enumeration) and ``verify`` (the
 oracle cross-check suites).  Data goes to stdout, diagnostics to stderr.
 Exit codes: 0 success, 1 verification failure, 2 usage error or a refused
-input (a ``homology`` listing of more than a million summands).
+input (a ``homology`` or ``words`` listing of more than a million summands
+or rows, or an integer too large to factorise exactly).
 """
 
 from __future__ import annotations
@@ -16,17 +17,18 @@ import os
 import sys
 
 from . import __version__
-from .bounds import compare_bounds, index_bound, is_prime
+from .bounds import CeilingError, compare_bounds, index_bound, is_prime
 from .complexes import model_homology, primary_model_homology
 from .graded import exponent
 from .verify import SUITES, run_suite
-from .words import enumerate_words, format_word
+from .words import count_words, enumerate_words, format_word
 
 FORMATS = ("pretty-table", "json", "csv")
 
-# `homology` lists every cyclic summand; past this many it refuses (exit 2)
-# instead of growing its output until memory runs out.
-MAX_LISTED_SUMMANDS = 10 ** 6
+# `homology` lists every cyclic summand and `words` every word; past this
+# many summands or rows they refuse (exit 2) instead of growing their output
+# until memory runs out.
+MAX_LISTED = 10 ** 6
 
 
 def _use_color() -> bool:
@@ -53,10 +55,13 @@ def _render_table(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
+def _refuse(command: str, message: str) -> int:
+    print(f"periodindex {command}: error: {message}", file=sys.stderr)
+    return 2
+
+
 def _emit_csv(headers: list[str], rows: list[list[str]]) -> None:
-    print(",".join(headers))
-    for row in rows:
-        print(",".join(row))
+    print("\n".join(map(",".join, [headers, *rows])))
 
 
 def _cmd_bound(args, parser) -> int:
@@ -143,11 +148,9 @@ def _cmd_homology(args, parser) -> int:
             parser.error("n must be >= 2")
         group = model_homology(args.n, args.max_degree)
     listed = sum(m for _, pairs in group.parts for _, m in pairs)
-    if listed > MAX_LISTED_SUMMANDS:
-        print(f"periodindex homology: error: the listing would hold {listed} torsion "
-              f"summands, over the limit of {MAX_LISTED_SUMMANDS}; lower --max-degree",
-              file=sys.stderr)
-        return 2
+    if listed > MAX_LISTED:
+        return _refuse("homology", f"the listing would hold {listed} torsion summands, "
+                                   f"over the limit of {MAX_LISTED}; lower --max-degree")
 
     if args.format == "json":
         print(json.dumps(group.to_json(), sort_keys=True))
@@ -174,6 +177,9 @@ def _cmd_words(args, parser) -> int:
         parser.error("r must be >= 1")
     if args.max_degree < 0:
         parser.error("--max-degree must be >= 0")
+    if count_words(args.p, args.r, args.max_degree, limit=MAX_LISTED) > MAX_LISTED:
+        return _refuse("words", f"the listing would hold over {MAX_LISTED} rows; "
+                                "lower --max-degree")
     listing = enumerate_words(args.p, args.r, args.max_degree)
     rendered = [(format_word(w, ascii_symbols=args.ascii), deg, ht)
                 for w, deg, ht in listing]
@@ -261,14 +267,16 @@ def main(argv=None) -> int:
     # `bound 6 20000` go past it.  Lift the limit for the command only, since
     # main may run inside a longer-lived process.
     get_limit = getattr(sys, "get_int_max_str_digits", None)
-    if get_limit is None:
-        return args.func(args, parser)
-    old_limit = get_limit()
-    sys.set_int_max_str_digits(0)
+    old_limit = get_limit() if get_limit else None
+    if get_limit:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args, parser)
+    except CeilingError as exc:
+        return _refuse(args.command, str(exc))
     finally:
-        sys.set_int_max_str_digits(old_limit)
+        if get_limit:
+            sys.set_int_max_str_digits(old_limit)
 
 
 if __name__ == "__main__":

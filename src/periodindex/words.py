@@ -21,8 +21,10 @@ sigma^(h-1) psi, which is what the elementary-complex model consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from enum import IntEnum
+from operator import attrgetter
 
 from .bounds import is_prime
 
@@ -35,24 +37,40 @@ class SymbolKind(IntEnum):
     PSI = 3
 
 
+_UNICODE = {SymbolKind.SIGMA: "σ", SymbolKind.GAMMA: "γ",
+            SymbolKind.PHI: "φ", SymbolKind.PSI: "ψ"}
+_ASCII = {SymbolKind.SIGMA: "s", SymbolKind.GAMMA: "g",
+          SymbolKind.PHI: "f", SymbolKind.PSI: "y"}
+
+
 @dataclass(frozen=True)
 class Symbol:
+    """One letter of a word.  ``text`` and ``ascii_text`` are its rendering
+    (e.g. γ_3 and g_3), worked out once when the symbol is built."""
+
     kind: SymbolKind
     prime: int | None = None
     psi_exponent: int | None = None
+    text: str = field(init=False, repr=False, compare=False)
+    ascii_text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind is SymbolKind.SIGMA:
             if self.prime is not None or self.psi_exponent is not None:
                 raise ValueError("sigma carries no prime or exponent")
-            return
-        if self.prime is None or not is_prime(self.prime):
+            suffix = ""
+        elif self.prime is None or not is_prime(self.prime):
             raise ValueError(f"{self.kind.name} needs a prime, got {self.prime}")
-        if self.kind is SymbolKind.PSI:
+        elif self.kind is SymbolKind.PSI:
             if self.psi_exponent is None or self.psi_exponent < 1:
                 raise ValueError("psi needs an exponent f >= 1")
+            suffix = f"_{self.prime ** self.psi_exponent}"
         elif self.psi_exponent is not None:
             raise ValueError("only psi carries an exponent")
+        else:
+            suffix = f"_{self.prime}"
+        object.__setattr__(self, "text", _UNICODE[self.kind] + suffix)
+        object.__setattr__(self, "ascii_text", _ASCII[self.kind] + suffix)
 
 
 def sigma() -> Symbol:
@@ -72,6 +90,10 @@ def psi(p: int, f: int) -> Symbol:
     return Symbol(SymbolKind.PSI, prime=p, psi_exponent=f)
 
 
+_KIND, _PRIME = attrgetter("kind"), attrgetter("prime")
+_TEXT, _ASCII_TEXT = attrgetter("text"), attrgetter("ascii_text")
+
+
 @dataclass(frozen=True)
 class Word:
     """Immutable sequence of symbols over a single prime; psi only last."""
@@ -79,13 +101,14 @@ class Word:
     symbols: tuple[Symbol, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "symbols", tuple(self.symbols))
-        primes = {s.prime for s in self.symbols if s.prime is not None}
+        symbols = tuple(self.symbols)
+        object.__setattr__(self, "symbols", symbols)
+        primes = set(map(_PRIME, symbols))
+        primes.discard(None)
         if len(primes) > 1:
             raise ValueError(f"word mixes primes {sorted(primes)}")
-        for s in self.symbols[:-1]:
-            if s.kind is SymbolKind.PSI:
-                raise ValueError("psi may only appear as the last symbol")
+        if SymbolKind.PSI in map(_KIND, symbols[:-1]):
+            raise ValueError("psi may only appear as the last symbol")
 
     @property
     def prime(self) -> int | None:
@@ -155,6 +178,15 @@ def is_admissible(word: Word, p: int) -> bool:
     return True
 
 
+def _check_listing(p: int, r: int, max_degree: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    if max_degree < 0:
+        raise ValueError("max_degree must be >= 0")
+
+
 def enumerate_words(p: int, r: int, max_degree: int) -> list[tuple[Word, int, int]]:
     """All admissible p-words of degree <= max_degree, plus the auxiliary
     words sigma^(h-1) psi_{p^r} (height h, degree h + 1).
@@ -165,75 +197,76 @@ def enumerate_words(p: int, r: int, max_degree: int) -> list[tuple[Word, int, in
     >>> [str(w) for w, _, h in enumerate_words(2, 1, 3) if h == 2]
     ['σσ', 'σφ_2', 'σψ_2']
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    if max_degree < 0:
-        raise ValueError("max_degree must be >= 0")
-
+    _check_listing(p, r, max_degree)
     # Symbols are frozen, so one instance of each serves every word.
     s, g, f = sigma(), gamma(p), phi(p)
-    found: list[tuple[Word, int, int]] = []
+    # (degree, height, kind digits, symbols): the digit string orders like
+    # the tuple of kinds, so one sort on the first three fields suffices.
+    found: list[tuple[int, int, str, tuple[Symbol, ...]]] = []
 
-    def record(symbols):
-        w = Word(tuple(symbols))
-        found.append((w, degree(w), height(w)))
-
-    def grow(suffix, deg, sigma_count):
-        # suffix already satisfies the parity and last-letter conditions;
-        # prepends never change either, so pruning here is exact.
-        if len(suffix) >= 2 and suffix[0].kind is not SymbolKind.GAMMA:
-            record(suffix)
+    # Depth first from the last letter, on an explicit stack: words can be as
+    # long as their degree.  A suffix already satisfies the parity and
+    # last-letter conditions and prepends never change either, so pruning
+    # is exact; it is a word once it has two letters and gamma does not lead.
+    stack = [((s,), 1, 1, "0", 1), ((f,), 2, 1, "2", 0)] if max_degree >= 2 else []
+    while stack:
+        suffix, deg, ht, key, sigma_count = stack.pop()
+        if len(key) >= 2 and key[0] != "1":
+            found.append((deg, ht, key, suffix))
         nxt = 1 + deg
         if nxt <= max_degree:
-            grow([s] + suffix, nxt, sigma_count + 1)
+            stack.append(((s,) + suffix, nxt, ht + 1, "0" + key, sigma_count + 1))
         if sigma_count % 2 == 0:
             nxt = p * deg
             if nxt <= max_degree:
-                grow([g] + suffix, nxt, sigma_count)
+                stack.append(((g,) + suffix, nxt, ht, "1" + key, sigma_count))
             nxt = 2 + p * deg
             if nxt <= max_degree:
-                grow([f] + suffix, nxt, sigma_count)
-
-    if max_degree >= 1:
-        grow([s], 1, 1)
-    if max_degree >= 2:
-        grow([f], 2, 0)
+                stack.append(((f,) + suffix, nxt, ht + 1, "2" + key, sigma_count))
 
     # auxiliary family: sigma^(h-1) psi_{p^r} has degree h + 1
-    last = psi(p, r)
-    h = 1
-    while h + 1 <= max_degree:
-        record([s] * (h - 1) + [last])
-        h += 1
+    last = (psi(p, r),)
+    for h in range(1, max_degree):
+        found.append((h + 1, h, "0" * (h - 1) + "3", (s,) * (h - 1) + last))
 
-    def sort_key(item):
-        w, deg, ht = item
-        return (deg, ht, tuple(int(s.kind) for s in w.symbols))
-
-    found.sort(key=sort_key)
-    return found
+    found.sort()
+    return [(Word(symbols), deg, ht) for deg, ht, _, symbols in found]
 
 
-_UNICODE = {SymbolKind.SIGMA: "σ", SymbolKind.GAMMA: "γ",
-            SymbolKind.PHI: "φ", SymbolKind.PSI: "ψ"}
-_ASCII = {SymbolKind.SIGMA: "s", SymbolKind.GAMMA: "g",
-          SymbolKind.PHI: "f", SymbolKind.PSI: "y"}
+def count_words(p: int, r: int, max_degree: int, limit: int | None = None) -> int:
+    """``len(enumerate_words(p, r, max_degree))``, without building a word.
+
+    Counts the suffixes ``enumerate_words`` grows by degree and by the two
+    things its prepends look at: the sigma parity and whether gamma leads.
+    With ``limit`` the count stops as soon as it passes limit, returning a
+    partial count that is still above limit.
+
+    >>> count_words(2, 1, 3)
+    5
+    """
+    _check_listing(p, r, max_degree)
+    # per degree: even parity and not gamma-led (sigma- or phi-led), even
+    # and gamma-led, odd (always sigma-led, as gamma and phi need even)
+    even, gamma_led, odd = Counter({2: 1}), Counter(), Counter({1: 1})  # phi, sigma
+    # the auxiliary family, less the two one-letter starts counted below
+    total = max(0, max_degree - 1) - (max_degree >= 1) - (max_degree >= 2)
+    for deg in range(1, max_degree + 1):
+        e, g, o = even.pop(deg, 0), gamma_led.pop(deg, 0), odd.pop(deg, 0)
+        total += e + o
+        if limit is not None and total > limit:
+            break
+        if deg + 1 <= max_degree:
+            odd[deg + 1] += e + g
+            even[deg + 1] += o
+        if p * deg <= max_degree:
+            gamma_led[p * deg] += e + g
+        if 2 + p * deg <= max_degree:
+            even[2 + p * deg] += e + g
+    return total
 
 
 def format_word(word: Word, ascii_symbols: bool = False) -> str:
     """Render a word, e.g. σγ_3φ_3; with ascii_symbols: sg_3f_3."""
-    glyphs = _ASCII if ascii_symbols else _UNICODE
     if not word.symbols:
         return "(empty)"
-    parts = []
-    for s in word.symbols:
-        g = glyphs[s.kind]
-        if s.kind in (SymbolKind.GAMMA, SymbolKind.PHI):
-            parts.append(f"{g}_{s.prime}")
-        elif s.kind is SymbolKind.PSI:
-            parts.append(f"{g}_{s.prime ** s.psi_exponent}")
-        else:
-            parts.append(g)
-    return "".join(parts)
+    return "".join(map(_ASCII_TEXT if ascii_symbols else _TEXT, word.symbols))

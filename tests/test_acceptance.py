@@ -12,7 +12,7 @@ from periodindex.bounds import compare_bounds, index_bound
 from periodindex.complexes import model_homology, primary_model_homology
 from periodindex.graded import exponent
 from periodindex.verify import suite_elementary, suite_snf, suite_xp_exponent
-from periodindex.words import enumerate_words, gamma, phi, psi, sigma, Word
+from periodindex.words import enumerate_words, format_word, gamma, phi, psi, sigma, Word
 
 
 class _Timed:
@@ -134,3 +134,11 @@ def test_criterion_11_oracle_frontier():
         results = suite_xp_exponent(max_k=40)
     failures = [r for r in results if not r.passed]
     assert not failures, failures
+
+
+def test_criterion_12_words_frontier():
+    with _Timed("criterion 12: enumerate_words(2, 1, 80) rendered row by row", 2.0):
+        listing = enumerate_words(2, 1, 80)
+        rendered = [format_word(w) for w, _, _ in listing]
+    assert len(rendered) == 70722
+    assert rendered[0] == "ψ_2" and rendered[-1] == "σ" * 80

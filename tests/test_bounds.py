@@ -6,7 +6,8 @@ from math import factorial, gcd, prod
 
 import pytest
 
-from periodindex.bounds import (BoundComparison, BoundReport, compare_bounds,
+from periodindex.bounds import (PRIME_CEILING, BoundComparison, BoundReport,
+                                CeilingError, compare_bounds,
                                 differential_order_bound, factorize, index_bound,
                                 is_prime, known_sharp_bound, legendre_valuation,
                                 padic_valuation, prime_power_index_bound)
@@ -24,6 +25,39 @@ class TestNumberTheory:
         assert factorize(97) == [(97, 1)]
         with pytest.raises(ValueError):
             factorize(0)
+
+    # strong pseudoprimes to every base among the first 8, 9 and 12 primes
+    # (psi_8, psi_9, psi_12 of Sorenson and Webster): a test with fewer
+    # bases than 13 would call them prime
+    @pytest.mark.parametrize("n", [341550071728321, 3825123056546413051,
+                                   318665857834031151167461])
+    def test_strong_pseudoprimes_are_composite(self, n):
+        assert not is_prime(n)
+        factors = factorize(n)
+        assert len(factors) > 1 and prod(p ** e for p, e in factors) == n
+
+    def test_last_trial_prime_divides_out(self):
+        # trial division runs through every prime below 1000 and leaves 1
+        assert factorize(997 ** 2) == [(997, 2)]
+        assert factorize(6 * 997 ** 3) == [(2, 1), (3, 1), (997, 3)]
+
+    def test_large_primes_and_prime_powers(self):
+        assert is_prime(2 ** 61 - 1)
+        assert is_prime(PRIME_CEILING - 168)  # the largest prime below the ceiling
+        assert not any(map(is_prime, range(PRIME_CEILING - 167, PRIME_CEILING)))
+        assert factorize(2 ** 100) == [(2, 100)]
+        assert factorize((2 ** 31 - 1) ** 2 * 1009) == [(1009, 1), (2 ** 31 - 1, 2)]
+        assert factorize(3 ** 40 * (2 ** 61 - 1)) == [(3, 40), (2 ** 61 - 1, 1)]
+
+    def test_ceiling_refused(self):
+        assert not is_prime(PRIME_CEILING - 1)  # PRIME_CEILING - 1 is even
+        with pytest.raises(CeilingError):
+            is_prime(PRIME_CEILING)
+        with pytest.raises(CeilingError):
+            factorize(PRIME_CEILING)  # psi_13 has no factor below 1000
+        # past the ceiling, but nothing is left after trial division
+        assert factorize(6 * 2 ** 100) == [(2, 101), (3, 1)]
+        assert issubclass(CeilingError, ValueError)
 
     @pytest.mark.parametrize("p, m, expected", [(2, 12, 2), (3, 12, 1), (5, 12, 0)])
     def test_padic_valuation(self, p, m, expected):

@@ -1,0 +1,77 @@
+"""Property tests: Miller-Rabin and Pollard-Brent factorisation against
+trial division and a sieve, with sympy as an optional third opinion."""
+
+from math import isqrt, prod
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st
+
+from periodindex.bounds import factorize, is_prime
+
+SETTINGS = settings(max_examples=100, deadline=None, database=None)
+
+
+def trial_division(n):
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            r = 0
+            while n % p == 0:
+                n //= p
+                r += 1
+            out.append((p, r))
+        p += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def next_prime(n):
+    while trial_division(n) != [(n, 1)]:
+        n += 1
+    return n
+
+
+def check_factorisation(n, factors):
+    assert prod(p ** e for p, e in factors) == n
+    assert all(is_prime(p) and e >= 1 for p, e in factors)
+    assert [p for p, _ in factors] == sorted({p for p, _ in factors})
+
+
+def test_is_prime_matches_sieve():
+    limit = 10 ** 5
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, limit, p)))
+    assert [is_prime(n) for n in range(-3, limit)] == [False] * 3 + [bool(b) for b in sieve]
+
+
+@SETTINGS
+@given(st.integers(1, 10 ** 7))
+def test_factorize_matches_trial_division(n):
+    factors = factorize(n)
+    check_factorisation(n, factors)
+    assert factors == trial_division(n)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(st.integers(10 ** 8, 10 ** 9), st.integers(10 ** 8, 10 ** 9))
+def test_factorize_splits_two_large_primes(a, b):
+    p, q = next_prime(a), next_prime(b)
+    factors = factorize(p * q)
+    check_factorisation(p * q, factors)
+    assert factors == ([(p, 2)] if p == q else sorted([(p, 1), (q, 1)]))
+
+
+@SETTINGS
+@given(st.integers(0, 2 ** 64))
+def test_is_prime_matches_sympy(n):
+    sympy = pytest.importorskip("sympy")
+    assert is_prime(n) == sympy.isprime(n)
+    assert is_prime(sympy.nextprime(n))

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from periodindex import cli
-from periodindex.bounds import BoundReport, index_bound
+from periodindex.bounds import PRIME_CEILING, BoundReport, index_bound
 from periodindex.graded import GradedAbelianGroup
 from periodindex.complexes import model_homology
 from periodindex.verify import CheckResult
@@ -89,6 +89,38 @@ class TestBigBound:
             assert f"theorem_a = {expected}\n" in out
         # main lifts the limit for its own command only
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit_before
+
+
+class TestLargeN:
+    """Bounds whose n has prime factors far past the reach of trial division."""
+
+    @pytest.mark.parametrize("n, primes", [
+        (999999943999999559, [999999937, 1000000007]),
+        (2305843009213693951, [2305843009213693951]),  # 2^61 - 1
+    ])
+    def test_answered_within_a_second(self, capsys, n, primes):
+        start = time.perf_counter()
+        code, out = run(capsys, "bound", str(n), "4", "--format", "json")
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        report = BoundReport.from_json_dict(json.loads(out))
+        assert report.prime_breakdown == tuple((p, 1, p ** 3) for p in primes)
+        assert report.theorem_a_bound == n ** 3
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("argv", [
+        ("bound", str(PRIME_CEILING), "4"),
+        ("homology", str(PRIME_CEILING), "--max-degree", "4"),
+        ("homology", "--prime", str(PRIME_CEILING), "--exponent", "1", "--max-degree", "4"),
+        ("words", str(PRIME_CEILING + 2), "1", "--max-degree", "4"),
+    ])
+    def test_past_the_ceiling_refused(self, capsys, argv):
+        code = cli.main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert str(PRIME_CEILING) in captured.err
 
 
 class TestTable:
@@ -205,6 +237,17 @@ class TestWords:
 
     def test_nonprime_rejected(self, capsys):
         assert run_usage_error(capsys, "words", "4", "1", "--max-degree", "3") == 2
+
+    def test_oversized_listing_refused(self, capsys):
+        start = time.perf_counter()
+        code = cli.main(["words", "2", "1", "--max-degree", "200"])  # 7,282,026 rows
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "Traceback" not in captured.err and "rows" in captured.err
+        assert elapsed < 1.0
 
 
 class TestVerify:

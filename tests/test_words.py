@@ -4,9 +4,9 @@ from itertools import product
 
 import pytest
 
-from periodindex.words import (Symbol, SymbolKind, Word, degree, enumerate_words,
-                               format_word, gamma, height, is_admissible, phi,
-                               psi, sigma)
+from periodindex.words import (Symbol, SymbolKind, Word, count_words, degree,
+                               enumerate_words, format_word, gamma, height,
+                               is_admissible, phi, psi, sigma)
 
 
 def W(*symbols):
@@ -212,6 +212,11 @@ class TestEnumeration:
             listing = {w.symbols: d for w, d, h in enumerate_words(p, 1, cap) if h == 2}
             assert listing == expected
 
+    def test_words_longer_than_the_recursion_limit(self):
+        listing = enumerate_words(1009, 1, 1100)
+        assert len(listing) == count_words(1009, 1, 1100) == 3296
+        assert listing[-1] == (W(*[sigma()] * 1100), 1100, 1100)
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             enumerate_words(6, 1, 5)
@@ -232,3 +237,99 @@ class TestFormatting:
 
     def test_empty(self):
         assert format_word(W()) == "(empty)"
+
+
+# The recursive enumerator and the renderer that enumerate_words and
+# format_word replaced, kept as the reference: one list per suffix,
+# degree() and height() per word, a tuple of kinds as the sort key, and the
+# glyphs looked up per symbol.
+def reference_enumerate_words(p, r, max_degree):
+    s, g, f = sigma(), gamma(p), phi(p)
+    found = []
+
+    def record(symbols):
+        w = Word(tuple(symbols))
+        found.append((w, degree(w), height(w)))
+
+    def grow(suffix, deg, sigma_count):
+        if len(suffix) >= 2 and suffix[0].kind is not SymbolKind.GAMMA:
+            record(suffix)
+        nxt = 1 + deg
+        if nxt <= max_degree:
+            grow([s] + suffix, nxt, sigma_count + 1)
+        if sigma_count % 2 == 0:
+            nxt = p * deg
+            if nxt <= max_degree:
+                grow([g] + suffix, nxt, sigma_count)
+            nxt = 2 + p * deg
+            if nxt <= max_degree:
+                grow([f] + suffix, nxt, sigma_count)
+
+    if max_degree >= 1:
+        grow([s], 1, 1)
+    if max_degree >= 2:
+        grow([f], 2, 0)
+    last = psi(p, r)
+    h = 1
+    while h + 1 <= max_degree:
+        record([s] * (h - 1) + [last])
+        h += 1
+    found.sort(key=lambda item: (item[1], item[2], tuple(int(s.kind) for s in item[0].symbols)))
+    return found
+
+
+REFERENCE_GLYPHS = ({SymbolKind.SIGMA: "σ", SymbolKind.GAMMA: "γ",
+                     SymbolKind.PHI: "φ", SymbolKind.PSI: "ψ"},
+                    {SymbolKind.SIGMA: "s", SymbolKind.GAMMA: "g",
+                     SymbolKind.PHI: "f", SymbolKind.PSI: "y"})
+
+
+def reference_format_word(word, ascii_symbols=False):
+    glyphs = REFERENCE_GLYPHS[ascii_symbols]
+    if not word.symbols:
+        return "(empty)"
+    parts = []
+    for s in word.symbols:
+        g = glyphs[s.kind]
+        if s.kind in (SymbolKind.GAMMA, SymbolKind.PHI):
+            parts.append(f"{g}_{s.prime}")
+        elif s.kind is SymbolKind.PSI:
+            parts.append(f"{g}_{s.prime ** s.psi_exponent}")
+        else:
+            parts.append(g)
+    return "".join(parts)
+
+
+REFERENCE_CAP = 40
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_listing_and_renderings(self, p, r):
+        reference = reference_enumerate_words(p, r, REFERENCE_CAP)
+        # the reference prunes exactly and sorts by degree first, so its
+        # listing at a lower cap is the part of degree <= cap
+        for cap in range(REFERENCE_CAP + 1):
+            listing = enumerate_words(p, r, cap)
+            assert listing == [row for row in reference if row[1] <= cap], cap
+            assert count_words(p, r, cap) == len(listing)
+        for (word, deg, ht), (_, ref_deg, ref_ht) in zip(listing, reference):
+            assert (degree(word), height(word)) == (deg, ht) == (ref_deg, ref_ht)
+            for ascii_symbols in (False, True):
+                assert format_word(word, ascii_symbols) == \
+                    reference_format_word(word, ascii_symbols)
+
+
+class TestCount:
+    # count_words(p, r, cap) == len(enumerate_words(p, r, cap)) is checked
+    # for every reference listing above
+    def test_limit_stops_above_it(self):
+        assert count_words(2, 1, 60) == 20042
+        assert 10 < count_words(2, 1, 60, limit=10) < 20042
+        assert count_words(2, 1, 10 ** 18, limit=10 ** 6) > 10 ** 6
+
+    def test_invalid_arguments(self):
+        for args in ((6, 1, 5), (2, 0, 5), (2, 1, -1)):
+            with pytest.raises(ValueError):
+                count_words(*args)
