@@ -32,7 +32,8 @@ from .graded import (GradedAbelianGroup, exponent, kunneth, primary_part,
 from .snf import (ChainComplex, IntegerMatrix, SmithNormalForm, determinant,
                   homology_of_complex, smith_normal_form)
 from .words import (Symbol, SymbolKind, Word, count_words, degree, enumerate_words,
-                    format_word, gamma, height, is_admissible, phi, psi, sigma)
+                    format_word, gamma, height, is_admissible, phi, psi, sigma,
+                    word_census)
 
 __version__ = "0.1.0"
 
@@ -51,6 +52,6 @@ __all__ = [
     "homology_of_complex", "smith_normal_form",
     "Symbol", "SymbolKind", "Word", "count_words", "degree", "enumerate_words",
     "format_word",
-    "gamma", "height", "is_admissible", "phi", "psi", "sigma",
+    "gamma", "height", "is_admissible", "phi", "psi", "sigma", "word_census",
     "__version__",
 ]

@@ -207,16 +207,12 @@ class SharpBound:
         return cls(value=int(data["value"]), source=data["source"])
 
 
-def _general_bound(n: int, d: int) -> int:
-    """n^(d-1) * prod_{p | n} p^(v_p((d-1)!)), without the report wrapper."""
-    return prod(prime_power_index_bound(p, r, d) for p, r in factorize(n))
-
-
 def known_sharp_bound(n: int, d: int) -> SharpBound | None:
     """Best possible index bound where one is known (d <= 4), else None.
 
     d=1 is trivial, d=2 is forced by period | index | bound, d=3 equals the
-    general bound, and d=4 has the two-branch formula e_3(n)n^3 when 4 | n
+    general bound, 2n^2 for even n and n^2 for odd n (v_p(2!) is 1 for p = 2
+    and 0 for odd p), and d=4 has the two-branch formula e_3(n)n^3 when 4 | n
     and e_2(n)e_3(n)n^3 otherwise, with e_p(n) = p if p | n else 1.
     """
     if n < 1 or d < 1:
@@ -226,7 +222,7 @@ def known_sharp_bound(n: int, d: int) -> SharpBound | None:
     if d == 2:
         return SharpBound(n, "forced: period divides index divides period")
     if d == 3:
-        return SharpBound(_general_bound(n, 3),
+        return SharpBound(n ** 2 * (2 if n % 2 == 0 else 1),
                           "realized by 6-dimensional examples")
     if d == 4:
         e2 = 2 if n % 2 == 0 else 1
@@ -335,10 +331,13 @@ def compare_bounds(n: int, d: int) -> BoundComparison:
     >>> compare_bounds(4, 4).ratio
     Fraction(2, 1)
     """
-    report = index_bound(n, d)
-    sharp = report.known_sharp
+    return _comparison(index_bound(n, d))
+
+
+def _comparison(report: BoundReport) -> BoundComparison:
+    """The comparison for an existing report, so n is not factorised again."""
+    n, d, bound, sharp = report.n, report.d, report.theorem_a_bound, report.known_sharp
     if sharp is None:
-        return BoundComparison(n, d, report.theorem_a_bound, None, None, False)
-    ratio = Fraction(report.theorem_a_bound, sharp.value)
-    improves = sharp.value < report.theorem_a_bound and report.theorem_a_bound % sharp.value == 0
-    return BoundComparison(n, d, report.theorem_a_bound, sharp, ratio, improves)
+        return BoundComparison(n, d, bound, None, None, False)
+    improves = sharp.value < bound and bound % sharp.value == 0
+    return BoundComparison(n, d, bound, sharp, Fraction(bound, sharp.value), improves)

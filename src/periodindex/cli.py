@@ -5,8 +5,10 @@ bounds), ``homology`` (model homology for an order or a prime power),
 ``words`` (admissible and auxiliary word enumeration) and ``verify`` (the
 oracle cross-check suites).  Data goes to stdout, diagnostics to stderr.
 Exit codes: 0 success, 1 verification failure, 2 usage error or a refused
-input (a ``homology`` or ``words`` listing of more than a million summands
-or rows, or an integer too large to factorise exactly).
+input: a ``homology`` listing of more than a million summands, a ``words``
+listing of more than a million rows or five million letters, a ``table`` of
+more than a million cells or (by an upper estimate) five million digits, or
+an integer too large to factorise exactly.
 """
 
 from __future__ import annotations
@@ -15,20 +17,23 @@ import argparse
 import json
 import os
 import sys
+from math import lgamma, log
 
 from . import __version__
-from .bounds import CeilingError, compare_bounds, index_bound, is_prime
+from .bounds import CeilingError, _comparison, index_bound, is_prime
 from .complexes import model_homology, primary_model_homology
 from .graded import exponent
 from .verify import SUITES, run_suite
-from .words import count_words, enumerate_words, format_word
+from .words import enumerate_words, format_word, word_census
 
 FORMATS = ("pretty-table", "json", "csv")
 
-# `homology` lists every cyclic summand and `words` every word; past this
-# many summands or rows they refuse (exit 2) instead of growing their output
-# until memory runs out.
+# `homology` lists every cyclic summand, `words` every word and `table` every
+# cell; past this many summands, rows or cells they refuse (exit 2) instead
+# of growing their output until memory runs out.
 MAX_LISTED = 10 ** 6
+# The same for the letters of a `words` listing and the digits of a `table`.
+MAX_OUTPUT = 5 * 10 ** 6
 
 
 def _use_color() -> bool:
@@ -68,7 +73,7 @@ def _cmd_bound(args, parser) -> int:
     if args.n < 1 or args.d < 1:
         parser.error("n and d must be positive integers")
     report = index_bound(args.n, args.d)
-    comparison = compare_bounds(args.n, args.d) if args.compare else None
+    comparison = _comparison(report) if args.compare else None
 
     if args.format == "json":
         payload = report.to_json_dict()
@@ -103,28 +108,32 @@ def _cmd_bound(args, parser) -> int:
     return 0
 
 
+def _table_digits(n_max: int, d_max: int) -> float:
+    """Upper estimate of the digits in a table: each cell's bound is at most
+    n^(d-1) * (d-1)!, which has at most (d-1) log10 n + log10((d-1)!) + 1."""
+    log_factorials = sum(lgamma(d) for d in range(1, d_max + 1))
+    return ((d_max * (d_max - 1) / 2 * lgamma(n_max + 1) + n_max * log_factorials)
+            / log(10) + n_max * d_max)
+
+
 def _cmd_table(args, parser) -> int:
     if args.n_max < 1 or args.d_max < 1:
         parser.error("--n-max and --d-max must be positive integers")
-    cells = {(n, d): index_bound(n, d).theorem_a_bound
-             for n in range(1, args.n_max + 1)
-             for d in range(1, args.d_max + 1)}
+    if (args.n_max * args.d_max > MAX_LISTED
+            or _table_digits(args.n_max, args.d_max) > MAX_OUTPUT):
+        return _refuse("table", f"the grid would hold over {MAX_LISTED} cells or over "
+                                f"{MAX_OUTPUT} digits; lower --n-max or --d-max")
+    ns, ds = range(1, args.n_max + 1), range(1, args.d_max + 1)
+    grid = [[str(index_bound(n, d).theorem_a_bound) for d in ds] for n in ns]
     if args.format == "json":
-        payload = [{"n": n, "d": d, "theorem_a": str(cells[(n, d)])}
-                   for n in range(1, args.n_max + 1)
-                   for d in range(1, args.d_max + 1)]
-        print(json.dumps(payload))
+        print(json.dumps([{"n": n, "d": d, "theorem_a": bound}
+                          for n, row in zip(ns, grid) for d, bound in zip(ds, row)]))
         return 0
     if args.format == "csv":
-        rows = [[str(n), str(d), str(cells[(n, d)])]
-                for n in range(1, args.n_max + 1)
-                for d in range(1, args.d_max + 1)]
-        _emit_csv(["n", "d", "theorem_a"], rows)
+        _emit_csv(["n", "d", "theorem_a"],
+                  [[str(n), str(d), bound] for n, row in zip(ns, grid) for d, bound in zip(ds, row)])
         return 0
-    headers = ["n\\d"] + [str(d) for d in range(1, args.d_max + 1)]
-    rows = [[str(n)] + [str(cells[(n, d)]) for d in range(1, args.d_max + 1)]
-            for n in range(1, args.n_max + 1)]
-    print(_render_table(headers, rows))
+    print(_render_table(["n\\d", *map(str, ds)], [[str(n), *row] for n, row in zip(ns, grid)]))
     return 0
 
 
@@ -177,9 +186,10 @@ def _cmd_words(args, parser) -> int:
         parser.error("r must be >= 1")
     if args.max_degree < 0:
         parser.error("--max-degree must be >= 0")
-    if count_words(args.p, args.r, args.max_degree, limit=MAX_LISTED) > MAX_LISTED:
-        return _refuse("words", f"the listing would hold over {MAX_LISTED} rows; "
-                                "lower --max-degree")
+    rows, letters = word_census(args.p, args.r, args.max_degree, MAX_LISTED, MAX_OUTPUT)
+    if rows > MAX_LISTED or letters > MAX_OUTPUT:
+        return _refuse("words", f"the listing would hold over {MAX_LISTED} rows or over "
+                                f"{MAX_OUTPUT} letters; lower --max-degree")
     listing = enumerate_words(args.p, args.r, args.max_degree)
     rendered = [(format_word(w, ascii_symbols=args.ascii), deg, ht)
                 for w, deg, ht in listing]

@@ -50,7 +50,6 @@ class ElementaryComplex:
     kind: ComplexKind
     q: int
     h: int | None = None
-    label: str = ""
 
     def __post_init__(self):
         if self.q < 1:
@@ -120,17 +119,10 @@ def primary_model(p: int, r: int, max_degree: int) -> tuple[ElementaryComplex, .
         raise ValueError("r must be >= 1")
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    factors = [ElementaryComplex(
-        ComplexKind.PE_SECOND, q=1, h=p ** r,
-        label=f"P(σ²u, 2)⊗E(σψ_{p ** r}u, 3)")]
+    factors = [ElementaryComplex(ComplexKind.PE_SECOND, q=1, h=p ** r)]
     k = 0
     while 1 + 2 * p ** (k + 1) <= max_degree:
-        gammas = f"γ_{p}" * k
-        e_word = f"σ{gammas}γ_{p}φ_{p}v"
-        p_word = f"φ_{p}{gammas}φ_{p}v"
-        factors.append(ElementaryComplex(
-            ComplexKind.EP_SECOND, q=1 + p ** (k + 1), h=p,
-            label=f"E({e_word}, {1 + 2 * p ** (k + 1)})⊗P({p_word}, {2 + 2 * p ** (k + 1)})"))
+        factors.append(ElementaryComplex(ComplexKind.EP_SECOND, q=1 + p ** (k + 1), h=p))
         k += 1
     return tuple(factors)
 
@@ -170,14 +162,6 @@ def exponent_bound(p: int, r: int, k: int) -> int:
     return p ** (r + padic_valuation(p, k))
 
 
-def _gamma_basis_label(gen: str, k: int) -> str:
-    if k == 0:
-        return "1"
-    if k == 1:
-        return gen
-    return f"γ{k}({gen})"
-
-
 def realize_chain_complex(c: ElementaryComplex, max_degree: int) -> ChainComplex:
     """Realise an elementary complex as a based chain complex.
 
@@ -197,43 +181,25 @@ def realize_chain_complex(c: ElementaryComplex, max_degree: int) -> ChainComplex
         raise ValueError("max_degree must be >= 0")
     top = max_degree + 1
     q = c.q
-    labels: list[list[str]] = [[] for _ in range(top + 1)]
+    dims = [0] * (top + 1)
     boundaries: dict[int, list[dict[int, int]]] = {}
-
     if c.kind is ComplexKind.EXTERIOR_FIRST:
-        labels[0].append("1")
+        dims[0] = 1
         if 2 * q - 1 <= top:
-            labels[2 * q - 1].append("x")
-    elif c.kind is ComplexKind.DIVIDED_POWER_FIRST:
-        k = 0
-        while 2 * q * k <= top:
-            labels[2 * q * k].append(_gamma_basis_label("x", k))
-            k += 1
-    elif c.kind is ComplexKind.EP_SECOND:
-        # x has degree 2q-1, gamma_k(y) degree 2qk
-        k = 0
-        while 2 * q * k <= top:
-            labels[2 * q * k].append(_gamma_basis_label("y", k))
-            if k >= 1:
-                boundaries[2 * q * k] = [{0: c.h}]
-            k += 1
-        k = 0
-        while 2 * q - 1 + 2 * q * k <= top:
-            lbl = "x" if k == 0 else f"x·{_gamma_basis_label('y', k)}"
-            labels[2 * q - 1 + 2 * q * k].append(lbl)
-            k += 1
-    else:  # PE: gamma_k(x) degree 2qk, y gamma_k(x) degree 2q+1+2qk
-        k = 0
-        while 2 * q * k <= top:
-            labels[2 * q * k].append(_gamma_basis_label("x", k))
-            k += 1
-        k = 0
-        while 2 * q + 1 + 2 * q * k <= top:
-            lbl = "y" if k == 0 else f"y·{_gamma_basis_label('x', k)}"
-            labels[2 * q + 1 + 2 * q * k].append(lbl)
-            boundaries[2 * q + 1 + 2 * q * k] = [{0: c.h * (k + 1)}]
-            k += 1
-    return ChainComplex(labels, boundaries)
+            dims[2 * q - 1] = 1
+    else:  # gamma_k of the even generator, degree 2qk
+        for d in range(0, top + 1, 2 * q):
+            dims[d] = 1
+    if c.kind is ComplexKind.EP_SECOND:  # x gamma_k(y), degree 2q-1+2qk
+        for d in range(2 * q - 1, top + 1, 2 * q):
+            dims[d] = 1
+        for d in range(2 * q, top + 1, 2 * q):
+            boundaries[d] = [{0: c.h}]
+    elif c.kind is ComplexKind.PE_SECOND:  # y gamma_k(x), degree 2q+1+2qk
+        for k, d in enumerate(range(2 * q + 1, top + 1, 2 * q)):
+            dims[d] = 1
+            boundaries[d] = [{0: c.h * (k + 1)}]
+    return ChainComplex(dims, boundaries)
 
 
 def tensor_chain_complex(c1: ChainComplex, c2: ChainComplex,
@@ -253,19 +219,16 @@ def tensor_chain_complex(c1: ChainComplex, c2: ChainComplex,
         raise ValueError("max_degree must be >= 0")
     top = max_degree + 1
 
-    dim1, dim2 = ([len(b) for b in c.basis_labels[:top + 1]] + [0] * (top - c.max_degree)
-                  for c in (c1, c2))
+    dim1, dim2 = (list(c.dims[:top + 1]) + [0] * (top - c.max_degree) for c in (c1, c2))
     offsets: list[list[int]] = []
-    labels: list[list[str]] = []
+    dims: list[int] = []
     for d in range(top + 1):
-        start, lbls = [], []
+        start, size = [], 0
         for i in range(d + 1):
-            start.append(len(lbls))
-            if dim1[i] and dim2[d - i]:
-                lbls.extend(f"{la}⊗{lb}" for la in c1.basis_labels[i]
-                            for lb in c2.basis_labels[d - i])
+            start.append(size)
+            size += dim1[i] * dim2[d - i]
         offsets.append(start)
-        labels.append(lbls)
+        dims.append(size)
 
     boundaries: dict[int, list[dict[int, int]]] = {}
     for d in range(1, top + 1):
@@ -293,7 +256,7 @@ def tensor_chain_complex(c1: ChainComplex, c2: ChainComplex,
                             col[base + r] = sign * coeff
                     columns.append(col)
         boundaries[d] = columns
-    return ChainComplex(labels, boundaries)
+    return ChainComplex(dims, boundaries)
 
 
 def primary_model_chain_complex(p: int, r: int, max_degree: int) -> ChainComplex:

@@ -314,21 +314,23 @@ def _block_invariants(columns) -> tuple[int, tuple[int, ...]]:
 class ChainComplex:
     """Based free chain complex over the integers, truncated at ``max_degree``.
 
-    ``basis_labels[n]`` lists the basis of the degree-n chain group.  The
-    degree-n boundary is given sparse, one ``{row: coefficient}`` map per
-    degree-n basis element with rows indexing the degree-(n-1) basis;
-    missing degrees are zero.  Shapes and d o d = 0 are checked here, on
-    every complex, so a complex that exists is a chain complex.  Each
-    boundary's rank and invariant factors are kept once computed, as they
-    serve two degrees of homology.  Degrees above ``max_degree`` are
-    unknown, so homology can only be asked for strictly below the cap.
+    ``dims[n]`` is the rank of the degree-n chain group.  The degree-n
+    boundary is given sparse, one ``{row: coefficient}`` map per degree-n
+    basis element with rows indexing the degree-(n-1) basis; missing
+    degrees are zero.  Shapes and d o d = 0 are checked here, on every
+    complex, so a complex that exists is a chain complex.  Each boundary's
+    rank and invariant factors are kept once computed, as they serve two
+    degrees of homology.  Degrees above ``max_degree`` are unknown, so
+    homology can only be asked for strictly below the cap.
     """
 
-    def __init__(self, basis_labels, boundaries):
-        self.basis_labels = tuple(tuple(labels) for labels in basis_labels)
-        if not self.basis_labels:
-            raise ValueError("need at least the degree-0 basis")
-        self.max_degree = len(self.basis_labels) - 1
+    def __init__(self, dims, boundaries):
+        self.dims = tuple(dims)
+        if not self.dims:
+            raise ValueError("need at least the degree-0 rank")
+        if any(d < 0 for d in self.dims):
+            raise ValueError("chain group ranks must be >= 0")
+        self.max_degree = len(self.dims) - 1
         self._columns = {n: self._sparse(n, boundaries.get(n))
                          for n in range(1, self.max_degree + 1)}
         self._invariants: dict[int, tuple[int, tuple[int, ...]]] = {0: (0, ())}
@@ -346,7 +348,7 @@ class ChainComplex:
     def dim(self, n: int) -> int:
         if not 0 <= n <= self.max_degree:
             raise ValueError(f"degree {n} outside stored range 0..{self.max_degree}")
-        return len(self.basis_labels[n])
+        return self.dims[n]
 
     def columns(self, n: int) -> tuple[dict[int, int], ...]:
         """The degree-n boundary as sparse columns; read them, do not mutate."""

@@ -21,7 +21,6 @@ sigma^(h-1) psi, which is what the elementary-complex model consumes.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import IntEnum
 from operator import attrgetter
@@ -234,35 +233,54 @@ def enumerate_words(p: int, r: int, max_degree: int) -> list[tuple[Word, int, in
 
 
 def count_words(p: int, r: int, max_degree: int, limit: int | None = None) -> int:
-    """``len(enumerate_words(p, r, max_degree))``, without building a word.
-
-    Counts the suffixes ``enumerate_words`` grows by degree and by the two
-    things its prepends look at: the sigma parity and whether gamma leads.
-    With ``limit`` the count stops as soon as it passes limit, returning a
-    partial count that is still above limit.
+    """``len(enumerate_words(p, r, max_degree))``: the rows of ``word_census``.
 
     >>> count_words(2, 1, 3)
     5
     """
+    return word_census(p, r, max_degree, max_rows=limit)[0]
+
+
+def word_census(p: int, r: int, max_degree: int, max_rows: int | None = None,
+                max_letters: int | None = None) -> tuple[int, int]:
+    """(rows, letters) of ``enumerate_words(p, r, max_degree)``: the number
+    of words and their total length, without building a word.
+
+    Counts the suffixes ``enumerate_words`` grows by degree and by the two
+    things its prepends look at, the sigma parity and whether gamma leads,
+    together with their total length.  The count stops as soon as rows pass
+    ``max_rows`` or letters pass ``max_letters``, returning partial sums of
+    which one is still above its limit.
+
+    >>> word_census(2, 1, 3)
+    (5, 10)
+    """
     _check_listing(p, r, max_degree)
-    # per degree: even parity and not gamma-led (sigma- or phi-led), even
-    # and gamma-led, odd (always sigma-led, as gamma and phi need even)
-    even, gamma_led, odd = Counter({2: 1}), Counter(), Counter({1: 1})  # phi, sigma
-    # the auxiliary family, less the two one-letter starts counted below
-    total = max(0, max_degree - 1) - (max_degree >= 1) - (max_degree >= 2)
+    # per degree, [suffixes, letters] in three states: even parity and not
+    # gamma-led (sigma- or phi-led), even and gamma-led, odd (always
+    # sigma-led, as gamma and phi need even)
+    even, gamma_led, odd = {2: [1, 1]}, {}, {1: [1, 1]}  # phi, sigma
+    # the auxiliary family sigma^(h-1) psi (h letters, h = 1..max_degree-1),
+    # less the two one-letter starts counted below
+    starts = (max_degree >= 1) + (max_degree >= 2)
+    rows = max(0, max_degree - 1) - starts
+    letters = max_degree * (max_degree - 1) // 2 - starts
     for deg in range(1, max_degree + 1):
-        e, g, o = even.pop(deg, 0), gamma_led.pop(deg, 0), odd.pop(deg, 0)
-        total += e + o
-        if limit is not None and total > limit:
+        (e, el), (g, gl), (o, ol) = (s.pop(deg, (0, 0)) for s in (even, gamma_led, odd))
+        rows += e + o
+        letters += el + ol
+        if (max_rows is not None and rows > max_rows
+                or max_letters is not None and letters > max_letters):
             break
-        if deg + 1 <= max_degree:
-            odd[deg + 1] += e + g
-            even[deg + 1] += o
-        if p * deg <= max_degree:
-            gamma_led[p * deg] += e + g
-        if 2 + p * deg <= max_degree:
-            even[2 + p * deg] += e + g
-    return total
+        # prepending one letter to each of n suffixes adds n letters
+        for state, nxt, n, length in ((odd, deg + 1, e + g, el + gl), (even, deg + 1, o, ol),
+                                      (gamma_led, p * deg, e + g, el + gl),
+                                      (even, 2 + p * deg, e + g, el + gl)):
+            if nxt <= max_degree:
+                total = state.setdefault(nxt, [0, 0])
+                total[0] += n
+                total[1] += length + n
+    return rows, letters
 
 
 def format_word(word: Word, ascii_symbols: bool = False) -> str:

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from periodindex import cli
+from periodindex import bounds, cli
 from periodindex.bounds import PRIME_CEILING, BoundReport, index_bound
 from periodindex.graded import GradedAbelianGroup
 from periodindex.complexes import model_homology
@@ -52,6 +52,21 @@ class TestBound:
         lines = out.strip().splitlines()
         assert lines[0] == "n,d,theorem_a,corollary_b"
         assert lines[1] == "6,4,1296,false"
+
+    @pytest.mark.parametrize("argv", [
+        ("360", "3"), ("360", "3", "--compare"), ("360", "4", "--compare")])
+    def test_factorises_once(self, capsys, monkeypatch, argv):
+        calls = []
+        real = bounds.factorize
+
+        def counting(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(bounds, "factorize", counting)
+        code, _ = run(capsys, "bound", *argv)
+        assert code == 0
+        assert calls == [360]
 
     def test_usage_errors(self, capsys):
         assert run_usage_error(capsys, "bound", "0", "3") == 2
@@ -151,6 +166,22 @@ class TestTable:
     def test_usage_error(self, capsys):
         assert run_usage_error(capsys, "table", "--n-max", "0", "--d-max", "2") == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("--n-max", "300", "--d-max", "300"),    # about 2.7e7 digits
+        ("--n-max", "2000", "--d-max", "1000"),  # 2e6 cells
+    ])
+    def test_oversized_grid_refused(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(cli, "index_bound", None)  # refused before any bound
+        start = time.perf_counter()
+        code = cli.main(["table", *argv])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "Traceback" not in captured.err and "digits" in captured.err
+        assert elapsed < 1.0
+
 
 class TestHomology:
     def test_prime_power(self, capsys):
@@ -247,6 +278,18 @@ class TestWords:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert "Traceback" not in captured.err and "rows" in captured.err
+        assert elapsed < 1.0
+
+    def test_oversized_letter_count_refused(self, capsys):
+        # 59,996 rows, within the row limit, but about 6.0e8 letters
+        start = time.perf_counter()
+        code = cli.main(["words", "1000003", "1", "--max-degree", "20000"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "Traceback" not in captured.err and "letters" in captured.err
         assert elapsed < 1.0
 
 

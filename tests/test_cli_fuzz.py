@@ -1,6 +1,7 @@
-"""CLI fuzz test: `bound` and `words` on zero, negative, composite, prime
-and past-the-ceiling integers either answer (exit 0) or refuse (exit 2),
-never with a traceback."""
+"""CLI fuzz test: `bound`, `table` and `words` on zero, negative, composite,
+prime and past-the-ceiling integers either answer (exit 0) or refuse (exit
+2), never with a traceback.  Sizes are drawn either small or past the output
+guards, so every example answers or refuses well within a second."""
 
 import io
 from contextlib import redirect_stderr, redirect_stdout
@@ -23,19 +24,31 @@ INTEGERS = st.one_of(
 )
 SMALL = st.integers(-3, 12)
 FORMATS = st.sampled_from(cli.FORMATS)
+# a 300 x 300 grid is over the digit limit; a side over MAX_LISTED, over the cell limit
+GRID_SIDES = st.one_of(st.integers(-3, 40), st.just(300),
+                       st.integers(cli.MAX_LISTED + 1, 10 ** 7))
+# primes near 10^6 have few rows but quadratically many letters (the sigma^k words)
+WORD_PRIMES = st.one_of(INTEGERS, st.sampled_from([999983, 1000003]),
+                        st.integers(999_900, 1_000_100))
+# from degree 4000 on, the auxiliary family alone (8e6 letters) is over the letter limit
+WORD_DEGREES = st.one_of(st.integers(-3, 24), st.integers(4000, 10 ** 5))
 
 
 @st.composite
 def argvs(draw):
     fmt = ["--format", draw(FORMATS)]
-    if draw(st.booleans()):
+    command = draw(st.sampled_from(["bound", "table", "words"]))
+    if command == "bound":
         return ["bound", str(draw(INTEGERS)), str(draw(SMALL)), *fmt]
+    if command == "table":
+        return ["table", "--n-max", str(draw(GRID_SIDES)),
+                "--d-max", str(draw(GRID_SIDES)), *fmt]
     ascii_flag = ["--ascii"] if draw(st.booleans()) else []
-    return ["words", str(draw(INTEGERS)), str(draw(SMALL)),
-            "--max-degree", str(draw(st.integers(-3, 24))), *fmt, *ascii_flag]
+    return ["words", str(draw(WORD_PRIMES)), str(draw(SMALL)),
+            "--max-degree", str(draw(WORD_DEGREES)), *fmt, *ascii_flag]
 
 
-@settings(max_examples=50, deadline=None, database=None)
+@settings(max_examples=75, deadline=None, database=None)
 @given(argvs())
 def test_answer_or_refusal(argv):
     out, err = io.StringIO(), io.StringIO()

@@ -111,7 +111,7 @@ class TestRealization:
 class TestTensor:
     def test_unit(self):
         c = realize_chain_complex(ElementaryComplex(PE, q=1, h=2), 5)
-        unit = ChainComplex([["1"]], {})
+        unit = ChainComplex([1], {})
         out = tensor_chain_complex(c, unit, 5)
         for n in range(out.max_degree + 1):
             if n <= c.max_degree:
@@ -127,18 +127,20 @@ class TestTensor:
         left = realize_chain_complex(ElementaryComplex(E, q=1), 4)     # x in degree 1
         right = realize_chain_complex(ElementaryComplex(EP, q=1, h=2), 4)
         out = tensor_chain_complex(left, right, 3)
-        labels3 = out.basis_labels[3]
-        labels2 = out.basis_labels[2]
-        col = labels3.index("x⊗y")        # x ox gamma_1(y), degrees 1 + 2
-        row = labels2.index("x⊗x")        # x ox (x gamma_0(y)), degrees 1 + 1
+        # degree d lists the blocks C_i(left) ox C_(d-i)(right) for i = 0..d;
+        # both factors have rank <= 1 in every degree, so a block is one cell or none
+        def offset(d, i):
+            return sum(left.dim(k) * right.dim(d - k) for k in range(i))
+        col = offset(3, 1)    # x ox gamma_1(y), degrees 1 + 2
+        row = offset(2, 1)    # x ox (x gamma_0(y)), degrees 1 + 1
         assert out.columns(3)[col][row] == -2
 
     def test_dd_zero_enforced(self):
         # a complex whose boundary is corrupted after it was checked still
         # cannot pass through a product: the product checks itself
-        bad = ChainComplex([["a"], ["b"], ["c"]], {1: [{0: 1}]})
+        bad = ChainComplex([1, 1, 1], {1: [{0: 1}]})
         bad._columns[2] = ({0: 1},)
-        good = ChainComplex([["1"]], {})
+        good = ChainComplex([1], {})
         with pytest.raises(ValueError, match="d o d != 0"):
             tensor_chain_complex(bad, good, 2)
 

@@ -174,28 +174,34 @@ class TestDeterminant:
 
 class TestChainComplex:
     def test_shape_mismatch_rejected(self):
-        labels = [["a"], ["b", "c"]]
+        dims = [1, 2]
         with pytest.raises(ValueError, match="shape mismatch in degree 1"):
-            ChainComplex(labels, {1: [{0: 1}]})  # one column for two cells
+            ChainComplex(dims, {1: [{0: 1}]})  # one column for two cells
         with pytest.raises(ValueError, match="shape mismatch in degree 1"):
-            ChainComplex(labels, {1: [{0: 1}, {1: 1}]})  # row 1 of a 1-row boundary
+            ChainComplex(dims, {1: [{0: 1}, {1: 1}]})  # row 1 of a 1-row boundary
         with pytest.raises(ValueError, match="shape mismatch in degree 1"):
-            ChainComplex(labels, {1: [{-1: 1}, {}]})
-        assert ChainComplex(labels, {1: [{0: 2}, {0: 0}]}).columns(1) == ({0: 2}, {})
+            ChainComplex(dims, {1: [{-1: 1}, {}]})
+        assert ChainComplex(dims, {1: [{0: 2}, {0: 0}]}).columns(1) == ({0: 2}, {})
+
+    def test_empty_or_negative_dims_rejected(self):
+        with pytest.raises(ValueError, match="degree-0 rank"):
+            ChainComplex([], {})
+        with pytest.raises(ValueError, match="ranks must be >= 0"):
+            ChainComplex([1, -1], {})
 
     def test_dense_boundary_rejected(self):
         with pytest.raises(TypeError):
-            ChainComplex([["a"], ["b"]], {1: IntegerMatrix.from_rows([[1]])})
+            ChainComplex([1, 1], {1: IntegerMatrix.from_rows([[1]])})
 
     def test_dd_nonzero_rejected(self):
         # d2 = (1), d1 = (1): composite is nonzero
         with pytest.raises(ValueError, match="d o d != 0 between degrees 2 and 0"):
-            ChainComplex([["a"], ["b"], ["c"]], {1: [{0: 1}], 2: [{0: 1}]})
-        c = ChainComplex([["a"], ["b"], ["c"]], {1: [{0: 1}]})
+            ChainComplex([1, 1, 1], {1: [{0: 1}], 2: [{0: 1}]})
+        c = ChainComplex([1, 1, 1], {1: [{0: 1}]})
         c.validate()
 
     def test_missing_boundaries_default_to_zero(self):
-        c = ChainComplex([["a"], [], ["b"]], {})
+        c = ChainComplex([1, 0, 1], {})
         assert c.columns(1) == ()
         assert c.columns(2) == ({},)
 
@@ -216,13 +222,13 @@ def test_oracle_imports_no_other_periodindex_module():
 
 class TestHomology:
     def test_zero_boundaries_give_basis_ranks(self):
-        c = ChainComplex([["a", "b"], ["c"], [], ["d"]], {})
+        c = ChainComplex([2, 1, 0, 1], {})
         assert homology_of_complex(c, 0) == (2, [])
         assert homology_of_complex(c, 1) == (1, [])
         assert homology_of_complex(c, 2) == (0, [])
 
     def test_truncation_error_at_top_degree(self):
-        c = ChainComplex([["a"], ["b"]], {})
+        c = ChainComplex([1, 1], {})
         assert homology_of_complex(c, 0) == (1, [])
         with pytest.raises(ValueError):
             homology_of_complex(c, 1)

@@ -6,7 +6,7 @@ import pytest
 
 from periodindex.words import (Symbol, SymbolKind, Word, count_words, degree,
                                enumerate_words, format_word, gamma, height,
-                               is_admissible, phi, psi, sigma)
+                               is_admissible, phi, psi, sigma, word_census)
 
 
 def W(*symbols):
@@ -333,3 +333,16 @@ class TestCount:
         for args in ((6, 1, 5), (2, 0, 5), (2, 1, -1)):
             with pytest.raises(ValueError):
                 count_words(*args)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_census_letters_match_listing(self, p):
+        for cap in range(REFERENCE_CAP + 1):
+            listing = enumerate_words(p, 1, cap)
+            assert word_census(p, 1, cap) == \
+                (len(listing), sum(len(word) for word, _, _ in listing)), cap
+
+    def test_letter_limit_stops_above_it(self):
+        assert word_census(1000003, 1, 20000) == (59996, 599989998)
+        rows, letters = word_census(1000003, 1, 20000, max_letters=10 ** 6)
+        assert 10 ** 6 < letters < 599989998 and rows < 59996
+        assert word_census(2, 1, 10 ** 18, max_letters=10 ** 6)[1] > 10 ** 6
