@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, localcontext
 from fractions import Fraction
 from itertools import compress, count
 from math import gcd, isqrt, prod
@@ -194,6 +195,29 @@ def prime_power_index_bound(p: int, r: int, d: int) -> int:
     return p ** ((d - 1) * r + legendre_valuation(p, d - 1))
 
 
+def decimal_string(x: int) -> str:
+    """``str(x)``, in sub-quadratic time for the bounds' millions of digits.
+
+    Divide and conquer: x splits at 2^(1024 * 2^k) into halves that are
+    converted recursively and recombined as exact ``Decimal``s, whose
+    multiplication is sub-quadratic.  ``str`` and int division are both
+    quadratic on this Python, so splitting at powers of ten would not help.
+    """
+    if x < 0:
+        return "-" + decimal_string(-x)
+    with localcontext(Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact])):
+        powers = [Decimal(2) ** 1024]  # powers[k] = 2^(1024 * 2^k)
+        while x >> (1024 << len(powers)):
+            powers.append(powers[-1] * powers[-1])
+
+        def convert(x, k):  # x < 2^(1024 * 2^(k + 1))
+            if k < 0:
+                return Decimal(x)
+            high = x >> (1024 << k)
+            return convert(high, k - 1) * powers[k] + convert(x - (high << (1024 << k)), k - 1)
+        return str(convert(x, len(powers) - 1))
+
+
 @dataclass(frozen=True)
 class SharpBound:
     value: int
@@ -248,10 +272,10 @@ class BoundReport:
             "n": self.n,
             "d": self.d,
             "primes": [
-                {"p": p, "r": r, "bound": str(bound)}
+                {"p": p, "r": r, "bound": decimal_string(bound)}
                 for p, r, bound in self.prime_breakdown
             ],
-            "theorem_a": str(self.theorem_a_bound),
+            "theorem_a": decimal_string(self.theorem_a_bound),
             "corollary_b": self.corollary_b_applies,
             "sharp": self.known_sharp.to_json_dict() if self.known_sharp else None,
         }
@@ -307,7 +331,7 @@ class BoundComparison:
         return {
             "n": self.n,
             "d": self.d,
-            "theorem_a": str(self.theorem_a_bound),
+            "theorem_a": decimal_string(self.theorem_a_bound),
             "sharp": self.known_sharp.to_json_dict() if self.known_sharp else None,
             "ratio": str(self.ratio) if self.ratio is not None else None,
             "sharp_improves": self.sharp_improves,

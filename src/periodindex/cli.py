@@ -7,8 +7,9 @@ oracle cross-check suites).  Data goes to stdout, diagnostics to stderr.
 Exit codes: 0 success, 1 verification failure, 2 usage error or a refused
 input: a ``homology`` listing of more than a million summands, a ``words``
 listing of more than a million rows or five million letters, a ``table`` of
-more than a million cells or (by an upper estimate) five million digits, or
-an integer too large to factorise exactly.
+more than a million cells or (by an upper estimate) five million digits, a
+``bound`` that may have more than five million digits, or an integer too
+large to factorise exactly.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ import argparse
 import json
 import os
 import sys
-from math import lgamma, log
+from math import lgamma, log, log10
 
 from . import __version__
-from .bounds import CeilingError, _comparison, index_bound, is_prime
+from .bounds import CeilingError, _comparison, decimal_string, index_bound, is_prime
 from .complexes import model_homology, primary_model_homology
 from .graded import exponent
 from .verify import SUITES, run_suite
@@ -32,7 +33,8 @@ FORMATS = ("pretty-table", "json", "csv")
 # cell; past this many summands, rows or cells they refuse (exit 2) instead
 # of growing their output until memory runs out.
 MAX_LISTED = 10 ** 6
-# The same for the letters of a `words` listing and the digits of a `table`.
+# The same for the letters of a `words` listing and the digits of a `table`
+# or a `bound`.
 MAX_OUTPUT = 5 * 10 ** 6
 
 
@@ -72,6 +74,10 @@ def _emit_csv(headers: list[str], rows: list[list[str]]) -> None:
 def _cmd_bound(args, parser) -> int:
     if args.n < 1 or args.d < 1:
         parser.error("n and d must be positive integers")
+    # every exponent (d-1)r + v_p((d-1)!) is at most 2(d-1)r, so the bound
+    # is at most n^(2(d-1)); refuse on that before any power is taken
+    if 2 * (args.d - 1) * log10(args.n) > MAX_OUTPUT:
+        return _refuse("bound", f"the bound could have over {MAX_OUTPUT} digits; lower d")
     report = index_bound(args.n, args.d)
     comparison = _comparison(report) if args.compare else None
 
@@ -85,7 +91,7 @@ def _cmd_bound(args, parser) -> int:
     sharp = report.known_sharp
     if args.format == "csv":
         headers = ["n", "d", "theorem_a", "corollary_b"]
-        row = [str(report.n), str(report.d), str(report.theorem_a_bound),
+        row = [str(report.n), str(report.d), decimal_string(report.theorem_a_bound),
                str(report.corollary_b_applies).lower()]
         if args.compare:
             headers += ["sharp", "ratio"]
@@ -95,9 +101,11 @@ def _cmd_bound(args, parser) -> int:
         return 0
 
     print(f"period n = {report.n}, dimension 2d = {2 * report.d} (d = {report.d})")
-    for p, r, bound in report.prime_breakdown:
-        print(f"  p = {p}, r = {r}: bound {bound}")
-    print(f"theorem_a = {report.theorem_a_bound}")
+    theorem_a = decimal_string(report.theorem_a_bound)
+    for p, r, bound in report.prime_breakdown:  # for a prime power, bound is theorem_a
+        shown = theorem_a if bound == report.theorem_a_bound else decimal_string(bound)
+        print(f"  p = {p}, r = {r}: bound {shown}")
+    print(f"theorem_a = {theorem_a}")
     print(f"corollary_b_applies = {str(report.corollary_b_applies).lower()}")
     if sharp is not None:
         print(f"sharp = {sharp.value} ({sharp.source})")

@@ -202,81 +202,84 @@ def realize_chain_complex(c: ElementaryComplex, max_degree: int) -> ChainComplex
     return ChainComplex(dims, boundaries)
 
 
-def tensor_chain_complex(c1: ChainComplex, c2: ChainComplex,
-                         max_degree: int) -> ChainComplex:
-    """Tensor product of based complexes, truncated at ``max_degree`` + 1.
+def tensor_chain_complex(factors, max_degree: int) -> ChainComplex:
+    """Tensor product of a sequence of based complexes, truncated at
+    ``max_degree`` + 1, with the Koszul sign d(a ox b) = da ox b +
+    (-1)^|a| a ox db.
 
-    The differential follows the Koszul convention d(a ox b) = da ox b +
-    (-1)^|a| a ox db.  Both inputs must be complete up to max_degree + 1
-    (anything they are missing above their own caps is treated as zero,
-    which is the caller's responsibility).  The product is a
-    ``ChainComplex`` and so has d o d = 0 checked when it is built.
+    Every factor must be complete up to max_degree + 1 (what it lacks above
+    its own cap counts as zero, which is the caller's responsibility).  The
+    fold starts from Z in degree 0 and keeps each partial product as plain
+    dims and sparse columns; only the result becomes a ``ChainComplex``, so
+    shapes and d o d = 0 are checked once, on the complex the caller holds.
+    That check covers the partial products too: every factor built here has
+    a degree-0 cell with zero boundary, and d^2(a ox 1) = d^2(a) ox 1.
 
-    In degree d the basis runs over i = 0..d, then a in C1_i, then b in
-    C2_(d-i), so a ox b sits at offset[d][i] + a * dim C2_(d-i) + b.
+    In degree d the basis of A ox B runs over i, then a in A_i, then b in
+    B_(d-i), so a ox b sits at offset[d][i] + a * dim B_(d-i) + b.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     top = max_degree + 1
+    dims, columns = [1] + [0] * top, [({},)]  # degree 0 gets empty columns too
+    for c in factors:
+        dim2 = list(c.dims[:top + 1]) + [0] * (top - c.max_degree)
+        cols2 = [({},) * dim2[0]] + [c.columns(n) for n in range(1, min(c.max_degree, top) + 1)]
+        dims, columns = _tensor(dims, columns, dim2, cols2)
+    return ChainComplex(dims, dict(enumerate(columns)))
 
-    dim1, dim2 = (list(c.dims[:top + 1]) + [0] * (top - c.max_degree) for c in (c1, c2))
-    offsets: list[list[int]] = []
-    dims: list[int] = []
-    for d in range(top + 1):
-        start, size = [], 0
-        for i in range(d + 1):
-            start.append(size)
-            size += dim1[i] * dim2[d - i]
+
+def _tensor(dim1, cols1, dim2, cols2):
+    """(dims, columns) of one product in the fold, visiting only the blocks
+    A_i ox B_j in which both ranks are non-zero."""
+    nonzero = [i for i, n in enumerate(dim1) if n]
+    offsets, dims = [], []
+    for d in range(len(dim1)):
+        start, size = {}, 0
+        for i in nonzero:
+            if i > d:
+                break
+            if dim2[d - i]:
+                start[i] = size
+                size += dim1[i] * dim2[d - i]
         offsets.append(start)
         dims.append(size)
 
-    boundaries: dict[int, list[dict[int, int]]] = {}
-    for d in range(1, top + 1):
-        columns = []
-        below = offsets[d - 1]
-        for i in range(d + 1):
+    columns = [({},) * dims[0]]
+    for d in range(1, len(dim1)):
+        out, below = [], offsets[d - 1]
+        for i in offsets[d]:
             j = d - i
-            n1, n2 = dim1[i], dim2[j]
-            if not (n1 and n2):
-                continue
-            da = c1.columns(i) if i >= 1 else None
-            db = c2.columns(j) if j >= 1 else None
-            sign = -1 if i % 2 else 1
-            below_n2 = dim2[j - 1] if j >= 1 else 0
-            for a in range(n1):
+            n2, sign = dim2[j], -1 if i % 2 else 1
+            left = below.get(i - 1, 0)  # block (i-1, j) of da ox b
+            right = below.get(i, 0)     # block (i, j-1) of a ox db
+            right_n2 = dim2[j - 1] if j else 0
+            db = [[(r, sign * x) for r, x in col.items()] for col in cols2[j]]
+            for a, da in enumerate(cols1[i]):
+                base = right + a * right_n2
                 for b in range(n2):
-                    col = {}
-                    if da is not None:  # da ox b, in block (i-1, j)
-                        base = below[i - 1] + b
-                        for r, coeff in da[a].items():
-                            col[base + r * n2] = coeff
-                    if db is not None:  # (-1)^i a ox db, in block (i, j-1)
-                        base = below[i] + a * below_n2
-                        for r, coeff in db[b].items():
-                            col[base + r] = sign * coeff
-                    columns.append(col)
-        boundaries[d] = columns
-    return ChainComplex(dims, boundaries)
+                    col = {left + b + r * n2: x for r, x in da.items()}
+                    for r, x in db[b]:
+                        col[base + r] = x
+                    out.append(col)
+        columns.append(out)
+    return dims, columns
 
 
 def primary_model_chain_complex(p: int, r: int, max_degree: int) -> ChainComplex:
     """The p-primary model as one based chain complex (the oracle route)."""
-    first, *rest = primary_model(p, r, max_degree)
-    result = realize_chain_complex(first, max_degree)
-    for factor in rest:
-        result = tensor_chain_complex(
-            result, realize_chain_complex(factor, max_degree), max_degree)
-    return result
+    return tensor_chain_complex(
+        [realize_chain_complex(f, max_degree) for f in primary_model(p, r, max_degree)],
+        max_degree)
 
 
 def model_chain_complex(n: int, max_degree: int) -> ChainComplex:
     """The full model for order n as one based chain complex: the tensor
-    product of the prime-power ones (the oracle route to ``model_homology``)."""
+    product of the prime-power models' factors (the oracle route to
+    ``model_homology``)."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    (p, r), *rest = factorize(n)
-    result = primary_model_chain_complex(p, r, max_degree)
-    for p, r in rest:
-        result = tensor_chain_complex(
-            result, primary_model_chain_complex(p, r, max_degree), max_degree)
-    return result
+    return tensor_chain_complex(
+        [realize_chain_complex(f, max_degree)
+         for p, r in factorize(n) for f in primary_model(p, r, max_degree)],
+        max_degree)

@@ -3,11 +3,13 @@
 Everything here runs over Python's arbitrary-precision integers, so results
 are exact.  Chain complexes store boundaries as sparse columns, since the
 tensor models' boundaries are a few percent non-zero and split into small
-connected blocks.  Homology is read off the boundaries' invariant factors:
-one dense minimal-pivot Smith normal form per block, merged into a single
-divisibility chain (Dumas, Saunders and Villard, JSC 2001).  Every complex
-has d o d = 0 checked when it is built, so every complex here is a chain
-complex.  Swapping in a faster SNF would only touch ``smith_normal_form``.
+connected blocks.  Homology is read off the boundaries' invariant factors,
+block by block, merged into a single divisibility chain (Dumas, Saunders
+and Villard, JSC 2001): a block with one row or one column has the gcd of
+its entries, any other block one dense minimal-pivot Smith normal form per
+distinct block in the complex.  Every complex has d o d = 0 checked when it
+is built, so every complex here is a chain complex.  Swapping in a faster
+SNF would only touch ``smith_normal_form``.
 
 This module imports nothing else from the package: the oracle knows no
 closed form.
@@ -67,19 +69,9 @@ class IntegerMatrix:
     def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        a, b = self.to_rows(), other.to_rows()
-        out = []
-        for i in range(self.rows):
-            ai = a[i]
-            row = [0] * other.cols
-            for k in range(self.cols):
-                aik = ai[k]
-                if aik:
-                    bk = b[k]
-                    for j in range(other.cols):
-                        row[j] += aik * bk[j]
-            out.append(row)
-        return IntegerMatrix.from_rows(out, cols=other.cols)
+        columns = [other.entries[j::other.cols] for j in range(other.cols)]
+        return IntegerMatrix(self.rows, other.cols, tuple(
+            sum(x * y for x, y in zip(row, col)) for row in self.to_rows() for col in columns))
 
 
 def determinant(m: IntegerMatrix) -> int:
@@ -274,9 +266,11 @@ def _divisibility_chain(factors) -> tuple[int, ...]:
         counts.update({a: -t, b: -t, gcd(a, b): t, lcm(a, b): t})
 
 
-def _block_invariants(columns) -> tuple[int, tuple[int, ...]]:
-    """(rank, invariant factors > 1) of sparse columns, from the dense Smith
-    normal forms of the connected blocks of their row/column graph."""
+def _block_invariants(columns, reduced) -> tuple[int, tuple[int, ...]]:
+    """(rank, invariant factors > 1) of sparse columns, one connected block
+    of their row/column graph at a time.  A block with one row or one column
+    has rank 1 and factor the gcd of its entries; any other block gets a
+    dense Smith normal form, kept in ``reduced`` under the block itself."""
     parent = list(range(len(columns)))
 
     def root(j):
@@ -296,18 +290,21 @@ def _block_invariants(columns) -> tuple[int, tuple[int, ...]]:
             blocks[root(j)].append(col)
     rank, factors = 0, []
     for cols in blocks.values():
-        if len(cols) == 1 and len(cols[0]) == 1:  # a lone entry is its own SNF
+        rows = set().union(*cols)
+        if len(rows) == 1 or len(cols) == 1:
             rank += 1
-            factors.extend(abs(a) for a in cols[0].values())
+            factors.append(gcd(*(a for col in cols for a in col.values())))
             continue
-        rows = {r: i for i, r in enumerate(sorted({r for col in cols for r in col}))}
+        index = {r: i for i, r in enumerate(sorted(rows))}
         entries = [0] * (len(rows) * len(cols))
         for j, col in enumerate(cols):
             for r, a in col.items():
-                entries[rows[r] * len(cols) + j] = a
-        s = smith_normal_form(IntegerMatrix(len(rows), len(cols), tuple(entries)))
-        rank += s.rank
-        factors.extend(s.invariant_factors)
+                entries[index[r] * len(cols) + j] = a
+        block = IntegerMatrix(len(rows), len(cols), tuple(entries))
+        if block not in reduced:
+            reduced[block] = smith_normal_form(block)
+        rank += reduced[block].rank
+        factors.extend(reduced[block].invariant_factors)
     return rank, _divisibility_chain(factors)
 
 
@@ -320,8 +317,9 @@ class ChainComplex:
     degrees are zero.  Shapes and d o d = 0 are checked here, on every
     complex, so a complex that exists is a chain complex.  Each boundary's
     rank and invariant factors are kept once computed, as they serve two
-    degrees of homology.  Degrees above ``max_degree`` are unknown, so
-    homology can only be asked for strictly below the cap.
+    degrees of homology, and so is the Smith normal form of each distinct
+    dense block, which the tensor models repeat many times.  Degrees above
+    ``max_degree`` are unknown, so homology is only asked for below the cap.
     """
 
     def __init__(self, dims, boundaries):
@@ -334,6 +332,7 @@ class ChainComplex:
         self._columns = {n: self._sparse(n, boundaries.get(n))
                          for n in range(1, self.max_degree + 1)}
         self._invariants: dict[int, tuple[int, tuple[int, ...]]] = {0: (0, ())}
+        self._reduced: dict[IntegerMatrix, SmithNormalForm] = {}
         self.validate()
 
     def _sparse(self, n: int, boundary) -> tuple[dict[int, int], ...]:
@@ -357,11 +356,8 @@ class ChainComplex:
         return self._columns[n]
 
     def differential(self, n: int) -> IntegerMatrix:
-        """The degree-n boundary (n >= 1) as a dense matrix, built on each call.
-
-        The package reads ``columns``; this dense copy is kept for
-        ``perfbench/tracer.py``, which counts boundary sizes with it.
-        """
+        """The degree-n boundary (n >= 1) as a dense matrix, built on each call;
+        the package reads ``columns``, ``perfbench/tracer.py`` reads this."""
         columns, rows = self.columns(n), self.dim(n - 1)
         entries = [0] * (rows * len(columns))
         for j, col in enumerate(columns):
@@ -374,17 +370,17 @@ class ChainComplex:
         for n in range(2, self.max_degree + 1):
             lower = self._columns[n - 1]
             for col in self._columns[n]:
-                image = defaultdict(int)
+                image = {}
                 for r, a in col.items():
                     for s, b in lower[r].items():
-                        image[s] += a * b
+                        image[s] = image.get(s, 0) + a * b
                 if any(image.values()):
                     raise ValueError(f"d o d != 0 between degrees {n} and {n - 2}")
 
     def boundary_invariants(self, n: int) -> tuple[int, tuple[int, ...]]:
         """(rank, invariant factors > 1) of the degree-n boundary, memoised."""
         if n not in self._invariants:
-            self._invariants[n] = _block_invariants(self.columns(n))
+            self._invariants[n] = _block_invariants(self.columns(n), self._reduced)
         return self._invariants[n]
 
 

@@ -142,3 +142,10 @@ def test_criterion_12_words_frontier():
         rendered = [format_word(w) for w, _, _ in listing]
     assert len(rendered) == 70722
     assert rendered[0] == "ψ_2" and rendered[-1] == "σ" * 80
+
+
+def test_criterion_13_oracle_frontier_k60():
+    with _Timed("criterion 13: SNF oracle exponent law to k = 60", 5.0):
+        results = suite_xp_exponent(max_k=60)
+    failures = [r for r in results if not r.passed]
+    assert not failures, failures

@@ -1,13 +1,14 @@
 """Period-index arithmetic: valuations, per-prime bounds, reports."""
 
 import random
+import sys
 from fractions import Fraction
 from math import factorial, gcd, prod
 
 import pytest
 
 from periodindex.bounds import (PRIME_CEILING, BoundComparison, BoundReport,
-                                CeilingError, compare_bounds,
+                                CeilingError, compare_bounds, decimal_string,
                                 differential_order_bound, factorize, index_bound,
                                 is_prime, known_sharp_bound, legendre_valuation,
                                 padic_valuation, prime_power_index_bound)
@@ -246,3 +247,28 @@ class TestJson:
         c = compare_bounds(4, 4)
         assert c.to_json_dict()["ratio"] == "2"
         assert Fraction(c.to_json_dict()["ratio"]) == c.ratio
+
+
+class TestDecimalString:
+    @pytest.fixture(autouse=True)
+    def no_digit_limit(self):
+        # str() refuses ints past 4300 digits unless the limit is lifted
+        get_limit = getattr(sys, "get_int_max_str_digits", None)
+        old = get_limit() if get_limit else None
+        if get_limit:
+            sys.set_int_max_str_digits(0)
+        yield
+        if get_limit:
+            sys.set_int_max_str_digits(old)
+
+    def test_equals_str_on_both_sides_of_4300_digits(self):
+        for x in [0, 1, -1, 9, 10, 2 ** 1024 - 1, 2 ** 1024, 2 ** 2048 + 1,
+                  10 ** 4299, 10 ** 4300 - 1, 10 ** 4300, 10 ** 4300 + 1, -10 ** 4300,
+                  2 ** 14284, 3 ** 9000, 10 ** 20000 + 7, 7 ** 100000]:
+            assert decimal_string(x) == str(x)
+
+    def test_equals_str_on_random_sizes(self):
+        rng = random.Random(3)
+        for bits in [rng.randint(1, 80000) for _ in range(60)] + [14280, 14290, 14300]:
+            x = rng.getrandbits(bits) | (1 << (bits - 1))
+            assert decimal_string(x) == str(x)

@@ -3,6 +3,7 @@
 import json
 import sys
 import time
+from decimal import MAX_EMAX, Decimal, localcontext
 
 import pytest
 
@@ -104,6 +105,32 @@ class TestBigBound:
             assert f"theorem_a = {expected}\n" in out
         # main lifts the limit for its own command only
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit_before
+
+    def test_millions_of_digits_within_a_second(self, capsys):
+        # 2^3999985 has 1,204,116 digits, too many for str(), which is
+        # quadratic in the number of digits; check its ends independently
+        start = time.perf_counter()
+        code, out = run(capsys, "bound", "2", "2000000")
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        digits = out.splitlines()[-2].removeprefix("theorem_a = ")
+        with localcontext(prec=30, Emax=MAX_EMAX):
+            leading = str(Decimal(2) ** 3999985).replace(".", "")[:20]
+        assert len(digits) == 1204116
+        assert digits[:20] == leading
+        assert int(digits[-18:]) == pow(2, 3999985, 10 ** 18)
+        assert elapsed < 1.0
+
+    def test_oversized_bound_refused(self, capsys):
+        # up to 2^(2 * 19999999) by the estimate: over MAX_OUTPUT digits
+        start = time.perf_counter()
+        code = cli.main(["bound", "2", "20000000"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and "digits" in captured.err
+        assert elapsed < 2.0
 
 
 class TestLargeN:

@@ -112,7 +112,7 @@ class TestTensor:
     def test_unit(self):
         c = realize_chain_complex(ElementaryComplex(PE, q=1, h=2), 5)
         unit = ChainComplex([1], {})
-        out = tensor_chain_complex(c, unit, 5)
+        out = tensor_chain_complex([c, unit], 5)
         for n in range(out.max_degree + 1):
             if n <= c.max_degree:
                 assert out.dim(n) == c.dim(n)
@@ -121,12 +121,16 @@ class TestTensor:
             else:
                 assert out.dim(n) == 0
 
+    def test_empty_product_is_the_unit(self):
+        out = tensor_chain_complex([], 3)
+        assert out.dims == (1, 0, 0, 0, 0)
+
     def test_koszul_sign(self):
         # a = x in odd degree 1, db = 2*x gamma_0(y): the a ox db column
         # picks up a minus sign
         left = realize_chain_complex(ElementaryComplex(E, q=1), 4)     # x in degree 1
         right = realize_chain_complex(ElementaryComplex(EP, q=1, h=2), 4)
-        out = tensor_chain_complex(left, right, 3)
+        out = tensor_chain_complex([left, right], 3)
         # degree d lists the blocks C_i(left) ox C_(d-i)(right) for i = 0..d;
         # both factors have rank <= 1 in every degree, so a block is one cell or none
         def offset(d, i):
@@ -142,12 +146,22 @@ class TestTensor:
         bad._columns[2] = ({0: 1},)
         good = ChainComplex([1], {})
         with pytest.raises(ValueError, match="d o d != 0"):
-            tensor_chain_complex(bad, good, 2)
+            tensor_chain_complex([bad, good], 2)
+
+    def test_dd_zero_enforced_through_middle_factor(self):
+        # the product is checked once, as a whole: a corrupted middle factor
+        # still shows, since every factor has a degree-0 cell with d = 0
+        left = realize_chain_complex(ElementaryComplex(PE, q=1, h=2), 2)
+        bad = ChainComplex([1, 1, 1], {1: [{0: 1}]})
+        bad._columns[2] = ({0: 1},)
+        right = realize_chain_complex(ElementaryComplex(EP, q=1, h=3), 2)
+        with pytest.raises(ValueError, match="d o d != 0"):
+            tensor_chain_complex([left, bad, right], 2)
 
     def test_tensor_matches_kunneth_route(self):
         left = realize_chain_complex(ElementaryComplex(PE, q=1, h=2), 6)
         right = realize_chain_complex(ElementaryComplex(EP, q=3, h=2), 6)
-        out = tensor_chain_complex(left, right, 6)
+        out = tensor_chain_complex([left, right], 6)
         expected = primary_model_homology(2, 1, 6)
         assert oracle_groups(out, 6) == closed_groups(expected)
 

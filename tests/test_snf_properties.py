@@ -1,6 +1,7 @@
 """Property tests: the block-by-block sparse Smith normal form against the
-dense one, on scrambled block-diagonal matrices, with sympy as an optional
-third opinion."""
+dense one, on scrambled block-diagonal matrices with repeated blocks, and
+both against unimodular changes of basis, with sympy as an optional third
+opinion."""
 
 import pytest
 
@@ -30,6 +31,7 @@ def block(draw):
 def scrambled_block_diagonal(draw):
     """(dense block-diagonal matrix, its rows and columns scrambled as sparse columns)."""
     blocks = draw(st.lists(block(), min_size=1, max_size=6))
+    blocks += draw(st.lists(st.sampled_from(blocks), max_size=2))  # repeats share one SNF
     rows = sum(len(b) for b in blocks)
     cols = sum(len(b[0]) for b in blocks)
     dense = [[0] * cols for _ in range(rows)]
@@ -65,6 +67,59 @@ def test_coprime_blocks_merge_into_one_factor():
     chain = cokernel_complex(3, [{2: 3}, {}, {0: 2}])
     assert chain.boundary_invariants(1) == (2, (6,))
     assert homology_of_complex(chain, 0) == (1, [6])
+
+
+def test_repeated_blocks_are_reduced_once_per_shape():
+    # a 2x3 and a 3x2 block with the same flat entries, (1, 2, 3, 4, 5, 6),
+    # whose factors differ (1, 3 against 1, 2), then one 2x2 block twice
+    shapes = [(2, 3, [1, 2, 3, 4, 5, 6]), (3, 2, [1, 2, 3, 4, 5, 6]),
+              (2, 2, [2, 4, 0, 6]), (2, 2, [2, 4, 0, 6])]
+    rows = sum(r for r, _, _ in shapes)
+    cols = sum(c for _, c, _ in shapes)
+    dense = [[0] * cols for _ in range(rows)]
+    r0 = c0 = 0
+    for r, c, flat in shapes:
+        for i in range(r):
+            dense[r0 + i][c0:c0 + c] = flat[i * c:(i + 1) * c]
+        r0, c0 = r0 + r, c0 + c
+    columns = [{i: dense[i][j] for i in range(rows) if dense[i][j]} for j in range(cols)]
+    reference = smith_normal_form(IntegerMatrix.from_rows(dense, cols=cols))
+    chain = cokernel_complex(rows, columns)
+    assert chain.boundary_invariants(1) == \
+        (reference.rank, tuple(f for f in reference.invariant_factors if f > 1))
+    assert len(chain._reduced) == 3
+
+
+@st.composite
+def unimodular(draw, n):
+    """A product of elementary integer matrices: swaps, negations, shears."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 8))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        kind = draw(st.sampled_from(("swap", "negate", "shear")))
+        if kind == "swap":
+            m[i], m[j] = m[j], m[i]
+        elif kind == "negate":
+            m[i] = [-x for x in m[i]]
+        elif i != j:
+            c = draw(st.integers(-3, 3))
+            m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+    return IntegerMatrix.from_rows(m, cols=n)
+
+
+@SETTINGS
+@given(st.data())
+def test_invariant_under_unimodular_change(data):
+    dense, columns = data.draw(scrambled_block_diagonal())
+    left = data.draw(unimodular(dense.rows))
+    right = data.draw(unimodular(dense.cols))
+    changed = left @ dense @ right
+    assert smith_normal_form(changed).invariant_factors == \
+        smith_normal_form(dense).invariant_factors
+    changed_columns = [{i: row[j] for i, row in enumerate(changed.to_rows()) if row[j]}
+                       for j in range(changed.cols)]
+    assert cokernel_complex(changed.rows, changed_columns).boundary_invariants(1) == \
+        cokernel_complex(dense.rows, columns).boundary_invariants(1)
 
 
 @SETTINGS
