@@ -268,14 +268,16 @@ class BoundReport:
     known_sharp: SharpBound | None
 
     def to_json_dict(self) -> dict:
+        theorem_a = decimal_string(self.theorem_a_bound)  # a prime power's one bound
         return {
             "n": self.n,
             "d": self.d,
             "primes": [
-                {"p": p, "r": r, "bound": decimal_string(bound)}
+                {"p": p, "r": r, "bound": theorem_a if bound == self.theorem_a_bound
+                 else decimal_string(bound)}
                 for p, r, bound in self.prime_breakdown
             ],
-            "theorem_a": decimal_string(self.theorem_a_bound),
+            "theorem_a": theorem_a,
             "corollary_b": self.corollary_b_applies,
             "sharp": self.known_sharp.to_json_dict() if self.known_sharp else None,
         }

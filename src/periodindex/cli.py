@@ -2,13 +2,11 @@
 
 Subcommands: ``bound`` (index bound for one (n, d)), ``table`` (a grid of
 bounds), ``homology`` (model homology for an order or a prime power),
-``words`` (admissible and auxiliary word enumeration) and ``verify`` (the
-oracle cross-check suites).  Data goes to stdout, diagnostics to stderr.
-Exit codes: 0 success, 1 verification failure, 2 usage error or a refused
-input: a ``homology`` listing of more than a million summands, a ``words``
-listing of more than a million rows or five million letters, a ``table`` of
-more than a million cells or (by an upper estimate) five million digits, a
-``bound`` that may have more than five million digits, or an integer too
+``words`` (admissible and auxiliary words) and ``verify`` (the oracle
+cross-check suites).  Data goes to stdout, diagnostics to stderr.  Exit
+codes: 0 success, 1 verification failure, 2 usage error or a refused input:
+a listing of over ``MAX_LISTED`` summands, rows or cells or over
+``MAX_OUTPUT`` letters or (by an upper estimate) digits, or an integer too
 large to factorise exactly.
 """
 
@@ -18,6 +16,8 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterable, Sequence
+from itertools import islice
 from math import lgamma, log, log10
 
 from . import __version__
@@ -25,7 +25,7 @@ from .bounds import CeilingError, _comparison, decimal_string, index_bound, is_p
 from .complexes import model_homology, primary_model_homology
 from .graded import exponent
 from .verify import SUITES, run_suite
-from .words import enumerate_words, format_word, word_census
+from .words import key_translation, word_census, words_by_degree
 
 FORMATS = ("pretty-table", "json", "csv")
 
@@ -38,28 +38,9 @@ MAX_LISTED = 10 ** 6
 MAX_OUTPUT = 5 * 10 ** 6
 
 
-def _use_color() -> bool:
-    return sys.stdout.isatty() and not os.environ.get("NO_COLOR")
-
-
-def _green(s: str) -> str:
-    return f"\033[32m{s}\033[0m" if _use_color() else s
-
-
-def _red(s: str) -> str:
-    return f"\033[31m{s}\033[0m" if _use_color() else s
-
-
-def _render_table(headers: list[str], rows: list[list[str]]) -> str:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
-    lines.append("  ".join("-" * w for w in widths))
-    for row in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-    return "\n".join(lines)
+def _paint(s: str, color: int) -> str:
+    tty = sys.stdout.isatty() and not os.environ.get("NO_COLOR")
+    return f"\033[{color}m{s}\033[0m" if tty else s
 
 
 def _refuse(command: str, message: str) -> int:
@@ -67,8 +48,26 @@ def _refuse(command: str, message: str) -> int:
     return 2
 
 
-def _emit_csv(headers: list[str], rows: list[list[str]]) -> None:
-    print("\n".join(map(",".join, [headers, *rows])))
+def _emit(fmt: str, headers: Sequence[str], rows: Iterable[tuple]) -> None:
+    """Write rows to stdout as an aligned table, as csv lines or as a JSON
+    list of objects keyed by the headers.  csv and JSON are written 4096 rows
+    at a time, as the rows come; the table needs all rows for its widths."""
+    if fmt == "pretty-table":
+        rows = [tuple(headers), *(tuple(map(str, row)) for row in rows)]
+        widths = [max(map(len, column)) for column in zip(*rows)]
+        rows.insert(1, tuple("-" * w for w in widths))
+        line = "  ".join(f"%-{w}s" for w in widths)  # pads like str.ljust
+        print("\n".join(map(str.rstrip, map(line.__mod__, rows))))
+        return
+    csv, write, rows = fmt == "csv", sys.stdout.write, iter(rows)
+    line = ",".join(["%s"] * len(headers))
+    write(",".join(headers) if csv else "[")
+    lead = "\n" if csv else ""
+    while chunk := list(islice(rows, 4096)):
+        write(lead + ("\n".join(map(line.__mod__, chunk)) if csv
+                      else json.dumps([dict(zip(headers, row)) for row in chunk])[1:-1]))
+        lead = "\n" if csv else ", "
+    write("\n" if csv else "]\n")
 
 
 def _cmd_bound(args, parser) -> int:
@@ -97,7 +96,7 @@ def _cmd_bound(args, parser) -> int:
             headers += ["sharp", "ratio"]
             row += [str(sharp.value) if sharp else "",
                     str(comparison.ratio) if comparison.ratio is not None else ""]
-        _emit_csv(headers, [row])
+        _emit("csv", headers, [tuple(row)])
         return 0
 
     print(f"period n = {report.n}, dimension 2d = {2 * report.d} (d = {report.d})")
@@ -132,16 +131,12 @@ def _cmd_table(args, parser) -> int:
         return _refuse("table", f"the grid would hold over {MAX_LISTED} cells or over "
                                 f"{MAX_OUTPUT} digits; lower --n-max or --d-max")
     ns, ds = range(1, args.n_max + 1), range(1, args.d_max + 1)
-    grid = [[str(index_bound(n, d).theorem_a_bound) for d in ds] for n in ns]
-    if args.format == "json":
-        print(json.dumps([{"n": n, "d": d, "theorem_a": bound}
-                          for n, row in zip(ns, grid) for d, bound in zip(ds, row)]))
-        return 0
-    if args.format == "csv":
-        _emit_csv(["n", "d", "theorem_a"],
-                  [[str(n), str(d), bound] for n, row in zip(ns, grid) for d, bound in zip(ds, row)])
-        return 0
-    print(_render_table(["n\\d", *map(str, ds)], [[str(n), *row] for n, row in zip(ns, grid)]))
+    grid = zip(ns, ([str(index_bound(n, d).theorem_a_bound) for d in ds] for n in ns))
+    if args.format == "pretty-table":
+        _emit(args.format, ["n\\d", *map(str, ds)], ((n, *row) for n, row in grid))
+    else:
+        _emit(args.format, ["n", "d", "theorem_a"],
+              ((n, d, bound) for n, row in grid for d, bound in zip(ds, row)))
     return 0
 
 
@@ -169,21 +164,17 @@ def _cmd_homology(args, parser) -> int:
         return _refuse("homology", f"the listing would hold {listed} torsion summands, "
                                    f"over the limit of {MAX_LISTED}; lower --max-degree")
 
-    if args.format == "json":
+    if args.format == "json":  # one object keyed by degree, not a list of rows
         print(json.dumps(group.to_json(), sort_keys=True))
         return 0
-    rows = []
+    csv, rows = args.format == "csv", []
     for d in range(group.max_degree + 1):
         free, torsion = group.summands(d)
         exp, _ = exponent(group, d)
-        rows.append([str(d), group.describe(d), str(exp), str(free),
-                     "+".join(str(t) for t in torsion)])
-    if args.format == "csv":
-        _emit_csv(["degree", "free", "exponent", "torsion"],
-                  [[r[0], r[3], r[2], r[4]] for r in rows])
-        return 0
-    print(_render_table(["degree", "group", "exponent"],
-                        [[r[0], r[1], r[2]] for r in rows]))
+        rows.append((d, free, exp, "+".join(map(str, torsion))) if csv
+                    else (d, group.describe(d), exp))
+    _emit(args.format, ["degree", "free", "exponent", "torsion"] if csv
+          else ["degree", "group", "exponent"], rows)
     return 0
 
 
@@ -198,30 +189,22 @@ def _cmd_words(args, parser) -> int:
     if rows > MAX_LISTED or letters > MAX_OUTPUT:
         return _refuse("words", f"the listing would hold over {MAX_LISTED} rows or over "
                                 f"{MAX_OUTPUT} letters; lower --max-degree")
-    listing = enumerate_words(args.p, args.r, args.max_degree)
-    rendered = [(format_word(w, ascii_symbols=args.ascii), deg, ht)
-                for w, deg, ht in listing]
-    if args.format == "json":
-        print(json.dumps(
-            [{"word": w, "degree": deg, "height": ht} for w, deg, ht in rendered]))
-        return 0
-    rows = [[str(deg), str(ht), w] for w, deg, ht in rendered]
-    if args.format == "csv":
-        _emit_csv(["degree", "height", "word"], rows)
-        return 0
-    print(_render_table(["degree", "height", "word"], rows))
+    glyphs = key_translation(args.p, args.r, args.ascii)
+    rows = ((d, h, key.translate(glyphs))
+            for d, h, key in words_by_degree(args.p, args.r, args.max_degree))
+    if args.format == "json":  # the objects name the word first
+        _emit("json", ["word", "degree", "height"], ((w, d, h) for d, h, w in rows))
+    else:
+        _emit(args.format, ["degree", "height", "word"], rows)
     return 0
 
 
 def _cmd_verify(args, parser) -> int:
     results = run_suite(args.suite, seed=args.seed)
-    failed = 0
+    failed = sum(not res.passed for res in results)
     for res in results:
-        if res.passed:
-            print(f"{_green('PASS')}  {res.name}")
-        else:
-            failed += 1
-            print(f"{_red('FAIL')}  {res.name}: {res.detail}")
+        print(f"{_paint('PASS', 32)}  {res.name}" if res.passed
+              else f"{_paint('FAIL', 31)}  {res.name}: {res.detail}")
     print(f"{len(results) - failed}/{len(results)} checks passed"
           f" (suite {args.suite}, seed {args.seed})")
     return 1 if failed else 0

@@ -337,10 +337,13 @@ class ChainComplex:
 
     def _sparse(self, n: int, boundary) -> tuple[dict[int, int], ...]:
         rows, cols = self.dim(n - 1), self.dim(n)
-        if boundary is None:
-            boundary = [{}] * cols
-        columns = tuple({r: a for r, a in col.items() if a} for col in boundary)
-        if len(columns) != cols or any(not 0 <= r < rows for col in columns for r in col):
+        # own copies of the columns; the loops over every entry run in C
+        columns = tuple(map(dict, repeat((), cols) if boundary is None else boundary))
+        if 0 in chain.from_iterable(map(dict.values, columns)):
+            columns = tuple({r: a for r, a in col.items() if a} if 0 in col.values() else col
+                            for col in columns)
+        if (len(columns) != cols or min(chain.from_iterable(columns), default=0) < 0
+                or max(chain.from_iterable(columns), default=-1) >= rows):
             raise ValueError(f"boundary shape mismatch in degree {n}")
         return columns
 

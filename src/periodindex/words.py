@@ -16,11 +16,15 @@ letter (so at least two letters), both sigma or phi_p, and every gamma_p or
 phi_p letter has an even number of sigma letters strictly to its right.
 The shortest admissible word is sigma^2, of degree 2.  ``enumerate_words``
 lists the admissible words together with the auxiliary family
-sigma^(h-1) psi, which is what the elementary-complex model consumes.
+sigma^(h-1) psi, which is what the elementary-complex model consumes.  It
+builds checked ``Word``s from the keys of ``words_by_degree``, which grows
+degree d from degrees d - 1, d / p and (d - 2) / p; the CLI renders the
+keys with one ``str.translate`` table (``key_translation``) instead.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import IntEnum
 from operator import attrgetter
@@ -36,10 +40,7 @@ class SymbolKind(IntEnum):
     PSI = 3
 
 
-_UNICODE = {SymbolKind.SIGMA: "σ", SymbolKind.GAMMA: "γ",
-            SymbolKind.PHI: "φ", SymbolKind.PSI: "ψ"}
-_ASCII = {SymbolKind.SIGMA: "s", SymbolKind.GAMMA: "g",
-          SymbolKind.PHI: "f", SymbolKind.PSI: "y"}
+_UNICODE, _ASCII = "σγφψ", "sgfy"  # indexed by kind
 
 
 @dataclass(frozen=True)
@@ -112,10 +113,7 @@ class Word:
     @property
     def prime(self) -> int | None:
         """The single prime the non-sigma symbols share (None if all sigma)."""
-        for s in self.symbols:
-            if s.prime is not None:
-                return s.prime
-        return None
+        return next((s.prime for s in self.symbols if s.prime is not None), None)
 
     def __len__(self):
         return len(self.symbols)
@@ -186,50 +184,69 @@ def _check_listing(p: int, r: int, max_degree: int) -> None:
         raise ValueError("max_degree must be >= 0")
 
 
+def words_by_degree(p: int, r: int, max_degree: int) -> Iterator[tuple[int, int, str]]:
+    """The rows of ``enumerate_words(p, r, max_degree)`` as (degree, height,
+    key), in the same order, one degree at a time.  The key spells the word
+    in kind digits, "0" sigma, "1" gamma_p, "2" phi_p and "3" psi_{p^r}, so
+    it orders like the word; ``key_translation`` renders it.
+
+    >>> list(words_by_degree(2, 1, 2))
+    [(2, 1, '3'), (2, 2, '00')]
+    """
+    _check_listing(p, r, max_degree)
+    # Prepends never undo the parity and last-letter conditions a suffix
+    # meets, so degree d grows from the suffixes of degree d - 1 (prepend
+    # sigma), d / p (gamma) and (d - 2) / p (phi), as their sigma parity
+    # allows.  All grow from the empty word; its one-letter extensions sigma
+    # and phi are the only suffixes that neither start with gamma nor are
+    # words.  ``even`` maps a degree to its even (height, key) suffixes,
+    # ``odd`` holds the odd ones of the degree before.
+    even, odd = {0: [(0, "")]}, []
+    for d in range(1, max_degree + 1):
+        sigma_even = [(h + 1, "0" + k) for h, k in odd]
+        odd = [(h + 1, "0" + k) for h, k in even.get(d - 1, ())]
+        gamma_led = [(h, "1" + k) for h, k in even.get(d // p, ())] if d % p == 0 else []
+        # degree p k + 2 is the last to read the suffixes of degree k
+        phi_led = ([(h + 1, "2" + k) for h, k in even.pop((d - 2) // p, ())]
+                   if (d - 2) % p == 0 else [])
+        even[d] = sigma_even + gamma_led + phi_led
+        if d >= 2:
+            rows = odd + sigma_even + (phi_led if d > 2 else [])
+            rows.append((d - 1, "0" * (d - 2) + "3"))  # sigma^(d-2) psi
+            rows.sort()
+            for h, k in rows:
+                yield d, h, k
+
+
+def _key_symbols(p: int, r: int) -> dict[str, Symbol]:
+    return {str(int(s.kind)): s for s in (sigma(), gamma(p), phi(p), psi(p, r))}
+
+
+def key_translation(p: int, r: int, ascii_symbols: bool = False) -> dict[int, str]:
+    """The ``str.translate`` table rendering a key as ``format_word`` does.
+
+    >>> "0123".translate(key_translation(3, 2))
+    'σγ_3φ_3ψ_9'
+    """
+    text = _ASCII_TEXT if ascii_symbols else _TEXT
+    return str.maketrans({digit: text(s) for digit, s in _key_symbols(p, r).items()})
+
+
 def enumerate_words(p: int, r: int, max_degree: int) -> list[tuple[Word, int, int]]:
     """All admissible p-words of degree <= max_degree, plus the auxiliary
     words sigma^(h-1) psi_{p^r} (height h, degree h + 1).
 
     Returns (word, degree, height) triples sorted by degree, then height,
-    then the symbol sequence with sigma < gamma < phi < psi.
+    then the symbol sequence with sigma < gamma < phi < psi: the rows of
+    ``words_by_degree``, each key built into a checked ``Word``.
 
     >>> [str(w) for w, _, h in enumerate_words(2, 1, 3) if h == 2]
     ['σσ', 'σφ_2', 'σψ_2']
     """
     _check_listing(p, r, max_degree)
-    # Symbols are frozen, so one instance of each serves every word.
-    s, g, f = sigma(), gamma(p), phi(p)
-    # (degree, height, kind digits, symbols): the digit string orders like
-    # the tuple of kinds, so one sort on the first three fields suffices.
-    found: list[tuple[int, int, str, tuple[Symbol, ...]]] = []
-
-    # Depth first from the last letter, on an explicit stack: words can be as
-    # long as their degree.  A suffix already satisfies the parity and
-    # last-letter conditions and prepends never change either, so pruning
-    # is exact; it is a word once it has two letters and gamma does not lead.
-    stack = [((s,), 1, 1, "0", 1), ((f,), 2, 1, "2", 0)] if max_degree >= 2 else []
-    while stack:
-        suffix, deg, ht, key, sigma_count = stack.pop()
-        if len(key) >= 2 and key[0] != "1":
-            found.append((deg, ht, key, suffix))
-        nxt = 1 + deg
-        if nxt <= max_degree:
-            stack.append(((s,) + suffix, nxt, ht + 1, "0" + key, sigma_count + 1))
-        if sigma_count % 2 == 0:
-            nxt = p * deg
-            if nxt <= max_degree:
-                stack.append(((g,) + suffix, nxt, ht, "1" + key, sigma_count))
-            nxt = 2 + p * deg
-            if nxt <= max_degree:
-                stack.append(((f,) + suffix, nxt, ht + 1, "2" + key, sigma_count))
-
-    # auxiliary family: sigma^(h-1) psi_{p^r} has degree h + 1
-    last = (psi(p, r),)
-    for h in range(1, max_degree):
-        found.append((h + 1, h, "0" * (h - 1) + "3", (s,) * (h - 1) + last))
-
-    found.sort()
-    return [(Word(symbols), deg, ht) for deg, ht, _, symbols in found]
+    letter = _key_symbols(p, r).__getitem__  # one shared Symbol per digit
+    return [(Word(tuple(map(letter, key))), d, h)
+            for d, h, key in words_by_degree(p, r, max_degree)]
 
 
 def count_words(p: int, r: int, max_degree: int, limit: int | None = None) -> int:
@@ -246,11 +263,10 @@ def word_census(p: int, r: int, max_degree: int, max_rows: int | None = None,
     """(rows, letters) of ``enumerate_words(p, r, max_degree)``: the number
     of words and their total length, without building a word.
 
-    Counts the suffixes ``enumerate_words`` grows by degree and by the two
-    things its prepends look at, the sigma parity and whether gamma leads,
-    together with their total length.  The count stops as soon as rows pass
-    ``max_rows`` or letters pass ``max_letters``, returning partial sums of
-    which one is still above its limit.
+    Counts the suffixes of ``words_by_degree`` by degree, sigma parity and
+    whether gamma leads, with their total length.  The count stops as soon
+    as rows pass ``max_rows`` or letters pass ``max_letters``, returning
+    partial sums of which one is still above its limit.
 
     >>> word_census(2, 1, 3)
     (5, 10)

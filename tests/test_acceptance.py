@@ -4,10 +4,15 @@ Each test prints a single PASS/FAIL line (run with ``pytest -s`` to see
 them even on success) and enforces the stated wall-clock budget.
 """
 
+import os
 import random
+import subprocess
+import sys
 import time
 from math import factorial, gcd
+from pathlib import Path
 
+import periodindex
 from periodindex.bounds import compare_bounds, index_bound
 from periodindex.complexes import model_homology, primary_model_homology
 from periodindex.graded import exponent
@@ -149,3 +154,16 @@ def test_criterion_13_oracle_frontier_k60():
         results = suite_xp_exponent(max_k=60)
     failures = [r for r in results if not r.passed]
     assert not failures, failures
+
+
+def test_criterion_14_words_frontier_cold_cli():
+    src = str(Path(periodindex.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONIOENCODING="utf-8",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "periodindex.cli", "words", "2", "1", "--max-degree", "80",
+            "--format", "csv"]
+    with _Timed("criterion 14: cold `periodindex words 2 1 --max-degree 80 --format csv`", 1.2):
+        done = subprocess.run(argv, capture_output=True, env=env, check=True)
+    lines = done.stdout.decode().splitlines()
+    assert len(lines) == 1 + 70722
+    assert lines[1] == "2,1,ψ_2" and lines[-1] == "80,80," + "σ" * 80

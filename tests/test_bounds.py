@@ -7,6 +7,7 @@ from math import factorial, gcd, prod
 
 import pytest
 
+from periodindex import bounds
 from periodindex.bounds import (PRIME_CEILING, BoundComparison, BoundReport,
                                 CeilingError, compare_bounds, decimal_string,
                                 differential_order_bound, factorize, index_bound,
@@ -242,6 +243,21 @@ class TestJson:
         payload = index_bound(2 ** 20, 8).to_json_dict()
         assert isinstance(payload["theorem_a"], str)
         assert int(payload["theorem_a"]) == index_bound(2 ** 20, 8).theorem_a_bound
+
+    def test_prime_power_bound_converted_once(self, monkeypatch):
+        # the bound of a prime power is its theorem_a: one conversion serves both
+        real, calls = bounds.decimal_string, []
+
+        def counting(x):
+            calls.append(x)
+            return real(x)
+
+        monkeypatch.setattr(bounds, "decimal_string", counting)
+        report = index_bound(2, 300000)
+        payload = report.to_json_dict()
+        assert calls == [report.theorem_a_bound]
+        assert payload["primes"] == [{"p": 2, "r": 1, "bound": payload["theorem_a"]}]
+        assert payload["theorem_a"] == real(report.theorem_a_bound)
 
     def test_ratio_serialization(self):
         c = compare_bounds(4, 4)

@@ -1,15 +1,15 @@
 """Property tests: Miller-Rabin and Pollard-Brent factorisation against
 trial division and a sieve, with sympy as an optional third opinion."""
 
-from math import isqrt, prod
+from math import gcd, isqrt, prod
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from periodindex.bounds import factorize, is_prime
+from periodindex.bounds import factorize, index_bound, is_prime
 
 SETTINGS = settings(max_examples=100, deadline=None, database=None)
 
@@ -75,3 +75,12 @@ def test_is_prime_matches_sympy(n):
     sympy = pytest.importorskip("sympy")
     assert is_prime(n) == sympy.isprime(n)
     assert is_prime(sympy.nextprime(n))
+
+
+@SETTINGS
+@given(st.integers(1, 10 ** 6), st.integers(1, 10 ** 6))
+def test_index_bound_multiplicative_over_coprime_periods(n1, n2):
+    assume(gcd(n1, n2) == 1)
+    for d in range(1, 25):
+        assert index_bound(n1 * n2, d).theorem_a_bound == \
+            index_bound(n1, d).theorem_a_bound * index_bound(n2, d).theorem_a_bound

@@ -12,6 +12,7 @@ from periodindex.bounds import PRIME_CEILING, BoundReport, index_bound
 from periodindex.graded import GradedAbelianGroup
 from periodindex.complexes import model_homology
 from periodindex.verify import CheckResult
+from periodindex.words import enumerate_words, format_word
 
 
 def run(capsys, *argv):
@@ -318,6 +319,54 @@ class TestWords:
         assert len(captured.err.splitlines()) == 1
         assert "Traceback" not in captured.err and "letters" in captured.err
         assert elapsed < 1.0
+
+
+def library_rendering(fmt, rows):
+    """What `words` prints for (degree, height, word) rows, built like the
+    listing was rendered before the CLI rendered from keys."""
+    if fmt == "json":
+        return json.dumps([{"word": w, "degree": d, "height": h} for d, h, w in rows]) + "\n"
+    cells = [("degree", "height", "word")] + [(str(d), str(h), w) for d, h, w in rows]
+    if fmt == "csv":
+        return "\n".join(map(",".join, cells)) + "\n"
+    widths = [max(len(row[i]) for row in cells) for i in range(3)]
+    lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in cells]
+    lines.insert(1, "  ".join("-" * w for w in widths))
+    return "\n".join(lines) + "\n"
+
+
+def parse_words(fmt, out):
+    if fmt == "json":
+        return [(row["degree"], row["height"], row["word"]) for row in json.loads(out)]
+    lines = out.splitlines()
+    if fmt == "csv":
+        assert lines[0] == "degree,height,word"
+        return [(int(d), int(h), w) for d, h, w in (line.split(",") for line in lines[1:])]
+    assert lines[0].split() == ["degree", "height", "word"] and set(lines[1]) == {"-", " "}
+    return [(int(d), int(h), w) for d, h, w in map(str.split, lines[2:])]
+
+
+class TestWordsAgainstLibrary:
+    """`words` renders its rows from keys; they must be ``format_word`` over
+    ``enumerate_words`` on the reference domain, in every format."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_rows_and_bytes(self, capsys, p, r):
+        # (degree, height, kinds) strictly increasing: sorted, no duplicates
+        keys = [(d, h, tuple(s.kind for s in w.symbols)) for w, d, h in enumerate_words(p, r, 40)]
+        assert keys == sorted(set(keys))
+        for cap in range(41):
+            listing = enumerate_words(p, r, cap)
+            for ascii_flag in ([], ["--ascii"]):
+                rows = [(d, h, format_word(w, bool(ascii_flag))) for w, d, h in listing]
+                for fmt in cli.FORMATS:
+                    argv = ["words", str(p), str(r), "--max-degree", str(cap), "--format", fmt,
+                            *ascii_flag]
+                    code, out = run(capsys, *argv)
+                    assert code == 0, argv
+                    assert parse_words(fmt, out) == rows, argv
+                    assert out == library_rendering(fmt, rows), argv
 
 
 class TestVerify:

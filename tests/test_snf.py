@@ -181,7 +181,22 @@ class TestChainComplex:
             ChainComplex(dims, {1: [{0: 1}, {1: 1}]})  # row 1 of a 1-row boundary
         with pytest.raises(ValueError, match="shape mismatch in degree 1"):
             ChainComplex(dims, {1: [{-1: 1}, {}]})
+        with pytest.raises(ValueError, match="shape mismatch in degree 1"):
+            ChainComplex([0, 1], {1: [{0: 1}]})  # any row of a 0-row boundary
         assert ChainComplex(dims, {1: [{0: 2}, {0: 0}]}).columns(1) == ({0: 2}, {})
+        assert ChainComplex([2, 2], {1: [{0: 0, 1: 3}, {1: 2}]}).columns(1) == ({1: 3}, {1: 2})
+
+    def test_caller_input_not_aliased(self):
+        # a column with a zero and one without: both must be copies
+        boundary = [{0: 1, 1: 0}, {1: 2}]
+        boundaries = {1: boundary}
+        c = ChainComplex([2, 2], boundaries)
+        boundary[0][0] = 5
+        boundary[1][0] = 7
+        boundary.append({})
+        boundaries[2] = [{0: 1}]
+        assert c.columns(1) == ({0: 1}, {1: 2})
+        assert c.max_degree == 1
 
     def test_empty_or_negative_dims_rejected(self):
         with pytest.raises(ValueError, match="degree-0 rank"):

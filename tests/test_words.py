@@ -6,7 +6,8 @@ import pytest
 
 from periodindex.words import (Symbol, SymbolKind, Word, count_words, degree,
                                enumerate_words, format_word, gamma, height,
-                               is_admissible, phi, psi, sigma, word_census)
+                               is_admissible, key_translation, phi, psi, sigma,
+                               word_census, words_by_degree)
 
 
 def W(*symbols):
@@ -226,6 +227,21 @@ class TestEnumeration:
             enumerate_words(2, 1, -1)
 
 
+class TestByDegree:
+    def test_keys_spell_the_listing(self):
+        for p, r, cap in ((2, 1, 24), (3, 2, 40), (7, 3, 60)):
+            listing = enumerate_words(p, r, cap)
+            assert list(words_by_degree(p, r, cap)) == \
+                [(d, h, "".join(str(int(s.kind)) for s in w.symbols)) for w, d, h in listing]
+
+    def test_key_translation_renders_like_format_word(self):
+        for ascii_symbols in (False, True):
+            glyphs = key_translation(5, 3, ascii_symbols)
+            assert [key.translate(glyphs) for _, _, key in words_by_degree(5, 3, 60)] == \
+                [format_word(w, ascii_symbols) for w, _, _ in enumerate_words(5, 3, 60)]
+        assert "0123".translate(key_translation(2, 3, ascii_symbols=True)) == "sg_2f_2y_8"
+
+
 class TestFormatting:
     def test_unicode(self):
         assert format_word(W(sigma(), gamma(3), phi(3))) == "σγ_3φ_3"
@@ -333,6 +349,8 @@ class TestCount:
         for args in ((6, 1, 5), (2, 0, 5), (2, 1, -1)):
             with pytest.raises(ValueError):
                 count_words(*args)
+            with pytest.raises(ValueError):
+                next(words_by_degree(*args))
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_census_letters_match_listing(self, p):
