@@ -16,42 +16,43 @@ The package has three layers:
 Everything the closed forms claim is independently checkable against the
 Smith-normal-form oracle; see :mod:`periodindex.verify` and the ``verify``
 CLI subcommand.
-"""
 
-from .bounds import (PRIME_CEILING, BoundComparison, BoundReport, CeilingError,
-                     SharpBound, compare_bounds, differential_order_bound,
-                     factorize, index_bound, is_prime, known_sharp_bound,
-                     legendre_valuation, padic_valuation, prime_power_index_bound)
-from .complexes import (ComplexKind, ElementaryComplex, closed_form_homology,
-                        exponent_bound, model_chain_complex, model_homology,
-                        primary_model, primary_model_chain_complex,
-                        primary_model_homology, realize_chain_complex,
-                        tensor_chain_complex)
-from .graded import (GradedAbelianGroup, exponent, kunneth, primary_part,
-                     tensor_summands, tor_summands)
-from .snf import (ChainComplex, IntegerMatrix, SmithNormalForm, determinant,
-                  homology_of_complex, smith_normal_form)
-from .words import (Symbol, SymbolKind, Word, count_words, degree, enumerate_words,
-                    format_word, gamma, height, is_admissible, phi, psi, sigma,
-                    word_census)
+Importing the package loads none of its modules: each name in ``__all__``
+is imported from its module (``_EXPORTS``) on first use, so a process loads
+only the layers it uses, and a cold ``periodindex bound`` only ``bounds``.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "PRIME_CEILING", "BoundComparison", "BoundReport", "CeilingError",
-    "SharpBound", "compare_bounds",
-    "differential_order_bound", "factorize", "index_bound", "is_prime",
-    "known_sharp_bound", "legendre_valuation", "padic_valuation",
-    "prime_power_index_bound",
-    "ComplexKind", "ElementaryComplex", "closed_form_homology", "exponent_bound", "model_chain_complex", "model_homology",
-    "primary_model", "primary_model_chain_complex", "primary_model_homology",
-    "realize_chain_complex", "tensor_chain_complex",
-    "GradedAbelianGroup", "exponent", "kunneth", "primary_part",
-    "tensor_summands", "tor_summands",
-    "ChainComplex", "IntegerMatrix", "SmithNormalForm", "determinant",
-    "homology_of_complex", "smith_normal_form",
-    "Symbol", "SymbolKind", "Word", "count_words", "degree", "enumerate_words",
-    "format_word",
-    "gamma", "height", "is_admissible", "phi", "psi", "sigma", "word_census",
-    "__version__",
-]
+SUITES = ("elementary", "xp-exponent", "composite", "snf")  # of periodindex.verify, for the CLI
+
+_EXPORTS = {
+    "bounds": """PRIME_CEILING BoundComparison BoundReport CeilingError SharpBound compare_bounds
+        differential_order_bound factorize index_bound is_prime known_sharp_bound
+        legendre_valuation padic_valuation prime_power_index_bound""",
+    "complexes": """ComplexKind ElementaryComplex closed_form_homology exponent_bound
+        model_chain_complex model_homology primary_model primary_model_chain_complex
+        primary_model_homology realize_chain_complex tensor_chain_complex""",
+    "graded": "GradedAbelianGroup exponent kunneth primary_part tensor_summands tor_summands",
+    "snf": """ChainComplex IntegerMatrix SmithNormalForm determinant homology_of_complex
+        smith_normal_form""",
+    "words": """Symbol SymbolKind Word count_words degree enumerate_words format_word gamma
+        height is_admissible phi psi sigma word_census""",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name: str):
+    from importlib import import_module
+    if name in _EXPORTS:  # a layer's module, as ``periodindex.snf``
+        return import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -15,11 +15,12 @@ key "theorem_a" and the coprime-case flag under "corollary_b".
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, localcontext
-from fractions import Fraction
 from itertools import compress, count
 from math import gcd, isqrt, prod
+from typing import TYPE_CHECKING, NamedTuple
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def _primes_below(limit: int) -> tuple[int, ...]:
@@ -205,6 +206,9 @@ def decimal_string(x: int) -> str:
     """
     if x < 0:
         return "-" + decimal_string(-x)
+    if not x >> 4096:  # at most 1234 digits: str is quick, and within its limit
+        return str(x)
+    from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, localcontext
     with localcontext(Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact])):
         powers = [Decimal(2) ** 1024]  # powers[k] = 2^(1024 * 2^k)
         while x >> (1024 << len(powers)):
@@ -218,8 +222,7 @@ def decimal_string(x: int) -> str:
         return str(convert(x, len(powers) - 1))
 
 
-@dataclass(frozen=True)
-class SharpBound:
+class SharpBound(NamedTuple):
     value: int
     source: str
 
@@ -256,8 +259,7 @@ def known_sharp_bound(n: int, d: int) -> SharpBound | None:
     return None
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Per-prime breakdown of the index bound for period n in dimension 2d."""
 
     n: int
@@ -318,8 +320,7 @@ def index_bound(n: int, d: int) -> BoundReport:
     )
 
 
-@dataclass(frozen=True)
-class BoundComparison:
+class BoundComparison(NamedTuple):
     """General bound vs the best known sharp value for the same (n, d)."""
 
     n: int
@@ -341,6 +342,7 @@ class BoundComparison:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BoundComparison":
+        from fractions import Fraction
         return cls(
             n=data["n"],
             d=data["d"],
@@ -366,4 +368,5 @@ def _comparison(report: BoundReport) -> BoundComparison:
     if sharp is None:
         return BoundComparison(n, d, bound, None, None, False)
     improves = sharp.value < bound and bound % sharp.value == 0
+    from fractions import Fraction
     return BoundComparison(n, d, bound, sharp, Fraction(bound, sharp.value), improves)

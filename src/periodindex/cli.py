@@ -7,25 +7,21 @@ cross-check suites).  Data goes to stdout, diagnostics to stderr.  Exit
 codes: 0 success, 1 verification failure, 2 usage error or a refused input:
 a listing of over ``MAX_LISTED`` summands, rows or cells or over
 ``MAX_OUTPUT`` letters or (by an upper estimate) digits, or an integer too
-large to factorise exactly.
+large to factorise exactly.  Each subcommand imports the modules it runs when
+it runs: a cold ``bound`` or ``table`` loads ``bounds`` alone.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections.abc import Iterable, Sequence
 from itertools import islice
 from math import lgamma, log, log10
 
-from . import __version__
+from . import SUITES, __version__
 from .bounds import CeilingError, _comparison, decimal_string, index_bound, is_prime
-from .complexes import model_homology, primary_model_homology
-from .graded import exponent
-from .verify import SUITES, run_suite
-from .words import key_translation, word_census, words_by_degree
 
 FORMATS = ("pretty-table", "json", "csv")
 
@@ -51,7 +47,8 @@ def _refuse(command: str, message: str) -> int:
 def _emit(fmt: str, headers: Sequence[str], rows: Iterable[tuple]) -> None:
     """Write rows to stdout as an aligned table, as csv lines or as a JSON
     list of objects keyed by the headers.  csv and JSON are written 4096 rows
-    at a time, as the rows come; the table needs all rows for its widths."""
+    at a time, as the rows come; the table needs all rows for its widths.
+    Values are str or int, which JSON encodes column by column."""
     if fmt == "pretty-table":
         rows = [tuple(headers), *(tuple(map(str, row)) for row in rows)]
         widths = [max(map(len, column)) for column in zip(*rows)]
@@ -60,13 +57,19 @@ def _emit(fmt: str, headers: Sequence[str], rows: Iterable[tuple]) -> None:
         print("\n".join(map(str.rstrip, map(line.__mod__, rows))))
         return
     csv, write, rows = fmt == "csv", sys.stdout.write, iter(rows)
-    line = ",".join(["%s"] * len(headers))
+    if csv:
+        line, sep = ",".join(["%s"] * len(headers)), "\n"
+    else:
+        from json.encoder import encode_basestring_ascii as quote
+        line, sep = "{%s}" % ", ".join(f"{quote(h)}: %s" for h in headers), ", "
     write(",".join(headers) if csv else "[")
-    lead = "\n" if csv else ""
+    lead = sep if csv else ""
     while chunk := list(islice(rows, 4096)):
-        write(lead + ("\n".join(map(line.__mod__, chunk)) if csv
-                      else json.dumps([dict(zip(headers, row)) for row in chunk])[1:-1]))
-        lead = "\n" if csv else ", "
+        if not csv:  # quote each column once, through one encoder per column
+            chunk = zip(*(map(quote if isinstance(column[0], str) else str, column)
+                          for column in zip(*chunk)))
+        write(lead + sep.join(map(line.__mod__, chunk)))
+        lead = sep
     write("\n" if csv else "]\n")
 
 
@@ -81,6 +84,7 @@ def _cmd_bound(args, parser) -> int:
     comparison = _comparison(report) if args.compare else None
 
     if args.format == "json":
+        import json
         payload = report.to_json_dict()
         if comparison is not None:
             payload["comparison"] = comparison.to_json_dict()
@@ -141,6 +145,7 @@ def _cmd_table(args, parser) -> int:
 
 
 def _cmd_homology(args, parser) -> int:
+    from .complexes import model_homology, primary_model_homology
     have_n = args.n is not None
     have_pr = args.prime is not None or args.exponent is not None
     if have_n == have_pr:
@@ -165,8 +170,10 @@ def _cmd_homology(args, parser) -> int:
                                    f"over the limit of {MAX_LISTED}; lower --max-degree")
 
     if args.format == "json":  # one object keyed by degree, not a list of rows
+        import json
         print(json.dumps(group.to_json(), sort_keys=True))
         return 0
+    from .graded import exponent
     csv, rows = args.format == "csv", []
     for d in range(group.max_degree + 1):
         free, torsion = group.summands(d)
@@ -185,21 +192,26 @@ def _cmd_words(args, parser) -> int:
         parser.error("r must be >= 1")
     if args.max_degree < 0:
         parser.error("--max-degree must be >= 0")
+    from .words import render_keys, word_census, words_by_degree
     rows, letters = word_census(args.p, args.r, args.max_degree, MAX_LISTED, MAX_OUTPUT)
     if rows > MAX_LISTED or letters > MAX_OUTPUT:
         return _refuse("words", f"the listing would hold over {MAX_LISTED} rows or over "
                                 f"{MAX_OUTPUT} letters; lower --max-degree")
-    glyphs = key_translation(args.p, args.r, args.ascii)
-    rows = ((d, h, key.translate(glyphs))
-            for d, h, key in words_by_degree(args.p, args.r, args.max_degree))
-    if args.format == "json":  # the objects name the word first
-        _emit("json", ["word", "degree", "height"], ((w, d, h) for d, h, w in rows))
-    else:
-        _emit(args.format, ["degree", "height", "word"], rows)
+    keyed = words_by_degree(args.p, args.r, args.max_degree)
+    word_first = args.format == "json"  # as the JSON objects do
+
+    def rows():  # rendered 4096 keys at a time
+        while chunk := list(islice(keyed, 4096)):
+            degrees, heights, keys = zip(*chunk)
+            words = render_keys(args.p, args.r, keys, args.ascii)
+            yield from zip(words, degrees, heights) if word_first else zip(degrees, heights, words)
+    _emit(args.format, ["word", "degree", "height"] if word_first
+          else ["degree", "height", "word"], rows())
     return 0
 
 
 def _cmd_verify(args, parser) -> int:
+    from .verify import run_suite
     results = run_suite(args.suite, seed=args.seed)
     failed = sum(not res.passed for res in results)
     for res in results:

@@ -25,7 +25,7 @@ the Smith-normal-form homology in :mod:`periodindex.snf`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .bounds import factorize, is_prime, padic_valuation
@@ -43,22 +43,20 @@ class ComplexKind(Enum):
 _SECOND = (ComplexKind.EP_SECOND, ComplexKind.PE_SECOND)
 
 
-@dataclass(frozen=True)
-class ElementaryComplex:
+class ElementaryComplex(namedtuple("ElementaryComplex", "kind q h")):
     """One elementary complex; ``h`` is the twist of the second-type kinds."""
 
-    kind: ComplexKind
-    q: int
-    h: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.q < 1:
+    def __new__(cls, kind: ComplexKind, q: int, h: int | None = None):
+        if q < 1:
             raise ValueError("q must be >= 1")
-        if self.kind in _SECOND:
-            if self.h is None or self.h < 1:
-                raise ValueError(f"{self.kind.value} needs a twist h >= 1")
-        elif self.h is not None:
+        if kind in _SECOND:
+            if h is None or h < 1:
+                raise ValueError(f"{kind.value} needs a twist h >= 1")
+        elif h is not None:
             raise ValueError("first-type complexes carry no twist")
+        return tuple.__new__(cls, (kind, q, h))
 
     @property
     def generator_degrees(self) -> tuple[int, ...]:

@@ -16,8 +16,7 @@ zero.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from dataclasses import dataclass
+from collections import Counter, defaultdict, namedtuple
 from itertools import chain, repeat, zip_longest
 from math import gcd, lcm, prod
 
@@ -42,8 +41,7 @@ def tor_summands(a: int, b: int) -> int | None:
     return None if g == 1 else g
 
 
-@dataclass(frozen=True)
-class GradedAbelianGroup:
+class GradedAbelianGroup(namedtuple("GradedAbelianGroup", "parts")):
     """Graded abelian group: parts[n] = (free rank, sorted (order, multiplicity) pairs).
 
     The length of ``parts`` is max_degree + 1; trailing empty degrees are
@@ -54,19 +52,19 @@ class GradedAbelianGroup:
     ((0, ((2, 1), (4, 2))), (0, (2, 4, 4)), 'Z/2 + Z/4 + Z/4')
     """
 
-    parts: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.parts:
+    def __new__(cls, parts: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]):
+        if not parts:
             raise ValueError("a graded group needs at least degree 0")
         fixed = []
-        for free, pairs in self.parts:
+        for free, pairs in parts:
             pairs = tuple(sorted(pairs))
             if (free < 0 or any(t < 2 or m < 1 for t, m in pairs)
                     or len({t for t, _ in pairs}) < len(pairs)):
                 raise ValueError("parts need rank >= 0, distinct orders >= 2 and counts >= 1")
             fixed.append((free, pairs))
-        object.__setattr__(self, "parts", tuple(fixed))
+        return tuple.__new__(cls, (tuple(fixed),))
 
     @classmethod
     def from_summands(cls, summands, max_degree: int) -> "GradedAbelianGroup":

@@ -17,14 +17,13 @@ closed form.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from dataclasses import dataclass
+from collections import Counter, defaultdict, namedtuple
 from itertools import chain, repeat
 from math import gcd, lcm
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class IntegerMatrix:
+class IntegerMatrix(namedtuple("IntegerMatrix", "rows cols entries")):
     """Dense integer matrix with explicit shape (0-row / 0-column allowed).
 
     Entries are stored row-major in a flat tuple so that matrices are
@@ -32,16 +31,14 @@ class IntegerMatrix:
     rebuilds at the end.
     """
 
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __new__(cls, rows: int, cols: int, entries: tuple[int, ...]):
+        if rows < 0 or cols < 0:
             raise ValueError("matrix shape must be non-negative")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}")
+        if len(entries) != rows * cols:
+            raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
+        return tuple.__new__(cls, (rows, cols, entries))
 
     @classmethod
     def from_rows(cls, rows: list[list[int]], cols: int | None = None) -> "IntegerMatrix":
@@ -101,8 +98,7 @@ def determinant(m: IntegerMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-@dataclass(frozen=True)
-class SmithNormalForm:
+class SmithNormalForm(NamedTuple):
     """Invariant factors d_1 | d_2 | ... of M, all positive.
 
     U @ M @ V is the matrix of M's shape with the invariant factors leading

@@ -8,9 +8,10 @@ randomized SNF checks take an explicit seed and are deterministic given it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from math import lcm, prod
+from typing import NamedTuple
 
+from . import SUITES
 from .bounds import padic_valuation
 from .complexes import (ComplexKind, ElementaryComplex, closed_form_homology,
                         exponent_bound, model_chain_complex, model_homology,
@@ -19,11 +20,8 @@ from .complexes import (ComplexKind, ElementaryComplex, closed_form_homology,
 from .graded import exponent
 from .snf import IntegerMatrix, determinant, homology_of_complex, smith_normal_form
 
-SUITES = ("elementary", "xp-exponent", "composite", "snf")
 
-
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""

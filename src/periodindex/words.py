@@ -19,13 +19,13 @@ lists the admissible words together with the auxiliary family
 sigma^(h-1) psi, which is what the elementary-complex model consumes.  It
 builds checked ``Word``s from the keys of ``words_by_degree``, which grows
 degree d from degrees d - 1, d / p and (d - 2) / p; the CLI renders the
-keys with one ``str.translate`` table (``key_translation``) instead.
+keys many at a time (``render_keys``) instead.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Iterator, Sequence
 from enum import IntEnum
 from operator import attrgetter
 
@@ -41,36 +41,35 @@ class SymbolKind(IntEnum):
 
 
 _UNICODE, _ASCII = "σγφψ", "sgfy"  # indexed by kind
+_KEY_LETTERS = bytes.maketrans(b"0123", _ASCII.encode())  # kind digit -> ascii letter
 
 
-@dataclass(frozen=True)
-class Symbol:
+class Symbol(namedtuple("Symbol", "kind prime psi_exponent text ascii_text")):
     """One letter of a word.  ``text`` and ``ascii_text`` are its rendering
-    (e.g. γ_3 and g_3), worked out once when the symbol is built."""
+    (e.g. γ_3 and g_3), worked out from the other fields when it is built."""
 
-    kind: SymbolKind
-    prime: int | None = None
-    psi_exponent: int | None = None
-    text: str = field(init=False, repr=False, compare=False)
-    ascii_text: str = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind is SymbolKind.SIGMA:
-            if self.prime is not None or self.psi_exponent is not None:
+    def __new__(cls, kind: SymbolKind, prime: int | None = None, psi_exponent: int | None = None):
+        if kind is SymbolKind.SIGMA:
+            if prime is not None or psi_exponent is not None:
                 raise ValueError("sigma carries no prime or exponent")
             suffix = ""
-        elif self.prime is None or not is_prime(self.prime):
-            raise ValueError(f"{self.kind.name} needs a prime, got {self.prime}")
-        elif self.kind is SymbolKind.PSI:
-            if self.psi_exponent is None or self.psi_exponent < 1:
+        elif prime is None or not is_prime(prime):
+            raise ValueError(f"{kind.name} needs a prime, got {prime}")
+        elif kind is SymbolKind.PSI:
+            if psi_exponent is None or psi_exponent < 1:
                 raise ValueError("psi needs an exponent f >= 1")
-            suffix = f"_{self.prime ** self.psi_exponent}"
-        elif self.psi_exponent is not None:
+            suffix = f"_{prime ** psi_exponent}"
+        elif psi_exponent is not None:
             raise ValueError("only psi carries an exponent")
         else:
-            suffix = f"_{self.prime}"
-        object.__setattr__(self, "text", _UNICODE[self.kind] + suffix)
-        object.__setattr__(self, "ascii_text", _ASCII[self.kind] + suffix)
+            suffix = f"_{prime}"
+        return tuple.__new__(cls, (kind, prime, psi_exponent,
+                                   _UNICODE[kind] + suffix, _ASCII[kind] + suffix))
+
+    def __getnewargs__(self):
+        return self[:3]
 
 
 def sigma() -> Symbol:
@@ -94,21 +93,30 @@ _KIND, _PRIME = attrgetter("kind"), attrgetter("prime")
 _TEXT, _ASCII_TEXT = attrgetter("text"), attrgetter("ascii_text")
 
 
-@dataclass(frozen=True)
 class Word:
     """Immutable sequence of symbols over a single prime; psi only last."""
 
-    symbols: tuple[Symbol, ...]
+    __slots__ = ("_symbols",)
+    symbols = property(attrgetter("_symbols"))
 
-    def __post_init__(self):
-        symbols = tuple(self.symbols)
-        object.__setattr__(self, "symbols", symbols)
+    def __init__(self, symbols: tuple[Symbol, ...]):
+        symbols = tuple(symbols)
         primes = set(map(_PRIME, symbols))
         primes.discard(None)
         if len(primes) > 1:
             raise ValueError(f"word mixes primes {sorted(primes)}")
         if SymbolKind.PSI in map(_KIND, symbols[:-1]):
             raise ValueError("psi may only appear as the last symbol")
+        self._symbols = symbols
+
+    def __eq__(self, other):
+        return self.symbols == other.symbols if isinstance(other, Word) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.symbols)
+
+    def __repr__(self):
+        return f"Word(symbols={self.symbols!r})"
 
     @property
     def prime(self) -> int | None:
@@ -188,7 +196,7 @@ def words_by_degree(p: int, r: int, max_degree: int) -> Iterator[tuple[int, int,
     """The rows of ``enumerate_words(p, r, max_degree)`` as (degree, height,
     key), in the same order, one degree at a time.  The key spells the word
     in kind digits, "0" sigma, "1" gamma_p, "2" phi_p and "3" psi_{p^r}, so
-    it orders like the word; ``key_translation`` renders it.
+    it orders like the word; ``render_keys`` renders it.
 
     >>> list(words_by_degree(2, 1, 2))
     [(2, 1, '3'), (2, 2, '00')]
@@ -222,14 +230,18 @@ def _key_symbols(p: int, r: int) -> dict[str, Symbol]:
     return {str(int(s.kind)): s for s in (sigma(), gamma(p), phi(p), psi(p, r))}
 
 
-def key_translation(p: int, r: int, ascii_symbols: bool = False) -> dict[int, str]:
-    """The ``str.translate`` table rendering a key as ``format_word`` does.
+def render_keys(p: int, r: int, keys: Sequence[str], ascii_symbols: bool = False) -> list[str]:
+    """The keys of ``words_by_degree`` rendered as ``format_word`` renders
+    their words: over all keys at once, digits become ascii letters, then
+    each letter its symbol's text, whose digits no later pass rewrites.
 
-    >>> "0123".translate(key_translation(3, 2))
-    'σγ_3φ_3ψ_9'
+    >>> render_keys(3, 2, ["0123", "00"])
+    ['σγ_3φ_3ψ_9', 'σσ']
     """
-    text = _ASCII_TEXT if ascii_symbols else _TEXT
-    return str.maketrans({digit: text(s) for digit, s in _key_symbols(p, r).items()})
+    text = "\n".join(keys).encode().translate(_KEY_LETTERS).decode()
+    for s in _key_symbols(p, r).values():
+        text = text.replace(_ASCII[s.kind], s.ascii_text if ascii_symbols else s.text)
+    return text.split("\n") if keys else []
 
 
 def enumerate_words(p: int, r: int, max_degree: int) -> list[tuple[Word, int, int]]:

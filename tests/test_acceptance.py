@@ -167,3 +167,54 @@ def test_criterion_14_words_frontier_cold_cli():
     lines = done.stdout.decode().splitlines()
     assert len(lines) == 1 + 70722
     assert lines[1] == "2,1,ψ_2" and lines[-1] == "80,80," + "σ" * 80
+
+
+# Run in a fresh interpreter: the modules a `periodindex <argv>` process loads
+# beyond those the interpreter had already loaded at start-up.
+_LOADED_BY = """
+import os, sys
+before = set(sys.modules)
+from periodindex import cli
+sys.stdout = open(os.devnull, "w")
+try:
+    cli.main(sys.argv[1:])
+except SystemExit:
+    pass
+sys.stdout = sys.__stdout__
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_criterion_15_import_set():
+    # module sets, not times: a cold process loads only what its subcommand runs
+    src = str(Path(periodindex.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argvs = {"version": ["--version"],
+             "bound": ["bound", "360", "4", "--compare", "--format", "json"],
+             "table": ["table", "--n-max", "6", "--d-max", "4"],
+             "words": ["words", "2", "1", "--max-degree", "10"],
+             "homology": ["homology", "12", "--max-degree", "8"],
+             "verify": ["verify", "--suite", "snf"]}
+    loaded = {name: set(subprocess.run([sys.executable, "-c", _LOADED_BY, *argv], env=env,
+                                       capture_output=True, text=True, check=True).stdout.split())
+              for name, argv in argvs.items()}
+    failures = []
+    for name, modules in loaded.items():
+        package = {m for m in modules if m.startswith("periodindex.")}
+        if {"dataclasses", "inspect"} & modules:
+            failures.append(f"{name} loaded {sorted({'dataclasses', 'inspect'} & modules)}")
+        if name in ("version", "bound", "table") and package - {"periodindex.cli",
+                                                                "periodindex.bounds"}:
+            failures.append(f"{name} loaded {sorted(package)}")
+        if name in ("version", "table") and {"json", "decimal", "fractions"} & modules:
+            failures.append(f"{name} loaded {sorted({'json', 'decimal', 'fractions'} & modules)}")
+    words = {f"periodindex.{m}" for m in ("complexes", "snf", "graded", "verify")}
+    if words & loaded["words"]:
+        failures.append(f"words loaded {sorted(words & loaded['words'])}")
+    if "periodindex.verify" in loaded["homology"]:
+        failures.append("homology loaded periodindex.verify")
+    print(f"{'FAIL' if failures else 'PASS'}  criterion 15: a cold process loads only what "
+          f"its subcommand runs")
+    assert not failures, failures
+    assert "periodindex.bounds" in loaded["bound"] and "periodindex.words" in loaded["words"]

@@ -7,7 +7,7 @@ from decimal import MAX_EMAX, Decimal, localcontext
 
 import pytest
 
-from periodindex import bounds, cli
+from periodindex import bounds, cli, verify
 from periodindex.bounds import PRIME_CEILING, BoundReport, index_bound
 from periodindex.graded import GradedAbelianGroup
 from periodindex.complexes import model_homology
@@ -321,6 +321,28 @@ class TestWords:
         assert elapsed < 1.0
 
 
+class TestEmitJson:
+    """`_emit` encodes JSON column by column; its bytes must be those of
+    ``json.dumps`` over one object per row."""
+
+    WORDS = [("σσ", 2, 2), ("ψ_2", 2, 1), ("γ_3φ_3", 8, 1), ('a"b\\c\x01', 3, 4)]
+
+    @pytest.mark.parametrize("headers, rows", [
+        (["word", "degree", "height"], WORDS),
+        (["word", "degree", "height"], WORDS * 1500),  # crosses the 4096-row chunks
+        (["word", "degree", "height"], []),
+        (["n", "d", "theorem_a"], [(n, d, str(index_bound(n, d).theorem_a_bound))
+                                   for n in range(1, 40) for d in range(1, 12)]),
+        (["n", "d", "theorem_a", "corollary_b", "sharp", "ratio"],
+         [("12", "5", "5971968", "false", "", "")]),
+        (["n", "d", "theorem_a"], []),
+    ])
+    def test_bytes_equal_json_dumps(self, capsys, headers, rows):
+        cli._emit("json", headers, iter(rows))
+        out = capsys.readouterr().out
+        assert out == json.dumps([dict(zip(headers, row)) for row in rows]) + "\n"
+
+
 def library_rendering(fmt, rows):
     """What `words` prints for (degree, height, word) rows, built like the
     listing was rendered before the CLI rendered from keys."""
@@ -397,8 +419,8 @@ class TestVerify:
         assert err.value.code == 2
 
     def test_failure_exit_code(self, capsys, monkeypatch):
-        monkeypatch.setattr(
-            cli, "run_suite",
+        monkeypatch.setattr(  # _cmd_verify imports run_suite when it runs
+            verify, "run_suite",
             lambda name, seed=0: [CheckResult("forced", False, "boom")])
         code, out = run(capsys, "verify", "--suite", "snf")
         assert code == 1

@@ -6,7 +6,7 @@ import pytest
 
 from periodindex.words import (Symbol, SymbolKind, Word, count_words, degree,
                                enumerate_words, format_word, gamma, height,
-                               is_admissible, key_translation, phi, psi, sigma,
+                               is_admissible, phi, psi, render_keys, sigma,
                                word_census, words_by_degree)
 
 
@@ -234,12 +234,15 @@ class TestByDegree:
             assert list(words_by_degree(p, r, cap)) == \
                 [(d, h, "".join(str(int(s.kind)) for s in w.symbols)) for w, d, h in listing]
 
-    def test_key_translation_renders_like_format_word(self):
-        for ascii_symbols in (False, True):
-            glyphs = key_translation(5, 3, ascii_symbols)
-            assert [key.translate(glyphs) for _, _, key in words_by_degree(5, 3, 60)] == \
-                [format_word(w, ascii_symbols) for w, _, _ in enumerate_words(5, 3, 60)]
-        assert "0123".translate(key_translation(2, 3, ascii_symbols=True)) == "sg_2f_2y_8"
+    def test_render_keys_like_format_word(self):
+        # the symbols' own digits (γ_2, ψ_32, ψ_1331...) must survive every pass
+        for p, r, cap in ((5, 3, 60), (2, 1, 36), (2, 5, 36), (3, 3, 50), (11, 2, 60)):
+            keys = [key for _, _, key in words_by_degree(p, r, cap)]
+            for ascii_symbols in (False, True):
+                assert render_keys(p, r, keys, ascii_symbols) == \
+                    [format_word(w, ascii_symbols) for w, _, _ in enumerate_words(p, r, cap)]
+        assert render_keys(2, 3, ["0123"], ascii_symbols=True) == ["sg_2f_2y_8"]
+        assert render_keys(2, 1, []) == []
 
 
 class TestFormatting:
