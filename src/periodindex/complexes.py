@@ -27,10 +27,14 @@ from __future__ import annotations
 
 from collections import namedtuple
 from enum import Enum
+from itertools import chain
+from typing import TYPE_CHECKING
 
 from .bounds import factorize, is_prime, padic_valuation
 from .graded import GradedAbelianGroup, kunneth
-from .snf import ChainComplex
+
+if TYPE_CHECKING:  # the oracle route imports snf when it runs; the Kunneth route never does
+    from .snf import ChainComplex
 
 
 class ComplexKind(Enum):
@@ -58,6 +62,8 @@ class ElementaryComplex(namedtuple("ElementaryComplex", "kind q h")):
             raise ValueError("first-type complexes carry no twist")
         return tuple.__new__(cls, (kind, q, h))
 
+    _make = classmethod(lambda cls, fields: cls(*fields))  # checked, and so is _replace
+
     @property
     def generator_degrees(self) -> tuple[int, ...]:
         q = self.q
@@ -79,27 +85,23 @@ def closed_form_homology(c: ElementaryComplex, max_degree: int) -> GradedAbelian
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    q = c.q
-    summands: dict[int, list[int]] = {0: [0]}
+    q, h = c.q, c.h
+    parts = [(1, ())] + [(0, ())] * max_degree  # only the non-zero degrees are written
     if c.kind is ComplexKind.EXTERIOR_FIRST:
         if 2 * q - 1 <= max_degree:
-            summands[2 * q - 1] = [0]
+            parts[2 * q - 1] = (1, ())
     elif c.kind is ComplexKind.DIVIDED_POWER_FIRST:
-        k = 1
-        while 2 * q * k <= max_degree:
-            summands[2 * q * k] = [0]
-            k += 1
+        for d in range(2 * q, max_degree + 1, 2 * q):
+            parts[d] = (1, ())
     elif c.kind is ComplexKind.EP_SECOND:
-        k = 0
-        while 2 * q - 1 + 2 * q * k <= max_degree:
-            summands[2 * q - 1 + 2 * q * k] = [c.h]
-            k += 1
+        if h > 1:
+            for d in range(2 * q - 1, max_degree + 1, 2 * q):
+                parts[d] = (0, ((h, 1),))
     else:  # PE: Z/(h*k) in degree 2qk; k = 0 is the Z already placed in degree 0
-        k = 1
-        while 2 * q * k <= max_degree:
-            summands[2 * q * k] = [c.h * k]
-            k += 1
-    return GradedAbelianGroup.from_summands(summands, max_degree)
+        for k, d in enumerate(range(2 * q, max_degree + 1, 2 * q), start=1):
+            if h * k > 1:
+                parts[d] = (0, ((h * k, 1),))
+    return GradedAbelianGroup(tuple(parts))
 
 
 def primary_model(p: int, r: int, max_degree: int) -> tuple[ElementaryComplex, ...]:
@@ -175,6 +177,7 @@ def realize_chain_complex(c: ElementaryComplex, max_degree: int) -> ChainComplex
     most one basis element and each boundary is at most the single entry
     ``{0: coefficient}`` in its single column.
     """
+    from .snf import ChainComplex
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     top = max_degree + 1
@@ -214,8 +217,13 @@ def tensor_chain_complex(factors, max_degree: int) -> ChainComplex:
     a degree-0 cell with zero boundary, and d^2(a ox 1) = d^2(a) ox 1.
 
     In degree d the basis of A ox B runs over i, then a in A_i, then b in
-    B_(d-i), so a ox b sits at offset[d][i] + a * dim B_(d-i) + b.
+    B_(d-i), so a ox b sits at offset[d][i] + a * dim B_(d-i) + b.  The
+    caller chooses the order of the factors, and with it the basis; the
+    homology is the same in any order.  Each step of the fold costs about
+    the size of its partial product, so folding the sparsest factors first
+    is cheapest, and the model complexes below are built that way.
     """
+    from .snf import ChainComplex
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     top = max_degree + 1
@@ -243,32 +251,41 @@ def _tensor(dim1, cols1, dim2, cols2):
         offsets.append(start)
         dims.append(size)
 
+    # the columns db of B, as (row, entry) pairs with sign +1 and -1: (-1)^|a|
+    signed = [([list(col.items()) for col in cols],
+               [[(r, -x) for r, x in col.items()] for col in cols]) for cols in cols2]
     columns = [({},) * dims[0]]
     for d in range(1, len(dim1)):
         out, below = [], offsets[d - 1]
         for i in offsets[d]:
             j = d - i
-            n2, sign = dim2[j], -1 if i % 2 else 1
+            n2 = dim2[j]
             left = below.get(i - 1, 0)  # block (i-1, j) of da ox b
             right = below.get(i, 0)     # block (i, j-1) of a ox db
             right_n2 = dim2[j - 1] if j else 0
-            db = [[(r, sign * x) for r, x in col.items()] for col in cols2[j]]
-            for a, da in enumerate(cols1[i]):
-                base = right + a * right_n2
-                for b in range(n2):
-                    col = {left + b + r * n2: x for r, x in da.items()}
-                    for r, x in db[b]:
-                        col[base + r] = x
-                    out.append(col)
+            by_b = []  # the columns a ox b for one b at a time, over every a
+            for b, db in enumerate(signed[j][i % 2]):
+                cols = [{left + b + r * n2: x for r, x in da.items()} for da in cols1[i]]
+                for r, x in db:
+                    for a, col in enumerate(cols):
+                        col[right + a * right_n2 + r] = x
+                by_b.append(cols)
+            out.extend(chain.from_iterable(zip(*by_b)) if n2 > 1 else by_b[0])
         columns.append(out)
     return dims, columns
 
 
+def _sparsest_first(factors, max_degree: int) -> list[ChainComplex]:
+    """The factors realised to ``max_degree``, fewest cells first (ties keep
+    their order): the fold order that keeps the partial products smallest."""
+    return sorted((realize_chain_complex(f, max_degree) for f in factors),
+                  key=lambda c: sum(c.dims))
+
+
 def primary_model_chain_complex(p: int, r: int, max_degree: int) -> ChainComplex:
     """The p-primary model as one based chain complex (the oracle route)."""
-    return tensor_chain_complex(
-        [realize_chain_complex(f, max_degree) for f in primary_model(p, r, max_degree)],
-        max_degree)
+    return tensor_chain_complex(_sparsest_first(primary_model(p, r, max_degree), max_degree),
+                                max_degree)
 
 
 def model_chain_complex(n: int, max_degree: int) -> ChainComplex:
@@ -277,7 +294,5 @@ def model_chain_complex(n: int, max_degree: int) -> ChainComplex:
     ``model_homology``)."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    return tensor_chain_complex(
-        [realize_chain_complex(f, max_degree)
-         for p, r in factorize(n) for f in primary_model(p, r, max_degree)],
-        max_degree)
+    factors = [f for p, r in factorize(n) for f in primary_model(p, r, max_degree)]
+    return tensor_chain_complex(_sparsest_first(factors, max_degree), max_degree)

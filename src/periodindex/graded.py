@@ -59,12 +59,17 @@ class GradedAbelianGroup(namedtuple("GradedAbelianGroup", "parts")):
             raise ValueError("a graded group needs at least degree 0")
         fixed = []
         for free, pairs in parts:
+            if not pairs and free >= 0:  # an empty or free-only degree: nothing to sort
+                fixed.append((free, ()))
+                continue
             pairs = tuple(sorted(pairs))
             if (free < 0 or any(t < 2 or m < 1 for t, m in pairs)
                     or len({t for t, _ in pairs}) < len(pairs)):
                 raise ValueError("parts need rank >= 0, distinct orders >= 2 and counts >= 1")
             fixed.append((free, pairs))
         return tuple.__new__(cls, (tuple(fixed),))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # checked, and so is _replace
 
     @classmethod
     def from_summands(cls, summands, max_degree: int) -> "GradedAbelianGroup":

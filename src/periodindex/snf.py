@@ -40,6 +40,8 @@ class IntegerMatrix(namedtuple("IntegerMatrix", "rows cols entries")):
             raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
         return tuple.__new__(cls, (rows, cols, entries))
 
+    _make = classmethod(lambda cls, fields: cls(*fields))  # checked, and so is _replace
+
     @classmethod
     def from_rows(cls, rows: list[list[int]], cols: int | None = None) -> "IntegerMatrix":
         """Build from a list of rows; `cols` disambiguates the 0-row case."""
@@ -278,16 +280,15 @@ def _block_invariants(columns, reduced) -> tuple[int, tuple[int, ...]]:
     for j, col in enumerate(columns):
         for r in col:
             k = first_column.setdefault(r, j)
-            if k != j:
-                parent[root(k)] = root(j)
+            if k != j:  # j is still the root of its own block
+                parent[root(k)] = j
     blocks = defaultdict(list)
     for j, col in enumerate(columns):
         if col:
             blocks[root(j)].append(col)
     rank, factors = 0, []
     for cols in blocks.values():
-        rows = set().union(*cols)
-        if len(rows) == 1 or len(cols) == 1:
+        if len(cols) == 1 or len(rows := set().union(*cols)) == 1:
             rank += 1
             factors.append(gcd(*(a for col in cols for a in col.values())))
             continue
@@ -309,13 +310,15 @@ class ChainComplex:
 
     ``dims[n]`` is the rank of the degree-n chain group.  The degree-n
     boundary is given sparse, one ``{row: coefficient}`` map per degree-n
-    basis element with rows indexing the degree-(n-1) basis; missing
-    degrees are zero.  Shapes and d o d = 0 are checked here, on every
-    complex, so a complex that exists is a chain complex.  Each boundary's
-    rank and invariant factors are kept once computed, as they serve two
-    degrees of homology, and so is the Smith normal form of each distinct
-    dense block, which the tensor models repeat many times.  Degrees above
-    ``max_degree`` are unknown, so homology is only asked for below the cap.
+    basis element with rows indexing the degree-(n-1) basis; a degree
+    missing from ``boundaries`` has the zero boundary, ``dims[n]`` empty
+    columns.  Stored entries are non-zero: zeros given are dropped.  Shapes
+    and d o d = 0 are checked here, on every complex, so a complex that
+    exists is a chain complex.  Each boundary's rank and invariant factors
+    are kept once computed, as they serve two degrees of homology, and so is
+    the Smith normal form of each distinct dense block, which the tensor
+    models repeat many times.  Degrees above ``max_degree`` are unknown, so
+    homology is only asked for below the cap.
     """
 
     def __init__(self, dims, boundaries):
@@ -333,8 +336,10 @@ class ChainComplex:
 
     def _sparse(self, n: int, boundary) -> tuple[dict[int, int], ...]:
         rows, cols = self.dim(n - 1), self.dim(n)
+        if boundary is None:  # fresh empty columns: nothing to copy or check
+            return tuple(map(dict, repeat((), cols)))
         # own copies of the columns; the loops over every entry run in C
-        columns = tuple(map(dict, repeat((), cols) if boundary is None else boundary))
+        columns = tuple(map(dict, boundary))
         if 0 in chain.from_iterable(map(dict.values, columns)):
             columns = tuple({r: a for r, a in col.items() if a} if 0 in col.values() else col
                             for col in columns)
@@ -369,6 +374,9 @@ class ChainComplex:
         for n in range(2, self.max_degree + 1):
             lower = self._columns[n - 1]
             for col in self._columns[n]:
+                # one entry a != 0 in row r: d(col) = a * lower[r] is zero iff lower[r] is empty
+                if len(col) == 1 and not lower[next(iter(col))]:
+                    continue
                 image = {}
                 for r, a in col.items():
                     for s, b in lower[r].items():

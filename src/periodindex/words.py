@@ -71,6 +71,14 @@ class Symbol(namedtuple("Symbol", "kind prime psi_exponent text ascii_text")):
     def __getnewargs__(self):
         return self[:3]
 
+    @classmethod
+    def _make(cls, iterable) -> "Symbol":  # _replace calls this too
+        fields = tuple(iterable)
+        symbol = cls(*fields[:3])
+        if symbol != fields:
+            raise ValueError(f"the text of {symbol[:3]} is {symbol[3:]}, not {fields[3:]}")
+        return symbol
+
 
 def sigma() -> Symbol:
     return Symbol(SymbolKind.SIGMA)

@@ -3,7 +3,7 @@
 import pytest
 
 from periodindex.bounds import padic_valuation
-from periodindex.complexes import (ComplexKind, ElementaryComplex,
+from periodindex.complexes import (ComplexKind, ElementaryComplex, _sparsest_first,
                                    closed_form_homology, exponent_bound,
                                    model_chain_complex, model_homology, primary_model,
                                    primary_model_chain_complex,
@@ -164,6 +164,50 @@ class TestTensor:
         out = tensor_chain_complex([left, right], 6)
         expected = primary_model_homology(2, 1, 6)
         assert oracle_groups(out, 6) == closed_groups(expected)
+
+    def test_product_of_products(self):
+        # factors of rank >= 2 in a degree: every column sits where the
+        # docstring puts a ox b, and the homology is the flat product's
+        cap = 9
+        ep = [realize_chain_complex(ElementaryComplex(EP, q, h), cap) for q, h in ((1, 2), (2, 3))]
+        pe = [realize_chain_complex(ElementaryComplex(PE, q, h), cap) for q, h in ((1, 4), (2, 2))]
+        left, right = tensor_chain_complex(ep, cap), tensor_chain_complex(pe, cap)
+        out = tensor_chain_complex([left, right], cap)
+        assert max(left.dims) > 1 and max(right.dims) > 1
+
+        def offset(d, i):
+            return sum(left.dim(k) * right.dim(d - k) for k in range(i))
+        for d in range(1, out.max_degree + 1):
+            expected = []
+            for i in range(d + 1):
+                j = d - i
+                for a in range(left.dim(i)):
+                    da = left.columns(i)[a] if i else {}
+                    for b in range(right.dim(j)):
+                        db = right.columns(j)[b] if j else {}
+                        col = {offset(d - 1, i - 1) + r * right.dim(j) + b: x
+                               for r, x in da.items()}
+                        col.update({offset(d - 1, i) + a * right.dim(j - 1) + r: (-1) ** i * x
+                                    for r, x in db.items()})
+                        expected.append(col)
+            assert list(out.columns(d)) == expected
+        assert oracle_groups(out, cap) == oracle_groups(tensor_chain_complex(ep + pe, cap), cap)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_factor_order_leaves_homology(self, p, r):
+        # the order changes the basis, not the homology; the oracle route
+        # folds the sparsest factor first, so the dense P(2) ox E(3) goes last
+        for cap in range(43):
+            factors = primary_model(p, r, cap)
+            chains = _sparsest_first(factors, cap)
+            cells = [sum(c.dims) for c in chains]
+            assert cells == sorted(cells)
+            assert len(factors) == 1 or chains[-1].dims[1:4] == (0, 1, 1)
+            in_model_order = tensor_chain_complex(
+                [realize_chain_complex(f, cap) for f in factors], cap)
+            assert oracle_groups(in_model_order, cap) == \
+                oracle_groups(primary_model_chain_complex(p, r, cap), cap)
 
 
 class TestPrimaryModel:

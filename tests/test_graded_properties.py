@@ -1,5 +1,6 @@
 """Property tests: the multiplicity-form Kunneth product against the
-pairwise list product it replaced, plus its algebraic laws and JSON."""
+pairwise list product it replaced, plus its algebraic laws and JSON, and the
+closed forms against the per-degree summand lists they replaced."""
 
 from math import lcm
 
@@ -7,8 +8,9 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from periodindex.complexes import ComplexKind, ElementaryComplex, closed_form_homology
 from periodindex.graded import (GradedAbelianGroup, exponent, kunneth,
                                 tensor_summands, tor_summands)
 
@@ -96,3 +98,44 @@ def test_exponent_is_lcm_of_expanded_summands(g):
     for d in range(g.max_degree + 1):
         free, torsion = g.summands(d)
         assert exponent(g, d) == (lcm(*torsion), free)
+
+
+def reference_closed_form(c, max_degree):
+    """Homology of an elementary complex as summand lists per degree, through
+    ``from_summands``."""
+    q = c.q
+    summands = {0: [0]}
+    if c.kind is ComplexKind.EXTERIOR_FIRST:
+        if 2 * q - 1 <= max_degree:
+            summands[2 * q - 1] = [0]
+    elif c.kind is ComplexKind.DIVIDED_POWER_FIRST:
+        k = 1
+        while 2 * q * k <= max_degree:
+            summands[2 * q * k] = [0]
+            k += 1
+    elif c.kind is ComplexKind.EP_SECOND:
+        k = 0
+        while 2 * q - 1 + 2 * q * k <= max_degree:
+            summands[2 * q - 1 + 2 * q * k] = [c.h]
+            k += 1
+    else:
+        k = 1
+        while 2 * q * k <= max_degree:
+            summands[2 * q * k] = [c.h * k]
+            k += 1
+    return GradedAbelianGroup.from_summands(summands, max_degree)
+
+
+@st.composite
+def elementary(draw):
+    kind = draw(st.sampled_from(ComplexKind))
+    h = draw(st.integers(1, 9)) if kind.value in ("EP", "PE") else None
+    return ElementaryComplex(kind, draw(st.integers(1, 4)), h)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(elementary(), st.integers(0, 60))
+@example(ElementaryComplex(ComplexKind.EP_SECOND, 1, 1), 60)
+@example(ElementaryComplex(ComplexKind.PE_SECOND, 4, 1), 60)
+def test_closed_form_equals_summand_lists(c, cap):
+    assert closed_form_homology(c, cap).parts == reference_closed_form(c, cap).parts

@@ -133,4 +133,28 @@ def test_graded_group_checks_and_sorts_its_parts():
         GradedAbelianGroup(((0, ((2, 0),)),))
     with pytest.raises(ValueError):
         GradedAbelianGroup(((0, ((2, 1), (2, 3))),))
+    for empty in ((), [], {}.items()):  # a negative free rank in an otherwise empty degree
+        with pytest.raises(ValueError):
+            GradedAbelianGroup(((1, ()), (-1, empty)))
+        assert GradedAbelianGroup(((1, ()), (2, empty))).parts == ((1, ()), (2, ()))
     assert GradedAbelianGroup(((1, [(4, 1), (2, 3)]),)).parts == ((1, ((2, 3), (4, 1))),)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: IntegerMatrix(2, 2, (1, 2, 3, 4))._replace(rows=3), "expected 6 entries, got 4"),
+    (lambda: GradedAbelianGroup._make([((-1, ()),)]), "parts need rank >= 0"),
+    (lambda: ElementaryComplex(ComplexKind.PE_SECOND, 1, h=4)._replace(h=None), "twist"),
+    (lambda: gamma(2)._replace(prime=4), "needs a prime, got 4"),
+    (lambda: gamma(2)._replace(prime=5), "the text of"),
+], ids=["IntegerMatrix", "GradedAbelianGroup", "ElementaryComplex", "Symbol-prime", "Symbol-text"])
+def test_make_and_replace_check_like_the_constructor(build, message):
+    with pytest.raises(ValueError, match=message) as caught:
+        build()
+    assert "\n" not in str(caught.value)
+
+
+@pytest.mark.parametrize("name", ["ElementaryComplex", "GradedAbelianGroup", "IntegerMatrix",
+                                  "Symbol"])
+def test_make_rebuilds_a_valid_value(name):
+    value = RECORDS[name]()
+    assert type(value)._make(value) == value and value._replace() == value

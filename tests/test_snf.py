@@ -215,10 +215,22 @@ class TestChainComplex:
         c = ChainComplex([1, 1, 1], {1: [{0: 1}]})
         c.validate()
 
+    def test_dd_checked_through_one_and_many_entry_columns(self):
+        d1 = [{0: 2, 1: 3}, {}, {0: 4, 1: 6}]
+        # one entry is zero exactly on an empty column below; several entries
+        # only when their images cancel; a stored zero is dropped
+        ChainComplex([2, 3, 2], {1: d1, 2: [{1: 5}, {0: 2, 1: 7, 2: -1}]})
+        ChainComplex([2, 3, 1], {1: d1, 2: [{1: 4, 0: 0}]})
+        for bad in ({0: 5}, {2: -1}, {0: 3, 2: -1}, {0: 1, 1: 1}, {1: 1, 2: 1}):
+            with pytest.raises(ValueError, match="d o d != 0 between degrees 2 and 0"):
+                ChainComplex([2, 3, 2], {1: d1, 2: [{1: 1}, bad]})
+
     def test_missing_boundaries_default_to_zero(self):
-        c = ChainComplex([1, 0, 1], {})
+        c = ChainComplex([1, 0, 1, 2], {})
         assert c.columns(1) == ()
         assert c.columns(2) == ({},)
+        assert c.columns(3) == ({}, {}) and c.columns(3)[0] is not c.columns(3)[1]
+        assert homology_of_complex(c, 2) == (1, [])
 
 
 def test_oracle_imports_no_other_periodindex_module():
