@@ -173,6 +173,17 @@ def legendre_valuation(p: int, m: int) -> int:
     return total
 
 
+def _check_prime_power(p: int, r: int, max_degree: int) -> None:
+    """Raise ValueError unless p is prime, r >= 1 and max_degree >= 0: the
+    arguments of a model or a word listing for period p^r."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    if max_degree < 0:
+        raise ValueError("max_degree must be >= 0")
+
+
 def differential_order_bound(p: int, r: int, j: int) -> int:
     """p^(r + v_p(j)): the order bound on the j-th odd differential.
 

@@ -6,8 +6,8 @@ bounds), ``homology`` (model homology for an order or a prime power),
 cross-check suites).  Data goes to stdout, diagnostics to stderr.  Exit
 codes: 0 success, 1 verification failure, 2 usage error or a refused input:
 a listing of over ``MAX_LISTED`` summands, rows or cells or over
-``MAX_OUTPUT`` letters or (by an upper estimate) digits, or an integer too
-large to factorise exactly.  Each subcommand imports the modules it runs when
+``MAX_OUTPUT`` letters or (by an estimate) digits, or an integer too large to
+factorise exactly.  Each subcommand imports the modules it runs when
 it runs: a cold ``bound`` or ``table`` loads ``bounds`` alone.
 """
 
@@ -29,8 +29,9 @@ FORMATS = ("pretty-table", "json", "csv")
 # cell; past this many summands, rows or cells they refuse (exit 2) instead
 # of growing their output until memory runs out.
 MAX_LISTED = 10 ** 6
-# The same for the letters of a `words` listing and the digits of a `table`
-# or a `bound`.
+# The same for the letters and the psi_{p^r} digits of a `words` listing, the
+# torsion digits of a `homology` listing and the digits of a `table` or a
+# `bound`.
 MAX_OUTPUT = 5 * 10 ** 6
 
 
@@ -159,6 +160,11 @@ def _cmd_homology(args, parser) -> int:
             parser.error(f"{args.prime} is not prime")
         if args.exponent < 1:
             parser.error("--exponent must be >= 1")
+        # degree 2k holds Z/(p^r k), of over r log10 p digits, for each k up to
+        # max_degree / 2, and the model is built on p^r itself
+        if max(1, args.max_degree // 2) * args.exponent * log10(args.prime) > MAX_OUTPUT:
+            return _refuse("homology", f"p^r or the orders listed would have over {MAX_OUTPUT} "
+                                       "digits; lower --exponent or --max-degree")
         group = primary_model_homology(args.prime, args.exponent, args.max_degree)
     else:
         if args.n < 2:
@@ -168,6 +174,10 @@ def _cmd_homology(args, parser) -> int:
     if listed > MAX_LISTED:
         return _refuse("homology", f"the listing would hold {listed} torsion summands, "
                                    f"over the limit of {MAX_LISTED}; lower --max-degree")
+    digits = log10(2) * sum(m * t.bit_length() for _, pairs in group.parts for t, m in pairs)
+    if digits > MAX_OUTPUT:
+        return _refuse("homology", f"the torsion orders listed would have about {digits:.0f} "
+                                   f"digits, over the limit of {MAX_OUTPUT}; lower --max-degree")
 
     if args.format == "json":  # one object keyed by degree, not a list of rows
         import json
@@ -176,9 +186,9 @@ def _cmd_homology(args, parser) -> int:
     from .graded import exponent
     csv, rows = args.format == "csv", []
     for d in range(group.max_degree + 1):
-        free, torsion = group.summands(d)
-        exp, _ = exponent(group, d)
-        rows.append((d, free, exp, "+".join(map(str, torsion))) if csv
+        free, _ = group.parts[d]
+        exp = decimal_string(exponent(group, d)[0])
+        rows.append((d, free, exp, "+".join(group.torsion_strings(d))) if csv
                     else (d, group.describe(d), exp))
     _emit(args.format, ["degree", "free", "exponent", "torsion"] if csv
           else ["degree", "group", "exponent"], rows)
@@ -193,10 +203,14 @@ def _cmd_words(args, parser) -> int:
     if args.max_degree < 0:
         parser.error("--max-degree must be >= 0")
     from .words import render_keys, word_census, words_by_degree
-    rows, letters = word_census(args.p, args.r, args.max_degree, MAX_LISTED, MAX_OUTPUT)
-    if rows > MAX_LISTED or letters > MAX_OUTPUT:
+    # each auxiliary row sigma^(h-1) psi_{p^r}, h = 1..max_degree-1, also
+    # prints the digits of p^r: counted here, before p^r is formed
+    digits = max(0, args.max_degree - 1) * (int(args.r * log10(args.p)) + 1)
+    rows, letters = word_census(args.p, args.r, args.max_degree, MAX_LISTED,
+                                MAX_OUTPUT - digits)
+    if rows > MAX_LISTED or letters + digits > MAX_OUTPUT:
         return _refuse("words", f"the listing would hold over {MAX_LISTED} rows or over "
-                                f"{MAX_OUTPUT} letters; lower --max-degree")
+                                f"{MAX_OUTPUT} letters and digits; lower --max-degree or r")
     keyed = words_by_degree(args.p, args.r, args.max_degree)
     word_first = args.format == "json"  # as the JSON objects do
 

@@ -30,7 +30,7 @@ from enum import Enum
 from itertools import chain
 from typing import TYPE_CHECKING
 
-from .bounds import factorize, is_prime, padic_valuation
+from .bounds import _check_prime_power, factorize
 from .graded import GradedAbelianGroup, kunneth
 
 if TYPE_CHECKING:  # the oracle route imports snf when it runs; the Kunneth route never does
@@ -113,12 +113,7 @@ def primary_model(p: int, r: int, max_degree: int) -> tuple[ElementaryComplex, .
     homology 1+2p^(k+1) fits under the cap, so dropping the rest is exact,
     not an approximation.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    if max_degree < 0:
-        raise ValueError("max_degree must be >= 0")
+    _check_prime_power(p, r, max_degree)
     factors = [ElementaryComplex(ComplexKind.PE_SECOND, q=1, h=p ** r)]
     k = 0
     while 1 + 2 * p ** (k + 1) <= max_degree:
@@ -149,17 +144,6 @@ def model_homology(n: int, max_degree: int) -> GradedAbelianGroup:
     for p, r in rest:
         result = kunneth(result, primary_model_homology(p, r, max_degree), max_degree)
     return result
-
-
-def exponent_bound(p: int, r: int, k: int) -> int:
-    """p^(r + v_p(k)): the p-part of the degree-2k torsion exponent.
-
-    The full exponent in degree 2k of the p-primary model is p^r * k, all
-    of it contributed by the leading factor; this is its p-part.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return p ** (r + padic_valuation(p, k))
 
 
 def realize_chain_complex(c: ElementaryComplex, max_degree: int) -> ChainComplex:

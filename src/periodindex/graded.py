@@ -20,7 +20,7 @@ from collections import Counter, defaultdict, namedtuple
 from itertools import chain, repeat, zip_longest
 from math import gcd, lcm, prod
 
-from .bounds import factorize, padic_valuation
+from .bounds import decimal_string, factorize, padic_valuation
 
 
 def tensor_summands(a: int, b: int) -> int | None:
@@ -138,14 +138,21 @@ class GradedAbelianGroup(namedtuple("GradedAbelianGroup", "parts")):
             raise ValueError("can only restrict within the trusted range")
         return GradedAbelianGroup(self.parts[:new_max_degree + 1])
 
+    def torsion_strings(self, degree: int) -> list[str]:
+        """The finite orders of ``summands(degree)`` as decimal strings, each
+        distinct order converted once, by ``decimal_string``: an order can
+        have millions of digits, where ``str`` is quadratic."""
+        _, pairs = self._part(degree)
+        return list(chain.from_iterable([decimal_string(t)] * m for t, m in pairs))
+
     def describe(self, degree: int) -> str:
-        free, torsion = self.summands(degree)
+        free, _ = self._part(degree)
         pieces = []
         if free == 1:
             pieces.append("Z")
         elif free > 1:
             pieces.append(f"Z^{free}")
-        pieces.extend(f"Z/{t}" for t in torsion)
+        pieces.extend("Z/" + t for t in self.torsion_strings(degree))
         return " + ".join(pieces) if pieces else "0"
 
     def to_json(self) -> dict:
@@ -155,11 +162,8 @@ class GradedAbelianGroup(namedtuple("GradedAbelianGroup", "parts")):
         Orders are decimal strings, one per summand: they can exceed what
         consumers with fixed-width numbers parse losslessly.
         """
-        return {
-            str(d): {"free": free,
-                     "torsion": list(chain.from_iterable([str(t)] * m for t, m in pairs))}
-            for d, (free, pairs) in enumerate(self.parts)
-        }
+        return {str(d): {"free": free, "torsion": self.torsion_strings(d)}
+                for d, (free, _) in enumerate(self.parts)}
 
     @classmethod
     def from_json(cls, data: dict) -> "GradedAbelianGroup":

@@ -18,7 +18,7 @@ closed form.
 from __future__ import annotations
 
 from collections import Counter, defaultdict, namedtuple
-from itertools import chain, repeat
+from itertools import chain, repeat, takewhile
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -121,125 +121,69 @@ def smith_normal_form(m: IntegerMatrix, with_transforms: bool = False) -> SmithN
     as the smallest nonzero absolute value of the working submatrix, rows
     and columns are reduced by Euclidean steps, and a pivot is only accepted
     once it divides the whole remaining submatrix, which yields the
-    divisibility chain directly.
+    divisibility chain directly.  With transforms the same steps run on the
+    augmented matrix [[M, I], [I, 0]]: row steps on its first ``rows`` rows
+    turn the right-hand I into U, column steps on its first ``cols`` columns
+    turn the bottom I into V, and pivots are only ever read from the M block.
     """
     rows, cols = m.rows, m.cols
     a = m.to_rows()
-    u = IntegerMatrix.identity(rows).to_rows() if with_transforms else None
-    v = IntegerMatrix.identity(cols).to_rows() if with_transforms else None
+    if with_transforms:
+        a = ([row + unit for row, unit in zip(a, IntegerMatrix.identity(rows).to_rows())]
+             + [unit + [0] * rows for unit in IntegerMatrix.identity(cols).to_rows()])
 
-    def swap_rows(i, k):
-        a[i], a[k] = a[k], a[i]
-        if u is not None:
-            u[i], u[k] = u[k], u[i]
+    def row_add(i, k, c):  # row i += c * row k
+        a[i] = [x + c * y for x, y in zip(a[i], a[k])]
 
-    def swap_cols(j, k):
-        for row in a:
-            row[j], row[k] = row[k], row[j]
-        if v is not None:
-            for row in v:
-                row[j], row[k] = row[k], row[j]
-
-    def row_add(i, k, c):
-        # row i += c * row k
-        ai, ak = a[i], a[k]
-        for j in range(cols):
-            ai[j] += c * ak[j]
-        if u is not None:
-            ui, uk = u[i], u[k]
-            for j in range(rows):
-                ui[j] += c * uk[j]
-
-    def col_add(j, k, c):
-        # col j += c * col k
+    def col_add(j, k, c):  # column j += c * column k
         for row in a:
             row[j] += c * row[k]
-        if v is not None:
-            for row in v:
-                row[j] += c * row[k]
 
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        if u is not None:
-            u[i] = [-x for x in u[i]]
-
-    def min_nonzero(t):
+    def smallest(t):  # (|x|, i, j) of the first smallest nonzero M entry past (t, t)
         best = None
         for i in range(t, rows):
-            ai = a[i]
-            for j in range(t, cols):
-                x = ai[j]
+            for j, x in enumerate(a[i][t:cols], t):
                 if x and (best is None or abs(x) < best[0]):
                     best = (abs(x), i, j)
                     if best[0] == 1:
                         return best
         return best
 
-    t = 0
-    limit = min(rows, cols)
-    while t < limit:
-        best = min_nonzero(t)
-        if best is None:
-            break
+    t, limit = 0, min(rows, cols)
+    while t < limit and (best := smallest(t)):
         _, i0, j0 = best
-        if i0 != t:
-            swap_rows(t, i0)
+        a[t], a[i0] = a[i0], a[t]
         if j0 != t:
-            swap_cols(t, j0)
-
-        # Clear row t and column t; any leftover remainder shrinks the
-        # candidate pivots, so re-picking the pivot terminates.
-        while True:
-            pivot = a[t][t]
-            dirty = False
-            for i in range(t + 1, rows):
-                if a[i][t]:
-                    row_add(i, t, -(a[i][t] // pivot))
-                    if a[i][t]:
-                        dirty = True
-            for j in range(t + 1, cols):
-                if a[t][j]:
-                    col_add(j, t, -(a[t][j] // pivot))
-                    if a[t][j]:
-                        dirty = True
-            if not dirty:
-                break
-            _, i0, j0 = min_nonzero(t)
-            if i0 != t:
-                swap_rows(t, i0)
-            if j0 != t:
-                swap_cols(t, j0)
-
-        # Divisibility: fold a bad row into row t and redo this pivot.
+            for row in a:
+                row[t], row[j0] = row[j0], row[t]
+        # Clear column t and row t by quotients; a remainder left behind is
+        # smaller than the pivot, so it becomes the next pivot tried at t.
         pivot = a[t][t]
-        offender = None
         for i in range(t + 1, rows):
-            ai = a[i]
-            for j in range(t + 1, cols):
-                if ai[j] % pivot:
-                    offender = i
-                    break
-            if offender is not None:
-                break
+            if a[i][t]:
+                row_add(i, t, -(a[i][t] // pivot))
+        for j in range(t + 1, cols):
+            if a[t][j]:
+                col_add(j, t, -(a[t][j] // pivot))
+        if any(a[i][t] for i in range(t + 1, rows)) or any(a[t][t + 1:cols]):
+            continue
+        # Divisibility: fold a row the pivot does not divide into row t and
+        # redo this pivot.
+        offender = next((i for i in range(t + 1, rows)
+                         if any(x % pivot for x in a[i][t + 1:cols])), None)
         if offender is not None:
             row_add(t, offender, 1)
             continue
         if pivot < 0:
-            negate_row(t)
+            a[t] = [-x for x in a[t]]
         t += 1
 
-    factors = []
-    for i in range(limit):
-        d = a[i][i]
-        if d == 0:
-            break
-        factors.append(d)
-    return SmithNormalForm(
-        invariant_factors=tuple(factors),
-        rank=len(factors),
-        left=IntegerMatrix.from_rows(u, cols=rows) if u is not None else None,
-        right=IntegerMatrix.from_rows(v, cols=cols) if v is not None else None,
-    )
+    factors = tuple(takewhile(bool, (a[i][i] for i in range(limit))))
+    if not with_transforms:
+        return SmithNormalForm(factors, len(factors))
+    return SmithNormalForm(factors, len(factors),
+                           IntegerMatrix.from_rows([row[cols:] for row in a[:rows]], cols=rows),
+                           IntegerMatrix.from_rows([row[:cols] for row in a[rows:]], cols=cols))
 
 
 def _divisibility_chain(factors) -> tuple[int, ...]:

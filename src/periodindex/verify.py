@@ -12,11 +12,10 @@ from math import lcm, prod
 from typing import NamedTuple
 
 from . import SUITES
-from .bounds import padic_valuation
+from .bounds import differential_order_bound, padic_valuation
 from .complexes import (ComplexKind, ElementaryComplex, closed_form_homology,
-                        exponent_bound, model_chain_complex, model_homology,
-                        primary_model_chain_complex, primary_model_homology,
-                        realize_chain_complex)
+                        model_chain_complex, model_homology, primary_model_chain_complex,
+                        primary_model_homology, realize_chain_complex)
 from .graded import exponent
 from .snf import IntegerMatrix, determinant, homology_of_complex, smith_normal_form
 
@@ -57,8 +56,10 @@ def suite_xp_exponent(max_k: int = 12) -> list[CheckResult]:
     """Torsion exponent law for the p-primary models.
 
     For each p in {2,3,5} and r in {1,2}, the degree-2k exponent must be
-    p^r * k with p-part p^(r + v_p(k)), and the Kunneth route must agree
-    with SNF homology of the tensored chain complex, degree by degree.
+    p^r * k, its p-part must be ``differential_order_bound(p, r, k)`` =
+    p^(r + v_p(k)), the factor Theorem A multiplies, and the Kunneth route
+    must agree with SNF homology of the tensored chain complex, degree by
+    degree.
     """
     results = []
     for p in (2, 3, 5):
@@ -81,9 +82,9 @@ def suite_xp_exponent(max_k: int = 12) -> list[CheckResult]:
                     problems.append(
                         f"exponent {exp_kunneth}/{exp_snf} != p^r*k = {expected}")
                 p_part = p ** padic_valuation(p, exp_kunneth)
-                if p_part != exponent_bound(p, r, k):
-                    problems.append(
-                        f"p-part {p_part} != p^(r+v_p(k)) = {exponent_bound(p, r, k)}")
+                if p_part != differential_order_bound(p, r, k):
+                    problems.append(f"p-part {p_part} != p^(r+v_p(k)) = "
+                                    f"{differential_order_bound(p, r, k)}")
                 results.append(CheckResult(name, not problems, "; ".join(problems)))
     return results
 

@@ -29,7 +29,7 @@ from collections.abc import Iterator, Sequence
 from enum import IntEnum
 from operator import attrgetter
 
-from .bounds import is_prime
+from .bounds import _check_prime_power, decimal_string, is_prime
 
 
 class SymbolKind(IntEnum):
@@ -60,7 +60,7 @@ class Symbol(namedtuple("Symbol", "kind prime psi_exponent text ascii_text")):
         elif kind is SymbolKind.PSI:
             if psi_exponent is None or psi_exponent < 1:
                 raise ValueError("psi needs an exponent f >= 1")
-            suffix = f"_{prime ** psi_exponent}"
+            suffix = "_" + decimal_string(prime ** psi_exponent)
         elif psi_exponent is not None:
             raise ValueError("only psi carries an exponent")
         else:
@@ -191,15 +191,6 @@ def is_admissible(word: Word, p: int) -> bool:
     return True
 
 
-def _check_listing(p: int, r: int, max_degree: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    if max_degree < 0:
-        raise ValueError("max_degree must be >= 0")
-
-
 def words_by_degree(p: int, r: int, max_degree: int) -> Iterator[tuple[int, int, str]]:
     """The rows of ``enumerate_words(p, r, max_degree)`` as (degree, height,
     key), in the same order, one degree at a time.  The key spells the word
@@ -209,7 +200,7 @@ def words_by_degree(p: int, r: int, max_degree: int) -> Iterator[tuple[int, int,
     >>> list(words_by_degree(2, 1, 2))
     [(2, 1, '3'), (2, 2, '00')]
     """
-    _check_listing(p, r, max_degree)
+    _check_prime_power(p, r, max_degree)
     # Prepends never undo the parity and last-letter conditions a suffix
     # meets, so degree d grows from the suffixes of degree d - 1 (prepend
     # sigma), d / p (gamma) and (d - 2) / p (phi), as their sigma parity
@@ -263,7 +254,7 @@ def enumerate_words(p: int, r: int, max_degree: int) -> list[tuple[Word, int, in
     >>> [str(w) for w, _, h in enumerate_words(2, 1, 3) if h == 2]
     ['σσ', 'σφ_2', 'σψ_2']
     """
-    _check_listing(p, r, max_degree)
+    _check_prime_power(p, r, max_degree)
     letter = _key_symbols(p, r).__getitem__  # one shared Symbol per digit
     return [(Word(tuple(map(letter, key))), d, h)
             for d, h, key in words_by_degree(p, r, max_degree)]
@@ -291,7 +282,7 @@ def word_census(p: int, r: int, max_degree: int, max_rows: int | None = None,
     >>> word_census(2, 1, 3)
     (5, 10)
     """
-    _check_listing(p, r, max_degree)
+    _check_prime_power(p, r, max_degree)
     # per degree, [suffixes, letters] in three states: even parity and not
     # gamma-led (sigma- or phi-led), even and gamma-led, odd (always
     # sigma-led, as gamma and phi need even)

@@ -13,7 +13,6 @@ from periodindex.bounds import (PRIME_CEILING, BoundComparison, BoundReport,
                                 differential_order_bound, factorize, index_bound,
                                 is_prime, known_sharp_bound, legendre_valuation,
                                 padic_valuation, prime_power_index_bound)
-from periodindex.complexes import exponent_bound
 
 
 class TestNumberTheory:
@@ -80,17 +79,16 @@ class TestDifferentialOrderBound:
     @pytest.mark.parametrize("p, r, j, expected", [
         (2, 1, 1, 2),
         (2, 1, 2, 4),
+        (2, 1, 3, 2),
+        (2, 1, 4, 8),
         (3, 2, 9, 81),
     ])
     def test_values(self, p, r, j, expected):
         assert differential_order_bound(p, r, j) == expected
 
-    def test_matches_model_exponent_bound(self):
-        # the differential order traces exactly to the homology exponents
-        for p in (2, 3, 5):
-            for r in (1, 2):
-                for j in range(1, 13):
-                    assert differential_order_bound(p, r, j) == exponent_bound(p, r, j)
+    def test_rejects_j_zero(self):
+        with pytest.raises(ValueError):
+            differential_order_bound(2, 1, 0)
 
 
 class TestPrimePowerIndexBound:

@@ -3,14 +3,15 @@
 import json
 import sys
 import time
+from math import log10
 from decimal import MAX_EMAX, Decimal, localcontext
 
 import pytest
 
 from periodindex import bounds, cli, verify
 from periodindex.bounds import PRIME_CEILING, BoundReport, index_bound
-from periodindex.graded import GradedAbelianGroup
-from periodindex.complexes import model_homology
+from periodindex.graded import GradedAbelianGroup, exponent
+from periodindex.complexes import model_homology, primary_model_homology
 from periodindex.verify import CheckResult
 from periodindex.words import enumerate_words, format_word
 
@@ -266,6 +267,62 @@ class TestHomology:
         assert "Traceback" not in captured.err and "summands" in captured.err
         assert elapsed < 1.0
 
+    @pytest.mark.parametrize("argv", [
+        # over 9e6 digits in degrees 2, 4, 6: refused before the model is built
+        ("--prime", "2", "--exponent", "10000000", "--max-degree", "6"),
+        # nothing to list, but the model's twist 3^r alone has 4.8e7 digits
+        ("--prime", "3", "--exponent", "100000000", "--max-degree", "1"),
+        # 1200 orders of about 4200 digits each: refused before they are rendered
+        (str(997 ** 1400), "--max-degree", "2400"),
+    ])
+    def test_oversized_digits_refused(self, capsys, argv):
+        start = time.perf_counter()
+        code = cli.main(["homology", *argv])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "Traceback" not in captured.err and "digits" in captured.err
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_long_orders_print_as_str_does(self, capsys, fmt):
+        # 2^20000 k has over 6000 digits, past str's default limit of 4300
+        group = primary_model_homology(2, 20000, 6)
+        code, out = run(capsys, "homology", "--prime", "2", "--exponent", "20000",
+                        "--max-degree", "6", "--format", fmt)
+        assert code == 0
+        old_limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            if fmt == "json":
+                assert json.loads(out) == {
+                    str(d): {"free": group.summands(d)[0],
+                             "torsion": list(map(str, group.summands(d)[1]))}
+                    for d in range(7)}
+            else:
+                assert out.splitlines()[1:] == [
+                    f"{d},{group.summands(d)[0]},{exponent(group, d)[0]},"
+                    + "+".join(map(str, group.summands(d)[1])) for d in range(7)]
+        finally:
+            sys.set_int_max_str_digits(old_limit)
+
+    def test_million_digit_orders_listed_quickly(self, capsys):
+        r = 10 ** 6
+        start = time.perf_counter()
+        code, out = run(capsys, "homology", "--prime", "2", "--exponent", str(r),
+                        "--max-degree", "6", "--format", "csv")
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        for k in (1, 2, 3):  # degree 2k is Z/(2^r k) alone: check its length and last digits
+            degree, free, exp, torsion = rows[2 * k]
+            assert (degree, free, torsion) == (str(2 * k), "0", exp)
+            assert len(exp) == int(r * log10(2) + log10(k)) + 1
+            assert int(exp[-40:]) == k * pow(2, r, 10 ** 40) % 10 ** 40
+        assert elapsed < 2.0
+
 
 class TestWords:
     def test_census_members(self, capsys):
@@ -319,6 +376,33 @@ class TestWords:
         assert len(captured.err.splitlines()) == 1
         assert "Traceback" not in captured.err and "letters" in captured.err
         assert elapsed < 1.0
+
+    @pytest.mark.parametrize("argv", [
+        ("999983", "20000", "--max-degree", "1000"),  # 999 psi rows of 120,000 digits
+        ("2", "100000000", "--max-degree", "2"),      # one psi row of 3.0e7 digits
+    ])
+    def test_oversized_psi_digits_refused(self, capsys, argv):
+        start = time.perf_counter()
+        code = cli.main(["words", *argv])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "Traceback" not in captured.err and "digits" in captured.err
+        assert elapsed < 1.0
+
+    def test_long_psi_subscript_prints_as_str_does(self, capsys):
+        code, out = run(capsys, "words", "2", "20000", "--max-degree", "3", "--format", "csv")
+        old_limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            subscript = str(2 ** 20000)
+        finally:
+            sys.set_int_max_str_digits(old_limit)
+        assert code == 0
+        assert out.splitlines()[1:] == [f"2,1,ψ_{subscript}", "2,2,σσ", "3,2,σφ_2",
+                                        f"3,2,σψ_{subscript}", "3,3,σσσ"]
 
 
 class TestEmitJson:

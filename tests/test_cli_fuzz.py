@@ -1,7 +1,8 @@
-"""CLI fuzz test: `bound`, `table` and `words` on zero, negative, composite,
-prime and past-the-ceiling integers either answer (exit 0) or refuse (exit
-2), never with a traceback.  Sizes are drawn either small or past the output
-guards, so every example answers or refuses well within a second."""
+"""CLI fuzz test: `bound`, `table`, `words` and `homology --prime
+--exponent` on zero, negative, composite, prime and past-the-ceiling
+integers either answer (exit 0) or refuse (exit 2), never with a traceback.
+Sizes are drawn either small or past the output guards, so every example
+answers or refuses well within a second."""
 
 import io
 from contextlib import redirect_stderr, redirect_stdout
@@ -32,19 +33,25 @@ WORD_PRIMES = st.one_of(INTEGERS, st.sampled_from([999983, 1000003]),
                         st.integers(999_900, 1_000_100))
 # from degree 4000 on, the auxiliary family alone (8e6 letters) is over the letter limit
 WORD_DEGREES = st.one_of(st.integers(-3, 24), st.integers(4000, 10 ** 5))
+# from r = 2e7 on, p^r has over 6e6 digits: over the digit limit in any one psi_{p^r}
+# or homology order, and refused before p^r is formed
+EXPONENTS = st.one_of(SMALL, st.integers(2 * 10 ** 7, 10 ** 8))
 
 
 @st.composite
 def argvs(draw):
     fmt = ["--format", draw(FORMATS)]
-    command = draw(st.sampled_from(["bound", "table", "words"]))
+    command = draw(st.sampled_from(["bound", "table", "words", "homology"]))
     if command == "bound":
         return ["bound", str(draw(INTEGERS)), str(draw(SMALL)), *fmt]
     if command == "table":
         return ["table", "--n-max", str(draw(GRID_SIDES)),
                 "--d-max", str(draw(GRID_SIDES)), *fmt]
+    if command == "homology":
+        return ["homology", "--prime", str(draw(WORD_PRIMES)), "--exponent",
+                str(draw(EXPONENTS)), "--max-degree", str(draw(SMALL)), *fmt]
     ascii_flag = ["--ascii"] if draw(st.booleans()) else []
-    return ["words", str(draw(WORD_PRIMES)), str(draw(SMALL)),
+    return ["words", str(draw(WORD_PRIMES)), str(draw(EXPONENTS)),
             "--max-degree", str(draw(WORD_DEGREES)), *fmt, *ascii_flag]
 
 

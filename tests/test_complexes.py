@@ -4,7 +4,7 @@ import pytest
 
 from periodindex.bounds import padic_valuation
 from periodindex.complexes import (ComplexKind, ElementaryComplex, _sparsest_first,
-                                   closed_form_homology, exponent_bound,
+                                   closed_form_homology,
                                    model_chain_complex, model_homology, primary_model,
                                    primary_model_chain_complex,
                                    primary_model_homology,
@@ -294,20 +294,6 @@ class TestModelHomology:
     def test_rejects_trivial_order(self):
         with pytest.raises(ValueError):
             model_homology(1, 4)
-
-
-class TestExponentBound:
-    @pytest.mark.parametrize("p, r, k, expected", [
-        (2, 1, 3, 2),
-        (2, 1, 4, 8),
-        (3, 2, 9, 81),
-    ])
-    def test_values(self, p, r, k, expected):
-        assert exponent_bound(p, r, k) == expected
-
-    def test_rejects_k_zero(self):
-        with pytest.raises(ValueError):
-            exponent_bound(2, 1, 0)
 
 
 class TestModelChainComplex:

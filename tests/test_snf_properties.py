@@ -1,7 +1,8 @@
 """Property tests: the block-by-block sparse Smith normal form against the
 dense one, on scrambled block-diagonal matrices with repeated blocks, and
 both against unimodular changes of basis, with sympy as an optional third
-opinion."""
+opinion; and the transforms U and V, which ride along in the same
+reduction, on any small matrix."""
 
 import pytest
 
@@ -9,7 +10,8 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from periodindex.snf import ChainComplex, IntegerMatrix, homology_of_complex, smith_normal_form
+from periodindex.snf import (ChainComplex, IntegerMatrix, determinant, homology_of_complex,
+                             smith_normal_form)
 
 SETTINGS = settings(max_examples=80, deadline=None, database=None)
 
@@ -132,3 +134,39 @@ def test_dense_factors_match_sympy(case):
     dense, _ = case
     theirs = invariant_factors(Matrix(dense.to_rows()), domain=ZZ)
     assert smith_normal_form(dense).invariant_factors == tuple(abs(f) for f in theirs if f)
+
+
+@st.composite
+def small_matrix(draw):
+    """(matrix of shape 0-8 x 0-8, bound on its rank): about a third are the
+    product of a rows x k and a k x cols matrix with k below both sides."""
+    rows, cols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    if min(rows, cols) and draw(st.integers(0, 2)) == 0:
+        k = draw(st.integers(0, min(rows, cols) - 1))
+        a = [[draw(ENTRIES) for _ in range(k)] for _ in range(rows)]
+        b = [[draw(ENTRIES) for _ in range(cols)] for _ in range(k)]
+        return IntegerMatrix.from_rows(
+            [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(cols)]
+             for i in range(rows)], cols=cols), k
+    return IntegerMatrix.from_rows(
+        [[draw(ENTRIES) for _ in range(cols)] for _ in range(rows)], cols=cols), min(rows, cols)
+
+
+@SETTINGS
+@given(small_matrix())
+def test_transforms_ride_along(case):
+    m, max_rank = case
+    plain = smith_normal_form(m)
+    s = smith_normal_form(m, with_transforms=True)
+    factors = s.invariant_factors
+    assert (factors, s.rank) == (plain.invariant_factors, plain.rank)
+    assert plain.left is plain.right is None
+    assert s.rank == len(factors) <= max_rank
+    assert all(f > 0 for f in factors)
+    assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+    diagonal = [0] * (m.rows * m.cols)
+    for i, f in enumerate(factors):
+        diagonal[i * m.cols + i] = f
+    assert (s.left.rows, s.right.cols) == (m.rows, m.cols)
+    assert (s.left @ m @ s.right).entries == tuple(diagonal)
+    assert abs(determinant(s.left)) == abs(determinant(s.right)) == 1
