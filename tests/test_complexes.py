@@ -296,6 +296,20 @@ class TestModelHomology:
             model_homology(1, 4)
 
 
+class TestExponentBound:
+    # the p-part of the degree-2k torsion exponent of the p-primary model,
+    # p^(r + v_p(k)): the factor Theorem A multiplies, read off the homology
+    @pytest.mark.parametrize("p, r, k, expected", [
+        (2, 1, 3, 2),
+        (2, 1, 4, 8),
+        (3, 2, 9, 81),
+    ])
+    def test_values(self, p, r, k, expected):
+        exp, _ = exponent(primary_model_homology(p, r, 2 * k), 2 * k)
+        assert exp == p ** r * k
+        assert p ** padic_valuation(p, exp) == expected
+
+
 class TestModelChainComplex:
     def test_validates(self):
         chain = primary_model_chain_complex(2, 1, 10)
