@@ -17,7 +17,7 @@ import argparse
 import os
 import sys
 from collections.abc import Iterable, Sequence
-from itertools import islice
+from itertools import chain, islice
 from math import lgamma, log, log10
 
 from . import SUITES, __version__
@@ -174,20 +174,25 @@ def _cmd_homology(args, parser) -> int:
     if listed > MAX_LISTED:
         return _refuse("homology", f"the listing would hold {listed} torsion summands, "
                                    f"over the limit of {MAX_LISTED}; lower --max-degree")
-    digits = log10(2) * sum(m * t.bit_length() for _, pairs in group.parts for t, m in pairs)
+    # the pretty and csv listings also print each degree's exponent; JSON does not
+    from .graded import exponent
+    exponents = [] if args.format == "json" else [exponent(group, d)[0]
+                                                  for d in range(group.max_degree + 1)]
+    digits = log10(2) * sum(chain((m * t.bit_length() for _, pairs in group.parts
+                                   for t, m in pairs), (e.bit_length() for e in exponents)))
     if digits > MAX_OUTPUT:
-        return _refuse("homology", f"the torsion orders listed would have about {digits:.0f} "
-                                   f"digits, over the limit of {MAX_OUTPUT}; lower --max-degree")
+        return _refuse("homology", f"the torsion orders and exponents listed would have about "
+                                   f"{digits:.0f} digits, over the limit of {MAX_OUTPUT}; "
+                                   "lower --max-degree")
 
     if args.format == "json":  # one object keyed by degree, not a list of rows
         import json
         print(json.dumps(group.to_json(), sort_keys=True))
         return 0
-    from .graded import exponent
     csv, rows = args.format == "csv", []
     for d in range(group.max_degree + 1):
         free, _ = group.parts[d]
-        exp = decimal_string(exponent(group, d)[0])
+        exp = decimal_string(exponents[d])
         rows.append((d, free, exp, "+".join(group.torsion_strings(d))) if csv
                     else (d, group.describe(d), exp))
     _emit(args.format, ["degree", "free", "exponent", "torsion"] if csv

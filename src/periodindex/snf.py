@@ -1,18 +1,20 @@
 """Exact integer linear algebra and homology of free chain complexes.
 
 Everything here runs over Python's arbitrary-precision integers, so results
-are exact.  Chain complexes store boundaries as sparse columns, since the
-tensor models' boundaries are a few percent non-zero and split into small
-connected blocks.  Homology is read off the boundaries' invariant factors,
-block by block, merged into a single divisibility chain (Dumas, Saunders
-and Villard, JSC 2001): a block with one row or one column has the gcd of
-its entries, any other block one dense minimal-pivot Smith normal form per
-distinct block in the complex.  Every complex has d o d = 0 checked when it
-is built, so every complex here is a chain complex.  Swapping in a faster
-SNF would only touch ``smith_normal_form``.
+are exact.  Chain complexes store boundaries as sparse columns.  Homology is
+read off the boundaries' invariant factors, block by block, merged into a
+single divisibility chain (Dumas, Saunders and Villard, JSC 2001): a block
+with one row or one column has the gcd of its entries, any other block one
+dense minimal-pivot Smith normal form per distinct block in the complex.
+Every complex has d o d = 0 checked when it is built, so every complex here
+is a chain complex.  A ``DirectSum`` of translated complexes, the form the
+oracle gives a tensor model in, sums the invariants of its summands, each
+reduced once however often it repeats: it needs only that homology commutes
+with direct sums and translation.  Swapping in a faster SNF would only touch
+``smith_normal_form``.
 
 This module imports nothing else from the package: the oracle knows no
-closed form.
+closed form, no Tor rule and no Kunneth product.
 """
 
 from __future__ import annotations
@@ -24,12 +26,8 @@ from typing import NamedTuple
 
 
 class IntegerMatrix(namedtuple("IntegerMatrix", "rows cols entries")):
-    """Dense integer matrix with explicit shape (0-row / 0-column allowed).
-
-    Entries are stored row-major in a flat tuple so that matrices are
-    hashable values; anything that mutates works on nested lists and
-    rebuilds at the end.
-    """
+    """Dense integer matrix with explicit shape (0-row / 0-column allowed),
+    row-major in a flat tuple so that matrices are hashable values."""
 
     __slots__ = ()
 
@@ -45,17 +43,12 @@ class IntegerMatrix(namedtuple("IntegerMatrix", "rows cols entries")):
     @classmethod
     def from_rows(cls, rows: list[list[int]], cols: int | None = None) -> "IntegerMatrix":
         """Build from a list of rows; `cols` disambiguates the 0-row case."""
-        if rows:
-            width = len(rows[0])
-            if cols is not None and cols != width:
-                raise ValueError("cols does not match row width")
-            if any(len(r) != width for r in rows):
-                raise ValueError("ragged rows")
-            flat = tuple(int(x) for r in rows for x in r)
-            return cls(len(rows), width, flat)
-        if cols is None:
+        if not rows and cols is None:
             raise ValueError("cols is required for a matrix with no rows")
-        return cls(0, cols, ())
+        width = len(rows[0]) if rows else cols
+        if cols not in (None, width) or any(len(r) != width for r in rows):
+            raise ValueError("ragged rows, or cols does not match row width")
+        return cls(len(rows), width, tuple(int(x) for r in rows for x in r))
 
     @classmethod
     def identity(cls, n: int) -> "IntegerMatrix":
@@ -85,13 +78,10 @@ def determinant(m: IntegerMatrix) -> int:
     prev = 1
     for k in range(n - 1):
         if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
+            i = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if i is None:
                 return 0
+            a[k], a[i], sign = a[i], a[k], -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
@@ -186,18 +176,19 @@ def smith_normal_form(m: IntegerMatrix, with_transforms: bool = False) -> SmithN
                            IntegerMatrix.from_rows([row[:cols] for row in a[rows:]], cols=cols))
 
 
-def _divisibility_chain(factors) -> tuple[int, ...]:
-    """Invariant factors > 1 of the sum of Z/e over ``factors``, ascending.
+def _divisibility_chain(counts) -> tuple[int, ...]:
+    """Invariant factors > 1 of the sum of m copies of Z/e over the
+    {e: m} ``counts``, ascending.
 
     Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b): neighbouring orders that do not
     divide one another are replaced by their gcd and lcm until the distinct
     orders form a chain.  Each step spreads a pair apart at a fixed product,
     so the loop ends.
 
-    >>> _divisibility_chain([2, 3, 4, 1])
+    >>> _divisibility_chain({2: 1, 3: 1, 4: 1, 1: 1})
     (2, 12)
     """
-    counts = Counter(factors)
+    counts = Counter(counts)
     while True:
         orders = sorted(e for e, m in counts.items() if m and e > 1)
         pair = next(((a, b) for a, b in zip(orders, orders[1:]) if b % a), None)
@@ -208,10 +199,18 @@ def _divisibility_chain(factors) -> tuple[int, ...]:
         counts.update({a: -t, b: -t, gcd(a, b): t, lcm(a, b): t})
 
 
+def _dense(columns, index, rows: int) -> IntegerMatrix:
+    """The ``rows``-row matrix of sparse columns, their row r in row index[r]."""
+    entries = [0] * (rows * len(columns))
+    for j, col in enumerate(columns):
+        for r, a in col.items():
+            entries[index[r] * len(columns) + j] = a
+    return IntegerMatrix(rows, len(columns), tuple(entries))
+
+
 def _block_invariants(columns, reduced) -> tuple[int, tuple[int, ...]]:
-    """(rank, invariant factors > 1) of sparse columns, one connected block
-    of their row/column graph at a time.  A block with one row or one column
-    has rank 1 and factor the gcd of its entries; any other block gets a
+    """(rank, invariant factors > 1) of sparse columns, one connected block at
+    a time: the gcd of a block with one row or one column, else the block's
     dense Smith normal form, kept in ``reduced`` under the block itself."""
     parent = list(range(len(columns)))
 
@@ -236,17 +235,12 @@ def _block_invariants(columns, reduced) -> tuple[int, tuple[int, ...]]:
             rank += 1
             factors.append(gcd(*(a for col in cols for a in col.values())))
             continue
-        index = {r: i for i, r in enumerate(sorted(rows))}
-        entries = [0] * (len(rows) * len(cols))
-        for j, col in enumerate(cols):
-            for r, a in col.items():
-                entries[index[r] * len(cols) + j] = a
-        block = IntegerMatrix(len(rows), len(cols), tuple(entries))
+        block = _dense(cols, {r: i for i, r in enumerate(sorted(rows))}, len(rows))
         if block not in reduced:
             reduced[block] = smith_normal_form(block)
         rank += reduced[block].rank
         factors.extend(reduced[block].invariant_factors)
-    return rank, _divisibility_chain(factors)
+    return rank, _divisibility_chain(Counter(factors))
 
 
 class ChainComplex:
@@ -255,14 +249,11 @@ class ChainComplex:
     ``dims[n]`` is the rank of the degree-n chain group.  The degree-n
     boundary is given sparse, one ``{row: coefficient}`` map per degree-n
     basis element with rows indexing the degree-(n-1) basis; a degree
-    missing from ``boundaries`` has the zero boundary, ``dims[n]`` empty
-    columns.  Stored entries are non-zero: zeros given are dropped.  Shapes
-    and d o d = 0 are checked here, on every complex, so a complex that
-    exists is a chain complex.  Each boundary's rank and invariant factors
-    are kept once computed, as they serve two degrees of homology, and so is
-    the Smith normal form of each distinct dense block, which the tensor
-    models repeat many times.  Degrees above ``max_degree`` are unknown, so
-    homology is only asked for below the cap.
+    missing from ``boundaries`` has the zero boundary.  Zero entries given
+    are dropped.  Shapes and d o d = 0 are checked here, on every complex.
+    Each boundary's rank and invariant factors are kept once computed, and
+    so is the Smith normal form of each distinct dense block.  Degrees above
+    ``max_degree`` are unknown, so homology is only asked for below the cap.
     """
 
     def __init__(self, dims, boundaries):
@@ -306,12 +297,7 @@ class ChainComplex:
     def differential(self, n: int) -> IntegerMatrix:
         """The degree-n boundary (n >= 1) as a dense matrix, built on each call;
         the package reads ``columns``, ``perfbench/tracer.py`` reads this."""
-        columns, rows = self.columns(n), self.dim(n - 1)
-        entries = [0] * (rows * len(columns))
-        for j, col in enumerate(columns):
-            for r, a in col.items():
-                entries[r * len(columns) + j] = a
-        return IntegerMatrix(rows, len(columns), tuple(entries))
+        return _dense(self.columns(n), range(self.dim(n - 1)), self.dim(n - 1))
 
     def validate(self) -> None:
         """Check d o d = 0, column by sparse column; run on construction."""
@@ -335,13 +321,46 @@ class ChainComplex:
         return self._invariants[n]
 
 
-def homology_of_complex(c: ChainComplex, n: int) -> tuple[int, list[int]]:
+class DirectSum:
+    """Direct sum of translated chain complexes, truncated at ``max_degree``.
+
+    ``summands`` maps (complex, base degree) to a multiplicity; each complex
+    is complete (zero above its own ``max_degree``) and has its degree 0 in
+    the base degree.  Dims, boundary ranks and torsion counts are summed
+    here, once, from each distinct complex's ``boundary_invariants``.
+    """
+
+    def __init__(self, summands, max_degree: int):
+        self.summands, self.max_degree = dict(summands), max_degree
+        dims, ranks = [0] * (max_degree + 1), [0] * (max_degree + 1)
+        torsion, rows = [Counter() for _ in dims], {}
+        for (c, base), m in self.summands.items():
+            if c not in rows:
+                rows[c] = [(c.dims[n], *c.boundary_invariants(n)) for n in range(c.max_degree + 1)]
+            for n, (dim, rank, factors) in enumerate(rows[c][:max_degree + 1 - base], base):
+                dims[n] += m * dim
+                ranks[n] += m * rank
+                for e in factors:
+                    torsion[n][e] += m
+        self.dims = tuple(dims)
+        self._invariants = [(r, _divisibility_chain(t) if t else ())
+                            for r, t in zip(ranks, torsion)]
+
+    dim = ChainComplex.dim
+
+    def boundary_invariants(self, n: int) -> tuple[int, tuple[int, ...]]:
+        """(rank, invariant factors > 1) of the degree-n boundary."""
+        self.dim(n)  # the range check
+        return self._invariants[n]
+
+
+def homology_of_complex(c: ChainComplex | DirectSum, n: int) -> tuple[int, list[int]]:
     """H_n(c) as (free rank, invariant factors > 1, ascending).
 
     H_n = Z^(dim C_n - rk d_n - rk d_(n+1)) + the sum of Z/e over the
     invariant factors e > 1 of d_(n+1), both boundaries reduced block by
-    block (``ChainComplex.boundary_invariants``).  Raises for n ==
-    max_degree, where the incoming boundary is unknown under truncation.
+    block (``boundary_invariants``).  Raises for n == max_degree, where the
+    incoming boundary is unknown under truncation.
     """
     if not 0 <= n < c.max_degree:
         raise ValueError(

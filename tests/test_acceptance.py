@@ -219,3 +219,10 @@ def test_criterion_15_import_set():
           f"its subcommand runs")
     assert not failures, failures
     assert "periodindex.bounds" in loaded["bound"] and "periodindex.words" in loaded["words"]
+
+
+def test_criterion_16_oracle_frontier_k120():
+    with _Timed("criterion 16: SNF oracle exponent law to k = 120", 5.0):
+        results = suite_xp_exponent(max_k=120)
+    failures = [r for r in results if not r.passed]
+    assert not failures, failures

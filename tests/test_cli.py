@@ -286,6 +286,25 @@ class TestHomology:
         assert "Traceback" not in captured.err and "digits" in captured.err
         assert elapsed < 1.0
 
+    @pytest.mark.parametrize("fmt", ["pretty-table", "csv", "json"])
+    def test_exponent_digits_count_against_the_limit(self, capsys, monkeypatch, fmt):
+        # degrees 2 and 4 hold Z/2^1000 and Z/2^1001, 302 digits each: 604
+        # torsion digits, and the pretty and csv listings print each degree's
+        # exponent too, 1208 digits in all; JSON prints no exponents
+        monkeypatch.setattr(cli, "MAX_OUTPUT", 1000)
+        code = cli.main(["homology", "--prime", "2", "--exponent", "1000",
+                         "--max-degree", "4", "--format", fmt])
+        captured = capsys.readouterr()
+        if fmt == "json":
+            assert code == 0 and len(captured.out) < 1000
+        else:
+            assert code == 2 and captured.out == ""
+            assert len(captured.err.splitlines()) == 1 and "exponents" in captured.err
+        monkeypatch.setattr(cli, "MAX_OUTPUT", 1300)
+        assert cli.main(["homology", "--prime", "2", "--exponent", "1000",
+                         "--max-degree", "4", "--format", fmt]) == 0
+        assert 1208 < len(capsys.readouterr().out) or fmt == "json"
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_long_orders_print_as_str_does(self, capsys, fmt):
         # 2^20000 k has over 6000 digits, past str's default limit of 4300

@@ -2,6 +2,7 @@
 
 import pytest
 
+from periodindex import complexes
 from periodindex.bounds import padic_valuation
 from periodindex.complexes import (ComplexKind, ElementaryComplex, _sparsest_first,
                                    closed_form_homology,
@@ -312,9 +313,34 @@ class TestExponentBound:
 
 class TestModelChainComplex:
     def test_validates(self):
+        # a direct sum has nothing to validate: each distinct shape is a
+        # ChainComplex, checked for d o d = 0 when it was built
         chain = primary_model_chain_complex(2, 1, 10)
-        chain.validate()
         assert chain.max_degree == 11
+        assert {type(shape) for shape, _ in chain.summands} == {ChainComplex}
+
+    def test_summands_match_the_materialised_product(self):
+        # the reference is the whole tensor product, folded sparsest first
+        for p in (2, 3, 5):
+            for r in (1, 2, 3):
+                for cap in range(0, 61, 3):
+                    factors = primary_model(p, r, cap)
+                    whole = tensor_chain_complex(_sparsest_first(factors, cap), cap)
+                    summands = primary_model_chain_complex(p, r, cap)
+                    assert summands.dims == whole.dims, (p, r, cap)
+                    assert oracle_groups(summands, cap) == oracle_groups(whole, cap), (p, r, cap)
+
+    @pytest.mark.parametrize("p, r", [(2, 1), (3, 2), (5, 1)])
+    def test_caps_share_the_shape_table(self, p, r):
+        # below its cap, a model is the sub-sum of the model at a larger cap,
+        # so once the larger cap is built a smaller one builds no new shape
+        big = primary_model_chain_complex(p, r, 70)
+        shapes = len(complexes._SHAPES)
+        for cap in range(70):
+            small = primary_model_chain_complex(p, r, cap)
+            assert {k: m for k, m in small.summands.items() if k[1] <= cap} == \
+                {k: m for k, m in big.summands.items() if k[1] <= cap}
+        assert len(complexes._SHAPES) == shapes
 
     def test_agrees_with_kunneth(self):
         for p, r, cap in ((2, 1, 10), (3, 1, 9)):
