@@ -17,7 +17,7 @@ import argparse
 import os
 import sys
 from collections.abc import Iterable, Sequence
-from itertools import chain, islice
+from itertools import islice
 from math import lgamma, log, log10
 
 from . import SUITES, __version__
@@ -174,16 +174,24 @@ def _cmd_homology(args, parser) -> int:
     if listed > MAX_LISTED:
         return _refuse("homology", f"the listing would hold {listed} torsion summands, "
                                    f"over the limit of {MAX_LISTED}; lower --max-degree")
-    # the pretty and csv listings also print each degree's exponent; JSON does not
-    from .graded import exponent
-    exponents = [] if args.format == "json" else [exponent(group, d)[0]
-                                                  for d in range(group.max_degree + 1)]
-    digits = log10(2) * sum(chain((m * t.bit_length() for _, pairs in group.parts
-                                   for t, m in pairs), (e.bit_length() for e in exponents)))
+    digits, exponents = log10(2) * sum(m * t.bit_length() for _, pairs in group.parts
+                                       for t, m in pairs), None
     if digits > MAX_OUTPUT:
-        return _refuse("homology", f"the torsion orders and exponents listed would have about "
-                                   f"{digits:.0f} digits, over the limit of {MAX_OUTPUT}; "
-                                   "lower --max-degree")
+        return _refuse("homology", f"the torsion orders listed would have about {digits:.0f} "
+                                   f"digits, over the limit of {MAX_OUTPUT}; lower --max-degree")
+    from .graded import exponent
+    if args.format != "json":  # the pretty and csv listings also print each degree's exponent
+        # the lcm of a degree's orders has at least the bits of the largest
+        # and at most their sum; only in between is it computed here
+        bits = [[t.bit_length() for t, _ in pairs] for _, pairs in group.parts]
+        low = digits + log10(2) * sum(max(b) for b in bits if b)
+        if low <= MAX_OUTPUT < digits + log10(2) * sum(map(sum, bits)):
+            exponents = [exponent(group, d)[0] for d in range(group.max_degree + 1)]
+            low = digits + log10(2) * sum(e.bit_length() for e in exponents)
+        if low > MAX_OUTPUT:
+            return _refuse("homology", f"the torsion orders and exponents listed would have "
+                                       f"about {low:.0f} digits or more, over the limit of "
+                                       f"{MAX_OUTPUT}; lower --max-degree")
 
     if args.format == "json":  # one object keyed by degree, not a list of rows
         import json
@@ -192,7 +200,7 @@ def _cmd_homology(args, parser) -> int:
     csv, rows = args.format == "csv", []
     for d in range(group.max_degree + 1):
         free, _ = group.parts[d]
-        exp = decimal_string(exponents[d])
+        exp = decimal_string(exponents[d] if exponents else exponent(group, d)[0])
         rows.append((d, free, exp, "+".join(group.torsion_strings(d))) if csv
                     else (d, group.describe(d), exp))
     _emit(args.format, ["degree", "free", "exponent", "torsion"] if csv

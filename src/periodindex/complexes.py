@@ -25,10 +25,9 @@ the Smith-normal-form homology in :mod:`periodindex.snf`.  The oracle route
 splits each realised factor into the connected components of its boundary
 graph (one or two cells each) and, as ox distributes over +, folds the
 factors into a ``DirectSum`` of translated shapes.  Each product of two
-shapes is built once per process by ``tensor_chain_complex`` and kept in one
-table keyed by content, which every cap and query shares.  The route uses
-components, distributivity and translation only: no Tor rule, no closed
-form, no Kunneth product.
+shapes is built once per model by ``tensor_chain_complex``, in a table kept
+for that call only.  The route uses components, distributivity and
+translation only: no Tor rule, no closed form, no Kunneth product.
 """
 
 from __future__ import annotations
@@ -157,20 +156,23 @@ def model_homology(n: int, max_degree: int) -> GradedAbelianGroup:
 def realize_chain_complex(c: ElementaryComplex, max_degree: int) -> ChainComplex:
     """Realise an elementary complex as a based chain complex.
 
-    Bases are truncated one degree above ``max_degree``, so every boundary
-    into degree <= max_degree is complete.  Divided powers obey x * gamma_k(x)
-    = (k+1) gamma_{k+1}(x), which turns d(y) = h*x into
+    Bases are truncated one degree above ``max_degree`` so that every
+    boundary into degree <= max_degree is complete and homology can be
+    queried up to the cap.  Divided powers obey x * gamma_k(x) =
+    (k+1) gamma_{k+1}(x), which turns d(y) = h*x into
 
         EP:  d(gamma_k(y)) = h * x gamma_{k-1}(y),  d(x gamma_k(y)) = 0
         PE:  d(y gamma_k(x)) = h(k+1) gamma_{k+1}(x),  d(gamma_k(x)) = 0
 
-    Every degree has at most one basis element, and each boundary is at most
-    the single entry ``{0: coefficient}`` in its single column.
+    Even and odd degrees hold different generators, so every degree has at
+    most one basis element and each boundary is at most the single entry
+    ``{0: coefficient}`` in its single column.
     """
     from .snf import ChainComplex
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    top, q = max_degree + 1, c.q
+    top = max_degree + 1
+    q = c.q
     dims = [0] * (top + 1)
     boundaries: dict[int, list[dict[int, int]]] = {}
     if c.kind is ComplexKind.EXTERIOR_FIRST:
@@ -193,20 +195,25 @@ def realize_chain_complex(c: ElementaryComplex, max_degree: int) -> ChainComplex
 
 
 def tensor_chain_complex(factors, max_degree: int) -> ChainComplex:
-    """Tensor product of a sequence of based complexes, truncated at ``max_degree``
-    + 1, with the Koszul sign d(a ox b) = da ox b + (-1)^|a| a ox db.
+    """Tensor product of a sequence of based complexes, truncated at
+    ``max_degree`` + 1, with the Koszul sign d(a ox b) = da ox b +
+    (-1)^|a| a ox db.
 
     Every factor must be complete up to max_degree + 1 (what it lacks above
-    its own cap counts as zero).  Partial products stay plain dims and sparse
-    columns, and d o d = 0 is checked once, on the result, which covers them
-    too: each factor has a degree-0 cell with zero boundary, and d^2(a ox 1)
-    = d^2(a) ox 1.
+    its own cap counts as zero, which is the caller's responsibility).  The
+    fold starts from the first factor (from Z in degree 0 when there is
+    none) and keeps each partial product as plain dims and sparse columns;
+    only the result becomes a ``ChainComplex``, so shapes and d o d = 0 are
+    checked once, on the complex the caller holds.
+    That check covers the partial products too: every factor built here has
+    a degree-0 cell with zero boundary, and d^2(a ox 1) = d^2(a) ox 1.
 
     In degree d the basis of A ox B runs over i, then a in A_i, then b in
     B_(d-i), so a ox b sits at offset[d][i] + a * dim B_(d-i) + b.  The
-    order of the factors fixes the basis, not the homology; each fold step
-    costs about the size of its partial product, so sparsest first is
-    cheapest.
+    caller chooses the order of the factors, and with it the basis; the
+    homology is the same in any order.  Each step of the fold costs about
+    the size of its partial product, so folding the sparsest factors first
+    is cheapest, and the model complexes below are built that way.
     """
     from .snf import ChainComplex
     if max_degree < 0:
@@ -263,65 +270,68 @@ def _tensor(dim1, cols1, dim2, cols2):
 
 
 def _sparsest_first(factors, max_degree: int) -> list[ChainComplex]:
-    """The factors realised to ``max_degree``, fewest cells first (stable)."""
+    """The factors realised to ``max_degree``, fewest cells first (ties keep
+    their order): the fold order that keeps the partial products smallest."""
     return sorted((realize_chain_complex(f, max_degree) for f in factors),
                   key=lambda c: sum(c.dims))
 
 
-_SHAPES: dict = {}  # for the process: content -> shape, (A, B, parity of A's base) -> A ox B
-
-
-def _shape(c: ChainComplex) -> ChainComplex:
-    """The table's shape with the content of ``c``; ``c`` itself if new."""
-    cols = (tuple(sorted(col.items())) for n in range(1, c.max_degree + 1) for col in c.columns(n))
-    return _SHAPES.setdefault((c.dims, tuple(cols)), c)
-
-
 def _components(c: ChainComplex, top: int):
-    """(shape, base) of each component of a realised elementary complex based
-    at most ``top`` < ``c.max_degree``: one cell per degree, and d o d = 0
-    keeps a cell out of two pairs, so a cell n is alone or pairs with n + 1."""
-    from .snf import ChainComplex
+    """(boundary coefficient, base) of each component of a realised
+    elementary complex based at most ``top`` < ``c.max_degree``, the
+    coefficient None for a lone cell: there is one cell per degree, and
+    d o d = 0 keeps a cell out of two pairs, so cell n is alone or pairs
+    with n + 1."""
     for n in range(top + 1):
         if c.dims[n] and not (n and c.columns(n)[0]):  # not the upper cell of a pair
-            up = c.columns(n + 1)[0] if c.dims[n + 1] else None
-            yield _shape(ChainComplex((1, 1), {1: [up]}) if up else ChainComplex((1,), {})), n
-
-
-def _product(a: ChainComplex, b: ChainComplex, odd: int) -> ChainComplex:
-    """The untruncated shape a ox b for a based in a degree of parity ``odd``:
-    b negated carries the Koszul sign (-1)^|a| when ``odd``."""
-    if b.dims == (1,) or a.dims == (1,) and not odd:  # a point only translates
-        return a if b.dims == (1,) else b
-    if (a, b, odd) not in _SHAPES:
-        from .snf import ChainComplex
-        signed = ChainComplex(b.dims, {n: [{r: -x for r, x in col.items()} for col in b.columns(n)]
-                                       for n in range(1, b.max_degree + 1)}) if odd else b
-        _SHAPES[a, b, odd] = _shape(
-            tensor_chain_complex([a, signed], a.max_degree + b.max_degree - 1))
-    return _SHAPES[a, b, odd]
+            yield (c.columns(n + 1)[0].get(0) if c.dims[n + 1] else None), n
 
 
 def _direct_sum(factors, max_degree: int) -> DirectSum:
     """The tensor product of the realised ``factors``, in their order and
-    truncated at ``max_degree`` + 1, as a sum of translated shapes."""
+    truncated at ``max_degree`` + 1, as a sum of translated shapes.
+
+    A shape is a product of edges, one component from each factor with the
+    lone cells left out, as a lone cell only translates.  Each product A ox B
+    of a shape and an edge is built once, untruncated, by
+    ``tensor_chain_complex([A, B], top_A)``, B negated when A's base is odd
+    (the Koszul sign (-1)^|a|).  Products are kept for this model only: its
+    many summands repeat a few shapes, while separate models share few.
+    """
     from .snf import ChainComplex, DirectSum
     top = max_degree + 1
-    summands = Counter({(_shape(ChainComplex((1,), {})), 0): 1})
+    point = ChainComplex((1,), {})
+    edges = {}  # signed boundary coefficient -> the two-cell shape
+    products = {}  # (shape A, signed edge B) -> A ox B
+
+    def edge(h):
+        if h not in edges:
+            edges[h] = ChainComplex((1, 1), {1: [{0: h}]})
+        return edges[h]
+
+    summands = Counter({(point, 0): 1})
     for f in factors:
         parts, folded = list(_components(realize_chain_complex(f, top), top)), Counter()
         for (a, i), m in summands.items():
-            for b, j in parts:
+            for h, j in parts:
                 if i + j > top:
                     break
-                folded[_product(a, b, i % 2), i + j] += m
+                shape = a
+                if h is not None:
+                    b = edge(-h if i % 2 else h)
+                    if (a, b) not in products:
+                        products[a, b] = (b if a is point
+                                          else tensor_chain_complex([a, b], a.max_degree))
+                    shape = products[a, b]
+                folded[shape, i + j] += m
         summands = folded
     return DirectSum(summands, top)
 
 
 def primary_model_chain_complex(p: int, r: int, max_degree: int) -> DirectSum:
     """The p-primary model as a sum of shapes, truncated at ``max_degree`` + 1,
-    folded sparsest factor first: in an order no cap changes, so caps share."""
+    folded sparsest factor first: in an order no cap changes, so below its
+    cap the model is the sub-sum of the model at any larger cap."""
     return _direct_sum(primary_model(p, r, max_degree)[::-1], max_degree)
 
 

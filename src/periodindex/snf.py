@@ -1,17 +1,18 @@
 """Exact integer linear algebra and homology of free chain complexes.
 
 Everything here runs over Python's arbitrary-precision integers, so results
-are exact.  Chain complexes store boundaries as sparse columns.  Homology is
-read off the boundaries' invariant factors, block by block, merged into a
-single divisibility chain (Dumas, Saunders and Villard, JSC 2001): a block
-with one row or one column has the gcd of its entries, any other block one
-dense minimal-pivot Smith normal form per distinct block in the complex.
-Every complex has d o d = 0 checked when it is built, so every complex here
-is a chain complex.  A ``DirectSum`` of translated complexes, the form the
-oracle gives a tensor model in, sums the invariants of its summands, each
-reduced once however often it repeats: it needs only that homology commutes
-with direct sums and translation.  Swapping in a faster SNF would only touch
-``smith_normal_form``.
+are exact.  Chain complexes store boundaries as sparse columns, since the
+tensor models' boundaries are a few percent non-zero and split into small
+connected blocks.  Homology is read off the boundaries' invariant factors,
+block by block, merged into a single divisibility chain (Dumas, Saunders
+and Villard, JSC 2001): a block with one row or one column has the gcd of
+its entries, any other block one dense minimal-pivot Smith normal form per
+distinct block in the complex.  Every complex has d o d = 0 checked when it
+is built, so every complex here is a chain complex.  A ``DirectSum`` of
+translated complexes, the form the oracle gives a tensor model in, sums the
+invariants of its summands, each reduced once however often it repeats: it
+needs only that homology commutes with direct sums and translation.
+Swapping in a faster SNF would only touch ``smith_normal_form``.
 
 This module imports nothing else from the package: the oracle knows no
 closed form, no Tor rule and no Kunneth product.
@@ -26,8 +27,12 @@ from typing import NamedTuple
 
 
 class IntegerMatrix(namedtuple("IntegerMatrix", "rows cols entries")):
-    """Dense integer matrix with explicit shape (0-row / 0-column allowed),
-    row-major in a flat tuple so that matrices are hashable values."""
+    """Dense integer matrix with explicit shape (0-row / 0-column allowed).
+
+    Entries are stored row-major in a flat tuple so that matrices are
+    hashable values; anything that mutates works on nested lists and
+    rebuilds at the end.
+    """
 
     __slots__ = ()
 
@@ -43,12 +48,17 @@ class IntegerMatrix(namedtuple("IntegerMatrix", "rows cols entries")):
     @classmethod
     def from_rows(cls, rows: list[list[int]], cols: int | None = None) -> "IntegerMatrix":
         """Build from a list of rows; `cols` disambiguates the 0-row case."""
-        if not rows and cols is None:
+        if rows:
+            width = len(rows[0])
+            if cols is not None and cols != width:
+                raise ValueError("cols does not match row width")
+            if any(len(r) != width for r in rows):
+                raise ValueError("ragged rows")
+            flat = tuple(int(x) for r in rows for x in r)
+            return cls(len(rows), width, flat)
+        if cols is None:
             raise ValueError("cols is required for a matrix with no rows")
-        width = len(rows[0]) if rows else cols
-        if cols not in (None, width) or any(len(r) != width for r in rows):
-            raise ValueError("ragged rows, or cols does not match row width")
-        return cls(len(rows), width, tuple(int(x) for r in rows for x in r))
+        return cls(0, cols, ())
 
     @classmethod
     def identity(cls, n: int) -> "IntegerMatrix":
@@ -78,10 +88,13 @@ def determinant(m: IntegerMatrix) -> int:
     prev = 1
     for k in range(n - 1):
         if a[k][k] == 0:
-            i = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if i is None:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
                 return 0
-            a[k], a[i], sign = a[i], a[k], -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
@@ -188,7 +201,7 @@ def _divisibility_chain(counts) -> tuple[int, ...]:
     >>> _divisibility_chain({2: 1, 3: 1, 4: 1, 1: 1})
     (2, 12)
     """
-    counts = Counter(counts)
+    own = False  # the caller's counts are copied before the first merge
     while True:
         orders = sorted(e for e, m in counts.items() if m and e > 1)
         pair = next(((a, b) for a, b in zip(orders, orders[1:]) if b % a), None)
@@ -196,6 +209,7 @@ def _divisibility_chain(counts) -> tuple[int, ...]:
             return tuple(chain.from_iterable(repeat(e, counts[e]) for e in orders))
         a, b = pair
         t = min(counts[a], counts[b])
+        counts, own = (counts if own else Counter(counts)), True
         counts.update({a: -t, b: -t, gcd(a, b): t, lcm(a, b): t})
 
 
@@ -209,9 +223,13 @@ def _dense(columns, index, rows: int) -> IntegerMatrix:
 
 
 def _block_invariants(columns, reduced) -> tuple[int, tuple[int, ...]]:
-    """(rank, invariant factors > 1) of sparse columns, one connected block at
-    a time: the gcd of a block with one row or one column, else the block's
+    """(rank, invariant factors > 1) of sparse columns, one connected block
+    of their row/column graph at a time.  A block with one row or one column
+    has rank 1 and factor the gcd of its entries; any other block gets a
     dense Smith normal form, kept in ``reduced`` under the block itself."""
+    if len(columns) < 2 or len(set().union(*columns)) < 2:  # at most one block
+        g = gcd(*chain.from_iterable(map(dict.values, columns)))
+        return (1, (g,) if g > 1 else ()) if g else (0, ())
     parent = list(range(len(columns)))
 
     def root(j):
@@ -229,18 +247,18 @@ def _block_invariants(columns, reduced) -> tuple[int, tuple[int, ...]]:
     for j, col in enumerate(columns):
         if col:
             blocks[root(j)].append(col)
-    rank, factors = 0, []
+    rank, factors = 0, Counter()
     for cols in blocks.values():
         if len(cols) == 1 or len(rows := set().union(*cols)) == 1:
             rank += 1
-            factors.append(gcd(*(a for col in cols for a in col.values())))
+            factors[gcd(*(a for col in cols for a in col.values()))] += 1
             continue
         block = _dense(cols, {r: i for i, r in enumerate(sorted(rows))}, len(rows))
         if block not in reduced:
             reduced[block] = smith_normal_form(block)
         rank += reduced[block].rank
-        factors.extend(reduced[block].invariant_factors)
-    return rank, _divisibility_chain(Counter(factors))
+        factors.update(reduced[block].invariant_factors)
+    return rank, _divisibility_chain(factors)
 
 
 class ChainComplex:
@@ -249,11 +267,14 @@ class ChainComplex:
     ``dims[n]`` is the rank of the degree-n chain group.  The degree-n
     boundary is given sparse, one ``{row: coefficient}`` map per degree-n
     basis element with rows indexing the degree-(n-1) basis; a degree
-    missing from ``boundaries`` has the zero boundary.  Zero entries given
-    are dropped.  Shapes and d o d = 0 are checked here, on every complex.
-    Each boundary's rank and invariant factors are kept once computed, and
-    so is the Smith normal form of each distinct dense block.  Degrees above
-    ``max_degree`` are unknown, so homology is only asked for below the cap.
+    missing from ``boundaries`` has the zero boundary, ``dims[n]`` empty
+    columns.  Stored entries are non-zero: zeros given are dropped.  Shapes
+    and d o d = 0 are checked here, on every complex, so a complex that
+    exists is a chain complex.  Each boundary's rank and invariant factors
+    are kept once computed, as they serve two degrees of homology, and so is
+    the Smith normal form of each distinct dense block, which the tensor
+    models repeat many times.  Degrees above ``max_degree`` are unknown, so
+    homology is only asked for below the cap.
     """
 
     def __init__(self, dims, boundaries):
@@ -270,7 +291,7 @@ class ChainComplex:
         self.validate()
 
     def _sparse(self, n: int, boundary) -> tuple[dict[int, int], ...]:
-        rows, cols = self.dim(n - 1), self.dim(n)
+        rows, cols = self.dims[n - 1], self.dims[n]  # 1 <= n <= max_degree
         if boundary is None:  # fresh empty columns: nothing to copy or check
             return tuple(map(dict, repeat((), cols)))
         # own copies of the columns; the loops over every entry run in C
@@ -333,15 +354,16 @@ class DirectSum:
     def __init__(self, summands, max_degree: int):
         self.summands, self.max_degree = dict(summands), max_degree
         dims, ranks = [0] * (max_degree + 1), [0] * (max_degree + 1)
-        torsion, rows = [Counter() for _ in dims], {}
+        torsion, rows = [{} for _ in dims], {}
         for (c, base), m in self.summands.items():
             if c not in rows:
                 rows[c] = [(c.dims[n], *c.boundary_invariants(n)) for n in range(c.max_degree + 1)]
-            for n, (dim, rank, factors) in enumerate(rows[c][:max_degree + 1 - base], base):
+            for n, (dim, rank, factors) in zip(range(base, max_degree + 1), rows[c]):
                 dims[n] += m * dim
                 ranks[n] += m * rank
+                t = torsion[n]
                 for e in factors:
-                    torsion[n][e] += m
+                    t[e] = t.get(e, 0) + m
         self.dims = tuple(dims)
         self._invariants = [(r, _divisibility_chain(t) if t else ())
                             for r, t in zip(ranks, torsion)]

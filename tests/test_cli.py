@@ -8,7 +8,7 @@ from decimal import MAX_EMAX, Decimal, localcontext
 
 import pytest
 
-from periodindex import bounds, cli, verify
+from periodindex import bounds, cli, graded, verify
 from periodindex.bounds import PRIME_CEILING, BoundReport, index_bound
 from periodindex.graded import GradedAbelianGroup, exponent
 from periodindex.complexes import model_homology, primary_model_homology
@@ -304,6 +304,18 @@ class TestHomology:
         assert cli.main(["homology", "--prime", "2", "--exponent", "1000",
                          "--max-degree", "4", "--format", fmt]) == 0
         assert 1208 < len(capsys.readouterr().out) or fmt == "json"
+
+    def test_exponent_bounds_refuse_without_an_lcm(self, capsys, monkeypatch):
+        # one order per degree: the largest order's digits already pass the
+        # limit, so the refusal computes no exponent
+        def no_exponent(group, degree):
+            raise AssertionError("exponent computed for a refused listing")
+
+        monkeypatch.setattr(cli, "MAX_OUTPUT", 1000)
+        monkeypatch.setattr(graded, "exponent", no_exponent)
+        assert cli.main(["homology", "--prime", "2", "--exponent", "1000",
+                         "--max-degree", "4", "--format", "csv"]) == 2
+        assert "exponents" in capsys.readouterr().err
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_long_orders_print_as_str_does(self, capsys, fmt):
