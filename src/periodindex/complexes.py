@@ -291,9 +291,9 @@ def _direct_sum(factors, max_degree: int) -> DirectSum:
     """The tensor product of the realised ``factors``, in their order and
     truncated at ``max_degree`` + 1, as a sum of translated shapes.
 
-    A shape is a product of edges, one component from each factor with the
-    lone cells left out, as a lone cell only translates.  Each product A ox B
-    of a shape and an edge is built once, untruncated, by
+    Each summand takes one component from each factor: its shape is the
+    product of the edges taken, as a lone cell only translates.  Each
+    product A ox B of a shape and an edge is built once, untruncated, by
     ``tensor_chain_complex([A, B], top_A)``, B negated when A's base is odd
     (the Koszul sign (-1)^|a|).  Products are kept for this model only: its
     many summands repeat a few shapes, while separate models share few.

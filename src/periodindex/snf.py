@@ -201,7 +201,7 @@ def _divisibility_chain(counts) -> tuple[int, ...]:
     >>> _divisibility_chain({2: 1, 3: 1, 4: 1, 1: 1})
     (2, 12)
     """
-    own = False  # the caller's counts are copied before the first merge
+    own = False  # the caller's counts are copied before the first merge, if any
     while True:
         orders = sorted(e for e, m in counts.items() if m and e > 1)
         pair = next(((a, b) for a, b in zip(orders, orders[1:]) if b % a), None)
@@ -209,7 +209,8 @@ def _divisibility_chain(counts) -> tuple[int, ...]:
             return tuple(chain.from_iterable(repeat(e, counts[e]) for e in orders))
         a, b = pair
         t = min(counts[a], counts[b])
-        counts, own = (counts if own else Counter(counts)), True
+        if not own:
+            counts, own = Counter(counts), True
         counts.update({a: -t, b: -t, gcd(a, b): t, lcm(a, b): t})
 
 
@@ -227,7 +228,7 @@ def _block_invariants(columns, reduced) -> tuple[int, tuple[int, ...]]:
     of their row/column graph at a time.  A block with one row or one column
     has rank 1 and factor the gcd of its entries; any other block gets a
     dense Smith normal form, kept in ``reduced`` under the block itself."""
-    if len(columns) < 2 or len(set().union(*columns)) < 2:  # at most one block
+    if len(columns) < 2 or len(set().union(*columns)) < 2:  # one block at most: no union-find
         g = gcd(*chain.from_iterable(map(dict.values, columns)))
         return (1, (g,) if g > 1 else ()) if g else (0, ())
     parent = list(range(len(columns)))
