@@ -21,13 +21,14 @@ prime-power ones.
 Closed-form homology here is independently checkable: every elementary
 complex can be realised as an explicit based chain complex and handed to
 the Smith-normal-form homology in :mod:`periodindex.snf`.  The oracle route
-``primary_model_chain_complex`` never builds a model's tensor product.  It
-splits each realised factor into the connected components of its boundary
-graph (one or two cells each) and, as ox distributes over +, folds the
-factors into a ``DirectSum`` of translated shapes.  Each product of two
-shapes is built once per model by ``tensor_chain_complex``, in a table kept
-for that call only.  The route uses components, distributivity and
-translation only: no Tor rule, no closed form, no Kunneth product.
+``primary_model_chain_complex`` never builds a model's tensor product, nor
+realises a factor.  It reads each factor as the connected components of
+its boundary graph (one or two cells each, ``_components``) and, as ox
+distributes over +, folds the factors, q descending, into a ``DirectSum``
+of translated shapes.  Each product of two shapes is built once per model
+by ``tensor_chain_complex``, in a table kept for that call only.  The
+route uses components, distributivity and translation only: no Tor rule,
+no closed form, no Kunneth product.
 """
 
 from __future__ import annotations
@@ -153,44 +154,61 @@ def model_homology(n: int, max_degree: int) -> GradedAbelianGroup:
     return result
 
 
-def realize_chain_complex(c: ElementaryComplex, max_degree: int) -> ChainComplex:
-    """Realise an elementary complex as a based chain complex.
+def _components(c: ElementaryComplex, top: int) -> list[tuple[int | None, int]]:
+    """(boundary coefficient, base degree) of each connected component of
+    the elementary complex ``c`` truncated at degree ``top``, by ascending
+    base degree; the coefficient is None for a lone cell.
 
-    Bases are truncated one degree above ``max_degree`` so that every
-    boundary into degree <= max_degree is complete and homology can be
-    queried up to the cap.  Divided powers obey x * gamma_k(x) =
-    (k+1) gamma_{k+1}(x), which turns d(y) = h*x into
+    Even and odd degrees hold different generators, so each degree has at
+    most one cell.  Divided powers obey x * gamma_k(x) = (k+1) gamma_{k+1}(x),
+    which turns d(y) = h*x into
 
         EP:  d(gamma_k(y)) = h * x gamma_{k-1}(y),  d(x gamma_k(y)) = 0
         PE:  d(y gamma_k(x)) = h(k+1) gamma_{k+1}(x),  d(gamma_k(x)) = 0
 
-    Even and odd degrees hold different generators, so every degree has at
-    most one basis element and each boundary is at most the single entry
+    so x gamma_k(y) (degree 2q-1+2qk) and gamma_k(x) (degree 2qk, k >= 1)
+    each pair with the cell above them.  A pair cut by ``top`` leaves its
+    lower cell alone:
+
+    >>> _components(ElementaryComplex(ComplexKind.PE_SECOND, 1, 2), 6)
+    [(None, 0), (2, 2), (4, 4), (None, 6)]
+
+    Every complex the oracle builds from these is still checked: a
+    component has at most two cells, so d o d = 0 holds by construction,
+    and each edge and each product of shapes is a validated ``ChainComplex``.
+    """
+    q, h = c.q, c.h
+    if c.kind is ComplexKind.EXTERIOR_FIRST:
+        return [(None, n) for n in (0, 2 * q - 1) if n <= top]
+    if c.kind is ComplexKind.DIVIDED_POWER_FIRST:
+        return [(None, n) for n in range(0, top + 1, 2 * q)]
+    if c.kind is ComplexKind.EP_SECOND:
+        pairs = [(h, n) for n in range(2 * q - 1, top + 1, 2 * q)]
+    else:
+        pairs = [(h * k, n) for k, n in enumerate(range(2 * q, top + 1, 2 * q), start=1)]
+    return [(None, 0)] + [(a if n < top else None, n) for a, n in pairs]
+
+
+def realize_chain_complex(c: ElementaryComplex, max_degree: int) -> ChainComplex:
+    """Realise an elementary complex as a based chain complex built from its
+    ``_components``, so each boundary is at most the single entry
     ``{0: coefficient}`` in its single column.
+
+    Bases are truncated one degree above ``max_degree`` so that every
+    boundary into degree <= max_degree is complete and homology can be
+    queried up to the cap.
     """
     from .snf import ChainComplex
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     top = max_degree + 1
-    q = c.q
     dims = [0] * (top + 1)
-    boundaries: dict[int, list[dict[int, int]]] = {}
-    if c.kind is ComplexKind.EXTERIOR_FIRST:
-        dims[0] = 1
-        if 2 * q - 1 <= top:
-            dims[2 * q - 1] = 1
-    else:  # gamma_k of the even generator, degree 2qk
-        for d in range(0, top + 1, 2 * q):
-            dims[d] = 1
-    if c.kind is ComplexKind.EP_SECOND:  # x gamma_k(y), degree 2q-1+2qk
-        for d in range(2 * q - 1, top + 1, 2 * q):
-            dims[d] = 1
-        for d in range(2 * q, top + 1, 2 * q):
-            boundaries[d] = [{0: c.h}]
-    elif c.kind is ComplexKind.PE_SECOND:  # y gamma_k(x), degree 2q+1+2qk
-        for k, d in enumerate(range(2 * q + 1, top + 1, 2 * q)):
-            dims[d] = 1
-            boundaries[d] = [{0: c.h * (k + 1)}]
+    boundaries = {}
+    for h, n in _components(c, top):
+        dims[n] = 1
+        if h is not None:
+            dims[n + 1] = 1
+            boundaries[n + 1] = [{0: h}]
     return ChainComplex(dims, boundaries)
 
 
@@ -269,77 +287,60 @@ def _tensor(dim1, cols1, dim2, cols2):
     return dims, columns
 
 
-def _sparsest_first(factors, max_degree: int) -> list[ChainComplex]:
-    """The factors realised to ``max_degree``, fewest cells first (ties keep
-    their order): the fold order that keeps the partial products smallest."""
-    return sorted((realize_chain_complex(f, max_degree) for f in factors),
-                  key=lambda c: sum(c.dims))
-
-
-def _components(c: ChainComplex, top: int):
-    """(boundary coefficient, base) of each component of a realised
-    elementary complex based at most ``top`` < ``c.max_degree``, the
-    coefficient None for a lone cell: there is one cell per degree, and
-    d o d = 0 keeps a cell out of two pairs, so cell n is alone or pairs
-    with n + 1."""
-    for n in range(top + 1):
-        if c.dims[n] and not (n and c.columns(n)[0]):  # not the upper cell of a pair
-            yield (c.columns(n + 1)[0].get(0) if c.dims[n + 1] else None), n
+def _fold_order(factors) -> list[ElementaryComplex]:
+    """The factors by q descending, ties kept in order: a factor's cells lie
+    2q apart, so the sparsest fold first, in an order no cap changes."""
+    return sorted(factors, key=lambda f: -f.q)
 
 
 def _direct_sum(factors, max_degree: int) -> DirectSum:
-    """The tensor product of the realised ``factors``, in their order and
+    """The tensor product of the elementary ``factors``, in their order and
     truncated at ``max_degree`` + 1, as a sum of translated shapes.
 
-    Each summand takes one component from each factor: its shape is the
-    product of the edges taken, as a lone cell only translates.  Each
-    product A ox B of a shape and an edge is built once, untruncated, by
-    ``tensor_chain_complex([A, B], top_A)``, B negated when A's base is odd
-    (the Koszul sign (-1)^|a|).  Products are kept for this model only: its
-    many summands repeat a few shapes, while separate models share few.
+    Each factor enters, never realised, as its ``_components`` under that
+    cap, which leaves the product unchanged up to it.  Each summand takes
+    one component from each factor: its shape is the product of the edges
+    taken, as a lone cell only translates.  Each product A ox B of a shape
+    and an edge is built once, untruncated, by ``tensor_chain_complex([A, B],
+    top_A)``, B negated when A's base is odd (the Koszul sign (-1)^|a|).
+    Products are kept for this model only: its many summands repeat a few
+    shapes, while separate models share few.
     """
     from .snf import ChainComplex, DirectSum
     top = max_degree + 1
     point = ChainComplex((1,), {})
-    edges = {}  # signed boundary coefficient -> the two-cell shape
-    products = {}  # (shape A, signed edge B) -> A ox B
-
-    def edge(h):
-        if h not in edges:
-            edges[h] = ChainComplex((1, 1), {1: [{0: h}]})
-        return edges[h]
-
+    products = {}  # (shape A, signed coefficient of the edge B) -> A ox B
     summands = Counter({(point, 0): 1})
     for f in factors:
-        parts, folded = list(_components(realize_chain_complex(f, top), top)), Counter()
+        parts, folded = _components(f, top), Counter()
         for (a, i), m in summands.items():
             for h, j in parts:
                 if i + j > top:
                     break
-                shape = a
                 if h is not None:
-                    b = edge(-h if i % 2 else h)
-                    if (a, b) not in products:
-                        products[a, b] = (b if a is point
-                                          else tensor_chain_complex([a, b], a.max_degree))
-                    shape = products[a, b]
-                folded[shape, i + j] += m
+                    key = a, (-h if i % 2 else h)
+                    if key not in products:
+                        b = ChainComplex((1, 1), {1: [{0: key[1]}]})
+                        products[key] = (b if a is point
+                                         else tensor_chain_complex([a, b], a.max_degree))
+                folded[a if h is None else products[key], i + j] += m
         summands = folded
     return DirectSum(summands, top)
 
 
 def primary_model_chain_complex(p: int, r: int, max_degree: int) -> DirectSum:
     """The p-primary model as a sum of shapes, truncated at ``max_degree`` + 1,
-    folded sparsest factor first: in an order no cap changes, so below its
-    cap the model is the sub-sum of the model at any larger cap."""
-    return _direct_sum(primary_model(p, r, max_degree)[::-1], max_degree)
+    folded in ``_fold_order``: as no cap changes that order, below its cap
+    the model is the sub-sum of the model at any larger cap."""
+    return _direct_sum(_fold_order(primary_model(p, r, max_degree)), max_degree)
 
 
 def model_chain_complex(n: int, max_degree: int) -> ChainComplex:
     """The full model for order n as one based chain complex: the tensor
-    product of the prime-power models' factors (the oracle route to
-    ``model_homology``)."""
+    product of the prime-power models' factors, folded in ``_fold_order``
+    (the oracle route to ``model_homology``)."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    factors = [f for p, r in factorize(n) for f in primary_model(p, r, max_degree)]
-    return tensor_chain_complex(_sparsest_first(factors, max_degree), max_degree)
+    factors = _fold_order(f for p, r in factorize(n) for f in primary_model(p, r, max_degree))
+    return tensor_chain_complex([realize_chain_complex(f, max_degree) for f in factors],
+                                max_degree)

@@ -6,13 +6,13 @@ tensor models' boundaries are a few percent non-zero and split into small
 connected blocks.  Homology is read off the boundaries' invariant factors,
 block by block, merged into a single divisibility chain (Dumas, Saunders
 and Villard, JSC 2001): a block with one row or one column has the gcd of
-its entries, any other block one dense minimal-pivot Smith normal form per
-distinct block in the complex.  Every complex has d o d = 0 checked when it
-is built, so every complex here is a chain complex.  A ``DirectSum`` of
-translated complexes, the form the oracle gives a tensor model in, sums the
-invariants of its summands, each reduced once however often it repeats: it
-needs only that homology commutes with direct sums and translation.
-Swapping in a faster SNF would only touch ``smith_normal_form``.
+its entries, any other block one dense minimal-pivot Smith normal form.
+Every complex has d o d = 0 checked when it is built, so every complex
+here is a chain complex.  A ``DirectSum`` of translated complexes, the
+form the oracle gives a tensor model in, sums the invariants of its
+summands, each reduced once however often it repeats: it needs only that
+homology commutes with direct sums and translation.  Swapping in a faster
+SNF would only touch ``smith_normal_form``.
 
 This module imports nothing else from the package: the oracle knows no
 closed form, no Tor rule and no Kunneth product.
@@ -223,11 +223,11 @@ def _dense(columns, index, rows: int) -> IntegerMatrix:
     return IntegerMatrix(rows, len(columns), tuple(entries))
 
 
-def _block_invariants(columns, reduced) -> tuple[int, tuple[int, ...]]:
+def _block_invariants(columns) -> tuple[int, tuple[int, ...]]:
     """(rank, invariant factors > 1) of sparse columns, one connected block
     of their row/column graph at a time.  A block with one row or one column
     has rank 1 and factor the gcd of its entries; any other block gets a
-    dense Smith normal form, kept in ``reduced`` under the block itself."""
+    dense Smith normal form."""
     if len(columns) < 2 or len(set().union(*columns)) < 2:  # one block at most: no union-find
         g = gcd(*chain.from_iterable(map(dict.values, columns)))
         return (1, (g,) if g > 1 else ()) if g else (0, ())
@@ -254,11 +254,9 @@ def _block_invariants(columns, reduced) -> tuple[int, tuple[int, ...]]:
             rank += 1
             factors[gcd(*(a for col in cols for a in col.values()))] += 1
             continue
-        block = _dense(cols, {r: i for i, r in enumerate(sorted(rows))}, len(rows))
-        if block not in reduced:
-            reduced[block] = smith_normal_form(block)
-        rank += reduced[block].rank
-        factors.update(reduced[block].invariant_factors)
+        form = smith_normal_form(_dense(cols, {r: i for i, r in enumerate(rows)}, len(rows)))
+        rank += form.rank
+        factors.update(form.invariant_factors)
     return rank, _divisibility_chain(factors)
 
 
@@ -272,10 +270,9 @@ class ChainComplex:
     columns.  Stored entries are non-zero: zeros given are dropped.  Shapes
     and d o d = 0 are checked here, on every complex, so a complex that
     exists is a chain complex.  Each boundary's rank and invariant factors
-    are kept once computed, as they serve two degrees of homology, and so is
-    the Smith normal form of each distinct dense block, which the tensor
-    models repeat many times.  Degrees above ``max_degree`` are unknown, so
-    homology is only asked for below the cap.
+    are kept once computed, as they serve two degrees of homology.  Degrees
+    above ``max_degree`` are unknown, so homology is only asked for below
+    the cap.
     """
 
     def __init__(self, dims, boundaries):
@@ -288,7 +285,6 @@ class ChainComplex:
         self._columns = {n: self._sparse(n, boundaries.get(n))
                          for n in range(1, self.max_degree + 1)}
         self._invariants: dict[int, tuple[int, tuple[int, ...]]] = {0: (0, ())}
-        self._reduced: dict[IntegerMatrix, SmithNormalForm] = {}
         self.validate()
 
     def _sparse(self, n: int, boundary) -> tuple[dict[int, int], ...]:
@@ -339,7 +335,7 @@ class ChainComplex:
     def boundary_invariants(self, n: int) -> tuple[int, tuple[int, ...]]:
         """(rank, invariant factors > 1) of the degree-n boundary, memoised."""
         if n not in self._invariants:
-            self._invariants[n] = _block_invariants(self.columns(n), self._reduced)
+            self._invariants[n] = _block_invariants(self.columns(n))
         return self._invariants[n]
 
 
@@ -382,10 +378,12 @@ def homology_of_complex(c: ChainComplex | DirectSum, n: int) -> tuple[int, list[
 
     H_n = Z^(dim C_n - rk d_n - rk d_(n+1)) + the sum of Z/e over the
     invariant factors e > 1 of d_(n+1), both boundaries reduced block by
-    block (``boundary_invariants``).  Raises for n == max_degree, where the
-    incoming boundary is unknown under truncation.
+    block (``boundary_invariants``).  Raises for n < 0, and for
+    n == max_degree, where the incoming boundary is unknown under truncation.
     """
-    if not 0 <= n < c.max_degree:
+    if n < 0:
+        raise ValueError(f"no homology in negative degree {n}")
+    if n >= c.max_degree:
         raise ValueError(
             f"homology needs the boundary from degree {n + 1}; "
             f"complex is truncated at {c.max_degree}")

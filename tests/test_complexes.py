@@ -5,7 +5,8 @@ from collections import Counter
 import pytest
 
 from periodindex.bounds import padic_valuation
-from periodindex.complexes import (ComplexKind, ElementaryComplex, _sparsest_first,
+import periodindex.complexes
+from periodindex.complexes import (ComplexKind, ElementaryComplex, _fold_order,
                                    closed_form_homology,
                                    model_chain_complex, model_homology, primary_model,
                                    primary_model_chain_complex,
@@ -77,7 +78,52 @@ class TestClosedFormHomology:
                 assert all(d % 2 == 0 for d in group.nonzero_degrees())
 
 
+def per_kind_realization(c, max_degree):
+    """(dims, boundaries) of an elementary complex, written out kind by kind:
+    the reference that ``realize_chain_complex`` must keep to."""
+    top, q = max_degree + 1, c.q
+    dims, boundaries = [0] * (top + 1), {}
+    if c.kind is E:
+        dims[0] = 1
+        if 2 * q - 1 <= top:
+            dims[2 * q - 1] = 1
+    else:  # gamma_k of the even generator, degree 2qk
+        for d in range(0, top + 1, 2 * q):
+            dims[d] = 1
+    if c.kind is EP:  # x gamma_k(y), degree 2q-1+2qk; d(gamma_k(y)) = h x gamma_(k-1)(y)
+        for d in range(2 * q - 1, top + 1, 2 * q):
+            dims[d] = 1
+        for d in range(2 * q, top + 1, 2 * q):
+            boundaries[d] = ({0: c.h},)
+    elif c.kind is PE:  # y gamma_k(x), degree 2q+1+2qk, to h(k+1) gamma_(k+1)(x)
+        for k, d in enumerate(range(2 * q + 1, top + 1, 2 * q)):
+            dims[d] = 1
+            boundaries[d] = ({0: c.h * (k + 1)},)
+    return tuple(dims), boundaries
+
+
+def realised(factors, max_degree):
+    return [realize_chain_complex(f, max_degree) for f in factors]
+
+
 class TestRealization:
+    def test_matches_the_per_kind_construction(self):
+        # every kind, q 1-4, h 1-9 (none for the first type), caps 0-60
+        cases = 0
+        for kind in ComplexKind:
+            for q in range(1, 5):
+                for h in (range(1, 10) if kind in (EP, PE) else (None,)):
+                    c = ElementaryComplex(kind, q, h)
+                    for cap in range(61):
+                        dims, boundaries = per_kind_realization(c, cap)
+                        chain = realize_chain_complex(c, cap)
+                        assert chain.dims == dims, (c, cap)
+                        degrees = range(1, cap + 2)
+                        assert [chain.columns(n) for n in degrees] == \
+                            [boundaries.get(n, ({},) * dims[n]) for n in degrees], (c, cap)
+                        cases += 1
+        assert cases == 4880
+
     def test_pe_boundary_coefficient(self):
         # d(y gamma_1 x) = 2*2 gamma_2(x): entry 4 from degree 5 to degree 4
         chain = realize_chain_complex(ElementaryComplex(PE, q=1, h=2), 4)
@@ -202,12 +248,11 @@ class TestTensor:
         # folds the sparsest factor first, so the dense P(2) ox E(3) goes last
         for cap in range(43):
             factors = primary_model(p, r, cap)
-            chains = _sparsest_first(factors, cap)
+            chains = realised(_fold_order(factors), cap)
             cells = [sum(c.dims) for c in chains]
             assert cells == sorted(cells)
             assert len(factors) == 1 or chains[-1].dims[1:4] == (0, 1, 1)
-            in_model_order = tensor_chain_complex(
-                [realize_chain_complex(f, cap) for f in factors], cap)
+            in_model_order = tensor_chain_complex(realised(factors, cap), cap)
             assert oracle_groups(in_model_order, cap) == \
                 oracle_groups(primary_model_chain_complex(p, r, cap), cap)
 
@@ -318,7 +363,7 @@ class TestModelChainComplex:
         # is a chain complex, and the shapes, translated and counted, have
         # the chain ranks of the whole product at the same cap
         chain = primary_model_chain_complex(2, 1, 10)
-        whole = tensor_chain_complex(_sparsest_first(primary_model(2, 1, 10), 10), 10)
+        whole = tensor_chain_complex(realised(_fold_order(primary_model(2, 1, 10)), 10), 10)
         dims = [0] * 12
         for (shape, base), m in chain.summands.items():
             shape.validate()
@@ -328,12 +373,12 @@ class TestModelChainComplex:
         assert tuple(dims) == chain.dims == whole.dims
 
     def test_summands_match_the_materialised_product(self):
-        # the reference is the whole tensor product, folded sparsest first
+        # the reference is the whole tensor product, folded in the same order
         for p in (2, 3, 5):
             for r in (1, 2, 3):
                 for cap in range(0, 61, 3):
                     factors = primary_model(p, r, cap)
-                    whole = tensor_chain_complex(_sparsest_first(factors, cap), cap)
+                    whole = tensor_chain_complex(realised(_fold_order(factors), cap), cap)
                     summands = primary_model_chain_complex(p, r, cap)
                     assert summands.dims == whole.dims, (p, r, cap)
                     assert oracle_groups(summands, cap) == oracle_groups(whole, cap), (p, r, cap)
@@ -357,6 +402,16 @@ class TestModelChainComplex:
             chain = primary_model_chain_complex(p, r, cap)
             expected = primary_model_homology(p, r, cap)
             assert oracle_groups(chain, cap) == closed_groups(expected)
+
+    def test_oracle_never_realises_a_factor(self, monkeypatch):
+        # the summand oracle reads each factor's components straight off its
+        # kind, q and h: it builds and answers with realisation unavailable
+        def refuse(*args):
+            raise AssertionError("realize_chain_complex called on the oracle route")
+
+        monkeypatch.setattr(periodindex.complexes, "realize_chain_complex", refuse)
+        chain = primary_model_chain_complex(3, 1, 76)
+        assert oracle_groups(chain, 76) == closed_groups(primary_model_homology(3, 1, 76))
 
     @pytest.mark.parametrize("n, cap", [(6, 8), (12, 8), (10, 6), (30, 24)])
     def test_composite_order_agrees_up_to_isomorphism(self, n, cap):

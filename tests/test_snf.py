@@ -9,7 +9,7 @@ import pytest
 
 import periodindex.snf
 from periodindex.complexes import ComplexKind, ElementaryComplex, realize_chain_complex
-from periodindex.snf import (ChainComplex, IntegerMatrix, determinant,
+from periodindex.snf import (ChainComplex, DirectSum, IntegerMatrix, determinant,
                              homology_of_complex, smith_normal_form)
 
 
@@ -259,6 +259,13 @@ class TestHomology:
         assert homology_of_complex(c, 0) == (1, [])
         with pytest.raises(ValueError):
             homology_of_complex(c, 1)
+
+    def test_negative_degree_is_named(self):
+        # refused for the degree, not blamed on the truncation cap
+        summed = DirectSum({(ChainComplex([1, 1], {1: [{0: 2}]}), 0): 3}, 4)
+        for c in (ChainComplex([1, 0, 0, 0, 0], {}), summed):
+            with pytest.raises(ValueError, match=r"^no homology in negative degree -1$"):
+                homology_of_complex(c, -1)
 
     def test_ep_spot_value(self):
         # d(y) = 4x in degree 2 makes H_1 = Z/4
