@@ -45,6 +45,13 @@ def _refuse(command: str, message: str) -> int:
     return 2
 
 
+def _over_output(count: int, digits_each: float) -> bool:
+    """Whether ``count`` numbers of ``digits_each`` digits each would pass
+    MAX_OUTPUT.  The count is never turned into a float, so an int of any
+    size is compared exactly instead of raising OverflowError."""
+    return digits_each > 0 and count > MAX_OUTPUT / digits_each
+
+
 def _emit(fmt: str, headers: Sequence[str], rows: Iterable[tuple]) -> None:
     """Write rows to stdout as an aligned table, as csv lines or as a JSON
     list of objects keyed by the headers.  csv and JSON are written 4096 rows
@@ -79,7 +86,7 @@ def _cmd_bound(args, parser) -> int:
         parser.error("n and d must be positive integers")
     # every exponent (d-1)r + v_p((d-1)!) is at most 2(d-1)r, so the bound
     # is at most n^(2(d-1)); refuse on that before any power is taken
-    if 2 * (args.d - 1) * log10(args.n) > MAX_OUTPUT:
+    if _over_output(2 * (args.d - 1), log10(args.n)):
         return _refuse("bound", f"the bound could have over {MAX_OUTPUT} digits; lower d")
     report = index_bound(args.n, args.d)
     comparison = _comparison(report) if args.compare else None
@@ -160,16 +167,21 @@ def _cmd_homology(args, parser) -> int:
             parser.error(f"{args.prime} is not prime")
         if args.exponent < 1:
             parser.error("--exponent must be >= 1")
-        # degree 2k holds Z/(p^r k), of over r log10 p digits, for each k up to
-        # max_degree / 2, and the model is built on p^r itself
-        if max(1, args.max_degree // 2) * args.exponent * log10(args.prime) > MAX_OUTPUT:
-            return _refuse("homology", f"p^r or the orders listed would have over {MAX_OUTPUT} "
-                                       "digits; lower --exponent or --max-degree")
-        group = primary_model_homology(args.prime, args.exponent, args.max_degree)
-    else:
-        if args.n < 2:
-            parser.error("n must be >= 2")
-        group = model_homology(args.n, args.max_degree)
+    elif args.n < 2:
+        parser.error("n must be >= 2")
+    if args.max_degree >= MAX_LISTED:  # one row per degree 0..max_degree
+        return _refuse("homology", f"the listing would hold over {MAX_LISTED} rows; "
+                                   "lower --max-degree")
+    # degree 2k holds Z/(p^r k), of over r log10 p digits, for each p^r || n and
+    # each k up to max_degree / 2, so the orders listed have over
+    # max(1, max_degree // 2) log10 n digits, log10 n = sum of r log10 p; the
+    # model is built on each p^r itself
+    base, power = (args.prime, args.exponent) if have_pr else (args.n, 1)
+    if _over_output(max(1, args.max_degree // 2) * power, log10(base)):
+        return _refuse("homology", f"p^r or the orders listed would have over {MAX_OUTPUT} "
+                                   "digits; lower the order or --max-degree")
+    group = (primary_model_homology(args.prime, args.exponent, args.max_degree) if have_pr
+             else model_homology(args.n, args.max_degree))
     listed = sum(m for _, pairs in group.parts for _, m in pairs)
     if listed > MAX_LISTED:
         return _refuse("homology", f"the listing would hold {listed} torsion summands, "
@@ -216,14 +228,18 @@ def _cmd_words(args, parser) -> int:
     if args.max_degree < 0:
         parser.error("--max-degree must be >= 0")
     from .words import render_keys, word_census, words_by_degree
+    too_long = (f"the listing would hold over {MAX_LISTED} rows or over {MAX_OUTPUT} "
+                "letters and digits; lower --max-degree or r")
     # each auxiliary row sigma^(h-1) psi_{p^r}, h = 1..max_degree-1, also
     # prints the digits of p^r: counted here, before p^r is formed
-    digits = max(0, args.max_degree - 1) * (int(args.r * log10(args.p)) + 1)
+    aux = max(0, args.max_degree - 1)
+    if _over_output(aux * args.r, log10(args.p)):
+        return _refuse("words", too_long)
+    digits = aux and aux * (int(args.r * log10(args.p)) + 1)  # r is unbounded when aux is 0
     rows, letters = word_census(args.p, args.r, args.max_degree, MAX_LISTED,
                                 MAX_OUTPUT - digits)
     if rows > MAX_LISTED or letters + digits > MAX_OUTPUT:
-        return _refuse("words", f"the listing would hold over {MAX_LISTED} rows or over "
-                                f"{MAX_OUTPUT} letters and digits; lower --max-degree or r")
+        return _refuse("words", too_long)
     keyed = words_by_degree(args.p, args.r, args.max_degree)
     word_first = args.format == "json"  # as the JSON objects do
 
@@ -301,16 +317,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # Python 3.11+ refuses int -> str past 4300 digits; bounds such as
-    # `bound 6 20000` go past it.  Lift the limit for the command only, since
-    # main may run inside a longer-lived process.
+    # Python 3.11+ refuses int <-> str past 4300 digits: bounds such as
+    # `bound 6 20000` print past it, and an n such as 2^16610 is read past it.
+    # Lift the limit for the command only, parsing included, since main may
+    # run inside a longer-lived process.
     get_limit = getattr(sys, "get_int_max_str_digits", None)
     old_limit = get_limit() if get_limit else None
     if get_limit:
         sys.set_int_max_str_digits(0)
     try:
+        parser = build_parser()
+        args = parser.parse_args(argv)
         return args.func(args, parser)
     except CeilingError as exc:
         return _refuse(args.command, str(exc))

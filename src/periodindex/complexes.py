@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from enum import Enum
-from itertools import chain
 from typing import TYPE_CHECKING
 
 from .bounds import _check_prime_power, factorize
@@ -248,41 +247,29 @@ def tensor_chain_complex(factors, max_degree: int) -> ChainComplex:
 
 
 def _tensor(dim1, cols1, dim2, cols2):
-    """(dims, columns) of one product in the fold, visiting only the blocks
-    A_i ox B_j in which both ranks are non-zero."""
-    nonzero = [i for i, n in enumerate(dim1) if n]
+    """(dims, columns) of one product in the fold: the column of a ox b, a in
+    A_i and b in B_j, is da ox b + (-1)^i a ox db, over the blocks A_i ox B_j
+    in which both ranks are non-zero."""
     offsets, dims = [], []
     for d in range(len(dim1)):
         start, size = {}, 0
-        for i in nonzero:
-            if i > d:
-                break
-            if dim2[d - i]:
+        for i in range(d + 1):
+            if dim1[i] and dim2[d - i]:
                 start[i] = size
                 size += dim1[i] * dim2[d - i]
         offsets.append(start)
         dims.append(size)
-
-    # the columns db of B, as (row, entry) pairs with sign +1 and -1: (-1)^|a|
-    signed = [([list(col.items()) for col in cols],
-               [[(r, -x) for r, x in col.items()] for col in cols]) for cols in cols2]
     columns = [({},) * dims[0]]
     for d in range(1, len(dim1)):
         out, below = [], offsets[d - 1]
         for i in offsets[d]:
-            j = d - i
-            n2 = dim2[j]
-            left = below.get(i - 1, 0)  # block (i-1, j) of da ox b
-            right = below.get(i, 0)     # block (i, j-1) of a ox db
-            right_n2 = dim2[j - 1] if j else 0
-            by_b = []  # the columns a ox b for one b at a time, over every a
-            for b, db in enumerate(signed[j][i % 2]):
-                cols = [{left + b + r * n2: x for r, x in da.items()} for da in cols1[i]]
-                for r, x in db:
-                    for a, col in enumerate(cols):
-                        col[right + a * right_n2 + r] = x
-                by_b.append(cols)
-            out.extend(chain.from_iterable(zip(*by_b)) if n2 > 1 else by_b[0])
+            j, sign = d - i, (-1) ** i
+            left, right = below.get(i - 1), below.get(i)  # blocks (i-1, j) and (i, j-1)
+            for a, da in enumerate(cols1[i]):
+                for b, db in enumerate(cols2[j]):
+                    col = {left + r * dim2[j] + b: x for r, x in da.items()}
+                    col.update((right + a * dim2[j - 1] + r, sign * x) for r, x in db.items())
+                    out.append(col)
         columns.append(out)
     return dims, columns
 

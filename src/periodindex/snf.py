@@ -31,7 +31,8 @@ class IntegerMatrix(namedtuple("IntegerMatrix", "rows cols entries")):
 
     Entries are stored row-major in a flat tuple so that matrices are
     hashable values; anything that mutates works on nested lists and
-    rebuilds at the end.
+    rebuilds at the end.  Every entry must be an ``int``: the constructor
+    refuses a float or a str, which no arithmetic here keeps exact.
     """
 
     __slots__ = ()
@@ -41,6 +42,8 @@ class IntegerMatrix(namedtuple("IntegerMatrix", "rows cols entries")):
             raise ValueError("matrix shape must be non-negative")
         if len(entries) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
+        if not all(isinstance(x, int) for x in entries):
+            raise TypeError("matrix entries must be int")
         return tuple.__new__(cls, (rows, cols, entries))
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # checked, and so is _replace
@@ -54,8 +57,7 @@ class IntegerMatrix(namedtuple("IntegerMatrix", "rows cols entries")):
                 raise ValueError("cols does not match row width")
             if any(len(r) != width for r in rows):
                 raise ValueError("ragged rows")
-            flat = tuple(int(x) for r in rows for x in r)
-            return cls(len(rows), width, flat)
+            return cls(len(rows), width, tuple(chain.from_iterable(rows)))
         if cols is None:
             raise ValueError("cols is required for a matrix with no rows")
         return cls(0, cols, ())
@@ -282,24 +284,25 @@ class ChainComplex:
         if any(d < 0 for d in self.dims):
             raise ValueError("chain group ranks must be >= 0")
         self.max_degree = len(self.dims) - 1
-        self._columns = {n: self._sparse(n, boundaries.get(n))
+        self._columns = {n: self._sparse(n, boundaries.get(n, repeat({}, self.dims[n])))
                          for n in range(1, self.max_degree + 1)}
         self._invariants: dict[int, tuple[int, tuple[int, ...]]] = {0: (0, ())}
         self.validate()
 
     def _sparse(self, n: int, boundary) -> tuple[dict[int, int], ...]:
         rows, cols = self.dims[n - 1], self.dims[n]  # 1 <= n <= max_degree
-        if boundary is None:  # fresh empty columns: nothing to copy or check
-            return tuple(map(dict, repeat((), cols)))
-        # own copies of the columns; the loops over every entry run in C
-        columns = tuple(map(dict, boundary))
-        if 0 in chain.from_iterable(map(dict.values, columns)):
-            columns = tuple({r: a for r, a in col.items() if a} if 0 in col.values() else col
-                            for col in columns)
-        if (len(columns) != cols or min(chain.from_iterable(columns), default=0) < 0
-                or max(chain.from_iterable(columns), default=-1) >= rows):
+        columns = []
+        for col in boundary:  # copied once, zeros dropped, rows checked
+            own = {}
+            for r, a in dict.items(col):  # a TypeError for a column that is no dict
+                if not 0 <= r < rows:
+                    raise ValueError(f"boundary shape mismatch in degree {n}")
+                if a:
+                    own[r] = a
+            columns.append(own)
+        if len(columns) != cols:
             raise ValueError(f"boundary shape mismatch in degree {n}")
-        return columns
+        return tuple(columns)
 
     def dim(self, n: int) -> int:
         if not 0 <= n <= self.max_degree:
@@ -322,9 +325,6 @@ class ChainComplex:
         for n in range(2, self.max_degree + 1):
             lower = self._columns[n - 1]
             for col in self._columns[n]:
-                # one entry a != 0 in row r: d(col) = a * lower[r] is zero iff lower[r] is empty
-                if len(col) == 1 and not lower[next(iter(col))]:
-                    continue
                 image = {}
                 for r, a in col.items():
                     for s, b in lower[r].items():

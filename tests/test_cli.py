@@ -8,8 +8,8 @@ from decimal import MAX_EMAX, Decimal, localcontext
 
 import pytest
 
-from periodindex import bounds, cli, graded, verify
-from periodindex.bounds import PRIME_CEILING, BoundReport, index_bound
+from periodindex import bounds, cli, complexes, graded, verify, words
+from periodindex.bounds import PRIME_CEILING, BoundReport, decimal_string, index_bound
 from periodindex.graded import GradedAbelianGroup, exponent
 from periodindex.complexes import model_homology, primary_model_homology
 from periodindex.verify import CheckResult
@@ -167,6 +167,66 @@ class TestLargeN:
         assert str(PRIME_CEILING) in captured.err
 
 
+HUGE = str(10 ** 400)
+
+
+class TestHugeCounts:
+    """Counts past the float range meet no float: they are compared exactly
+    and refused before any work, not ended by an OverflowError traceback."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def work(*args):
+            raise AssertionError("work started on a refused input")
+
+        monkeypatch.setattr(cli, "index_bound", work)
+        monkeypatch.setattr(words, "word_census", work)
+        monkeypatch.setattr(complexes, "model_homology", work)
+        monkeypatch.setattr(complexes, "primary_model_homology", work)
+
+    @pytest.mark.parametrize("argv", [
+        ("bound", "2", HUGE),
+        ("words", "2", HUGE, "--max-degree", "3"),
+        ("words", "2", "1", "--max-degree", HUGE),
+        ("homology", "--prime", "2", "--exponent", HUGE, "--max-degree", "4"),
+        ("homology", "--prime", "2", "--exponent", "1", "--max-degree", HUGE),
+        ("homology", "6", "--max-degree", HUGE),
+        # max_degree + 1 rows are listed: refused at MAX_LISTED, not built
+        ("homology", "6", "--max-degree", str(cli.MAX_LISTED)),
+    ])
+    def test_refused_before_any_work(self, capsys, no_work, argv):
+        code = cli.main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+
+    def test_bound_one_answers(self, capsys):
+        code, out = run(capsys, "bound", "1", HUGE, "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[1] == f"1,{HUGE},1,true"
+
+    def test_no_power_without_a_psi_row(self, capsys):
+        # below degree 2 no word prints psi_{p^r}, so a huge r lists nothing
+        assert run(capsys, "words", "2", HUGE, "--max-degree", "1", "--format", "json") \
+            == (0, "[]\n")
+
+
+class TestBigN:
+    """An n past Python's 4300-digit int-string limit is read, not refused
+    by argparse, and main leaves the limit as it found it."""
+
+    def test_read_and_printed(self, capsys):
+        limit_before = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        n = decimal_string(2 ** 16610)  # 5001 digits
+        code, out = run(capsys, "bound", n, "2", "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[1].split(",")[2] == n
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit_before
+        assert run_usage_error(capsys, "bound", n, "x") == 2
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit_before
+
+
 class TestTable:
     def test_csv_cells(self, capsys):
         code, out = run(capsys, "table", "--n-max", "4", "--d-max", "4",
@@ -272,8 +332,10 @@ class TestHomology:
         ("--prime", "2", "--exponent", "10000000", "--max-degree", "6"),
         # nothing to list, but the model's twist 3^r alone has 4.8e7 digits
         ("--prime", "3", "--exponent", "100000000", "--max-degree", "1"),
-        # 1200 orders of about 4200 digits each: refused before they are rendered
+        # 1200 orders of about 4200 digits each: refused before the model is built
         (str(997 ** 1400), "--max-degree", "2400"),
+        # 2000 orders of over 4214 digits: the n route's estimate, before any build
+        (str(2 ** 14000), "--max-degree", "4000", "--format", "csv"),
     ])
     def test_oversized_digits_refused(self, capsys, argv):
         start = time.perf_counter()

@@ -1,8 +1,8 @@
-"""CLI fuzz test: `bound`, `table`, `words` and `homology --prime
---exponent` on zero, negative, composite, prime and past-the-ceiling
-integers either answer (exit 0) or refuse (exit 2), never with a traceback.
-Sizes are drawn either small or past the output guards, so every example
-answers or refuses well within a second."""
+"""CLI fuzz test: `bound`, `table`, `words`, `homology n` and `homology
+--prime --exponent` on zero, negative, composite, prime, past-the-ceiling
+and past-the-float-range integers either answer (exit 0) or refuse (exit
+2), never with a traceback.  Sizes are drawn either small or past the
+output guards, so every example answers or refuses well within a second."""
 
 import io
 from contextlib import redirect_stderr, redirect_stdout
@@ -14,16 +14,22 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from periodindex import cli
-from periodindex.bounds import PRIME_CEILING
+from periodindex.bounds import PRIME_CEILING, decimal_string
 
+# past the float range, so no count may meet a float; 2^16610 has 5001
+# digits, past Python's int-string limit (decimal_string prints it anyway)
+HUGE = st.one_of(st.integers(10 ** 300, 10 ** 400), st.just(2 ** 16610))
 INTEGERS = st.one_of(
     st.integers(-10, 60),
     st.sampled_from([0, -1, 4, 91, 2 ** 61 - 1, 999999943999999559,
                      PRIME_CEILING - 168, PRIME_CEILING - 1, PRIME_CEILING,
                      PRIME_CEILING + 2, 6 * 2 ** 100, 10 ** 40 + 1]),
     st.integers(-2 ** 90, 2 ** 90),
+    HUGE,
 )
 SMALL = st.integers(-3, 12)
+# a huge d or --max-degree is over the digit or row limit, except in `bound 1 d`
+SIZES = st.one_of(SMALL, HUGE)
 FORMATS = st.sampled_from(cli.FORMATS)
 # a 300 x 300 grid is over the digit limit; a side over MAX_LISTED, over the cell limit
 GRID_SIDES = st.one_of(st.integers(-3, 40), st.just(300),
@@ -35,27 +41,32 @@ WORD_PRIMES = st.one_of(INTEGERS, st.sampled_from([999983, 1000003]),
 WORD_DEGREES = st.one_of(st.integers(-3, 24), st.integers(4000, 10 ** 5))
 # from r = 2e7 on, p^r has over 6e6 digits: over the digit limit in any one psi_{p^r}
 # or homology order, and refused before p^r is formed
-EXPONENTS = st.one_of(SMALL, st.integers(2 * 10 ** 7, 10 ** 8))
+EXPONENTS = st.one_of(SMALL, st.integers(2 * 10 ** 7, 10 ** 8), HUGE)
 
 
 @st.composite
 def argvs(draw):
     fmt = ["--format", draw(FORMATS)]
-    command = draw(st.sampled_from(["bound", "table", "words", "homology"]))
+    command = draw(st.sampled_from(["bound", "table", "words", "homology", "homology n"]))
+
+    def arg(strategy):
+        return decimal_string(draw(strategy))
+
     if command == "bound":
-        return ["bound", str(draw(INTEGERS)), str(draw(SMALL)), *fmt]
+        return ["bound", arg(INTEGERS), arg(SIZES), *fmt]
     if command == "table":
-        return ["table", "--n-max", str(draw(GRID_SIDES)),
-                "--d-max", str(draw(GRID_SIDES)), *fmt]
+        return ["table", "--n-max", arg(GRID_SIDES), "--d-max", arg(GRID_SIDES), *fmt]
     if command == "homology":
-        return ["homology", "--prime", str(draw(WORD_PRIMES)), "--exponent",
-                str(draw(EXPONENTS)), "--max-degree", str(draw(SMALL)), *fmt]
+        return ["homology", "--prime", arg(WORD_PRIMES), "--exponent",
+                arg(EXPONENTS), "--max-degree", arg(SIZES), *fmt]
+    if command == "homology n":
+        return ["homology", arg(INTEGERS), "--max-degree", arg(SIZES), *fmt]
     ascii_flag = ["--ascii"] if draw(st.booleans()) else []
-    return ["words", str(draw(WORD_PRIMES)), str(draw(EXPONENTS)),
-            "--max-degree", str(draw(WORD_DEGREES)), *fmt, *ascii_flag]
+    return ["words", arg(WORD_PRIMES), arg(EXPONENTS),
+            "--max-degree", arg(st.one_of(WORD_DEGREES, HUGE)), *fmt, *ascii_flag]
 
 
-@settings(max_examples=75, deadline=None, database=None)
+@settings(max_examples=100, deadline=None, database=None)
 @given(argvs())
 def test_answer_or_refusal(argv):
     out, err = io.StringIO(), io.StringIO()

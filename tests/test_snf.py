@@ -30,6 +30,16 @@ class TestIntegerMatrix:
         with pytest.raises(ValueError):
             IntegerMatrix.from_rows([])  # needs cols
 
+    @pytest.mark.parametrize("entry", [2.5, 2.0, "3", None])
+    def test_non_int_entries_refused(self, entry):
+        # int(x) would store 2 for 2.5, and a float left in made the SNF loop
+        with pytest.raises(TypeError, match="^matrix entries must be int$"):
+            IntegerMatrix.from_rows([[entry, 1]])
+        with pytest.raises(TypeError, match="^matrix entries must be int$"):
+            IntegerMatrix(1, 2, (entry, 1))
+        with pytest.raises(TypeError):
+            IntegerMatrix(2, 2, (1, 2, 3, 4))._replace(entries=(1, 2, 3, entry))
+
     def test_empty_matrices_are_first_class(self):
         z = IntegerMatrix.from_rows([], cols=3)
         assert (z.rows, z.cols) == (0, 3)
