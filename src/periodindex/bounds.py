@@ -51,8 +51,8 @@ def is_prime(n: int) -> bool:
     Raises CeilingError for n >= PRIME_CEILING rather than guess.
     """
     if n >= PRIME_CEILING:
-        raise CeilingError(f"{n} is not below {PRIME_CEILING}, the limit of exact "
-                           "primality testing")
+        raise CeilingError(f"a {len(decimal_string(n))}-digit integer is not below "
+                           f"{PRIME_CEILING}, the limit of exact primality testing")
     if n < 2:
         return False
     for p in _BASES:
@@ -134,8 +134,9 @@ def factorize(n: int) -> list[tuple[int, int]]:
             out.append((n, 1))
         return out
     if n >= PRIME_CEILING:
-        raise CeilingError(f"cannot factorise {whole}: its part {n} without prime "
-                           f"factors below 1000 is not below {PRIME_CEILING}")
+        raise CeilingError(f"cannot factorise a {len(decimal_string(whole))}-digit integer: "
+                           f"its {len(decimal_string(n))}-digit part without prime factors "
+                           f"below 1000 is not below {PRIME_CEILING}")
     large = Counter()
     pending = [n]
     while pending:

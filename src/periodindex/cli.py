@@ -210,10 +210,10 @@ def _cmd_homology(args, parser) -> int:
         print(json.dumps(group.to_json(), sort_keys=True))
         return 0
     csv, rows = args.format == "csv", []
-    for d in range(group.max_degree + 1):
-        free, _ = group.parts[d]
+    listing = group.to_json() if csv else None  # converts each distinct order once
+    for d, (free, _) in enumerate(group.parts):
         exp = decimal_string(exponents[d] if exponents else exponent(group, d)[0])
-        rows.append((d, free, exp, "+".join(group.torsion_strings(d))) if csv
+        rows.append((d, free, exp, "+".join(listing[str(d)]["torsion"])) if csv
                     else (d, group.describe(d), exp))
     _emit(args.format, ["degree", "free", "exponent", "torsion"] if csv
           else ["degree", "group", "exponent"], rows)

@@ -1,23 +1,22 @@
 """Finitely generated graded abelian groups in multiplicity form.
 
-A cyclic summand is encoded by its order: 0 stands for an infinite cyclic
-group Z, any integer >= 2 for Z/n.  Order-1 summands are trivial and get
-dropped during normalisation.  A graded group stores, per degree, the free
-rank and the distinct finite orders, each with its multiplicity, so a
-million copies of Z/4 cost one pair.  Composite orders such as Z/6 are
-kept as-is (``primary_part`` splits them on request), because the homology
-formulas feeding this module produce them directly.  Only ``summands``,
-``describe`` and ``to_json`` list every summand.
+A cyclic summand is encoded by its order: 0 stands for Z, any integer
+>= 2 for Z/n, and order-1 summands are dropped.  A graded group stores,
+per degree, the free rank and the distinct finite orders, each with its
+multiplicity, so a million copies of Z/4 cost one pair.  Composite orders
+such as Z/6 are kept as-is (``primary_part`` splits them on request),
+because the homology formulas feeding this module produce them directly.
+Work follows distinct orders: ``kunneth`` takes one gcd per pair of them
+and skips coprime pairs, and a listing copies one block per order.
 
-Every group carries a truncation cap ``max_degree``: content is only known
-up to that degree, and reading past it is an error rather than a silent
-zero.
+Every group carries a truncation cap ``max_degree``: content is only
+known up to that degree, and reading past it is an error, not a zero.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict, namedtuple
-from itertools import chain, repeat, zip_longest
+from itertools import product, zip_longest
 from math import gcd, lcm, prod
 
 from .bounds import decimal_string, factorize, padic_valuation
@@ -110,7 +109,7 @@ class GradedAbelianGroup(namedtuple("GradedAbelianGroup", "parts")):
     def summands(self, degree: int) -> tuple[int, tuple[int, ...]]:
         """(free rank, sorted finite orders) in one degree; errors past the cap."""
         free, pairs = self._part(degree)
-        return free, tuple(chain.from_iterable(repeat(t, m) for t, m in pairs))
+        return free, tuple(_listing(pairs, int))
 
     def nonzero_degrees(self) -> list[int]:
         return [d for d, (free, tors) in enumerate(self.parts) if free or tors]
@@ -142,28 +141,25 @@ class GradedAbelianGroup(namedtuple("GradedAbelianGroup", "parts")):
         """The finite orders of ``summands(degree)`` as decimal strings, each
         distinct order converted once, by ``decimal_string``: an order can
         have millions of digits, where ``str`` is quadratic."""
-        _, pairs = self._part(degree)
-        return list(chain.from_iterable([decimal_string(t)] * m for t, m in pairs))
+        return _listing(self._part(degree)[1], decimal_string)
 
     def describe(self, degree: int) -> str:
-        free, _ = self._part(degree)
-        pieces = []
-        if free == 1:
-            pieces.append("Z")
-        elif free > 1:
-            pieces.append(f"Z^{free}")
-        pieces.extend("Z/" + t for t in self.torsion_strings(degree))
-        return " + ".join(pieces) if pieces else "0"
+        free, pairs = self._part(degree)
+        pieces = ["Z" if free == 1 else f"Z^{free}"] if free else []
+        if pairs:
+            pieces.append("Z/" + " + Z/".join(_listing(pairs, decimal_string)))
+        return " + ".join(pieces) or "0"
 
     def to_json(self) -> dict:
-        """{str(degree): {"free": rank, "torsion": [decimal strings]}}.
+        """{str(degree): {"free": rank, "torsion": [one decimal string per summand]}}.
 
         Every degree up to the cap is present, so the cap round-trips.
-        Orders are decimal strings, one per summand: they can exceed what
-        consumers with fixed-width numbers parse losslessly.
+        Orders are strings, each distinct one converted once: they can
+        exceed what consumers with fixed-width numbers parse losslessly.
         """
-        return {str(d): {"free": free, "torsion": self.torsion_strings(d)}
-                for d, (free, _) in enumerate(self.parts)}
+        names = {t: decimal_string(t) for t in {u for _, pairs in self.parts for u, _ in pairs}}
+        return {str(d): {"free": free, "torsion": _listing(pairs, names.get)}
+                for d, (free, pairs) in enumerate(self.parts)}
 
     @classmethod
     def from_json(cls, data: dict) -> "GradedAbelianGroup":
@@ -189,6 +185,15 @@ class GradedAbelianGroup(namedtuple("GradedAbelianGroup", "parts")):
         return "\n".join(lines) if lines else "0"
 
 
+def _listing(pairs, name) -> list:
+    """One entry per summand of ``pairs``, ascending: the block ``[name(t)] * m``
+    of each order t, joined onto the first block, which is not copied."""
+    listed, *blocks = [[name(t)] * m for t, m in pairs] or [[]]
+    for block in blocks:
+        listed += block
+    return listed
+
+
 def _json_int(value, what: str, low: int) -> int:
     """An int, or a decimal string as ``to_json`` writes one, that is >= ``low``."""
     number = int(value) if isinstance(value, str) and value.isdecimal() else value
@@ -204,34 +209,39 @@ def kunneth(a: GradedAbelianGroup, b: GradedAbelianGroup,
     Degree n of the result is the sum of A_i ox B_j over i + j = n plus
     Tor(A_i, B_j) over i + j = n - 1.  Both factors must be trusted up to
     the requested cap: a factor of unknown content in low degrees could
-    otherwise leak wrong answers below the cap.  The loops run over
-    distinct orders, and a product of multiplicities counts the summands.
+    otherwise leak wrong answers below the cap.  One gcd per pair of distinct
+    orders: a coprime pair adds nothing, any other convolves their degree lists.
+
+    >>> a = GradedAbelianGroup.from_summands({0: [0], 1: [4]}, 2)
+    >>> kunneth(a, GradedAbelianGroup.from_summands({0: [0], 1: [3]}, 2), 2).parts
+    ((1, ()), (0, ((3, 1), (4, 1))), (0, ()))
     """
     if max_degree > min(a.max_degree, b.max_degree):
         raise ValueError(
             f"kunneth truncated at {max_degree} needs both factors trusted that far "
             f"(caps are {a.max_degree} and {b.max_degree})")
 
-    def cyclics(g):  # [(degree, [(order, multiplicity)])] over nonzero degrees, Z as order 0
-        return [(d, [(0, free)] * bool(free) + list(pairs))
-                for d, (free, pairs) in enumerate(g.parts[:max_degree + 1]) if free or pairs]
+    def rows(g):  # {order: [(degree, multiplicity)] ascending}, Z as order 0
+        out = defaultdict(list)
+        for d, (free, pairs) in enumerate(g.parts[:max_degree + 1]):
+            for t, m in ((0, free),) * (free > 0) + pairs:
+                out[t].append((d, m))
+        return out.items()
 
-    counts = [defaultdict(int) for _ in range(max_degree + 1)]
-    cyclics_b = cyclics(b)
-    for i, cyc_a in cyclics(a):
-        for j, cyc_b in cyclics_b:
-            if i + j > max_degree:
-                break
-            tensor_bucket = counts[i + j]
-            tor_bucket = counts[i + j + 1] if i + j < max_degree else None
-            for x, m in cyc_a:
-                for y, k in cyc_b:
-                    g = gcd(x, y)  # tensor_summands and tor_summands share this gcd
-                    if g != 1:
-                        tensor_bucket[g] += m * k
-                        if x and y and tor_bucket is not None:
-                            tor_bucket[g] += m * k
-    return GradedAbelianGroup(tuple((c.pop(0, 0), c.items()) for c in counts))
+    counts = [{} for _ in range(max_degree + 2)]  # a spare degree for Tor past the cap
+    for (x, row_a), (y, row_b) in product(rows(a), rows(b)):
+        if (g := gcd(x, y)) == 1:  # Z/x ox Z/y = Tor(Z/x, Z/y) = 0
+            continue
+        for i, m in row_a:
+            for j, k in row_b:
+                if i + j > max_degree:
+                    break
+                bucket = counts[i + j]
+                bucket[g] = bucket.get(g, 0) + m * k
+                if x and y:  # Tor vanishes against Z
+                    bucket = counts[i + j + 1]
+                    bucket[g] = bucket.get(g, 0) + m * k
+    return GradedAbelianGroup(tuple((c.pop(0, 0), c.items()) for c in counts[:-1]))
 
 
 def exponent(a: GradedAbelianGroup, degree: int) -> tuple[int, int]:

@@ -166,6 +166,28 @@ class TestLargeN:
         assert len(captured.err.splitlines()) == 1
         assert str(PRIME_CEILING) in captured.err
 
+    @pytest.mark.parametrize("digits", [300, 20000])
+    @pytest.mark.parametrize("argv, counts", [
+        (("bound", "{n}", "2"), "a {digits}-digit integer: its {left}-digit part"),
+        (("homology", "--prime", "{n}", "--exponent", "1", "--max-degree", "4"),
+         "a {digits}-digit integer is not below"),
+        (("words", "{n}", "1", "--max-degree", "4"), "a {digits}-digit integer is not below"),
+    ])
+    def test_long_n_refused_in_one_short_line(self, capsys, digits, argv, counts):
+        # 7...7 = 7 * 1...1, so trial division leaves a shorter part, which is
+        # still past the ceiling; the refusal gives digit counts, not n itself
+        left = 7 * (10 ** digits - 1) // 9
+        for p in range(2, 1000):
+            while left % p == 0:
+                left //= p
+        code = cli.main([a.format(n="7" * digits) for a in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and len(captured.err) < 200
+        assert counts.format(digits=digits, left=len(decimal_string(left))) in captured.err
+        assert str(PRIME_CEILING) in captured.err
+
 
 HUGE = str(10 ** 400)
 

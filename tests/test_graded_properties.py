@@ -3,6 +3,7 @@ pairwise list product it replaced, plus its algebraic laws and JSON, and the
 closed forms against the per-degree summand lists they replaced."""
 
 from math import lcm
+from unittest import mock
 
 import pytest
 
@@ -10,6 +11,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import example, given, settings, strategies as st
 
+from periodindex import graded
 from periodindex.complexes import ComplexKind, ElementaryComplex, closed_form_homology
 from periodindex.graded import (GradedAbelianGroup, exponent, kunneth,
                                 tensor_summands, tor_summands)
@@ -41,9 +43,9 @@ SETTINGS = settings(max_examples=80, deadline=None, database=None)
 
 
 @st.composite
-def groups(draw, cap=None):
+def groups(draw, cap=None, orders=ORDERS):
     cap = draw(CAPS) if cap is None else cap
-    summands = {d: draw(st.lists(ORDERS, max_size=4)) for d in range(cap + 1)}
+    summands = {d: draw(st.lists(orders, max_size=4)) for d in range(cap + 1)}
     return GradedAbelianGroup.from_summands(summands, cap)
 
 
@@ -63,6 +65,27 @@ def test_kunneth_equals_pairwise_reference(a, b):
     out, expected = kunneth(a, b, cap), reference_kunneth(a, b, cap)
     assert out == expected
     assert out.to_json() == expected.to_json()
+
+
+# pairwise coprime orders, each coprime to most of ORDERS, so that many
+# pairs of orders are skipped before any degree is looked at
+COPRIME_ORDERS = st.one_of(ORDERS, st.sampled_from([7, 25, 10 ** 20 + 39]))
+
+
+@SETTINGS
+@given(groups(orders=COPRIME_ORDERS), groups(orders=COPRIME_ORDERS))
+def test_kunneth_with_coprime_orders_equals_pairwise_reference(a, b):
+    cap = min(a.max_degree, b.max_degree)
+    assert kunneth(a, b, cap) == reference_kunneth(a, b, cap)
+
+
+@SETTINGS
+@given(groups(orders=COPRIME_ORDERS), st.data())
+def test_kunneth_with_unit_is_restriction(a, data):
+    cap = data.draw(st.integers(0, a.max_degree))
+    unit = GradedAbelianGroup.unit(cap)
+    assert kunneth(a, unit, cap) == a.restrict(cap)
+    assert kunneth(unit, a, cap) == a.restrict(cap)
 
 
 @SETTINGS
@@ -90,6 +113,28 @@ def test_json_round_trip_is_exact(g):
     back = GradedAbelianGroup.from_json(payload)
     assert back == g
     assert back.to_json() == payload
+
+
+# orders past 2^4096 take decimal_string's divide-and-conquer path and still
+# have under 4300 digits, so str converts them for the reference; drawn from
+# a small pool, one order recurs in several degrees
+LISTED_ORDERS = st.one_of(ORDERS, st.sampled_from([2 ** 4096 + 1, 3 ** 2600, 10 ** 1300 + 7]))
+
+
+@SETTINGS
+@given(groups(orders=LISTED_ORDERS))
+def test_listings_agree_and_convert_each_order_once(g):
+    with mock.patch.object(graded, "decimal_string", wraps=graded.decimal_string) as spy:
+        payload = g.to_json()
+    assert spy.call_count == len({t for _, pairs in g.parts for t, _ in pairs})
+    for d, (free, pairs) in enumerate(g.parts):
+        orders = [t for t, m in pairs for _ in range(m)]
+        strings = [str(t) for t in orders]
+        assert g.summands(d) == (free, tuple(orders))
+        assert g.torsion_strings(d) == strings
+        assert payload[str(d)] == {"free": free, "torsion": strings}
+        pieces = ["Z"] if free == 1 else [f"Z^{free}"] if free else []
+        assert g.describe(d) == (" + ".join(pieces + ["Z/" + t for t in strings]) or "0")
 
 
 @SETTINGS
