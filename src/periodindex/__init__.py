@@ -31,7 +31,7 @@ _EXPORTS = {
         differential_order_bound factorize index_bound is_prime known_sharp_bound
         legendre_valuation padic_valuation prime_power_index_bound""",
     "complexes": """ComplexKind ElementaryComplex closed_form_homology model_chain_complex model_homology primary_model primary_model_chain_complex
-        primary_model_homology realize_chain_complex tensor_chain_complex""",
+        primary_model_homology realize_chain_complex""",
     "graded": "GradedAbelianGroup exponent kunneth primary_part tensor_summands tor_summands",
     "snf": """ChainComplex IntegerMatrix SmithNormalForm determinant homology_of_complex
         smith_normal_form""",

@@ -20,21 +20,23 @@ prime-power ones.
 
 Closed-form homology here is independently checkable: every elementary
 complex can be realised as an explicit based chain complex and handed to
-the Smith-normal-form homology in :mod:`periodindex.snf`.  The oracle route
-``primary_model_chain_complex`` never builds a model's tensor product, nor
-realises a factor.  It reads each factor as the connected components of
-its boundary graph (one or two cells each, ``_components``) and, as ox
-distributes over +, folds the factors, q descending, into a ``DirectSum``
-of translated shapes.  Each product of two shapes is built once per model
-by ``tensor_chain_complex``, in a table kept for that call only.  The
-route uses components, distributivity and translation only: no Tor rule,
-no closed form, no Kunneth product.
+the Smith-normal-form homology in :mod:`periodindex.snf`.  The oracle
+route, ``primary_model_chain_complex`` and ``model_chain_complex`` alike,
+never builds a model's tensor product, nor realises a factor.  It reads
+each factor as the connected components of its boundary graph (one or two
+cells each, ``_components``) and, as ox distributes over +, folds the
+factors, q descending, into a ``DirectSum`` of translated shapes.  Its one
+product is a shape times an edge e1 -> h*e0, the mapping cone of h on the
+shape (``_cone``), built once per model in a table kept for that call
+only.  The route uses components, distributivity, translation and cones
+only: no Tor rule, no closed form, no Kunneth product.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
 from enum import Enum
+from operator import add
 from typing import TYPE_CHECKING
 
 from .bounds import _check_prime_power, factorize
@@ -174,7 +176,7 @@ def _components(c: ElementaryComplex, top: int) -> list[tuple[int | None, int]]:
 
     Every complex the oracle builds from these is still checked: a
     component has at most two cells, so d o d = 0 holds by construction,
-    and each edge and each product of shapes is a validated ``ChainComplex``.
+    and each ``_cone`` is a validated ``ChainComplex``.
     """
     q, h = c.q, c.h
     if c.kind is ComplexKind.EXTERIOR_FIRST:
@@ -211,67 +213,23 @@ def realize_chain_complex(c: ElementaryComplex, max_degree: int) -> ChainComplex
     return ChainComplex(dims, boundaries)
 
 
-def tensor_chain_complex(factors, max_degree: int) -> ChainComplex:
-    """Tensor product of a sequence of based complexes, truncated at
-    ``max_degree`` + 1, with the Koszul sign d(a ox b) = da ox b +
-    (-1)^|a| a ox db.
+def _cone(a: ChainComplex, h: int) -> ChainComplex:
+    """A ox (e1 -> h*e0), up to signs the mapping cone of h on A (Weibel, *An
+    Introduction to Homological Algebra*, 1.5), complete one degree above A.
 
-    Every factor must be complete up to max_degree + 1 (what it lacks above
-    its own cap counts as zero, which is the caller's responsibility).  The
-    fold starts from the first factor (from Z in degree 0 when there is
-    none) and keeps each partial product as plain dims and sparse columns;
-    only the result becomes a ``ChainComplex``, so shapes and d o d = 0 are
-    checked once, on the complex the caller holds.
-    That check covers the partial products too: every factor built here has
-    a degree-0 cell with zero boundary, and d^2(a ox 1) = d^2(a) ox 1.
-
-    In degree d the basis of A ox B runs over i, then a in A_i, then b in
-    B_(d-i), so a ox b sits at offset[d][i] + a * dim B_(d-i) + b.  The
-    caller chooses the order of the factors, and with it the basis; the
-    homology is the same in any order.  Each step of the fold costs about
-    the size of its partial product, so folding the sparsest factors first
-    is cheapest, and the model complexes below are built that way.
+    In degree n the basis is a ox e0 for a in A_n, then a ox e1 for a in
+    A_(n-1), and d(a ox e1) = da ox e1 + (-1)^|a| h a ox e0.
     """
     from .snf import ChainComplex
-    if max_degree < 0:
-        raise ValueError("max_degree must be >= 0")
-    top = max_degree + 1
-    dims = columns = None  # the fold starts from the first factor, or Z in degree 0
-    for c in factors:
-        dim2 = list(c.dims[:top + 1]) + [0] * (top - c.max_degree)
-        cols2 = [({},) * dim2[0]] + [c.columns(n) for n in range(1, min(c.max_degree, top) + 1)]
-        dims, columns = (dim2, cols2) if dims is None else _tensor(dims, columns, dim2, cols2)
-    if dims is None:
-        dims, columns = [1] + [0] * top, [({},)]
-    return ChainComplex(dims, dict(enumerate(columns)))
-
-
-def _tensor(dim1, cols1, dim2, cols2):
-    """(dims, columns) of one product in the fold: the column of a ox b, a in
-    A_i and b in B_j, is da ox b + (-1)^i a ox db, over the blocks A_i ox B_j
-    in which both ranks are non-zero."""
-    offsets, dims = [], []
-    for d in range(len(dim1)):
-        start, size = {}, 0
-        for i in range(d + 1):
-            if dim1[i] and dim2[d - i]:
-                start[i] = size
-                size += dim1[i] * dim2[d - i]
-        offsets.append(start)
-        dims.append(size)
-    columns = [({},) * dims[0]]
-    for d in range(1, len(dim1)):
-        out, below = [], offsets[d - 1]
-        for i in offsets[d]:
-            j, sign = d - i, (-1) ** i
-            left, right = below.get(i - 1), below.get(i)  # blocks (i-1, j) and (i, j-1)
-            for a, da in enumerate(cols1[i]):
-                for b, db in enumerate(cols2[j]):
-                    col = {left + r * dim2[j] + b: x for r, x in da.items()}
-                    col.update((right + a * dim2[j - 1] + r, sign * x) for r, x in db.items())
-                    out.append(col)
-        columns.append(out)
-    return dims, columns
+    dims, top = a.dims, a.max_degree
+    boundaries = {}
+    for n in range(1, top + 2):
+        lower = a.columns(n - 1) if n > 1 else ({},) * dims[0]
+        sign, below = (-1) ** (n - 1) * h, dims[n - 1]
+        boundaries[n] = [*(a.columns(n) if n <= top else ()),
+                         *({i: sign, **{below + r: x for r, x in da.items()}}
+                           for i, da in enumerate(lower))]
+    return ChainComplex([dims[0], *map(add, dims[1:], dims), dims[-1]], boundaries)
 
 
 def _fold_order(factors) -> list[ElementaryComplex]:
@@ -287,16 +245,16 @@ def _direct_sum(factors, max_degree: int) -> DirectSum:
     Each factor enters, never realised, as its ``_components`` under that
     cap, which leaves the product unchanged up to it.  Each summand takes
     one component from each factor: its shape is the product of the edges
-    taken, as a lone cell only translates.  Each product A ox B of a shape
-    and an edge is built once, untruncated, by ``tensor_chain_complex([A, B],
-    top_A)``, B negated when A's base is odd (the Koszul sign (-1)^|a|).
-    Products are kept for this model only: its many summands repeat a few
-    shapes, while separate models share few.
+    taken, as a lone cell only translates.  A shape A times an edge
+    e1 -> h*e0 is ``_cone(A, h)``, built once per (A, h), untruncated, with
+    h negated when A's base is odd (the Koszul sign (-1)^|a|).  Products
+    are kept for this model only: its many summands repeat a few shapes,
+    while separate models share few.
     """
     from .snf import ChainComplex, DirectSum
     top = max_degree + 1
     point = ChainComplex((1,), {})
-    products = {}  # (shape A, signed coefficient of the edge B) -> A ox B
+    products = {}  # (shape A, signed twist h of the edge) -> _cone(A, h)
     summands = Counter({(point, 0): 1})
     for f in factors:
         parts, folded = _components(f, top), Counter()
@@ -307,9 +265,7 @@ def _direct_sum(factors, max_degree: int) -> DirectSum:
                 if h is not None:
                     key = a, (-h if i % 2 else h)
                     if key not in products:
-                        b = ChainComplex((1, 1), {1: [{0: key[1]}]})
-                        products[key] = (b if a is point
-                                         else tensor_chain_complex([a, b], a.max_degree))
+                        products[key] = _cone(*key)
                 folded[a if h is None else products[key], i + j] += m
         summands = folded
     return DirectSum(summands, top)
@@ -322,12 +278,11 @@ def primary_model_chain_complex(p: int, r: int, max_degree: int) -> DirectSum:
     return _direct_sum(_fold_order(primary_model(p, r, max_degree)), max_degree)
 
 
-def model_chain_complex(n: int, max_degree: int) -> ChainComplex:
-    """The full model for order n as one based chain complex: the tensor
-    product of the prime-power models' factors, folded in ``_fold_order``
-    (the oracle route to ``model_homology``)."""
+def model_chain_complex(n: int, max_degree: int) -> DirectSum:
+    """The full model for order n as a sum of shapes, truncated at
+    ``max_degree`` + 1: the prime-power models' factors, all folded in
+    ``_fold_order`` (the oracle route to ``model_homology``)."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    factors = _fold_order(f for p, r in factorize(n) for f in primary_model(p, r, max_degree))
-    return tensor_chain_complex([realize_chain_complex(f, max_degree) for f in factors],
-                                max_degree)
+    factors = (f for p, r in factorize(n) for f in primary_model(p, r, max_degree))
+    return _direct_sum(_fold_order(factors), max_degree)

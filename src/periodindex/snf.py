@@ -7,12 +7,14 @@ connected blocks.  Homology is read off the boundaries' invariant factors,
 block by block, merged into a single divisibility chain (Dumas, Saunders
 and Villard, JSC 2001): a block with one row or one column has the gcd of
 its entries, any other block one dense minimal-pivot Smith normal form.
-Every complex has d o d = 0 checked when it is built, so every complex
-here is a chain complex.  A ``DirectSum`` of translated complexes, the
-form the oracle gives a tensor model in, sums the invariants of its
-summands, each reduced once however often it repeats: it needs only that
-homology commutes with direct sums and translation.  Swapping in a faster
-SNF would only touch ``smith_normal_form``.
+Invariant factors are kept as counts, {factor: multiplicity}, from the
+blocks to the chain; only ``homology_of_complex`` lists them out, for the
+degree asked.  Every complex has d o d = 0 checked when it is built, so
+every complex here is a chain complex.  A ``DirectSum`` of translated
+complexes, the form the oracle gives a tensor model in, sums the
+invariants of its summands, each reduced once however often it repeats:
+it needs only that homology commutes with direct sums and translation.
+Swapping in a faster SNF would only touch ``smith_normal_form``.
 
 This module imports nothing else from the package: the oracle knows no
 closed form, no Tor rule and no Kunneth product.
@@ -191,9 +193,9 @@ def smith_normal_form(m: IntegerMatrix, with_transforms: bool = False) -> SmithN
                            IntegerMatrix.from_rows([row[:cols] for row in a[rows:]], cols=cols))
 
 
-def _divisibility_chain(counts) -> tuple[int, ...]:
+def _divisibility_chain(counts) -> dict[int, int]:
     """Invariant factors > 1 of the sum of m copies of Z/e over the
-    {e: m} ``counts``, ascending.
+    {e: m} ``counts``, as {factor: multiplicity}, ascending.
 
     Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b): neighbouring orders that do not
     divide one another are replaced by their gcd and lcm until the distinct
@@ -201,14 +203,14 @@ def _divisibility_chain(counts) -> tuple[int, ...]:
     so the loop ends.
 
     >>> _divisibility_chain({2: 1, 3: 1, 4: 1, 1: 1})
-    (2, 12)
+    {2: 1, 12: 1}
     """
     own = False  # the caller's counts are copied before the first merge, if any
     while True:
         orders = sorted(e for e, m in counts.items() if m and e > 1)
         pair = next(((a, b) for a, b in zip(orders, orders[1:]) if b % a), None)
         if pair is None:
-            return tuple(chain.from_iterable(repeat(e, counts[e]) for e in orders))
+            return {e: counts[e] for e in orders}
         a, b = pair
         t = min(counts[a], counts[b])
         if not own:
@@ -225,14 +227,14 @@ def _dense(columns, index, rows: int) -> IntegerMatrix:
     return IntegerMatrix(rows, len(columns), tuple(entries))
 
 
-def _block_invariants(columns) -> tuple[int, tuple[int, ...]]:
-    """(rank, invariant factors > 1) of sparse columns, one connected block
-    of their row/column graph at a time.  A block with one row or one column
-    has rank 1 and factor the gcd of its entries; any other block gets a
-    dense Smith normal form."""
+def _block_invariants(columns) -> tuple[int, dict[int, int]]:
+    """(rank, {invariant factor > 1: multiplicity}) of sparse columns, one
+    connected block of their row/column graph at a time.  A block with one
+    row or one column has rank 1 and factor the gcd of its entries; any
+    other block gets a dense Smith normal form."""
     if len(columns) < 2 or len(set().union(*columns)) < 2:  # one block at most: no union-find
         g = gcd(*chain.from_iterable(map(dict.values, columns)))
-        return (1, (g,) if g > 1 else ()) if g else (0, ())
+        return (1, {g: 1} if g > 1 else {}) if g else (0, {})
     parent = list(range(len(columns)))
 
     def root(j):
@@ -286,7 +288,7 @@ class ChainComplex:
         self.max_degree = len(self.dims) - 1
         self._columns = {n: self._sparse(n, boundaries.get(n, repeat({}, self.dims[n])))
                          for n in range(1, self.max_degree + 1)}
-        self._invariants: dict[int, tuple[int, tuple[int, ...]]] = {0: (0, ())}
+        self._invariants: dict[int, tuple[int, dict[int, int]]] = {0: (0, {})}
         self.validate()
 
     def _sparse(self, n: int, boundary) -> tuple[dict[int, int], ...]:
@@ -315,11 +317,6 @@ class ChainComplex:
             raise ValueError(f"no boundary stored in degree {n}")
         return self._columns[n]
 
-    def differential(self, n: int) -> IntegerMatrix:
-        """The degree-n boundary (n >= 1) as a dense matrix, built on each call;
-        the package reads ``columns``, ``perfbench/tracer.py`` reads this."""
-        return _dense(self.columns(n), range(self.dim(n - 1)), self.dim(n - 1))
-
     def validate(self) -> None:
         """Check d o d = 0, column by sparse column; run on construction."""
         for n in range(2, self.max_degree + 1):
@@ -332,8 +329,9 @@ class ChainComplex:
                 if any(image.values()):
                     raise ValueError(f"d o d != 0 between degrees {n} and {n - 2}")
 
-    def boundary_invariants(self, n: int) -> tuple[int, tuple[int, ...]]:
-        """(rank, invariant factors > 1) of the degree-n boundary, memoised."""
+    def boundary_invariants(self, n: int) -> tuple[int, dict[int, int]]:
+        """(rank, {invariant factor > 1: multiplicity}) of the degree-n
+        boundary, memoised."""
         if n not in self._invariants:
             self._invariants[n] = _block_invariants(self.columns(n))
         return self._invariants[n]
@@ -344,31 +342,31 @@ class DirectSum:
 
     ``summands`` maps (complex, base degree) to a multiplicity; each complex
     is complete (zero above its own ``max_degree``) and has its degree 0 in
-    the base degree.  Dims, boundary ranks and torsion counts are summed
-    here, once, from each distinct complex's ``boundary_invariants``.
+    the base degree.  Dims, boundary ranks and torsion {order: multiplicity}
+    are summed here, once, from each distinct complex's
+    ``boundary_invariants``, so a summand repeated m times costs what one
+    does, whatever m is.
     """
 
     def __init__(self, summands, max_degree: int):
         self.summands, self.max_degree = dict(summands), max_degree
         dims, ranks = [0] * (max_degree + 1), [0] * (max_degree + 1)
-        torsion, rows = [{} for _ in dims], {}
+        torsion, rows = [Counter() for _ in dims], {}
         for (c, base), m in self.summands.items():
             if c not in rows:
                 rows[c] = [(c.dims[n], *c.boundary_invariants(n)) for n in range(c.max_degree + 1)]
             for n, (dim, rank, factors) in zip(range(base, max_degree + 1), rows[c]):
                 dims[n] += m * dim
                 ranks[n] += m * rank
-                t = torsion[n]
-                for e in factors:
-                    t[e] = t.get(e, 0) + m
+                for e, k in factors.items():
+                    torsion[n][e] += m * k
         self.dims = tuple(dims)
-        self._invariants = [(r, _divisibility_chain(t) if t else ())
-                            for r, t in zip(ranks, torsion)]
+        self._invariants = [(r, _divisibility_chain(t)) for r, t in zip(ranks, torsion)]
 
     dim = ChainComplex.dim
 
-    def boundary_invariants(self, n: int) -> tuple[int, tuple[int, ...]]:
-        """(rank, invariant factors > 1) of the degree-n boundary."""
+    def boundary_invariants(self, n: int) -> tuple[int, dict[int, int]]:
+        """(rank, {invariant factor > 1: multiplicity}) of the degree-n boundary."""
         self.dim(n)  # the range check
         return self._invariants[n]
 
@@ -378,8 +376,10 @@ def homology_of_complex(c: ChainComplex | DirectSum, n: int) -> tuple[int, list[
 
     H_n = Z^(dim C_n - rk d_n - rk d_(n+1)) + the sum of Z/e over the
     invariant factors e > 1 of d_(n+1), both boundaries reduced block by
-    block (``boundary_invariants``).  Raises for n < 0, and for
-    n == max_degree, where the incoming boundary is unknown under truncation.
+    block (``boundary_invariants``).  Each factor is listed as often as it
+    occurs; this is the one place the counts are expanded.  Raises for
+    n < 0, and for n == max_degree, where the incoming boundary is unknown
+    under truncation.
     """
     if n < 0:
         raise ValueError(f"no homology in negative degree {n}")
@@ -389,4 +389,5 @@ def homology_of_complex(c: ChainComplex | DirectSum, n: int) -> tuple[int, list[
             f"complex is truncated at {c.max_degree}")
     rank_out, _ = c.boundary_invariants(n)
     rank_in, torsion = c.boundary_invariants(n + 1)
-    return c.dim(n) - rank_out - rank_in, list(torsion)
+    factors = chain.from_iterable(map(repeat, torsion, torsion.values()))
+    return c.dim(n) - rank_out - rank_in, list(factors)

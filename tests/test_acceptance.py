@@ -226,3 +226,27 @@ def test_criterion_16_oracle_frontier_k120():
         results = suite_xp_exponent(max_k=120)
     failures = [r for r in results if not r.passed]
     assert not failures, failures
+
+
+# Run in a fresh interpreter, so that the peak RSS is the suite's own:
+# (failed checks, checks, ru_maxrss in KiB, as Linux reports it).
+_XP_EXPONENT_170 = """
+import resource
+from periodindex.verify import suite_xp_exponent
+results = suite_xp_exponent(max_k=170)
+print(sum(not r.passed for r in results), len(results),
+      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_criterion_17_oracle_frontier_k170_memory():
+    src = str(Path(periodindex.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    with _Timed("criterion 17: SNF oracle exponent law to k = 170, cold, under 100 MiB", 10.0):
+        done = subprocess.run([sys.executable, "-c", _XP_EXPONENT_170], env=env,
+                              capture_output=True, text=True, check=True)
+    failed, checked, peak_kib = map(int, done.stdout.split())
+    print(f"criterion 17: peak RSS {peak_kib / 1024:.0f} MiB, budget 100 MiB")
+    assert (failed, checked) == (0, 1020)
+    assert peak_kib < 100 * 1024

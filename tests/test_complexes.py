@@ -6,14 +6,15 @@ import pytest
 
 from periodindex.bounds import padic_valuation
 import periodindex.complexes
-from periodindex.complexes import (ComplexKind, ElementaryComplex, _fold_order,
+from periodindex.complexes import (ComplexKind, ElementaryComplex, _cone, _fold_order,
                                    closed_form_homology,
                                    model_chain_complex, model_homology, primary_model,
                                    primary_model_chain_complex,
                                    primary_model_homology,
-                                   realize_chain_complex, tensor_chain_complex)
+                                   realize_chain_complex)
 from periodindex.graded import exponent
 from periodindex.snf import ChainComplex, homology_of_complex
+from tensor_reference import tensor_chain_complex
 
 E = ComplexKind.EXTERIOR_FIRST
 P = ComplexKind.DIVIDED_POWER_FIRST
@@ -157,6 +158,7 @@ class TestRealization:
 
 
 class TestTensor:
+    # the package's one product, _cone, and the test-side reference fold
     def test_unit(self):
         c = realize_chain_complex(ElementaryComplex(PE, q=1, h=2), 5)
         unit = ChainComplex([1], {})
@@ -174,27 +176,24 @@ class TestTensor:
         assert out.dims == (1, 0, 0, 0, 0)
 
     def test_koszul_sign(self):
-        # a = x in odd degree 1, db = 2*x gamma_0(y): the a ox db column
-        # picks up a minus sign
-        left = realize_chain_complex(ElementaryComplex(E, q=1), 4)     # x in degree 1
-        right = realize_chain_complex(ElementaryComplex(EP, q=1, h=2), 4)
-        out = tensor_chain_complex([left, right], 3)
-        # degree d lists the blocks C_i(left) ox C_(d-i)(right) for i = 0..d;
-        # both factors have rank <= 1 in every degree, so a block is one cell or none
-        def offset(d, i):
-            return sum(left.dim(k) * right.dim(d - k) for k in range(i))
-        col = offset(3, 1)    # x ox gamma_1(y), degrees 1 + 2
-        row = offset(2, 1)    # x ox (x gamma_0(y)), degrees 1 + 1
-        assert out.columns(3)[col][row] == -2
+        # a = x in odd degree 1 and d(e1) = 2 e0: the cone's column of x ox e1
+        # is dx ox e1 - 2 x ox e0, a minus sign
+        left = realize_chain_complex(ElementaryComplex(E, q=1), 2)     # 1 and x, degrees 0, 1
+        out = _cone(left, 2)
+        # degree n lists a ox e0 for a in A_n, then a ox e1 for a in A_(n-1)
+        assert out.dims == (1, 2, 1, 0, 0)
+        assert out.columns(1) == ({}, {0: 2})   # x ox e0, then 1 ox e1
+        assert out.columns(2) == ({0: -2},)     # x ox e1
+        assert oracle_groups(out, 3) == \
+            oracle_groups(tensor_chain_complex([left, ChainComplex([1, 1], {1: [{0: 2}]})], 3), 3)
 
     def test_dd_zero_enforced(self):
-        # a complex whose boundary is corrupted after it was checked still
-        # cannot pass through a product: the product checks itself
+        # a shape whose boundary is corrupted after it was checked still
+        # cannot pass through a cone: the cone checks itself
         bad = ChainComplex([1, 1, 1], {1: [{0: 1}]})
         bad._columns[2] = ({0: 1},)
-        good = ChainComplex([1], {})
         with pytest.raises(ValueError, match="d o d != 0"):
-            tensor_chain_complex([bad, good], 2)
+            _cone(bad, 1)
 
     def test_dd_zero_enforced_through_middle_factor(self):
         # the product is checked once, as a whole: a corrupted middle factor

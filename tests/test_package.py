@@ -29,7 +29,7 @@ PUBLIC = {
     "complexes": {"ComplexKind", "ElementaryComplex", "closed_form_homology",
                   "model_chain_complex", "model_homology", "primary_model",
                   "primary_model_chain_complex", "primary_model_homology",
-                  "realize_chain_complex", "tensor_chain_complex"},
+                  "realize_chain_complex"},
     "graded": {"GradedAbelianGroup", "exponent", "kunneth", "primary_part", "tensor_summands",
                "tor_summands"},
     "snf": {"ChainComplex", "IntegerMatrix", "SmithNormalForm", "determinant",

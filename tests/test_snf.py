@@ -270,6 +270,18 @@ class TestHomology:
         with pytest.raises(ValueError):
             homology_of_complex(c, 1)
 
+    def test_direct_sum_keeps_torsion_as_counts(self):
+        # 10^12 copies of Z/2 in one degree cost one count, as does their
+        # merge with Z/3: Z/2 + Z/3 = Z/6, five times over
+        two = ChainComplex([1, 1], {1: [{0: 2}]})
+        three = ChainComplex([1, 1], {1: [{0: 3}]})
+        big = 10 ** 12
+        summed = DirectSum({(two, 0): big, (three, 0): 5, (three, 1): 7}, 3)
+        assert summed.dims == (big + 5, big + 12, 7, 0)
+        assert summed.boundary_invariants(1) == (big + 5, {2: big - 5, 6: 5})
+        assert summed.boundary_invariants(2) == (7, {3: 7})
+        assert homology_of_complex(summed, 1) == (0, [3] * 7)
+
     def test_negative_degree_is_named(self):
         # refused for the degree, not blamed on the truncation cap
         summed = DirectSum({(ChainComplex([1, 1], {1: [{0: 2}]}), 0): 3}, 4)

@@ -4,6 +4,8 @@ both against unimodular changes of basis, with sympy as an optional third
 opinion; and the transforms U and V, which ride along in the same
 reduction, on any small matrix."""
 
+from collections import Counter
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -60,14 +62,14 @@ def test_block_factors_equal_dense_factors(case):
     reference = smith_normal_form(dense)
     torsion = tuple(f for f in reference.invariant_factors if f > 1)
     chain = cokernel_complex(dense.rows, columns)
-    assert chain.boundary_invariants(1) == (reference.rank, torsion)
+    assert chain.boundary_invariants(1) == (reference.rank, dict(Counter(torsion)))
     assert homology_of_complex(chain, 0) == (dense.rows - reference.rank, list(torsion))
 
 
 def test_coprime_blocks_merge_into_one_factor():
     # Z/2 + Z/3 is Z/6: blocks (2) and (3) must come out as (6,), not (2, 3)
     chain = cokernel_complex(3, [{2: 3}, {}, {0: 2}])
-    assert chain.boundary_invariants(1) == (2, (6,))
+    assert chain.boundary_invariants(1) == (2, {6: 1})
     assert homology_of_complex(chain, 0) == (1, [6])
 
 
@@ -89,7 +91,7 @@ def test_transposed_blocks_with_equal_entries_keep_their_factors():
     reference = smith_normal_form(IntegerMatrix.from_rows(dense, cols=cols))
     chain = cokernel_complex(rows, columns)
     assert chain.boundary_invariants(1) == \
-        (reference.rank, tuple(f for f in reference.invariant_factors if f > 1))
+        (reference.rank, dict(Counter(f for f in reference.invariant_factors if f > 1)))
 
 
 @st.composite
