@@ -15,8 +15,9 @@ For a prime power p^r the model complex is the tensor product of one
 P(2) ox E(3) factor twisted by h = p^r with one E(1+2p^(k+1)) ox P(2+2p^(k+1))
 factor twisted by h = p for each k >= 0; its homology surjects onto the
 p-primary homology of K(Z/n, 2), and its torsion exponent in degree 2k is
-exactly p^r * k.  Models for composite order are Kunneth products of the
-prime-power ones.
+exactly p^r * k.  The model for composite order is the product of all the
+prime-power models' factors; its closed-form homology splits each factor's
+torsion into prime powers and reports every degree in invariant factors.
 
 Closed-form homology here is independently checkable: every elementary
 complex can be realised as an explicit based chain complex and handed to
@@ -34,13 +35,13 @@ only: no Tor rule, no closed form, no Kunneth product.
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import Counter, defaultdict, namedtuple
 from enum import Enum
 from operator import add
 from typing import TYPE_CHECKING
 
 from .bounds import _check_prime_power, factorize
-from .graded import GradedAbelianGroup, kunneth
+from .graded import GradedAbelianGroup, _kunneth_by_prime, kunneth
 
 if TYPE_CHECKING:  # the oracle route imports snf when it runs; the Kunneth route never does
     from .snf import ChainComplex, DirectSum
@@ -132,27 +133,55 @@ def primary_model(p: int, r: int, max_degree: int) -> tuple[ElementaryComplex, .
 
 
 def primary_model_homology(p: int, r: int, max_degree: int) -> GradedAbelianGroup:
-    """Homology of the p-primary model, via Kunneth over the factor list."""
-    first, *rest = primary_model(p, r, max_degree)
-    result = closed_form_homology(first, max_degree)
-    for factor in rest:
-        result = kunneth(result, closed_form_homology(factor, max_degree), max_degree)
-    return result
+    """Homology of the p-primary model: one Kunneth fold over its factors, in
+    ``primary_model`` order and unsplit.  Each degree then holds at most one
+    Z/(p^r k) over copies of Z/p, already a divisibility chain."""
+    return kunneth(*(closed_form_homology(f, max_degree)
+                     for f in primary_model(p, r, max_degree)), max_degree)
 
 
 def model_homology(n: int, max_degree: int) -> GradedAbelianGroup:
-    """Homology of the full model for order n = p_1^r_1 ... p_k^r_k.
+    """Homology of the full model for order n = p_1^r_1 ... p_k^r_k, in
+    invariant factors: d_1 | d_2 | ... in every degree, as SNF reports it.
+
+    With one prime this is ``primary_model_homology``.  With more, every
+    factor of every prime-power model has its torsion split into prime
+    powers: the model for p^r twists by h = p^r or p, and Z/(hk) becomes
+    Z/(h p^v_p(k)) plus the prime powers of k / p^v_p(k), where
+    k <= max_degree / 2 is the only number factorised.  All the factors then
+    fold once, in ``_fold_order``, with powers of different primes never
+    paired, and each degree is merged back per prime.
 
     >>> model_homology(6, 2).summands(2)
-    (0, (2, 3))
+    (0, (6,))
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    (p, r), *rest = factorize(n)
-    result = primary_model_homology(p, r, max_degree)
-    for p, r in rest:
-        result = kunneth(result, primary_model_homology(p, r, max_degree), max_degree)
-    return result
+    primes = factorize(n)
+    if len(primes) == 1:
+        return primary_model_homology(*primes[0], max_degree)
+    # each factor's twist h is a power of the prime it came from
+    prime_of = {f: p for p, r in primes for f in primary_model(p, r, max_degree)}
+    split = {1: ()}  # k -> the prime powers of k, as (prime, power) pairs
+    factors = []
+    for f in _fold_order(prime_of):
+        p, rows = prime_of[f], defaultdict(lambda: defaultdict(list))
+        for d, (free, pairs) in enumerate(closed_form_homology(f, max_degree).parts):
+            if free:
+                rows[0][0].append((d, free))
+            for t, m in pairs:
+                k = t // f.h
+                if k not in split:
+                    split[k] = tuple((q, q ** e) for q, e in factorize(k))
+                own = f.h
+                for q, power in split[k]:
+                    if q == p:
+                        own *= power
+                    else:
+                        rows[q][power].append((d, m))
+                rows[p][own].append((d, m))
+        factors.append(rows)
+    return _kunneth_by_prime(factors, max_degree)
 
 
 def _components(c: ElementaryComplex, top: int) -> list[tuple[int | None, int]]:

@@ -3,11 +3,15 @@
 A cyclic summand is encoded by its order: 0 stands for Z, any integer
 >= 2 for Z/n, and order-1 summands are dropped.  A graded group stores,
 per degree, the free rank and the distinct finite orders, each with its
-multiplicity, so a million copies of Z/4 cost one pair.  Composite orders
-such as Z/6 are kept as-is (``primary_part`` splits them on request),
-because the homology formulas feeding this module produce them directly.
-Work follows distinct orders: ``kunneth`` takes one gcd per pair of them
-and skips coprime pairs, and a listing copies one block per order.
+multiplicity, so a million copies of Z/4 cost one pair.  A group keeps
+the orders it was built from: ``from_summands`` takes Z/6 and Z/2 + Z/3
+as given, so those two compare unequal, and ``invariant_factors`` gives
+either's divisibility chain.  Model homology is built in canonical form:
+``_kunneth_by_prime`` merges every degree into invariant factors, so
+there ``==`` is isomorphism.  Work follows distinct orders: ``kunneth``
+folds any number of factors as order-major rows, one gcd per pair of
+distinct orders with coprime pairs skipped, and builds only the result;
+a listing copies one block per order.
 
 Every group carries a truncation cap ``max_degree``: content is only
 known up to that degree, and reading past it is an error, not a zero.
@@ -16,8 +20,8 @@ known up to that degree, and reading past it is an error, not a zero.
 from __future__ import annotations
 
 from collections import Counter, defaultdict, namedtuple
-from itertools import product, zip_longest
-from math import gcd, lcm, prod
+from itertools import accumulate
+from math import gcd, lcm
 
 from .bounds import decimal_string, factorize, padic_valuation
 
@@ -124,12 +128,11 @@ class GradedAbelianGroup(namedtuple("GradedAbelianGroup", "parts")):
         (2, 12)
         """
         _, pairs = self._part(degree)
-        towers: dict[int, list[int]] = {}
+        towers = defaultdict(Counter)
         for order, mult in pairs:  # each distinct order is factorised once
             for p, e in factorize(order):
-                towers.setdefault(p, []).extend([p ** e] * mult)
-        tiers = zip_longest(*(sorted(t, reverse=True) for t in towers.values()), fillvalue=1)
-        return tuple(prod(tier) for tier in tiers)[::-1]
+                towers[p][p ** e] += mult
+        return tuple(_listing(_chain(t.items() for t in towers.values()), int))
 
     def restrict(self, new_max_degree: int) -> "GradedAbelianGroup":
         """Lower the truncation cap, discarding the degrees above it."""
@@ -202,46 +205,131 @@ def _json_int(value, what: str, low: int) -> int:
     raise ValueError(f"{what} {value!r} is not an integer >= {low}")
 
 
-def kunneth(a: GradedAbelianGroup, b: GradedAbelianGroup,
-            max_degree: int) -> GradedAbelianGroup:
-    """Graded Kunneth product truncated at ``max_degree``.
+def kunneth(*factors_and_cap) -> GradedAbelianGroup:
+    """``kunneth(A_1, ..., A_k, max_degree)``: the graded Kunneth product of
+    the factors, truncated at ``max_degree``.
 
-    Degree n of the result is the sum of A_i ox B_j over i + j = n plus
-    Tor(A_i, B_j) over i + j = n - 1.  Both factors must be trusted up to
-    the requested cap: a factor of unknown content in low degrees could
-    otherwise leak wrong answers below the cap.  One gcd per pair of distinct
-    orders: a coprime pair adds nothing, any other convolves their degree lists.
+    Degree n of A ox B is the sum of A_i ox B_j over i + j = n plus
+    Tor(A_i, B_j) over i + j = n - 1; the factors fold in the order given,
+    by ``_fold``, and only the result becomes a group.  Every factor must be
+    trusted up to the requested cap: a factor of unknown content in low
+    degrees could otherwise leak wrong answers below the cap.  One gcd per
+    pair of distinct orders: a coprime pair adds nothing.
 
     >>> a = GradedAbelianGroup.from_summands({0: [0], 1: [4]}, 2)
     >>> kunneth(a, GradedAbelianGroup.from_summands({0: [0], 1: [3]}, 2), 2).parts
     ((1, ()), (0, ((3, 1), (4, 1))), (0, ()))
     """
-    if max_degree > min(a.max_degree, b.max_degree):
+    *factors, max_degree = factors_and_cap
+    if any(max_degree > f.max_degree for f in factors):
         raise ValueError(
-            f"kunneth truncated at {max_degree} needs both factors trusted that far "
-            f"(caps are {a.max_degree} and {b.max_degree})")
+            f"kunneth truncated at {max_degree} needs every factor trusted that far "
+            f"(caps are {', '.join(str(f.max_degree) for f in factors)})")
+    counts = [{} for _ in range(max_degree + 1)]
+    for orders in _fold((_rows(f, max_degree) for f in factors), max_degree).values():
+        for t, row in orders.items():
+            for d, m in row:
+                counts[d][t] = m
+    return GradedAbelianGroup(tuple((c.pop(0, 0), c.items()) for c in counts))
 
-    def rows(g):  # {order: [(degree, multiplicity)] ascending}, Z as order 0
-        out = defaultdict(list)
-        for d, (free, pairs) in enumerate(g.parts[:max_degree + 1]):
-            for t, m in ((0, free),) * (free > 0) + pairs:
-                out[t].append((d, m))
-        return out.items()
 
-    counts = [{} for _ in range(max_degree + 2)]  # a spare degree for Tor past the cap
-    for (x, row_a), (y, row_b) in product(rows(a), rows(b)):
-        if (g := gcd(x, y)) == 1:  # Z/x ox Z/y = Tor(Z/x, Z/y) = 0
-            continue
-        for i, m in row_a:
-            for j, k in row_b:
-                if i + j > max_degree:
-                    break
-                bucket = counts[i + j]
-                bucket[g] = bucket.get(g, 0) + m * k
-                if x and y:  # Tor vanishes against Z
-                    bucket = counts[i + j + 1]
-                    bucket[g] = bucket.get(g, 0) + m * k
-    return GradedAbelianGroup(tuple((c.pop(0, 0), c.items()) for c in counts[:-1]))
+def _rows(g: GradedAbelianGroup, max_degree: int) -> dict:
+    """``g`` up to ``max_degree`` as ``_fold`` reads a factor: Z under key 0,
+    every torsion order under key 1, so that each pair of orders is tried."""
+    free, torsion = [], defaultdict(list)
+    for d, (rank, pairs) in enumerate(g.parts[:max_degree + 1]):
+        if rank:
+            free.append((d, rank))
+        for t, m in pairs:
+            torsion[t].append((d, m))
+    return {0: {0: free}, 1: torsion}
+
+
+def _fold(factors, max_degree: int) -> dict:
+    """The Kunneth product of ``factors``, one after another from Z in degree
+    0, truncated at ``max_degree``.
+
+    Factors and result are order-major rows {key: {order: [(degree,
+    multiplicity)] by degree}}: key 0 holds Z, as order 0, and any other key
+    a set of torsion orders that pair only among themselves (and with Z), so
+    a caller who keys orders by their prime never has coprime powers paired.
+    Z/x ox Z/y and Tor(Z/x, Z/y) are both Z/gcd(x, y), so the convolution of
+    the torsion pairs of two keys is added twice, the second time one degree
+    up; Tor vanishes against Z.
+    """
+    acc = {0: {0: [(0, 1)]}}
+    for factor in factors:
+        new = {}
+        for ka, orders_a in acc.items():
+            for kb, orders_b in factor.items():
+                if ka and kb and ka != kb:
+                    continue
+                out = new.setdefault(ka or kb, {})
+                conv = {} if ka and kb else out
+                for x, row_a in orders_a.items():
+                    for y, row_b in orders_b.items():
+                        if (g := gcd(x, y)) == 1:  # Z/x ox Z/y = Tor(Z/x, Z/y) = 0
+                            continue
+                        row = conv.setdefault(g, {})
+                        for i, m in row_a:
+                            top = max_degree - i
+                            for j, k in row_b:
+                                if j > top:
+                                    break
+                                row[i + j] = row.get(i + j, 0) + m * k
+                if conv is not out:
+                    for g, row in conv.items():
+                        merged = out.setdefault(g, {})
+                        for d, m in row.items():
+                            merged[d] = merged.get(d, 0) + m
+                            if d < max_degree:
+                                merged[d + 1] = merged.get(d + 1, 0) + m
+        acc = {key: {t: sorted(row.items()) for t, row in orders.items()}
+               for key, orders in new.items()}
+    return acc
+
+
+def _kunneth_by_prime(factors, max_degree: int) -> GradedAbelianGroup:
+    """The Kunneth product of ``factors`` given as ``_fold`` rows keyed by
+    prime, each torsion order a power of its key, with every degree merged
+    into invariant factors by ``_chain``: no order is factorised."""
+    free = [0] * (max_degree + 1)
+    towers = [defaultdict(list) for _ in free]
+    for p, powers in _fold(factors, max_degree).items():
+        for q, row in powers.items():
+            for d, m in row:
+                if p:
+                    towers[d][p].append((q, m))
+                else:
+                    free[d] = m
+    return GradedAbelianGroup(tuple((f, _chain(t.values())) for f, t in zip(free, towers)))
+
+
+def _chain(towers) -> list[tuple[int, int]]:
+    """Invariant factors d_1 | d_2 | ... as ascending (order, multiplicity)
+    pairs, from one non-empty tower of distinct (p^e, multiplicity) pairs per
+    prime p: the i-th largest factor is the product of the i-th largest
+    power of each prime, or 1 past the end of a tower.  Read from the top,
+    that product changes only where one tower's run of a power ends, so it
+    is updated there, and runs between such ends are counted, not listed.
+
+    >>> _chain([[(2, 1), (4, 1)], [(3, 2)]])
+    [(6, 1), (12, 1)]
+    """
+    ends, factor = [], 1
+    for tower in towers:
+        powers = sorted(tower, reverse=True)
+        factor *= powers[0][0]
+        below = [q for q, _ in powers[1:]] + [1]
+        ends += zip(accumulate(m for _, m in powers), (q for q, _ in powers), below)
+    ends.sort()
+    chain, start = [], 0
+    for end, q, lower in ends:
+        if end > start:
+            chain.append((factor, end - start))
+            start = end
+        factor = factor // q * lower
+    return chain[::-1]
 
 
 def exponent(a: GradedAbelianGroup, degree: int) -> tuple[int, int]:

@@ -1,9 +1,11 @@
 """Elementary complexes, their chain realisations, and the tensor models."""
 
+import time
 from collections import Counter
 
 import pytest
 
+from periodindex import bounds, graded
 from periodindex.bounds import padic_valuation
 import periodindex.complexes
 from periodindex.complexes import (ComplexKind, ElementaryComplex, _cone, _fold_order,
@@ -12,7 +14,7 @@ from periodindex.complexes import (ComplexKind, ElementaryComplex, _cone, _fold_
                                    primary_model_chain_complex,
                                    primary_model_homology,
                                    realize_chain_complex)
-from periodindex.graded import exponent
+from periodindex.graded import GradedAbelianGroup, exponent
 from periodindex.snf import ChainComplex, homology_of_complex
 from tensor_reference import tensor_chain_complex
 
@@ -314,7 +316,7 @@ class TestPrimaryModelHomology:
 class TestModelHomology:
     def test_order_six(self):
         g = model_homology(6, 2)
-        assert g.summands(2) == (0, (2, 3))
+        assert g.summands(2) == (0, (6,))
         assert exponent(g, 2) == (6, 0)  # H_2(K(Z/6, 2)) = Z/6 by Hurewicz
 
     def test_order_four_degree_four(self):
@@ -325,9 +327,9 @@ class TestModelHomology:
             assert model_homology(p, 10) == primary_model_homology(p, 1, 10)
 
     def test_order_six_degree_four(self):
-        # Z/4 (+) Z/6 in degree 4; exponent 12 = n * k at k = 2
+        # Z/2 (+) Z/12 (Z/4 (+) Z/6 in invariant factors); exponent 12 = n * k at k = 2
         g = model_homology(6, 4)
-        assert g.summands(4) == (0, (4, 6))
+        assert g.summands(4) == (0, (2, 12))
         assert exponent(g, 4) == (12, 0)
 
     def test_exponent_divides_n_times_k(self):
@@ -340,6 +342,40 @@ class TestModelHomology:
     def test_rejects_trivial_order(self):
         with pytest.raises(ValueError):
             model_homology(1, 4)
+
+    def test_builds_one_group_per_factor_and_factorises_small_numbers(self, monkeypatch):
+        # each factor's closed form is a group and so is the result; no
+        # intermediate product is built, and the split factorises n and the
+        # k <= cap / 2 of each Z/(p^r k), never p^r k itself
+        built, factorised = [], []
+        real_new, real_factorize = GradedAbelianGroup.__new__, bounds.factorize
+
+        def counting_new(cls, parts):
+            built.append(cls)
+            return real_new(cls, parts)
+
+        def spying_factorize(m):
+            factorised.append(m)
+            return real_factorize(m)
+
+        monkeypatch.setattr(GradedAbelianGroup, "__new__", counting_new)
+        for module in (bounds, periodindex.complexes, graded):
+            monkeypatch.setattr(module, "factorize", spying_factorize)
+        n, cap = 2 * 1000003, 40
+        g = model_homology(n, cap)
+        factors = len(primary_model(2, 1, cap)) + len(primary_model(1000003, 1, cap))
+        assert len(built) == factors + 1
+        assert max(factorised) <= max(n, cap)
+        assert exponent(g, 2 * 20) == (n * 20, 0)
+
+        built.clear()
+        factorised.clear()
+        start = time.perf_counter()
+        g = primary_model_homology(2, 20000, 6)
+        assert time.perf_counter() - start < 0.5
+        assert len(built) == len(primary_model(2, 20000, 6)) + 1
+        assert factorised == []
+        assert exponent(g, 6) == (3 * 2 ** 20000, 0)
 
 
 class TestExponentBound:

@@ -1,7 +1,9 @@
 """Property tests: the multiplicity-form Kunneth product against the
-pairwise list product it replaced, plus its algebraic laws and JSON, and the
-closed forms against the per-degree summand lists they replaced."""
+pairwise list product it replaced, plus its algebraic laws and JSON, the
+closed forms against the per-degree summand lists they replaced, and the
+n-ary fold and the model homologies against the pairwise fold."""
 
+from functools import reduce
 from math import lcm
 from unittest import mock
 
@@ -11,8 +13,10 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import example, given, settings, strategies as st
 
+import kunneth_reference as reference
 from periodindex import graded
-from periodindex.complexes import ComplexKind, ElementaryComplex, closed_form_homology
+from periodindex.complexes import (ComplexKind, ElementaryComplex, closed_form_homology,
+                                   model_homology, primary_model_homology)
 from periodindex.graded import (GradedAbelianGroup, exponent, kunneth,
                                 tensor_summands, tor_summands)
 
@@ -184,3 +188,37 @@ def elementary(draw):
 @example(ElementaryComplex(ComplexKind.PE_SECOND, 4, 1), 60)
 def test_closed_form_equals_summand_lists(c, cap):
     assert closed_form_homology(c, cap).parts == reference_closed_form(c, cap).parts
+
+
+@SETTINGS
+@given(st.lists(groups(orders=LISTED_ORDERS), max_size=4), CAPS)
+def test_nary_fold_equals_pairwise_reference(factors, cap):
+    cap = min([cap] + [g.max_degree for g in factors])
+    expected = reduce(lambda a, b: reference.kunneth(a, b, cap), factors,
+                      GradedAbelianGroup.unit(cap))
+    assert kunneth(*factors, cap) == expected
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.integers(2, 60), st.integers(0, 24))
+def test_model_homology_is_the_invariant_factor_chain(n, cap):
+    got, pairwise = model_homology(n, cap), reference.model_homology(n, cap)
+    for d in range(cap + 1):
+        free, chain = got.summands(d)
+        assert all(b % a == 0 for a, b in zip(chain, chain[1:]))
+        assert (free, chain) == (pairwise.summands(d)[0],
+                                 reference.invariant_factors(pairwise, d))
+
+
+@SETTINGS
+@given(st.sampled_from([2, 3, 5]), st.sampled_from([1, 2]), st.integers(0, 124))
+def test_primary_model_homology_equals_pairwise_reference(p, r, cap):
+    assert (primary_model_homology(p, r, cap).parts
+            == reference.primary_model_homology(p, r, cap).parts)
+
+
+@SETTINGS
+@given(groups())
+def test_invariant_factors_equal_the_tower_reference(g):
+    for d in range(g.max_degree + 1):
+        assert g.invariant_factors(d) == reference.invariant_factors(g, d)
