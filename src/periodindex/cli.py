@@ -45,11 +45,11 @@ def _refuse(command: str, message: str) -> int:
     return 2
 
 
-def _over_output(count: int, digits_each: float) -> bool:
-    """Whether ``count`` numbers of ``digits_each`` digits each would pass
-    MAX_OUTPUT.  The count is never turned into a float, so an int of any
-    size is compared exactly instead of raising OverflowError."""
-    return digits_each > 0 and count > MAX_OUTPUT / digits_each
+def _over_output(count: int, digits_each: float, more: float = 0.0) -> bool:
+    """Whether ``count`` numbers of ``digits_each`` digits each, plus ``more``
+    digits, pass MAX_OUTPUT.  The count is never turned into a float, so an
+    int of any size is compared exactly instead of raising OverflowError."""
+    return more > MAX_OUTPUT or (digits_each > 0 and count > (MAX_OUTPUT - more) / digits_each)
 
 
 def _emit(fmt: str, headers: Sequence[str], rows: Iterable[tuple]) -> None:
@@ -172,12 +172,13 @@ def _cmd_homology(args, parser) -> int:
     if args.max_degree >= MAX_LISTED:  # one row per degree 0..max_degree
         return _refuse("homology", f"the listing would hold over {MAX_LISTED} rows; "
                                    "lower --max-degree")
-    # degree 2k holds Z/(p^r k), of over r log10 p digits, for each p^r || n and
-    # each k up to max_degree / 2, so the orders listed have over
-    # max(1, max_degree // 2) log10 n digits, log10 n = sum of r log10 p; the
+    # degree 2k holds Z/(p^r k) for each p^r || n and each k <= max_degree / 2,
+    # and merging into invariant factors keeps the product of the orders, so
+    # they have over max(1, k) log10 n + log10(k!) digits at the top k; the
     # model is built on each p^r itself
     base, power = (args.prime, args.exponent) if have_pr else (args.n, 1)
-    if _over_output(max(1, args.max_degree // 2) * power, log10(base)):
+    half = args.max_degree // 2
+    if _over_output(max(1, half) * power, log10(base), lgamma(half + 1) / log(10)):
         return _refuse("homology", f"p^r or the orders listed would have over {MAX_OUTPUT} "
                                    "digits; lower the order or --max-degree")
     group = (primary_model_homology(args.prime, args.exponent, args.max_degree) if have_pr
@@ -186,35 +187,30 @@ def _cmd_homology(args, parser) -> int:
     if listed > MAX_LISTED:
         return _refuse("homology", f"the listing would hold {listed} torsion summands, "
                                    f"over the limit of {MAX_LISTED}; lower --max-degree")
-    digits, exponents = log10(2) * sum(m * t.bit_length() for _, pairs in group.parts
-                                       for t, m in pairs), None
+    digits = log10(2) * sum(m * t.bit_length() for _, pairs in group.parts for t, m in pairs)
     if digits > MAX_OUTPUT:
         return _refuse("homology", f"the torsion orders listed would have about {digits:.0f} "
                                    f"digits, over the limit of {MAX_OUTPUT}; lower --max-degree")
-    from .graded import exponent
-    if args.format != "json":  # the pretty and csv listings also print each degree's exponent
-        # the lcm of a degree's orders has at least the bits of the largest
-        # and at most their sum; only in between is it computed here
-        bits = [[t.bit_length() for t, _ in pairs] for _, pairs in group.parts]
-        low = digits + log10(2) * sum(max(b) for b in bits if b)
-        if low <= MAX_OUTPUT < digits + log10(2) * sum(map(sum, bits)):
-            exponents = [exponent(group, d)[0] for d in range(group.max_degree + 1)]
-            low = digits + log10(2) * sum(e.bit_length() for e in exponents)
-        if low > MAX_OUTPUT:
+    if args.format != "json":  # the pretty and csv listings also print each degree's
+        # exponent, its largest order: model degrees are divisibility chains
+        digits += log10(2) * sum(pairs[-1][0].bit_length() for _, pairs in group.parts if pairs)
+        if digits > MAX_OUTPUT:
             return _refuse("homology", f"the torsion orders and exponents listed would have "
-                                       f"about {low:.0f} digits or more, over the limit of "
+                                       f"about {digits:.0f} digits or more, over the limit of "
                                        f"{MAX_OUTPUT}; lower --max-degree")
 
+    listing = group.to_json()  # converts each distinct order once
     if args.format == "json":  # one object keyed by degree, not a list of rows
         import json
-        print(json.dumps(group.to_json(), sort_keys=True))
+        print(json.dumps(listing, sort_keys=True))
         return 0
+    from .graded import _describe
     csv, rows = args.format == "csv", []
-    listing = group.to_json() if csv else None  # converts each distinct order once
-    for d, (free, _) in enumerate(group.parts):
-        exp = decimal_string(exponents[d] if exponents else exponent(group, d)[0])
-        rows.append((d, free, exp, "+".join(listing[str(d)]["torsion"])) if csv
-                    else (d, group.describe(d), exp))
+    for d, entry in enumerate(listing.values()):  # degrees 0..max_degree, in order
+        free, torsion = entry["free"], entry["torsion"]
+        exp = torsion[-1] if torsion else "1"
+        rows.append((d, free, exp, "+".join(torsion)) if csv
+                    else (d, _describe(free, torsion), exp))
     _emit(args.format, ["degree", "free", "exponent", "torsion"] if csv
           else ["degree", "group", "exponent"], rows)
     return 0

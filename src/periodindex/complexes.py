@@ -41,7 +41,7 @@ from operator import add
 from typing import TYPE_CHECKING
 
 from .bounds import _check_prime_power, factorize
-from .graded import GradedAbelianGroup, _kunneth_by_prime, kunneth
+from .graded import GradedAbelianGroup, _kunneth_by_prime, _rows, kunneth
 
 if TYPE_CHECKING:  # the oracle route imports snf when it runs; the Kunneth route never does
     from .snf import ChainComplex, DirectSum
@@ -135,14 +135,16 @@ def primary_model(p: int, r: int, max_degree: int) -> tuple[ElementaryComplex, .
 def primary_model_homology(p: int, r: int, max_degree: int) -> GradedAbelianGroup:
     """Homology of the p-primary model: one Kunneth fold over its factors, in
     ``primary_model`` order and unsplit.  Each degree then holds at most one
-    Z/(p^r k) over copies of Z/p, already a divisibility chain."""
+    Z/(p^r k) over copies of Z/p: a divisibility chain, whose largest order
+    is the exponent that ``homology`` prints."""
     return kunneth(*(closed_form_homology(f, max_degree)
                      for f in primary_model(p, r, max_degree)), max_degree)
 
 
 def model_homology(n: int, max_degree: int) -> GradedAbelianGroup:
     """Homology of the full model for order n = p_1^r_1 ... p_k^r_k, in
-    invariant factors: d_1 | d_2 | ... in every degree, as SNF reports it.
+    invariant factors: d_1 | d_2 | ... in every degree, as SNF reports it,
+    whose largest order is the exponent that ``homology`` prints.
 
     With one prime this is ``primary_model_homology``.  With more, every
     factor of every prime-power model has its torsion split into prime
@@ -162,24 +164,20 @@ def model_homology(n: int, max_degree: int) -> GradedAbelianGroup:
         return primary_model_homology(*primes[0], max_degree)
     # each factor's twist h is a power of the prime it came from
     prime_of = {f: p for p, r in primes for f in primary_model(p, r, max_degree)}
-    split = {1: ()}  # k -> the prime powers of k, as (prime, power) pairs
     factors = []
     for f in _fold_order(prime_of):
-        p, rows = prime_of[f], defaultdict(lambda: defaultdict(list))
-        for d, (free, pairs) in enumerate(closed_form_homology(f, max_degree).parts):
-            if free:
-                rows[0][0].append((d, free))
-            for t, m in pairs:
-                k = t // f.h
-                if k not in split:
-                    split[k] = tuple((q, q ** e) for q, e in factorize(k))
-                own = f.h
-                for q, power in split[k]:
-                    if q == p:
-                        own *= power
-                    else:
-                        rows[q][power].append((d, m))
-                rows[p][own].append((d, m))
+        p, read = prime_of[f], _rows(closed_form_homology(f, max_degree), max_degree)
+        rows = defaultdict(lambda: defaultdict(list), {0: read[0]})
+        # each order of a closed form lies in one degree, or is its only order,
+        # so joining the rows of ascending orders keeps each row by degree
+        for t, row in read[1].items():
+            own = f.h
+            for q, e in factorize(t // f.h):
+                if q == p:
+                    own *= q ** e
+                else:
+                    rows[q][q ** e] += row
+            rows[p][own] += row
         factors.append(rows)
     return _kunneth_by_prime(factors, max_degree)
 

@@ -6,12 +6,13 @@ per degree, the free rank and the distinct finite orders, each with its
 multiplicity, so a million copies of Z/4 cost one pair.  A group keeps
 the orders it was built from: ``from_summands`` takes Z/6 and Z/2 + Z/3
 as given, so those two compare unequal, and ``invariant_factors`` gives
-either's divisibility chain.  Model homology is built in canonical form:
-``_kunneth_by_prime`` merges every degree into invariant factors, so
-there ``==`` is isomorphism.  Work follows distinct orders: ``kunneth``
-folds any number of factors as order-major rows, one gcd per pair of
-distinct orders with coprime pairs skipped, and builds only the result;
-a listing copies one block per order.
+either's divisibility chain.  Model homology is built in that form:
+every degree is d_1 | d_2 | ..., so ``==`` is isomorphism and the largest
+order is the exponent.  A primary degree is one Z/(p^r k) over copies of
+Z/p, a chain as p divides p^r k; ``_chain`` merges each composite degree.
+Work follows distinct orders: ``kunneth`` folds any number of factors as
+order-major rows, one gcd per pair of distinct orders with coprime pairs
+skipped, and builds only the result; a listing copies one block per order.
 
 Every group carries a truncation cap ``max_degree``: content is only
 known up to that degree, and reading past it is an error, not a zero.
@@ -140,18 +141,9 @@ class GradedAbelianGroup(namedtuple("GradedAbelianGroup", "parts")):
             raise ValueError("can only restrict within the trusted range")
         return GradedAbelianGroup(self.parts[:new_max_degree + 1])
 
-    def torsion_strings(self, degree: int) -> list[str]:
-        """The finite orders of ``summands(degree)`` as decimal strings, each
-        distinct order converted once, by ``decimal_string``: an order can
-        have millions of digits, where ``str`` is quadratic."""
-        return _listing(self._part(degree)[1], decimal_string)
-
     def describe(self, degree: int) -> str:
         free, pairs = self._part(degree)
-        pieces = ["Z" if free == 1 else f"Z^{free}"] if free else []
-        if pairs:
-            pieces.append("Z/" + " + Z/".join(_listing(pairs, decimal_string)))
-        return " + ".join(pieces) or "0"
+        return _describe(free, _listing(pairs, decimal_string))
 
     def to_json(self) -> dict:
         """{str(degree): {"free": rank, "torsion": [one decimal string per summand]}}.
@@ -195,6 +187,15 @@ def _listing(pairs, name) -> list:
     for block in blocks:
         listed += block
     return listed
+
+
+def _describe(free: int, torsion: list[str]) -> str:
+    """One degree as ``describe`` and the ``homology`` table write it, from its
+    free rank and its orders as ``to_json`` lists them: "Z^2 + Z/2 + Z/4"."""
+    pieces = ["Z" if free == 1 else f"Z^{free}"] if free else []
+    if torsion:
+        pieces.append("Z/" + " + Z/".join(torsion))
+    return " + ".join(pieces) or "0"
 
 
 def _json_int(value, what: str, low: int) -> int:

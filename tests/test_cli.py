@@ -1,6 +1,7 @@
 """CLI surface: output formats, exit codes, determinism."""
 
 import json
+import re
 import sys
 import time
 from math import log10
@@ -358,6 +359,10 @@ class TestHomology:
         (str(997 ** 1400), "--max-degree", "2400"),
         # 2000 orders of over 4214 digits: the n route's estimate, before any build
         (str(2 ** 14000), "--max-degree", "4000", "--format", "csv"),
+        # 499,999 orders Z/(999983 k), the k alone with log10(499999!) digits:
+        # over 5.6e6 digits in all, refused before the model is built
+        ("--prime", "999983", "--exponent", "1", "--max-degree", "999999"),
+        ("999983", "--max-degree", "999999", "--format", "csv"),
     ])
     def test_oversized_digits_refused(self, capsys, argv):
         start = time.perf_counter()
@@ -401,12 +406,20 @@ class TestHomology:
                          "--max-degree", "4", "--format", "csv"]) == 2
         assert "exponents" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_long_orders_print_as_str_does(self, capsys, fmt):
+    @pytest.mark.parametrize("argv, fmt", [
         # 2^20000 k has over 6000 digits, past str's default limit of 4300
-        group = primary_model_homology(2, 20000, 6)
-        code, out = run(capsys, "homology", "--prime", "2", "--exponent", "20000",
-                        "--max-degree", "6", "--format", fmt)
+        *(pytest.param(("--prime", "2", "--exponent", "20000", "--max-degree", "6"), fmt,
+                       id=fmt) for fmt in ("csv", "json", "pretty-table")),
+        # composite: every degree merged into invariant factors
+        *(pytest.param(("30", "--max-degree", "24"), fmt, id=f"30-{fmt}")
+          for fmt in ("csv", "json", "pretty-table")),
+    ])
+    def test_long_orders_print_as_str_does(self, capsys, argv, fmt):
+        cap = int(argv[-1])
+        group = (primary_model_homology(2, 20000, cap) if argv[0] == "--prime"
+                 else model_homology(int(argv[0]), cap))
+        degrees = range(cap + 1)
+        code, out = run(capsys, "homology", *argv, "--format", fmt)
         assert code == 0
         old_limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
@@ -415,11 +428,14 @@ class TestHomology:
                 assert json.loads(out) == {
                     str(d): {"free": group.summands(d)[0],
                              "torsion": list(map(str, group.summands(d)[1]))}
-                    for d in range(7)}
-            else:
+                    for d in degrees}
+            elif fmt == "csv":
                 assert out.splitlines()[1:] == [
                     f"{d},{group.summands(d)[0]},{exponent(group, d)[0]},"
-                    + "+".join(map(str, group.summands(d)[1])) for d in range(7)]
+                    + "+".join(map(str, group.summands(d)[1])) for d in degrees]
+            else:  # columns padded apart by two spaces or more; a group cell has single spaces
+                assert [re.split(" {2,}", line) for line in out.splitlines()[2:]] == [
+                    [str(d), group.describe(d), str(exponent(group, d)[0])] for d in degrees]
         finally:
             sys.set_int_max_str_digits(old_limit)
 
