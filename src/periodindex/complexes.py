@@ -19,11 +19,10 @@ exactly p^r * k.  The model for composite order is the product of all the
 prime-power models' factors; its closed-form homology splits each factor's
 torsion into prime powers and reports every degree in invariant factors.
 
-Closed-form homology here is independently checkable: every elementary
-complex can be realised as an explicit based chain complex and handed to
-the Smith-normal-form homology in :mod:`periodindex.snf`.  The oracle
-route, ``primary_model_chain_complex`` and ``model_chain_complex`` alike,
-never builds a model's tensor product, nor realises a factor.  It reads
+Closed-form homology here is independently checkable against the
+Smith-normal-form homology in :mod:`periodindex.snf` by one oracle route:
+``realize_chain_complex`` for one elementary complex, and the models'
+``primary_model_chain_complex`` and ``model_chain_complex``.  It reads
 each factor as the connected components of its boundary graph (one or two
 cells each, ``_components``) and, as ox distributes over +, folds the
 factors, q descending, into a ``DirectSum`` of translated shapes.  Its one
@@ -73,17 +72,6 @@ class ElementaryComplex(namedtuple("ElementaryComplex", "kind q h")):
         return tuple.__new__(cls, (kind, q, h))
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # checked, and so is _replace
-
-    @property
-    def generator_degrees(self) -> tuple[int, ...]:
-        q = self.q
-        if self.kind is ComplexKind.EXTERIOR_FIRST:
-            return (2 * q - 1,)
-        if self.kind is ComplexKind.DIVIDED_POWER_FIRST:
-            return (2 * q,)
-        if self.kind is ComplexKind.EP_SECOND:
-            return (2 * q - 1, 2 * q)
-        return (2 * q, 2 * q + 1)
 
 
 def closed_form_homology(c: ElementaryComplex, max_degree: int) -> GradedAbelianGroup:
@@ -201,9 +189,10 @@ def _components(c: ElementaryComplex, top: int) -> list[tuple[int | None, int]]:
     >>> _components(ElementaryComplex(ComplexKind.PE_SECOND, 1, 2), 6)
     [(None, 0), (2, 2), (4, 4), (None, 6)]
 
-    Every complex the oracle builds from these is still checked: a
-    component has at most two cells, so d o d = 0 holds by construction,
-    and each ``_cone`` is a validated ``ChainComplex``.
+    Every complex the oracle builds from these, one factor's
+    (``realize_chain_complex``) or a model's, is still checked: a component
+    has at most two cells, so d o d = 0 holds by construction, and each
+    ``_cone`` is a validated ``ChainComplex``.
     """
     q, h = c.q, c.h
     if c.kind is ComplexKind.EXTERIOR_FIRST:
@@ -217,27 +206,12 @@ def _components(c: ElementaryComplex, top: int) -> list[tuple[int | None, int]]:
     return [(None, 0)] + [(a if n < top else None, n) for a, n in pairs]
 
 
-def realize_chain_complex(c: ElementaryComplex, max_degree: int) -> ChainComplex:
-    """Realise an elementary complex as a based chain complex built from its
-    ``_components``, so each boundary is at most the single entry
-    ``{0: coefficient}`` in its single column.
-
-    Bases are truncated one degree above ``max_degree`` so that every
-    boundary into degree <= max_degree is complete and homology can be
-    queried up to the cap.
-    """
-    from .snf import ChainComplex
+def realize_chain_complex(c: ElementaryComplex, max_degree: int) -> DirectSum:
+    """An elementary complex as the oracle builds every model: the one-factor
+    ``_direct_sum``, truncated at ``max_degree`` + 1 to query homology to it."""
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    top = max_degree + 1
-    dims = [0] * (top + 1)
-    boundaries = {}
-    for h, n in _components(c, top):
-        dims[n] = 1
-        if h is not None:
-            dims[n + 1] = 1
-            boundaries[n + 1] = [{0: h}]
-    return ChainComplex(dims, boundaries)
+    return _direct_sum((c,), max_degree)
 
 
 def _cone(a: ChainComplex, h: int) -> ChainComplex:

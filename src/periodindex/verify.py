@@ -26,29 +26,28 @@ class CheckResult(NamedTuple):
     detail: str = ""
 
 
+def _mismatch(chain, closed, degrees) -> str:
+    """The first of ``degrees`` where SNF homology of ``chain`` and ``closed`` differ, or ""."""
+    for d in degrees:
+        free, torsion = homology_of_complex(chain, d)
+        if (free, tuple(torsion)) != closed.summands(d):
+            return f"degree {d}: SNF {(free, torsion)} vs closed form {closed.summands(d)}"
+    return ""
+
+
 def suite_elementary(max_degree: int = 30) -> list[CheckResult]:
-    """Closed-form homology == SNF homology of the realised complex,
-    degree by degree, for every elementary kind."""
-    cases = []
-    for q in (1, 2, 3):
-        cases.append(ElementaryComplex(ComplexKind.EXTERIOR_FIRST, q))
-        cases.append(ElementaryComplex(ComplexKind.DIVIDED_POWER_FIRST, q))
-        for h in (2, 3, 4, 5, 8, 9):
-            cases.append(ElementaryComplex(ComplexKind.EP_SECOND, q, h))
-            cases.append(ElementaryComplex(ComplexKind.PE_SECOND, q, h))
+    """Closed-form homology == SNF homology of the oracle's one-factor
+    complex, degree by degree, for every elementary kind."""
     results = []
-    for c in cases:
-        name = f"elementary {c.kind.value} q={c.q}" + (f" h={c.h}" if c.h else "")
-        closed = closed_form_homology(c, max_degree)
-        chain = realize_chain_complex(c, max_degree)
-        mismatch = ""
-        for n in range(max_degree + 1):
-            free, torsion = homology_of_complex(chain, n)
-            if (free, tuple(torsion)) != closed.summands(n):
-                mismatch = (f"degree {n}: oracle {(free, torsion)} "
-                            f"vs closed form {closed.summands(n)}")
-                break
-        results.append(CheckResult(name, not mismatch, mismatch))
+    for q in (1, 2, 3):
+        for c in (ElementaryComplex(ComplexKind.EXTERIOR_FIRST, q),
+                  ElementaryComplex(ComplexKind.DIVIDED_POWER_FIRST, q),
+                  *(ElementaryComplex(kind, q, h) for h in (2, 3, 4, 5, 8, 9)
+                    for kind in (ComplexKind.EP_SECOND, ComplexKind.PE_SECOND))):
+            mismatch = _mismatch(realize_chain_complex(c, max_degree),
+                                 closed_form_homology(c, max_degree), range(max_degree + 1))
+            results.append(CheckResult(f"elementary {c.kind.value} q={c.q}"
+                                       + (f" h={c.h}" if c.h else ""), not mismatch, mismatch))
     return results
 
 
@@ -68,15 +67,11 @@ def suite_xp_exponent(max_k: int = 12) -> list[CheckResult]:
             chain = primary_model_chain_complex(p, r, cap)
             for k in range(1, max_k + 1):
                 name = f"xp-exponent p={p} r={r} k={k}"
-                free, torsion = homology_of_complex(chain, 2 * k)
-                problems = []
-                if (free, tuple(torsion)) != via_kunneth.summands(2 * k):
-                    problems.append(
-                        f"routes disagree in degree {2 * k}: SNF {(free, torsion)} "
-                        f"vs Kunneth {via_kunneth.summands(2 * k)}")
+                mismatch = _mismatch(chain, via_kunneth, (2 * k,))
+                problems = [mismatch] if mismatch else []
                 expected = p ** r * k
                 exp_kunneth, _ = exponent(via_kunneth, 2 * k)
-                exp_snf = lcm(*set(torsion))
+                exp_snf = lcm(*homology_of_complex(chain, 2 * k)[1])
                 if exp_kunneth != expected or exp_snf != expected:
                     problems.append(
                         f"exponent {exp_kunneth}/{exp_snf} != p^r*k = {expected}")
@@ -95,24 +90,16 @@ def suite_composite() -> list[CheckResult]:
     max_degree = 12
     results = []
     for n in (6, 12, 30, 360):
-        via_kunneth = model_homology(n, max_degree)
-        chain = model_chain_complex(n, max_degree)
-        mismatch = ""
-        for d in range(max_degree + 1):
-            free, torsion = homology_of_complex(chain, d)
-            expected = via_kunneth.summands(d)
-            if (free, tuple(torsion)) != expected:
-                mismatch = f"degree {d}: SNF {(free, torsion)} vs Kunneth {expected}"
-                break
-        results.append(CheckResult(f"composite n={n} to degree {max_degree}",
-                                   not mismatch, mismatch))
+        mismatch = _mismatch(model_chain_complex(n, max_degree), model_homology(n, max_degree),
+                             range(max_degree + 1))
+        results.append(CheckResult(f"composite n={n} to degree {max_degree}", not mismatch,
+                                   mismatch))
     return results
 
 
-def _random_matrix(rng: random.Random, rows: int, cols: int,
-                   lo: int = -9, hi: int = 9) -> IntegerMatrix:
+def _random_matrix(rng: random.Random, rows: int, cols: int) -> IntegerMatrix:
     return IntegerMatrix.from_rows(
-        [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)], cols=cols)
+        [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)], cols=cols)
 
 
 def _random_unimodular(rng: random.Random, n: int, ops: int = 10) -> IntegerMatrix:
@@ -140,10 +127,8 @@ def _check_one_snf(rng: random.Random, name: str) -> CheckResult:
     m = _random_matrix(rng, rows, cols)
     s = smith_normal_form(m, with_transforms=True)
     problems = []
-    for a, b in zip(s.invariant_factors, s.invariant_factors[1:]):
-        if b % a:
-            problems.append(f"divisibility chain broken: {s.invariant_factors}")
-            break
+    if any(b % a for a, b in zip(s.invariant_factors, s.invariant_factors[1:])):
+        problems.append(f"divisibility chain broken: {s.invariant_factors}")
     diagonal = [0] * (rows * cols)
     for i, d in enumerate(s.invariant_factors):
         diagonal[i * cols + i] = d
@@ -173,18 +158,18 @@ def suite_snf(seed: int = 0, cases: int = 100) -> list[CheckResult]:
     return [_check_one_snf(rng, f"snf case {i}") for i in range(cases)]
 
 
+_RUNNERS = {  # each suite of SUITES, run for a seed that only snf reads
+    "elementary": lambda seed: suite_elementary(),
+    "xp-exponent": lambda seed: suite_xp_exponent(),
+    "composite": lambda seed: suite_composite(),
+    "snf": lambda seed: suite_snf(seed=seed),
+}
+
+
 def run_suite(name: str, seed: int = 0) -> list[CheckResult]:
-    if name == "elementary":
-        return suite_elementary()
-    if name == "xp-exponent":
-        return suite_xp_exponent()
-    if name == "composite":
-        return suite_composite()
-    if name == "snf":
-        return suite_snf(seed=seed)
-    if name == "all":
-        results = []
-        for suite in SUITES:
-            results.extend(run_suite(suite, seed=seed))
-        return results
-    raise ValueError(f"unknown suite {name!r}")
+    """Suite ``name``'s results, or every suite's in ``SUITES`` order for "all"."""
+    try:
+        runners = [_RUNNERS[suite] for suite in (SUITES if name == "all" else (name,))]
+    except KeyError:
+        raise ValueError(f"unknown suite {name!r}") from None
+    return [res for run in runners for res in run(seed)]

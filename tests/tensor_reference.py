@@ -1,5 +1,6 @@
-"""The general tensor product of based chain complexes, kept test-side as
-the reference the oracle's direct sums of shapes are compared against.
+"""The general tensor product of based chain complexes, and elementary
+complexes written out cell by cell, kept test-side as the references the
+oracle's direct sums of shapes are compared against.
 
 The package never builds a whole tensor product: its oracle folds the
 factors' components into a ``DirectSum`` of shapes, and its one product is
@@ -7,7 +8,35 @@ a shape times an edge (``complexes._cone``).  This fold builds the whole
 product plainly, so the tests can check that the two agree.
 """
 
+from periodindex.complexes import ComplexKind
 from periodindex.snf import ChainComplex
+
+
+def per_kind_realization(c, max_degree: int) -> ChainComplex:
+    """An elementary complex written out cell by cell, kind by kind, truncated
+    at ``max_degree`` + 1: the reference for the oracle's one-factor direct
+    sum, ``realize_chain_complex``, and the factors the fold below takes."""
+    top, q = max_degree + 1, c.q
+    dims, boundaries = [0] * (top + 1), {}
+    if c.kind is ComplexKind.EXTERIOR_FIRST:
+        dims[0] = 1
+        if 2 * q - 1 <= top:
+            dims[2 * q - 1] = 1
+    else:  # gamma_k of the even generator, degree 2qk
+        for d in range(0, top + 1, 2 * q):
+            dims[d] = 1
+    if c.kind is ComplexKind.EP_SECOND:
+        # x gamma_k(y), degree 2q-1+2qk; d(gamma_k(y)) = h x gamma_(k-1)(y)
+        for d in range(2 * q - 1, top + 1, 2 * q):
+            dims[d] = 1
+        for d in range(2 * q, top + 1, 2 * q):
+            boundaries[d] = ({0: c.h},)
+    elif c.kind is ComplexKind.PE_SECOND:
+        # y gamma_k(x), degree 2q+1+2qk, to h(k+1) gamma_(k+1)(x)
+        for k, d in enumerate(range(2 * q + 1, top + 1, 2 * q)):
+            dims[d] = 1
+            boundaries[d] = ({0: c.h * (k + 1)},)
+    return ChainComplex(dims, boundaries)
 
 
 def tensor_chain_complex(factors, max_degree: int) -> ChainComplex:

@@ -9,7 +9,7 @@ from decimal import MAX_EMAX, Decimal, localcontext
 
 import pytest
 
-from periodindex import bounds, cli, complexes, graded, verify, words
+from periodindex import SUITES, bounds, cli, complexes, verify, words
 from periodindex.bounds import PRIME_CEILING, BoundReport, decimal_string, index_bound
 from periodindex.graded import GradedAbelianGroup, exponent
 from periodindex.complexes import model_homology, primary_model_homology
@@ -396,12 +396,12 @@ class TestHomology:
 
     def test_exponent_bounds_refuse_without_an_lcm(self, capsys, monkeypatch):
         # one order per degree: the largest order's digits already pass the
-        # limit, so the refusal computes no exponent
-        def no_exponent(group, degree):
-            raise AssertionError("exponent computed for a refused listing")
+        # limit, so the listing is refused before any order is converted
+        def no_listing(group):
+            raise AssertionError("orders converted for a refused listing")
 
         monkeypatch.setattr(cli, "MAX_OUTPUT", 1000)
-        monkeypatch.setattr(graded, "exponent", no_exponent)
+        monkeypatch.setattr(GradedAbelianGroup, "to_json", no_listing)
         assert cli.main(["homology", "--prime", "2", "--exponent", "1000",
                          "--max-degree", "4", "--format", "csv"]) == 2
         assert "exponents" in capsys.readouterr().err
@@ -632,6 +632,37 @@ class TestVerify:
             cli.main(["verify", "--suite", "nope"])
         capsys.readouterr()
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("suite, closed_side", [
+        ("elementary", "closed_form_homology"),
+        ("xp-exponent", "primary_model_homology"),
+        ("composite", "model_homology"),
+    ])
+    def test_route_suite_catches_a_disagreement(self, capsys, monkeypatch, suite, closed_side):
+        # the closed-form route made wrong in degree 4 only, by one more Z:
+        # the suite names that degree and the command fails
+        real = getattr(verify, closed_side)
+
+        def wrong_in_degree_4(*args):
+            parts = list(real(*args).parts)
+            free, torsion = parts[4]
+            parts[4] = free + 1, torsion
+            return GradedAbelianGroup(tuple(parts))
+
+        monkeypatch.setattr(verify, closed_side, wrong_in_degree_4)
+        failed = [res for res in verify.run_suite(suite) if not res.passed]
+        assert failed
+        assert all(res.detail.startswith("degree 4: SNF ") for res in failed)
+        code, out = run(capsys, "verify", "--suite", suite)
+        assert code == 1
+        assert f"FAIL  {failed[0].name}: {failed[0].detail}" in out.splitlines()
+
+    def test_suite_table_is_suites(self):
+        # SUITES, which the CLI reads without loading verify, names exactly
+        # the suites run_suite runs, and "all" runs them in that order
+        assert set(verify._RUNNERS) == set(SUITES)
+        names = [res.name.split()[0] for res in verify.run_suite("all")]
+        assert list(dict.fromkeys(names)) == list(SUITES)
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr(  # _cmd_verify imports run_suite when it runs

@@ -1,4 +1,4 @@
-"""Elementary complexes, their chain realisations, and the tensor models."""
+"""Elementary complexes, their one-factor direct sums, and the tensor models."""
 
 import time
 from collections import Counter
@@ -16,7 +16,7 @@ from periodindex.complexes import (ComplexKind, ElementaryComplex, _cone, _fold_
                                    realize_chain_complex)
 from periodindex.graded import GradedAbelianGroup, exponent
 from periodindex.snf import ChainComplex, homology_of_complex
-from tensor_reference import tensor_chain_complex
+from tensor_reference import per_kind_realization, tensor_chain_complex
 
 E = ComplexKind.EXTERIOR_FIRST
 P = ComplexKind.DIVIDED_POWER_FIRST
@@ -41,12 +41,6 @@ class TestElementaryComplex:
             ElementaryComplex(EP, q=1)
         with pytest.raises(ValueError):
             ElementaryComplex(PE, q=1, h=0)
-
-    def test_generator_degrees(self):
-        assert ElementaryComplex(E, 2).generator_degrees == (3,)
-        assert ElementaryComplex(P, 2).generator_degrees == (4,)
-        assert ElementaryComplex(EP, 2, 3).generator_degrees == (3, 4)
-        assert ElementaryComplex(PE, 2, 3).generator_degrees == (4, 5)
 
 
 class TestClosedFormHomology:
@@ -81,32 +75,14 @@ class TestClosedFormHomology:
                 assert all(d % 2 == 0 for d in group.nonzero_degrees())
 
 
-def per_kind_realization(c, max_degree):
-    """(dims, boundaries) of an elementary complex, written out kind by kind:
-    the reference that ``realize_chain_complex`` must keep to."""
-    top, q = max_degree + 1, c.q
-    dims, boundaries = [0] * (top + 1), {}
-    if c.kind is E:
-        dims[0] = 1
-        if 2 * q - 1 <= top:
-            dims[2 * q - 1] = 1
-    else:  # gamma_k of the even generator, degree 2qk
-        for d in range(0, top + 1, 2 * q):
-            dims[d] = 1
-    if c.kind is EP:  # x gamma_k(y), degree 2q-1+2qk; d(gamma_k(y)) = h x gamma_(k-1)(y)
-        for d in range(2 * q - 1, top + 1, 2 * q):
-            dims[d] = 1
-        for d in range(2 * q, top + 1, 2 * q):
-            boundaries[d] = ({0: c.h},)
-    elif c.kind is PE:  # y gamma_k(x), degree 2q+1+2qk, to h(k+1) gamma_(k+1)(x)
-        for k, d in enumerate(range(2 * q + 1, top + 1, 2 * q)):
-            dims[d] = 1
-            boundaries[d] = ({0: c.h * (k + 1)},)
-    return tuple(dims), boundaries
-
-
 def realised(factors, max_degree):
-    return [realize_chain_complex(f, max_degree) for f in factors]
+    return [per_kind_realization(f, max_degree) for f in factors]
+
+
+def edges(chain):
+    """{base degree: degree-1 columns} of each edge cone summand of a
+    one-factor direct sum."""
+    return {base: shape.columns(1) for (shape, base) in chain.summands if shape.max_degree}
 
 
 class TestRealization:
@@ -118,32 +94,35 @@ class TestRealization:
                 for h in (range(1, 10) if kind in (EP, PE) else (None,)):
                     c = ElementaryComplex(kind, q, h)
                     for cap in range(61):
-                        dims, boundaries = per_kind_realization(c, cap)
+                        reference = per_kind_realization(c, cap)
                         chain = realize_chain_complex(c, cap)
-                        assert chain.dims == dims, (c, cap)
-                        degrees = range(1, cap + 2)
-                        assert [chain.columns(n) for n in degrees] == \
-                            [boundaries.get(n, ({},) * dims[n]) for n in degrees], (c, cap)
+                        assert chain.dims == reference.dims, (c, cap)
+                        assert chain.max_degree == reference.max_degree == cap + 1, (c, cap)
+                        assert oracle_groups(chain, cap) == oracle_groups(reference, cap), (c, cap)
                         cases += 1
         assert cases == 4880
 
     def test_pe_boundary_coefficient(self):
-        # d(y gamma_1 x) = 2*2 gamma_2(x): entry 4 from degree 5 to degree 4
+        # d(y gamma_1 x) = 2*2 gamma_2(x): the edge cone based in degree 4
+        # has entry 4 from its degree 1 to its degree 0
         chain = realize_chain_complex(ElementaryComplex(PE, q=1, h=2), 4)
-        assert (chain.dim(4), chain.columns(5)) == (1, ({0: 4},))
+        assert edges(chain) == {2: ({0: 2},), 4: ({0: 4},)}
+        assert chain.dim(4) == 1
         assert homology_of_complex(chain, 4) == (0, [4])
 
     def test_ep_boundary_coefficient(self):
-        # d(gamma_1 y) = 3x: entry 3 from degree 4 to degree 3
+        # d(gamma_1 y) = 3x: the edge cone based in degree 3 has entry 3
         chain = realize_chain_complex(ElementaryComplex(EP, q=2, h=3), 7)
-        assert (chain.dim(3), chain.columns(4)) == (1, ({0: 3},))
+        assert edges(chain) == {3: ({0: 3},), 7: ({0: 3},)}
+        assert chain.dim(3) == 1
         assert homology_of_complex(chain, 3) == (0, [3])
 
     def test_first_type_boundaries_vanish(self):
+        # lone cells only: no summand is a cone
         for c in (ElementaryComplex(E, 2), ElementaryComplex(P, 2)):
             chain = realize_chain_complex(c, 10)
-            for n in range(1, chain.max_degree + 1):
-                assert not any(chain.columns(n))
+            assert chain.summands
+            assert all(shape.dims == (1,) for shape, _ in chain.summands)
 
     def test_one_degree_above_cap(self):
         chain = realize_chain_complex(ElementaryComplex(PE, q=1, h=2), 6)
@@ -162,7 +141,7 @@ class TestRealization:
 class TestTensor:
     # the package's one product, _cone, and the test-side reference fold
     def test_unit(self):
-        c = realize_chain_complex(ElementaryComplex(PE, q=1, h=2), 5)
+        c = per_kind_realization(ElementaryComplex(PE, q=1, h=2), 5)
         unit = ChainComplex([1], {})
         out = tensor_chain_complex([c, unit], 5)
         for n in range(out.max_degree + 1):
@@ -180,7 +159,7 @@ class TestTensor:
     def test_koszul_sign(self):
         # a = x in odd degree 1 and d(e1) = 2 e0: the cone's column of x ox e1
         # is dx ox e1 - 2 x ox e0, a minus sign
-        left = realize_chain_complex(ElementaryComplex(E, q=1), 2)     # 1 and x, degrees 0, 1
+        left = per_kind_realization(ElementaryComplex(E, q=1), 2)     # 1 and x, degrees 0, 1
         out = _cone(left, 2)
         # degree n lists a ox e0 for a in A_n, then a ox e1 for a in A_(n-1)
         assert out.dims == (1, 2, 1, 0, 0)
@@ -200,16 +179,16 @@ class TestTensor:
     def test_dd_zero_enforced_through_middle_factor(self):
         # the product is checked once, as a whole: a corrupted middle factor
         # still shows, since every factor has a degree-0 cell with d = 0
-        left = realize_chain_complex(ElementaryComplex(PE, q=1, h=2), 2)
+        left = per_kind_realization(ElementaryComplex(PE, q=1, h=2), 2)
         bad = ChainComplex([1, 1, 1], {1: [{0: 1}]})
         bad._columns[2] = ({0: 1},)
-        right = realize_chain_complex(ElementaryComplex(EP, q=1, h=3), 2)
+        right = per_kind_realization(ElementaryComplex(EP, q=1, h=3), 2)
         with pytest.raises(ValueError, match="d o d != 0"):
             tensor_chain_complex([left, bad, right], 2)
 
     def test_tensor_matches_kunneth_route(self):
-        left = realize_chain_complex(ElementaryComplex(PE, q=1, h=2), 6)
-        right = realize_chain_complex(ElementaryComplex(EP, q=3, h=2), 6)
+        left = per_kind_realization(ElementaryComplex(PE, q=1, h=2), 6)
+        right = per_kind_realization(ElementaryComplex(EP, q=3, h=2), 6)
         out = tensor_chain_complex([left, right], 6)
         expected = primary_model_homology(2, 1, 6)
         assert oracle_groups(out, 6) == closed_groups(expected)
@@ -218,8 +197,8 @@ class TestTensor:
         # factors of rank >= 2 in a degree: every column sits where the
         # docstring puts a ox b, and the homology is the flat product's
         cap = 9
-        ep = [realize_chain_complex(ElementaryComplex(EP, q, h), cap) for q, h in ((1, 2), (2, 3))]
-        pe = [realize_chain_complex(ElementaryComplex(PE, q, h), cap) for q, h in ((1, 4), (2, 2))]
+        ep = realised([ElementaryComplex(EP, q, h) for q, h in ((1, 2), (2, 3))], cap)
+        pe = realised([ElementaryComplex(PE, q, h) for q, h in ((1, 4), (2, 2))], cap)
         left, right = tensor_chain_complex(ep, cap), tensor_chain_complex(pe, cap)
         out = tensor_chain_complex([left, right], cap)
         assert max(left.dims) > 1 and max(right.dims) > 1

@@ -16,10 +16,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from periodindex.complexes import (ComplexKind, ElementaryComplex, _direct_sum,
-                                   closed_form_homology, realize_chain_complex)
+                                   closed_form_homology)
 from periodindex.graded import GradedAbelianGroup, kunneth
 from periodindex.snf import homology_of_complex
-from tensor_reference import tensor_chain_complex
+from tensor_reference import per_kind_realization, tensor_chain_complex
 
 SECOND = (ComplexKind.EP_SECOND, ComplexKind.PE_SECOND)
 
@@ -32,7 +32,7 @@ def elementary(draw):
 
 
 def snf_homology(factors, cap):
-    chain = tensor_chain_complex([realize_chain_complex(f, cap) for f in factors], cap)
+    chain = tensor_chain_complex([per_kind_realization(f, cap) for f in factors], cap)
     return [homology_of_complex(chain, d) for d in range(cap + 1)]
 
 
@@ -69,7 +69,7 @@ def entries(summands, top):
 @given(st.lists(elementary(), min_size=1, max_size=4), st.integers(0, 22))
 def _summands_agree_with_the_whole_product(factors, cap):
     summed = _direct_sum(factors, cap)
-    whole = tensor_chain_complex([realize_chain_complex(f, cap) for f in factors], cap)
+    whole = tensor_chain_complex([per_kind_realization(f, cap) for f in factors], cap)
     # the same complex up to the order of its basis: ranks, and boundary
     # entries with their Koszul signs
     assert summed.dims == whole.dims
