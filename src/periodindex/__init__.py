@@ -32,9 +32,9 @@ _EXPORTS = {
         legendre_valuation padic_valuation prime_power_index_bound""",
     "complexes": """ComplexKind ElementaryComplex closed_form_homology model_chain_complex model_homology primary_model primary_model_chain_complex
         primary_model_homology realize_chain_complex""",
-    "graded": "GradedAbelianGroup exponent kunneth primary_part tensor_summands tor_summands",
-    "snf": """ChainComplex IntegerMatrix SmithNormalForm determinant homology_of_complex
-        smith_normal_form""",
+    "graded": "GradedAbelianGroup exponent kunneth primary_part",
+    "snf": """ChainComplex IntegerMatrix SmithNormalForm determinant homology_counts
+        homology_of_complex smith_normal_form""",
     "words": """Symbol SymbolKind Word count_words degree enumerate_words format_word gamma
         height is_admissible phi psi sigma word_census""",
 }

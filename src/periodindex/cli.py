@@ -178,8 +178,11 @@ def _cmd_homology(args, parser) -> int:
     # model is built on each p^r itself
     base, power = (args.prime, args.exponent) if have_pr else (args.n, 1)
     half = args.max_degree // 2
-    if _over_output(max(1, half) * power, log10(base), lgamma(half + 1) / log(10)):
-        return _refuse("homology", f"p^r or the orders listed would have over {MAX_OUTPUT} "
+    times = 2 if args.format != "json" and half else 1  # and each exponent, >= n k
+    if _over_output(times * max(1, half) * power, log10(base),
+                    times * lgamma(half + 1) / log(10)):
+        listed = "orders and exponents" if times == 2 else "orders"
+        return _refuse("homology", f"p^r or the {listed} listed would have over {MAX_OUTPUT} "
                                    "digits; lower the order or --max-degree")
     group = (primary_model_homology(args.prime, args.exponent, args.max_degree) if have_pr
              else model_homology(args.n, args.max_degree))

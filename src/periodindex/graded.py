@@ -27,24 +27,6 @@ from math import gcd, lcm
 from .bounds import decimal_string, factorize, padic_valuation
 
 
-def tensor_summands(a: int, b: int) -> int | None:
-    """Tensor product of cyclic groups: Z ox Z = Z, Z/a ox Z/b = Z/gcd(a,b).
-
-    Returns the order of the result, or None when the product is trivial.
-    The single gcd formula covers the free cases because gcd(0, n) == n.
-    """
-    g = gcd(a, b)
-    return None if g == 1 else g
-
-
-def tor_summands(a: int, b: int) -> int | None:
-    """Tor of cyclic groups: vanishes against Z, else Z/gcd(a,b)."""
-    if a == 0 or b == 0:
-        return None
-    g = gcd(a, b)
-    return None if g == 1 else g
-
-
 class GradedAbelianGroup(namedtuple("GradedAbelianGroup", "parts")):
     """Graded abelian group: parts[n] = (free rank, sorted (order, multiplicity) pairs).
 

@@ -8,9 +8,10 @@ block by block, merged into a single divisibility chain (Dumas, Saunders
 and Villard, JSC 2001): a block with one row or one column has the gcd of
 its entries, any other block one dense minimal-pivot Smith normal form.
 Invariant factors are kept as counts, {factor: multiplicity}, from the
-blocks to the chain; only ``homology_of_complex`` lists them out, for the
-degree asked.  Every complex has d o d = 0 checked when it is built, so
-every complex here is a chain complex.  A ``DirectSum`` of translated
+blocks to ``homology_counts``, which the route comparison reads; only
+``homology_of_complex`` lists them out, for the degree asked.  Every
+complex has d o d = 0 checked when it is built, so every complex here is
+a chain complex.  A ``DirectSum`` of translated
 complexes, the form the oracle gives a tensor model in, sums the
 invariants of its summands, each reduced once however often it repeats:
 it needs only that homology commutes with direct sums and translation.
@@ -371,15 +372,14 @@ class DirectSum:
         return self._invariants[n]
 
 
-def homology_of_complex(c: ChainComplex | DirectSum, n: int) -> tuple[int, list[int]]:
-    """H_n(c) as (free rank, invariant factors > 1, ascending).
+def homology_counts(c: ChainComplex | DirectSum, n: int) -> tuple[int, dict[int, int]]:
+    """H_n(c) as (free rank, {invariant factor > 1: multiplicity}, ascending).
 
     H_n = Z^(dim C_n - rk d_n - rk d_(n+1)) + the sum of Z/e over the
     invariant factors e > 1 of d_(n+1), both boundaries reduced block by
-    block (``boundary_invariants``).  Each factor is listed as often as it
-    occurs; this is the one place the counts are expanded.  Raises for
-    n < 0, and for n == max_degree, where the incoming boundary is unknown
-    under truncation.
+    block (``boundary_invariants``); the counts are the memoised ones, so
+    read them, do not mutate.  Raises for n < 0, and for n == max_degree,
+    where the incoming boundary is unknown under truncation.
     """
     if n < 0:
         raise ValueError(f"no homology in negative degree {n}")
@@ -389,5 +389,11 @@ def homology_of_complex(c: ChainComplex | DirectSum, n: int) -> tuple[int, list[
             f"complex is truncated at {c.max_degree}")
     rank_out, _ = c.boundary_invariants(n)
     rank_in, torsion = c.boundary_invariants(n + 1)
-    factors = chain.from_iterable(map(repeat, torsion, torsion.values()))
-    return c.dim(n) - rank_out - rank_in, list(factors)
+    return c.dim(n) - rank_out - rank_in, torsion
+
+
+def homology_of_complex(c: ChainComplex | DirectSum, n: int) -> tuple[int, list[int]]:
+    """H_n(c) as (free rank, invariant factors > 1, ascending), each factor
+    listed as often as it occurs: ``homology_counts`` listed out."""
+    free, torsion = homology_counts(c, n)
+    return free, list(chain.from_iterable(map(repeat, torsion, torsion.values())))

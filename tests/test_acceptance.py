@@ -229,24 +229,37 @@ def test_criterion_16_oracle_frontier_k120():
 
 
 # Run in a fresh interpreter, so that the peak RSS is the suite's own:
-# (failed checks, checks, ru_maxrss in KiB, as Linux reports it).
-_XP_EXPONENT_170 = """
-import resource
+# (failed checks, checks, ru_maxrss in KiB, as Linux reports it) for the
+# max_k given as the first argument.
+_XP_EXPONENT_COLD = """
+import resource, sys
 from periodindex.verify import suite_xp_exponent
-results = suite_xp_exponent(max_k=170)
+results = suite_xp_exponent(max_k=int(sys.argv[1]))
 print(sum(not r.passed for r in results), len(results),
       resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
 
-def test_criterion_17_oracle_frontier_k170_memory():
+def _xp_exponent_cold(max_k):
     src = str(Path(periodindex.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _XP_EXPONENT_COLD, str(max_k)], env=env,
+                          capture_output=True, text=True, check=True)
+    return tuple(map(int, done.stdout.split()))
+
+
+def test_criterion_17_oracle_frontier_k170_memory():
     with _Timed("criterion 17: SNF oracle exponent law to k = 170, cold, under 100 MiB", 10.0):
-        done = subprocess.run([sys.executable, "-c", _XP_EXPONENT_170], env=env,
-                              capture_output=True, text=True, check=True)
-    failed, checked, peak_kib = map(int, done.stdout.split())
+        failed, checked, peak_kib = _xp_exponent_cold(170)
     print(f"criterion 17: peak RSS {peak_kib / 1024:.0f} MiB, budget 100 MiB")
     assert (failed, checked) == (0, 1020)
+    assert peak_kib < 100 * 1024
+
+
+def test_criterion_18_oracle_frontier_k220_memory():
+    with _Timed("criterion 18: SNF oracle exponent law to k = 220, cold, under 100 MiB", 10.0):
+        failed, checked, peak_kib = _xp_exponent_cold(220)
+    print(f"criterion 18: peak RSS {peak_kib / 1024:.0f} MiB, budget 100 MiB")
+    assert (failed, checked) == (0, 1320)
     assert peak_kib < 100 * 1024

@@ -633,29 +633,46 @@ class TestVerify:
         capsys.readouterr()
         assert err.value.code == 2
 
-    @pytest.mark.parametrize("suite, closed_side", [
-        ("elementary", "closed_form_homology"),
-        ("xp-exponent", "primary_model_homology"),
-        ("composite", "model_homology"),
+    @pytest.mark.parametrize("suite, closed_side, degree", [
+        pytest.param("elementary", "closed_form_homology", 4,
+                     id="elementary-closed_form_homology"),
+        pytest.param("xp-exponent", "primary_model_homology", 4,
+                     id="xp-exponent-primary_model_homology"),
+        pytest.param("composite", "model_homology", 4, id="composite-model_homology"),
+        # an odd degree holds only the Tor terms' Z/p summands and no exponent
+        pytest.param("xp-exponent", "primary_model_homology", 3,
+                     id="xp-exponent-primary_model_homology-odd"),
     ])
-    def test_route_suite_catches_a_disagreement(self, capsys, monkeypatch, suite, closed_side):
-        # the closed-form route made wrong in degree 4 only, by one more Z:
+    def test_route_suite_catches_a_disagreement(self, capsys, monkeypatch, suite, closed_side,
+                                                degree):
+        # the closed-form route made wrong in one degree only, by one more Z:
         # the suite names that degree and the command fails
         real = getattr(verify, closed_side)
 
-        def wrong_in_degree_4(*args):
+        def wrong_in_one_degree(*args):
             parts = list(real(*args).parts)
-            free, torsion = parts[4]
-            parts[4] = free + 1, torsion
+            free, torsion = parts[degree]
+            parts[degree] = free + 1, torsion
             return GradedAbelianGroup(tuple(parts))
 
-        monkeypatch.setattr(verify, closed_side, wrong_in_degree_4)
+        monkeypatch.setattr(verify, closed_side, wrong_in_one_degree)
         failed = [res for res in verify.run_suite(suite) if not res.passed]
         assert failed
-        assert all(res.detail.startswith("degree 4: SNF ") for res in failed)
+        assert all(res.detail.startswith(f"degree {degree}: SNF ") for res in failed)
         code, out = run(capsys, "verify", "--suite", suite)
         assert code == 1
         assert f"FAIL  {failed[0].name}: {failed[0].detail}" in out.splitlines()
+
+    def test_passing_checks_list_no_summand(self, monkeypatch):
+        # the routes are compared as (order, multiplicity) counts: summands
+        # are listed only to write a failure, and every check here passes
+        def no_listing(*args):
+            raise AssertionError("summands listed for a passing check")
+
+        monkeypatch.setattr(verify, "homology_of_complex", no_listing)
+        monkeypatch.setattr(GradedAbelianGroup, "summands", no_listing)
+        results = verify.run_suite("all")
+        assert len(results) == 218 and all(res.passed for res in results)
 
     def test_suite_table_is_suites(self):
         # SUITES, which the CLI reads without loading verify, names exactly

@@ -2,18 +2,22 @@
 --prime --exponent` on zero, negative, composite, prime, past-the-ceiling
 and past-the-float-range integers either answer (exit 0) or refuse (exit
 2), never with a traceback.  Sizes are drawn either small or past the
-output guards, so every example answers or refuses well within a second."""
+output guards, so every example answers or refuses well within a second.
+A `homology` input refused before its group is built has that group's
+listing over the digit limit, as the guards after the build count it."""
 
 import io
 from contextlib import redirect_stderr, redirect_stdout
+from math import log10
+from unittest import mock
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from periodindex import cli
+from periodindex import cli, complexes
 from periodindex.bounds import PRIME_CEILING, decimal_string
 
 # past the float range, so no count may meet a float; 2^16610 has 5001
@@ -79,3 +83,43 @@ def test_answer_or_refusal(argv):
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert out.getvalue() == "" and err.getvalue()
+
+
+class Built(Exception):
+    """Raised in place of building a model: the input passed the pre-build guard."""
+
+
+def built(*args):
+    raise Built
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.one_of(st.tuples(st.sampled_from([2, 3, 5]), st.integers(1, 50)),
+                 st.tuples(st.sampled_from([6, 10, 12, 30, 36, 60]), st.none())),
+       st.integers(0, 12), FORMATS, st.integers(1, 600))
+# Z/2^50 alone in degree 2, 15.4 digits: printed twice but in JSON
+@example(order=(2, 50), cap=2, fmt="json", limit=20)
+@example(order=(2, 50), cap=2, fmt="csv", limit=30)
+def test_refused_before_the_build_only_when_over_the_limit(order, cap, fmt, limit):
+    n, r = order
+    argv = ["homology", *(["--prime", str(n), "--exponent", str(r)] if r else [str(n)]),
+            "--max-degree", str(cap), "--format", fmt]
+    with (mock.patch.object(cli, "MAX_OUTPUT", limit),
+          mock.patch.object(complexes, "primary_model_homology", built),
+          mock.patch.object(complexes, "model_homology", built),
+          redirect_stderr(io.StringIO())):
+        try:
+            assert cli.main(argv) == 2
+        except Built:
+            return
+    if cap < 2:  # no torsion to list: the refusal counts p^r (or n), which the model is built on
+        assert (r or 1) * log10(n) > limit
+        return
+    # the digits the guards after the build count: every torsion order, and
+    # in pretty and csv each degree's exponent, its largest order, once more
+    group = (complexes.primary_model_homology(n, r, cap) if r
+             else complexes.model_homology(n, cap))
+    bits = sum(m * t.bit_length() for _, pairs in group.parts for t, m in pairs)
+    if fmt != "json":
+        bits += sum(pairs[-1][0].bit_length() for _, pairs in group.parts if pairs)
+    assert log10(2) * bits > limit

@@ -4,7 +4,7 @@ closed forms against the per-degree summand lists they replaced, and the
 n-ary fold and the model homologies against the pairwise fold."""
 
 from functools import reduce
-from math import lcm
+from math import gcd, lcm
 from unittest import mock
 
 import pytest
@@ -17,12 +17,13 @@ import kunneth_reference as reference
 from periodindex import graded
 from periodindex.complexes import (ComplexKind, ElementaryComplex, closed_form_homology,
                                    model_homology, primary_model_homology)
-from periodindex.graded import (GradedAbelianGroup, exponent, kunneth,
-                                tensor_summands, tor_summands)
+from periodindex.graded import GradedAbelianGroup, exponent, kunneth
 
 
 def reference_kunneth(a, b, max_degree):
-    """Kunneth product with one list entry per pair of cyclic summands."""
+    """Kunneth product with one list entry per pair of cyclic summands:
+    Z/x ox Z/y = Z/gcd(x, y), and so is Tor(Z/x, Z/y) one degree up, except
+    that Tor vanishes against Z (order 0, and gcd(0, y) = y)."""
     acc = {}
     for i in range(max_degree + 1):
         free_a, tors_a = a.summands(i)
@@ -32,12 +33,9 @@ def reference_kunneth(a, b, max_degree):
             cyclics_b = [0] * free_b + list(tors_b)
             for x in cyclics_a:
                 for y in cyclics_b:
-                    t = tensor_summands(x, y)
-                    if t is not None:
-                        acc.setdefault(i + j, []).append(t)
-                    t = tor_summands(x, y)
-                    if t is not None and i + j + 1 <= max_degree:
-                        acc.setdefault(i + j + 1, []).append(t)
+                    acc.setdefault(i + j, []).append(gcd(x, y))
+                    if x and y and i + j + 1 <= max_degree:
+                        acc.setdefault(i + j + 1, []).append(gcd(x, y))
     return GradedAbelianGroup.from_summands(acc, max_degree)
 
 

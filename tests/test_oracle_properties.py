@@ -4,7 +4,7 @@ in every degree, for the factors in any order.  Products of two P or two E
 factors, and twists that share a prime, are where the Tor terms and the
 multi-row blocks of the oracle come in.  The summand oracle, a direct sum
 of translated shapes, gives the same ranks and homology as the whole
-tensor product."""
+tensor product, and its listed homology is its counted homology."""
 
 import time
 from collections import Counter
@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from periodindex.complexes import (ComplexKind, ElementaryComplex, _direct_sum,
                                    closed_form_homology)
 from periodindex.graded import GradedAbelianGroup, kunneth
-from periodindex.snf import homology_of_complex
+from periodindex.snf import homology_counts, homology_of_complex
 from tensor_reference import per_kind_realization, tensor_chain_complex
 
 SECOND = (ComplexKind.EP_SECOND, ComplexKind.PE_SECOND)
@@ -74,7 +74,11 @@ def _summands_agree_with_the_whole_product(factors, cap):
     # entries with their Koszul signs
     assert summed.dims == whole.dims
     assert entries(summed.summands, cap + 1) == entries({(whole, 0): 1}, cap + 1)
-    assert [homology_of_complex(summed, d) for d in range(cap + 1)] == snf_homology(factors, cap)
+    listed = [homology_of_complex(summed, d) for d in range(cap + 1)]
+    assert listed == snf_homology(factors, cap)
+    # the one listing is the counts, each factor repeated its multiplicity
+    assert listed == [(free, list(Counter(torsion).elements()))
+                      for free, torsion in (homology_counts(summed, d) for d in range(cap + 1))]
 
 
 def test_direct_sum_of_shapes_is_the_tensor_product():

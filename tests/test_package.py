@@ -30,10 +30,9 @@ PUBLIC = {
                   "model_chain_complex", "model_homology", "primary_model",
                   "primary_model_chain_complex", "primary_model_homology",
                   "realize_chain_complex"},
-    "graded": {"GradedAbelianGroup", "exponent", "kunneth", "primary_part", "tensor_summands",
-               "tor_summands"},
+    "graded": {"GradedAbelianGroup", "exponent", "kunneth", "primary_part"},
     "snf": {"ChainComplex", "IntegerMatrix", "SmithNormalForm", "determinant",
-            "homology_of_complex", "smith_normal_form"},
+            "homology_counts", "homology_of_complex", "smith_normal_form"},
     "words": {"Symbol", "SymbolKind", "Word", "count_words", "degree", "enumerate_words",
               "format_word", "gamma", "height", "is_admissible", "phi", "psi", "sigma",
               "word_census"},
