@@ -38,6 +38,7 @@ _SMALL_PRIMES = _primes_below(1000)
 # Miller-Rabin with the first 13 primes as bases decides every n below
 # psi_13 = 3317044064679887385961981 (Sorenson and Webster 2015)
 _BASES = _SMALL_PRIMES[:13]
+_POWERS = {}  # decimal_string's {k: 2^(1024 * 2^k)}, exact Decimals, kept across calls
 PRIME_CEILING = 3317044064679887385961981
 
 
@@ -221,17 +222,17 @@ def decimal_string(x: int) -> str:
     if not x >> 4096:  # at most 1234 digits: str is quick, and within its limit
         return str(x)
     from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, localcontext
+    top = ((x.bit_length() - 1) >> 10).bit_length() - 1  # x < 2^(1024 * 2^(top + 1))
     with localcontext(Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact])):
-        powers = [Decimal(2) ** 1024]  # powers[k] = 2^(1024 * 2^k)
-        while x >> (1024 << len(powers)):
-            powers.append(powers[-1] * powers[-1])
+        for k in range(len(_POWERS), top + 1):  # grown on demand; entry k depends on k alone
+            _POWERS[k] = _POWERS[k - 1] * _POWERS[k - 1] if k else Decimal(2) ** 1024
 
         def convert(x, k):  # x < 2^(1024 * 2^(k + 1))
             if k < 0:
                 return Decimal(x)
             high = x >> (1024 << k)
-            return convert(high, k - 1) * powers[k] + convert(x - (high << (1024 << k)), k - 1)
-        return str(convert(x, len(powers) - 1))
+            return convert(high, k - 1) * _POWERS[k] + convert(x - (high << (1024 << k)), k - 1)
+        return str(convert(x, top))
 
 
 class SharpBound(NamedTuple):

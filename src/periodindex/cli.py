@@ -6,9 +6,9 @@ bounds), ``homology`` (model homology for an order or a prime power),
 cross-check suites).  Data goes to stdout, diagnostics to stderr.  Exit
 codes: 0 success, 1 verification failure, 2 usage error or a refused input:
 a listing of over ``MAX_LISTED`` summands, rows or cells or over
-``MAX_OUTPUT`` letters or (by an estimate) digits, or an integer too large to
-factorise exactly.  Each subcommand imports the modules it runs when
-it runs: a cold ``bound`` or ``table`` loads ``bounds`` alone.
+``MAX_OUTPUT`` letters, table characters or (estimated) digits, or an integer
+too large to factorise exactly.  Each subcommand imports the modules it runs
+when it runs: a cold ``bound`` or ``table`` loads ``bounds`` alone.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ FORMATS = ("pretty-table", "json", "csv")
 # of growing their output until memory runs out.
 MAX_LISTED = 10 ** 6
 # The same for the letters and the psi_{p^r} digits of a `words` listing, the
-# torsion digits of a `homology` listing and the digits of a `table` or a
-# `bound`.
+# torsion digits and padded table of a `homology` listing and the digits of a
+# `table` or a `bound`.
 MAX_OUTPUT = 5 * 10 ** 6
 
 
@@ -214,6 +214,15 @@ def _cmd_homology(args, parser) -> int:
         exp = torsion[-1] if torsion else "1"
         rows.append((d, free, exp, "+".join(torsion)) if csv
                     else (d, _describe(free, torsion), exp))
+    if not csv:  # every line, header and rule too, pads degree and group to their
+        # widest cell, then adds two gaps of two spaces, its exponent cell and a newline
+        exps = [len("exponent"), *(len(exp) for *_, exp in rows)]
+        widths = max(6, len(str(args.max_degree))) + max(5, *(len(g) for _, g, _ in rows))
+        padded = (len(rows) + 2) * (widths + 5) + sum(exps) + max(exps)  # max: the rule
+        if padded > MAX_OUTPUT:
+            return _refuse("homology", f"the padded table would write {padded} characters, over "
+                                       f"the limit of {MAX_OUTPUT}; lower --max-degree or use "
+                                       "--format csv")
     _emit(args.format, ["degree", "free", "exponent", "torsion"] if csv
           else ["degree", "group", "exponent"], rows)
     return 0

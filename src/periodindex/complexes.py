@@ -27,8 +27,9 @@ each factor as the connected components of its boundary graph (one or two
 cells each, ``_components``) and, as ox distributes over +, folds the
 factors, q descending, into a ``DirectSum`` of translated shapes.  Its one
 product is a shape times an edge e1 -> h*e0, the mapping cone of h on the
-shape (``_cone``), built once per model in a table kept for that call
-only.  The route uses components, distributivity, translation and cones
+shape (``_cone``).  A cone is untruncated, so no cap or model changes it:
+each is built once and kept for the process, shared by every model of its
+prime.  The route uses components, distributivity, translation and cones
 only: no Tor rule, no closed form, no Kunneth product.
 """
 
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict, namedtuple
 from enum import Enum
+from functools import cache
 from operator import add
 from typing import TYPE_CHECKING
 
@@ -214,6 +216,13 @@ def realize_chain_complex(c: ElementaryComplex, max_degree: int) -> DirectSum:
     return _direct_sum((c,), max_degree)
 
 
+@cache
+def _point() -> ChainComplex:  # Z in degree 0, the root of every shape
+    from .snf import ChainComplex
+    return ChainComplex((1,), {})
+
+
+@cache
 def _cone(a: ChainComplex, h: int) -> ChainComplex:
     """A ox (e1 -> h*e0), up to signs the mapping cone of h on A (Weibel, *An
     Introduction to Homological Algebra*, 1.5), complete one degree above A.
@@ -247,27 +256,20 @@ def _direct_sum(factors, max_degree: int) -> DirectSum:
     cap, which leaves the product unchanged up to it.  Each summand takes
     one component from each factor: its shape is the product of the edges
     taken, as a lone cell only translates.  A shape A times an edge
-    e1 -> h*e0 is ``_cone(A, h)``, built once per (A, h), untruncated, with
-    h negated when A's base is odd (the Koszul sign (-1)^|a|).  Products
-    are kept for this model only: its many summands repeat a few shapes,
-    while separate models share few.
+    e1 -> h*e0 is ``_cone(A, h)``, with h negated when A's base is odd (the
+    Koszul sign (-1)^|a|).  ``_cone`` keeps each for the process, keyed by
+    identity, which is canonical as every shape descends from ``_point()``.
     """
-    from .snf import ChainComplex, DirectSum
+    from .snf import DirectSum
     top = max_degree + 1
-    point = ChainComplex((1,), {})
-    products = {}  # (shape A, signed twist h of the edge) -> _cone(A, h)
-    summands = Counter({(point, 0): 1})
+    summands = Counter({(_point(), 0): 1})
     for f in factors:
         parts, folded = _components(f, top), Counter()
         for (a, i), m in summands.items():
             for h, j in parts:
                 if i + j > top:
                     break
-                if h is not None:
-                    key = a, (-h if i % 2 else h)
-                    if key not in products:
-                        products[key] = _cone(*key)
-                folded[a if h is None else products[key], i + j] += m
+                folded[a if h is None else _cone(a, -h if i % 2 else h), i + j] += m
         summands = folded
     return DirectSum(summands, top)
 

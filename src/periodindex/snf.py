@@ -11,10 +11,10 @@ Invariant factors are kept as counts, {factor: multiplicity}, from the
 blocks to ``homology_counts``, which the route comparison reads; only
 ``homology_of_complex`` lists them out, for the degree asked.  Every
 complex has d o d = 0 checked when it is built, so every complex here is
-a chain complex.  A ``DirectSum`` of translated
-complexes, the form the oracle gives a tensor model in, sums the
-invariants of its summands, each reduced once however often it repeats:
-it needs only that homology commutes with direct sums and translation.
+a chain complex.  A ``DirectSum`` of translated complexes, the form
+the oracle gives a tensor model in, sums the invariants of its summands,
+each reduced once however often it repeats, in one sum or many: it needs
+only that homology commutes with direct sums and translation.
 Swapping in a faster SNF would only touch ``smith_normal_form``.
 
 This module imports nothing else from the package: the oracle knows no
@@ -344,9 +344,9 @@ class DirectSum:
     ``summands`` maps (complex, base degree) to a multiplicity; each complex
     is complete (zero above its own ``max_degree``) and has its degree 0 in
     the base degree.  Dims, boundary ranks and torsion {order: multiplicity}
-    are summed here, once, from each distinct complex's
-    ``boundary_invariants``, so a summand repeated m times costs what one
-    does, whatever m is.
+    are summed here from each distinct complex's memoised
+    ``boundary_invariants``: a summand repeated m times, or in many sums,
+    is reduced once while it lives, and the oracle's live for the process.
     """
 
     def __init__(self, summands, max_degree: int):

@@ -286,3 +286,16 @@ class TestDecimalString:
         for bits in [rng.randint(1, 80000) for _ in range(60)] + [14280, 14290, 14300]:
             x = rng.getrandbits(bits) | (1 << (bits - 1))
             assert decimal_string(x) == str(x)
+
+    def test_powers_kept_across_calls_and_grown_on_demand(self, monkeypatch):
+        monkeypatch.setattr(bounds, "_POWERS", {})
+        # the 4096-bit edge: str below it, the smallest table above it
+        for x in [2 ** 4096 - 1, 2 ** 4096, 2 ** 4096 + 1, -(2 ** 4096) - 1, 2 ** 8192 - 1]:
+            assert decimal_string(x) == str(x)
+        held = dict(bounds._POWERS)
+        assert sorted(held) == [0, 1, 2] and held[0] == 2 ** 1024
+        x = 7 ** 30000  # 84,221 bits: needs powers past every one held
+        assert decimal_string(x) == str(x)
+        assert sorted(bounds._POWERS) == list(range(7))
+        assert all(bounds._POWERS[k] is held[k] for k in held)  # kept, not rebuilt
+        assert decimal_string(2 ** 8192 + 1) == str(2 ** 8192 + 1)  # the larger table

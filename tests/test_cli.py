@@ -390,9 +390,13 @@ class TestHomology:
             assert code == 2 and captured.out == ""
             assert len(captured.err.splitlines()) == 1 and "exponents" in captured.err
         monkeypatch.setattr(cli, "MAX_OUTPUT", 1300)
-        assert cli.main(["homology", "--prime", "2", "--exponent", "1000",
-                         "--max-degree", "4", "--format", fmt]) == 0
-        assert 1208 < len(capsys.readouterr().out) or fmt == "json"
+        code = cli.main(["homology", "--prime", "2", "--exponent", "1000",
+                         "--max-degree", "4", "--format", fmt])
+        captured = capsys.readouterr()
+        if fmt == "pretty-table":  # every row padded to the 305-character group cells
+            assert code == 2 and "padded table would write 3122 characters" in captured.err
+        else:
+            assert code == 0 and (1208 < len(captured.out) or fmt == "json")
 
     def test_exponent_bounds_refuse_without_an_lcm(self, capsys, monkeypatch):
         # one order per degree: the largest order's digits already pass the
@@ -405,6 +409,31 @@ class TestHomology:
         assert cli.main(["homology", "--prime", "2", "--exponent", "1000",
                          "--max-degree", "4", "--format", "csv"]) == 2
         assert "exponents" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [("--prime", "2", "--exponent", "3", "--max-degree", "30"),
+                                      ("360", "--max-degree", "24"), ("6", "--max-degree", "0")])
+    def test_padded_table_counted_to_the_character(self, capsys, monkeypatch, argv):
+        # the guard counts what the table writes, padding included: the limit
+        # at its length passes, one character less refuses on one line
+        code, out = run(capsys, "homology", *argv)
+        assert code == 0
+        monkeypatch.setattr(cli, "MAX_OUTPUT", len(out))
+        assert run(capsys, "homology", *argv) == (0, out)
+        monkeypatch.setattr(cli, "MAX_OUTPUT", len(out) - 1)
+        assert cli.main(["homology", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert f"padded table would write {len(out)} characters" in captured.err
+
+    def test_padded_table_refused_where_csv_and_json_pass(self, capsys):
+        # 6.8e5 torsion digits, but each row padded to the widest group cell
+        # would make a 29 MB table; csv and JSON write 2.0 and 4.5 MB
+        argv = ("homology", "--prime", "2", "--exponent", "5000", "--max-degree", "200")
+        assert cli.main(list(argv)) == 2
+        assert "29275329 characters" in capsys.readouterr().err
+        for fmt, size in (("csv", 2047310), ("json", 4518488)):
+            code, out = run(capsys, *argv, "--format", fmt)
+            assert (code, len(out)) == (0, size)
 
     @pytest.mark.parametrize("argv, fmt", [
         # 2^20000 k has over 6000 digits, past str's default limit of 4300

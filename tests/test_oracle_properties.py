@@ -13,10 +13,11 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from periodindex.complexes import (ComplexKind, ElementaryComplex, _direct_sum,
-                                   closed_form_homology)
+from periodindex import snf
+from periodindex.complexes import (ComplexKind, ElementaryComplex, _cone, _direct_sum, _point,
+                                   closed_form_homology, primary_model_chain_complex)
 from periodindex.graded import GradedAbelianGroup, kunneth
 from periodindex.snf import homology_counts, homology_of_complex
 from tensor_reference import per_kind_realization, tensor_chain_complex
@@ -87,3 +88,84 @@ def test_direct_sum_of_shapes_is_the_tensor_product():
     start = time.perf_counter()
     _summands_agree_with_the_whole_product()
     assert time.perf_counter() - start < 3.0
+
+
+# Cones live for the process (``_cone`` is cached): whatever models were
+# built before, a model's homology must be what a fresh table gives.
+
+def counts(c, cap):
+    return [(free, dict(torsion)) for free, torsion in
+            (homology_counts(c, d) for d in range(cap + 1))]
+
+
+prime_models = st.tuples(st.sampled_from([2, 3, 5]), st.integers(1, 2)).flatmap(
+    lambda pr: st.tuples(st.just(pr[0]), st.just(pr[1]), st.integers(0, 12 * pr[0])))
+builds = st.one_of(prime_models.map(lambda m: ("model", m)),
+                   st.tuples(st.lists(elementary(), min_size=1, max_size=3),
+                             st.integers(0, 16)).map(lambda s: ("sum", s)))
+
+
+def build(kind, args):
+    if kind == "model":
+        p, r, cap = args
+        return primary_model_chain_complex(p, r, cap), cap
+    factors, cap = args
+    return _direct_sum(factors, cap), cap
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.lists(builds, min_size=1, max_size=6))
+def _warm_table_agrees_with_a_fresh_one(sequence):
+    warm = [counts(*build(*b)) for b in sequence]
+    for b, seen in zip(sequence, warm):
+        _cone.cache_clear()
+        assert counts(*build(*b)) == seen
+
+
+def test_shared_cones_give_the_homology_of_a_fresh_table():
+    start = time.perf_counter()
+    _warm_table_agrees_with_a_fresh_one()
+    assert time.perf_counter() - start < 3.0
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(prime_models.flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m[2]))))
+@example(((2, 1, 42), 30))
+@example(((3, 1, 76), 40))
+@example(((5, 2, 124), 77))
+@example(((2, 2, 60), 13))
+def test_a_smaller_cap_builds_no_new_cone(models):
+    # below its cap a model is the sub-sum of the model at any larger cap,
+    # so every shape it needs is already in the table
+    (p, r, hi), lo = models
+    _cone.cache_clear()
+    primary_model_chain_complex(p, r, hi)
+    held = _cone.cache_info()
+    primary_model_chain_complex(p, r, lo)
+    assert _cone.cache_info().currsize == held.currsize
+    assert _cone.cache_info().misses == held.misses
+
+
+@pytest.mark.parametrize("target", ["validate", "_block_invariants"])
+def test_an_interrupted_build_leaves_the_table_sound(monkeypatch, target):
+    # a timeout or Ctrl-C can stop a build inside ``_cone`` (validate) or while
+    # a cached cone is reduced (_block_invariants); the next build must still
+    # give what a fresh table gives
+    owner = snf.ChainComplex if target == "validate" else snf
+    real, calls = getattr(owner, target), []
+
+    def fails_once(*args):
+        calls.append(None)
+        if len(calls) == 5:
+            raise KeyboardInterrupt
+        return real(*args)
+
+    _cone.cache_clear()
+    _point()
+    monkeypatch.setattr(owner, target, fails_once)
+    with pytest.raises(KeyboardInterrupt):
+        primary_model_chain_complex(3, 2, 40)
+    assert len(calls) == 5
+    after = counts(primary_model_chain_complex(3, 2, 40), 40)
+    _cone.cache_clear()
+    assert counts(primary_model_chain_complex(3, 2, 40), 40) == after
