@@ -167,6 +167,8 @@ def legendre_valuation(p: int, m: int) -> int:
     """v_p(m!) as the Legendre sum floor(m/p) + floor(m/p^2) + ..."""
     if m < 0:
         raise ValueError("legendre_valuation needs m >= 0")
+    if p < 2:
+        raise ValueError("p must be a prime")
     total = 0
     q = p
     while q <= m:
@@ -195,6 +197,8 @@ def differential_order_bound(p: int, r: int, j: int) -> int:
     """
     if j < 1:
         raise ValueError("j must be >= 1")
+    if r < 1:
+        raise ValueError("r must be >= 1")
     return p ** (r + padic_valuation(p, j))
 
 
@@ -206,6 +210,8 @@ def prime_power_index_bound(p: int, r: int, d: int) -> int:
     """
     if d < 1:
         raise ValueError("d must be >= 1")
+    if r < 1:
+        raise ValueError("r must be >= 1")
     return p ** ((d - 1) * r + legendre_valuation(p, d - 1))
 
 
@@ -241,10 +247,6 @@ class SharpBound(NamedTuple):
 
     def to_json_dict(self) -> dict:
         return {"value": str(self.value), "source": self.source}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SharpBound":
-        return cls(value=int(data["value"]), source=data["source"])
 
 
 def known_sharp_bound(n: int, d: int) -> SharpBound | None:
@@ -297,18 +299,6 @@ class BoundReport(NamedTuple):
             "sharp": self.known_sharp.to_json_dict() if self.known_sharp else None,
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "BoundReport":
-        return cls(
-            n=data["n"],
-            d=data["d"],
-            prime_breakdown=tuple(
-                (entry["p"], entry["r"], int(entry["bound"])) for entry in data["primes"]),
-            theorem_a_bound=int(data["theorem_a"]),
-            corollary_b_applies=data["corollary_b"],
-            known_sharp=SharpBound.from_json_dict(data["sharp"]) if data["sharp"] else None,
-        )
-
 
 def index_bound(n: int, d: int) -> BoundReport:
     """Evaluate the index bound for period n in dimension 2d.
@@ -352,18 +342,6 @@ class BoundComparison(NamedTuple):
             "ratio": str(self.ratio) if self.ratio is not None else None,
             "sharp_improves": self.sharp_improves,
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "BoundComparison":
-        from fractions import Fraction
-        return cls(
-            n=data["n"],
-            d=data["d"],
-            theorem_a_bound=int(data["theorem_a"]),
-            known_sharp=SharpBound.from_json_dict(data["sharp"]) if data["sharp"] else None,
-            ratio=Fraction(data["ratio"]) if data["ratio"] is not None else None,
-            sharp_improves=data["sharp_improves"],
-        )
 
 
 def compare_bounds(n: int, d: int) -> BoundComparison:

@@ -16,6 +16,7 @@ skipped, and builds only the result; a listing copies one block per order.
 
 Every group carries a truncation cap ``max_degree``: content is only
 known up to that degree, and reading past it is an error, not a zero.
+``to_json`` writes a group for other programs; nothing here reads JSON.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from collections import Counter, defaultdict, namedtuple
 from itertools import accumulate
 from math import gcd, lcm
 
-from .bounds import decimal_string, factorize, padic_valuation
+from .bounds import decimal_string, factorize, is_prime, padic_valuation
 
 
 class GradedAbelianGroup(namedtuple("GradedAbelianGroup", "parts")):
@@ -79,11 +80,6 @@ class GradedAbelianGroup(namedtuple("GradedAbelianGroup", "parts")):
                 counts[degree] = orders
         return cls(tuple((c.pop(0, 0), c.items()) for c in counts))
 
-    @classmethod
-    def unit(cls, max_degree: int) -> "GradedAbelianGroup":
-        """Z concentrated in degree 0 (the unit for the Kunneth product)."""
-        return cls.from_summands({0: [0]}, max_degree)
-
     @property
     def max_degree(self) -> int:
         return len(self.parts) - 1
@@ -117,12 +113,6 @@ class GradedAbelianGroup(namedtuple("GradedAbelianGroup", "parts")):
                 towers[p][p ** e] += mult
         return tuple(_listing(_chain(t.items() for t in towers.values()), int))
 
-    def restrict(self, new_max_degree: int) -> "GradedAbelianGroup":
-        """Lower the truncation cap, discarding the degrees above it."""
-        if not 0 <= new_max_degree <= self.max_degree:
-            raise ValueError("can only restrict within the trusted range")
-        return GradedAbelianGroup(self.parts[:new_max_degree + 1])
-
     def describe(self, degree: int) -> str:
         free, pairs = self._part(degree)
         return _describe(free, _listing(pairs, decimal_string))
@@ -130,32 +120,14 @@ class GradedAbelianGroup(namedtuple("GradedAbelianGroup", "parts")):
     def to_json(self) -> dict:
         """{str(degree): {"free": rank, "torsion": [one decimal string per summand]}}.
 
-        Every degree up to the cap is present, so the cap round-trips.
+        Written for other programs: nothing in the package reads it back.
+        Every degree up to the cap is present, so a reader sees the cap.
         Orders are strings, each distinct one converted once: they can
         exceed what consumers with fixed-width numbers parse losslessly.
         """
         names = {t: decimal_string(t) for t in {u for _, pairs in self.parts for u, _ in pairs}}
         return {str(d): {"free": free, "torsion": _listing(pairs, names.get)}
                 for d, (free, pairs) in enumerate(self.parts)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "GradedAbelianGroup":
-        """Inverse of ``to_json``; malformed input raises a one-line ValueError."""
-        if not isinstance(data, dict) or not data:
-            raise ValueError("a graded group in JSON needs an object with at least one degree")
-        parts = {}
-        for key, entry in data.items():
-            degree = _json_int(key, "degree key", 0)
-            if degree in parts:
-                raise ValueError(f"degree {degree} appears twice")
-            if not (isinstance(entry, dict) and isinstance(entry.get("torsion"), list)
-                    and "free" in entry):
-                raise ValueError(f"degree {key!r} needs a 'free' rank and a 'torsion' list")
-            orders = [_json_int(t, f"degree {key}: torsion order", 2)
-                      for t in entry["torsion"]]
-            parts[degree] = (_json_int(entry["free"], f"degree {key}: free rank", 0),
-                             Counter(orders).items())
-        return cls(tuple(parts.get(d, (0, ())) for d in range(max(parts) + 1)))
 
     def __str__(self):
         lines = [f"H_{d} = {self.describe(d)}" for d in self.nonzero_degrees()]
@@ -178,14 +150,6 @@ def _describe(free: int, torsion: list[str]) -> str:
     if torsion:
         pieces.append("Z/" + " + Z/".join(torsion))
     return " + ".join(pieces) or "0"
-
-
-def _json_int(value, what: str, low: int) -> int:
-    """An int, or a decimal string as ``to_json`` writes one, that is >= ``low``."""
-    number = int(value) if isinstance(value, str) and value.isdecimal() else value
-    if isinstance(number, int) and not isinstance(number, bool) and number >= low:
-        return number
-    raise ValueError(f"{what} {value!r} is not an integer >= {low}")
 
 
 def kunneth(*factors_and_cap) -> GradedAbelianGroup:
@@ -326,7 +290,7 @@ def exponent(a: GradedAbelianGroup, degree: int) -> tuple[int, int]:
 
 def primary_part(a: GradedAbelianGroup, p: int) -> GradedAbelianGroup:
     """Keep only the p-power part of every finite summand; drop free parts."""
-    if p < 2:
+    if not is_prime(p):
         raise ValueError("p must be a prime")
     counts = [Counter() for _ in a.parts]
     for c, (_, pairs) in zip(counts, a.parts):

@@ -8,8 +8,7 @@ from math import factorial, gcd, prod
 import pytest
 
 from periodindex import bounds
-from periodindex.bounds import (PRIME_CEILING, BoundComparison, BoundReport,
-                                CeilingError, compare_bounds, decimal_string,
+from periodindex.bounds import (PRIME_CEILING, CeilingError, compare_bounds, decimal_string,
                                 differential_order_bound, factorize, index_bound,
                                 is_prime, known_sharp_bound, legendre_valuation,
                                 padic_valuation, prime_power_index_bound)
@@ -227,15 +226,23 @@ class TestCompareBounds:
 
 
 class TestJson:
-    def test_bound_report_round_trip(self):
-        for n, d in ((6, 4), (1, 3), (5, 4), (2 ** 10 * 3, 7)):
-            report = index_bound(n, d)
-            assert BoundReport.from_json_dict(report.to_json_dict()) == report
-
-    def test_comparison_round_trip(self):
-        for n, d in ((4, 4), (6, 6), (3, 3)):
-            c = compare_bounds(n, d)
-            assert BoundComparison.from_json_dict(c.to_json_dict()) == c
+    def test_payloads_list_every_field(self):
+        eight = "realized by 8-dimensional examples"
+        assert index_bound(6, 4).to_json_dict() == {
+            "n": 6, "d": 4, "primes": [{"p": 2, "r": 1, "bound": "16"},
+                                       {"p": 3, "r": 1, "bound": "81"}],
+            "theorem_a": "1296", "corollary_b": False,
+            "sharp": {"value": "1296", "source": eight}}
+        assert index_bound(2 ** 10 * 3, 7).to_json_dict() == {
+            "n": 3072, "d": 7, "primes": [{"p": 2, "r": 10, "bound": str(2 ** 64)},
+                                          {"p": 3, "r": 1, "bound": "6561"}],
+            "theorem_a": str(2 ** 64 * 6561), "corollary_b": False, "sharp": None}
+        assert compare_bounds(4, 4).to_json_dict() == {
+            "n": 4, "d": 4, "theorem_a": "128", "sharp": {"value": "64", "source": eight},
+            "ratio": "2", "sharp_improves": True}
+        assert compare_bounds(6, 6).to_json_dict() == {
+            "n": 6, "d": 6, "theorem_a": "186624", "sharp": None, "ratio": None,
+            "sharp_improves": False}
 
     def test_big_integers_as_strings(self):
         payload = index_bound(2 ** 20, 8).to_json_dict()

@@ -1,5 +1,6 @@
 """Property tests: Miller-Rabin and Pollard-Brent factorisation against
-trial division and a sieve, with sympy as an optional third opinion."""
+trial division and a sieve, with sympy as an optional third opinion, and
+the valuations and per-prime bounds on any small integers."""
 
 from math import gcd, isqrt, prod
 
@@ -7,9 +8,10 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from periodindex.bounds import factorize, index_bound, is_prime
+from periodindex.bounds import (differential_order_bound, factorize, index_bound, is_prime,
+                                legendre_valuation, padic_valuation, prime_power_index_bound)
 
 SETTINGS = settings(max_examples=100, deadline=None, database=None)
 
@@ -84,3 +86,22 @@ def test_index_bound_multiplicative_over_coprime_periods(n1, n2):
     for d in range(1, 25):
         assert index_bound(n1 * n2, d).theorem_a_bound == \
             index_bound(n1, d).theorem_a_bound * index_bound(n2, d).theorem_a_bound
+
+
+ARITHMETIC = {padic_valuation: 2, legendre_valuation: 2, differential_order_bound: 3,
+              prime_power_index_bound: 3}
+
+
+@SETTINGS
+@given(st.sampled_from(list(ARITHMETIC)), st.lists(st.integers(-3, 40), min_size=3, max_size=3))
+@example(legendre_valuation, [0, 5, 0])
+@example(legendre_valuation, [1, 5, 0])
+@example(prime_power_index_bound, [1, 1, 3])
+@example(differential_order_bound, [2, -1, 1])
+def test_arithmetic_answers_an_int_or_refuses_in_one_line(f, args):
+    try:
+        value = f(*args[:ARITHMETIC[f]])
+    except ValueError as err:
+        assert str(err) and "\n" not in str(err)
+    else:
+        assert type(value) is int

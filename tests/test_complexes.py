@@ -278,7 +278,8 @@ class TestPrimaryModelHomology:
         for p, r in ((2, 1), (3, 2)):
             big = primary_model_homology(p, r, 20)
             for cap in (0, 5, 12, 19):
-                assert big.restrict(cap) == primary_model_homology(p, r, cap)
+                below = GradedAbelianGroup(big.parts[:cap + 1])
+                assert below == primary_model_homology(p, r, cap)
 
     def test_first_factor_dominates_p_part(self):
         for p, r in ((2, 1), (2, 2), (3, 1)):
