@@ -199,6 +199,8 @@ def differential_order_bound(p: int, r: int, j: int) -> int:
         raise ValueError("j must be >= 1")
     if r < 1:
         raise ValueError("r must be >= 1")
+    if not is_prime(p):
+        raise ValueError("p must be a prime")
     return p ** (r + padic_valuation(p, j))
 
 
@@ -212,6 +214,8 @@ def prime_power_index_bound(p: int, r: int, d: int) -> int:
         raise ValueError("d must be >= 1")
     if r < 1:
         raise ValueError("r must be >= 1")
+    if not is_prime(p):
+        raise ValueError("p must be a prime")
     return p ** ((d - 1) * r + legendre_valuation(p, d - 1))
 
 

@@ -15,9 +15,15 @@ For a prime power p^r the model complex is the tensor product of one
 P(2) ox E(3) factor twisted by h = p^r with one E(1+2p^(k+1)) ox P(2+2p^(k+1))
 factor twisted by h = p for each k >= 0; its homology surjects onto the
 p-primary homology of K(Z/n, 2), and its torsion exponent in degree 2k is
-exactly p^r * k.  The model for composite order is the product of all the
-prime-power models' factors; its closed-form homology splits each factor's
-torsion into prime powers and reports every degree in invariant factors.
+exactly p^r * k.  Its closed-form homology builds no product: over F_p
+the Kunneth formula has no Tor term, so the model's mod-p Poincare series
+is the product of its factors', and the universal coefficient theorem
+turns those Betti numbers into torsion counts, each summand Z/p but the
+leading factor's Z/(p^r k) (``primary_model_homology``).  The model for
+composite order is the product of all the prime-power models' factors; its
+closed-form homology splits each factor's torsion into prime powers, folds
+the factors once by the Kunneth formula and reports every degree in
+invariant factors.
 
 Closed-form homology here is independently checkable against the
 Smith-normal-form homology in :mod:`periodindex.snf` by one oracle route:
@@ -38,13 +44,14 @@ from __future__ import annotations
 from collections import Counter, defaultdict, namedtuple
 from enum import Enum
 from functools import cache
+from itertools import accumulate
 from operator import add
 from typing import TYPE_CHECKING
 
 from .bounds import _check_prime_power, factorize
-from .graded import GradedAbelianGroup, _kunneth_by_prime, _rows, kunneth
+from .graded import GradedAbelianGroup, _kunneth_by_prime, _rows
 
-if TYPE_CHECKING:  # the oracle route imports snf when it runs; the Kunneth route never does
+if TYPE_CHECKING:  # the oracle route imports snf when it runs; the closed forms never do
     from .snf import ChainComplex, DirectSum
 
 
@@ -123,12 +130,46 @@ def primary_model(p: int, r: int, max_degree: int) -> tuple[ElementaryComplex, .
 
 
 def primary_model_homology(p: int, r: int, max_degree: int) -> GradedAbelianGroup:
-    """Homology of the p-primary model: one Kunneth fold over its factors, in
-    ``primary_model`` order and unsplit.  Each degree then holds at most one
-    Z/(p^r k) over copies of Z/p: a divisibility chain, whose largest order
-    is the exponent that ``homology`` prints."""
-    return kunneth(*(closed_form_homology(f, max_degree)
-                     for f in primary_model(p, r, max_degree)), max_degree)
+    """Homology of the p-primary model, read off its mod-p Poincare series.
+
+    Every factor's homology is Z in degree 0 plus cyclic torsion of order
+    divisible by p, so by the universal coefficient theorem its mod-p Betti
+    number in degree d is [d = 0] + t_d + t_(d-1), where t_d counts its
+    torsion summands in degree d: its series is (1 + x^a) / (1 - x^(2q)),
+    with a = 2q + 1 for the leading P ox E factor and a = 2q - 1 for each
+    E ox P.  Over F_p the Kunneth formula has no Tor term, so the model's
+    series b is the product of its factors', one shift-add and one running
+    sum each, and the model's t_d is b_d - [d = 0] - t_(d-1).
+
+    Over Z, Z/x ox Z/y and Tor(Z/x, Z/y) are both Z/gcd(x, y).  Every order
+    here is divisible by p and the E ox P twists are p, so every summand is
+    Z/p except the leading line Z/(p^r k) in degree 2k, tensored with the
+    other factors' Z in degree 0.  Each degree is then one Z/(p^r k) over
+    copies of Z/p: a divisibility chain, whose largest order is the
+    exponent that ``homology`` prints.  ``verify`` checks it against the
+    Kunneth fold of the factors' closed forms and against SNF homology.
+
+    >>> primary_model_homology(2, 1, 12).parts[10:]
+    ((0, ((2, 1), (10, 1))), (0, ((2, 3),)), (0, ((2, 2), (12, 1))))
+    """
+    factors, b = primary_model(p, r, max_degree), [1] + [0] * max_degree
+    for f in factors:
+        s = 2 * f.q
+        a = s + 1 if f.kind is ComplexKind.PE_SECOND else s - 1
+        b[a:] = list(map(add, b[a:], b))  # times 1 + x^a
+        for i in range(s):  # over 1 - x^s: a running sum along each residue mod s
+            b[i::s] = accumulate(b[i::s])
+    parts, t = [(1, ())], 0
+    for d in range(1, max_degree + 1):
+        t = b[d] - t
+        if d % 2:
+            pairs = ((p, t),) if t else ()
+        elif (line := factors[0].h * (d // 2)) == p:
+            pairs = ((p, t),)
+        else:  # the leading line is one of the t summands
+            pairs = ((p, t - 1), (line, 1)) if t > 1 else ((line, 1),)
+        parts.append((0, pairs))
+    return GradedAbelianGroup(tuple(parts))
 
 
 def model_homology(n: int, max_degree: int) -> GradedAbelianGroup:

@@ -14,9 +14,10 @@ from typing import NamedTuple
 from . import SUITES
 from .bounds import differential_order_bound, padic_valuation
 from .complexes import (ComplexKind, ElementaryComplex, closed_form_homology,
-                        model_chain_complex, model_homology, primary_model_chain_complex,
-                        primary_model_homology, realize_chain_complex)
-from .graded import exponent
+                        model_chain_complex, model_homology, primary_model,
+                        primary_model_chain_complex, primary_model_homology,
+                        realize_chain_complex)
+from .graded import exponent, kunneth
 from .snf import (IntegerMatrix, determinant, homology_counts, homology_of_complex,
                   smith_normal_form)
 
@@ -55,33 +56,39 @@ def suite_elementary(max_degree: int = 30) -> list[CheckResult]:
 
 
 def suite_xp_exponent(max_k: int = 12) -> list[CheckResult]:
-    """Torsion exponent law for the p-primary models.
+    """Torsion exponent law for the p-primary models, by three routes.
 
     For each p in {2,3,5} and r in {1,2}, the degree-2k exponent must be
     p^r * k, its p-part must be ``differential_order_bound(p, r, k)`` =
-    p^(r + v_p(k)), the factor Theorem A multiplies, and the Kunneth route
-    must agree with SNF homology of the direct-sum model in every degree:
-    check k compares degrees 2k - 1, which holds the Tor terms' Z/p, and 2k,
-    and check 1 compares degrees 0 to 2.
+    p^(r + v_p(k)), the factor Theorem A multiplies, and the mod-p series
+    of ``primary_model_homology`` must agree in every degree with both the
+    Kunneth fold of the factors' closed forms and SNF homology of the
+    direct-sum model: check k compares degrees 2k - 1, which holds the Tor
+    terms' Z/p, and 2k, and check 1 compares degrees 0 to 2.
     """
     results = []
     for p in (2, 3, 5):
         for r in (1, 2):
             cap = 2 * max_k
-            via_kunneth = primary_model_homology(p, r, cap)
+            via_series = primary_model_homology(p, r, cap)
+            via_kunneth = kunneth(*(closed_form_homology(f, cap)
+                                    for f in primary_model(p, r, cap)), cap)
             chain = primary_model_chain_complex(p, r, cap)
             for k in range(1, max_k + 1):
                 name = f"xp-exponent p={p} r={r} k={k}"
-                mismatch = _mismatch(chain, via_kunneth,
-                                     range(0 if k == 1 else 2 * k - 1, 2 * k + 1))
+                degrees = range(0 if k == 1 else 2 * k - 1, 2 * k + 1)
+                mismatch = _mismatch(chain, via_series, degrees)
                 problems = [mismatch] if mismatch else []
+                problems += [f"degree {d}: Kunneth fold {via_kunneth.summands(d)} "
+                             f"vs series {via_series.summands(d)}"
+                             for d in degrees if via_kunneth.parts[d] != via_series.parts[d]]
                 expected = p ** r * k
-                exp_kunneth, _ = exponent(via_kunneth, 2 * k)
+                exp_series, _ = exponent(via_series, 2 * k)
                 exp_snf = max(homology_counts(chain, 2 * k)[1], default=1)  # a chain's largest
-                if exp_kunneth != expected or exp_snf != expected:
+                if exp_series != expected or exp_snf != expected:
                     problems.append(
-                        f"exponent {exp_kunneth}/{exp_snf} != p^r*k = {expected}")
-                p_part = p ** padic_valuation(p, exp_kunneth)
+                        f"exponent {exp_series}/{exp_snf} != p^r*k = {expected}")
+                p_part = p ** padic_valuation(p, exp_series)
                 if p_part != differential_order_bound(p, r, k):
                     problems.append(f"p-part {p_part} != p^(r+v_p(k)) = "
                                     f"{differential_order_bound(p, r, k)}")

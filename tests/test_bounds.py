@@ -116,6 +116,21 @@ class TestPrimePowerIndexBound:
                     assert prime_power_index_bound(p, r, d + 1) % \
                         prime_power_index_bound(p, r, d) == 0
 
+    @pytest.mark.parametrize("f, args", [
+        # Theorem A for n = 6, d = 4 is 1296, not the 216 that 6^3 would give
+        (prime_power_index_bound, (6, 1, 4)),
+        (prime_power_index_bound, (4, 2, 3)),
+        (prime_power_index_bound, (1, 1, 1)),
+        (differential_order_bound, (4, 1, 2)),
+        (differential_order_bound, (9, 1, 1)),
+        (differential_order_bound, (0, 1, 1)),
+    ])
+    def test_composite_p_refused(self, f, args):
+        # index_bound passes only the primes of n; these two are public, so
+        # a p that is not prime is refused on one line instead of answered
+        with pytest.raises(ValueError, match=r"^p must be a prime$"):
+            f(*args)
+
 
 class TestIndexBound:
     def test_period_two_dimension_six(self):

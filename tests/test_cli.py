@@ -1,11 +1,14 @@
 """CLI surface: output formats, exit codes, determinism."""
 
 import json
+import os
 import re
+import subprocess
 import sys
 import time
 from math import log10
 from decimal import MAX_EMAX, Decimal, localcontext
+from pathlib import Path
 
 import pytest
 
@@ -359,6 +362,22 @@ class TestHomology:
         assert "Traceback" not in captured.err and "summands" in captured.err
         assert elapsed < 1.0
 
+    @pytest.mark.parametrize("argv", [("--prime", "2", "--exponent", "1"), ("2",)])
+    def test_deep_listing_refused_cold_within_a_second(self, argv):
+        # a cold process, as a user runs it: the p = 2 model to degree 16000
+        # holds 3.4e21 summands, counted from the mod-p series and refused
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        start = time.perf_counter()
+        done = subprocess.run([sys.executable, "-m", "periodindex.cli", "homology", *argv,
+                               "--max-degree", "16000"], capture_output=True, text=True, env=env)
+        elapsed = time.perf_counter() - start
+        assert done.returncode == 2 and done.stdout == ""
+        assert len(done.stderr.splitlines()) == 1 and "summands" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert elapsed < 1.0
+
     @pytest.mark.parametrize("argv", [
         # over 9e6 digits in degrees 2, 4, 6: refused before the model is built
         ("--prime", "2", "--exponent", "10000000", "--max-degree", "6"),
@@ -700,6 +719,22 @@ class TestVerify:
         code, out = run(capsys, "verify", "--suite", suite)
         assert code == 1
         assert f"FAIL  {failed[0].name}: {failed[0].detail}" in out.splitlines()
+
+    def test_xp_exponent_catches_a_kunneth_fold_disagreement(self, monkeypatch):
+        # the third route: the fold of the factors' closed forms made wrong in
+        # degree 4 only fails the one check that compares degree 4
+        real = verify.kunneth
+
+        def wrong_in_degree_four(*args):
+            parts = list(real(*args).parts)
+            parts[4] = parts[4][0] + 1, parts[4][1]
+            return GradedAbelianGroup(tuple(parts))
+
+        monkeypatch.setattr(verify, "kunneth", wrong_in_degree_four)
+        failed = [res for res in verify.run_suite("xp-exponent") if not res.passed]
+        assert [res.name for res in failed] == [f"xp-exponent p={p} r={r} k=2"
+                                                for p in (2, 3, 5) for r in (1, 2)]
+        assert all(res.detail.startswith("degree 4: Kunneth fold (1, ") for res in failed)
 
     def test_passing_checks_list_no_summand(self, monkeypatch):
         # the routes are compared as (order, multiplicity) counts: summands

@@ -14,7 +14,7 @@ from periodindex.complexes import (ComplexKind, ElementaryComplex, _cone, _fold_
                                    primary_model_chain_complex,
                                    primary_model_homology,
                                    realize_chain_complex)
-from periodindex.graded import GradedAbelianGroup, exponent
+from periodindex.graded import GradedAbelianGroup, exponent, kunneth
 from periodindex.snf import ChainComplex, homology_of_complex
 from tensor_reference import per_kind_realization, tensor_chain_complex
 
@@ -281,6 +281,14 @@ class TestPrimaryModelHomology:
                 below = GradedAbelianGroup(big.parts[:cap + 1])
                 assert below == primary_model_homology(p, r, cap)
 
+    @pytest.mark.parametrize("p, cap", [(2, 200), (3, 300), (5, 400)])
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_series_equals_the_kunneth_fold_at_depth(self, p, r, cap):
+        # the deepest prime-power queries of the kunneth benchmark, and r to
+        # 4: the series gives the Kunneth fold of the factors' closed forms
+        fold = kunneth(*(closed_form_homology(f, cap) for f in primary_model(p, r, cap)), cap)
+        assert primary_model_homology(p, r, cap).parts == fold.parts
+
     def test_first_factor_dominates_p_part(self):
         for p, r in ((2, 1), (2, 2), (3, 1)):
             whole = primary_model_homology(p, r, 16)
@@ -348,12 +356,20 @@ class TestModelHomology:
         assert max(factorised) <= max(n, cap)
         assert exponent(g, 2 * 20) == (n * 20, 0)
 
+        # a prime power is read off its mod-p series: the result is the one
+        # group built, with no closed form, no Kunneth fold and no factorising
+        def no_fold(*args):
+            raise AssertionError("a prime-power model folded its factors")
+
+        for module, name in ((periodindex.complexes, "closed_form_homology"),
+                             (graded, "kunneth"), (graded, "_fold")):
+            monkeypatch.setattr(module, name, no_fold)
         built.clear()
         factorised.clear()
         start = time.perf_counter()
         g = primary_model_homology(2, 20000, 6)
         assert time.perf_counter() - start < 0.5
-        assert len(built) == len(primary_model(2, 20000, 6)) + 1
+        assert built == [GradedAbelianGroup]
         assert factorised == []
         assert exponent(g, 6) == (3 * 2 ** 20000, 0)
 
