@@ -15,15 +15,12 @@ For a prime power p^r the model complex is the tensor product of one
 P(2) ox E(3) factor twisted by h = p^r with one E(1+2p^(k+1)) ox P(2+2p^(k+1))
 factor twisted by h = p for each k >= 0; its homology surjects onto the
 p-primary homology of K(Z/n, 2), and its torsion exponent in degree 2k is
-exactly p^r * k.  Its closed-form homology builds no product: over F_p
-the Kunneth formula has no Tor term, so the model's mod-p Poincare series
-is the product of its factors', and the universal coefficient theorem
-turns those Betti numbers into torsion counts, each summand Z/p but the
-leading factor's Z/(p^r k) (``primary_model_homology``).  The model for
-composite order is the product of all the prime-power models' factors; its
-closed-form homology splits each factor's torsion into prime powers, folds
-the factors once by the Kunneth formula and reports every degree in
-invariant factors.
+exactly p^r * k.  Its closed-form homology is read off one mod-p series,
+by the Kunneth formula over F_p and the universal coefficient theorem.
+The model for composite order is the product of all the prime-power
+models' factors; its closed-form homology splits each factor's torsion
+into prime powers, folds the factors by the Kunneth formula over Z and
+reports every degree in invariant factors.
 
 Closed-form homology here is independently checkable against the
 Smith-normal-form homology in :mod:`periodindex.snf` by one oracle route:
@@ -132,20 +129,16 @@ def primary_model(p: int, r: int, max_degree: int) -> tuple[ElementaryComplex, .
 def primary_model_homology(p: int, r: int, max_degree: int) -> GradedAbelianGroup:
     """Homology of the p-primary model, read off its mod-p Poincare series.
 
-    Every factor's homology is Z in degree 0 plus cyclic torsion of order
-    divisible by p, so by the universal coefficient theorem its mod-p Betti
-    number in degree d is [d = 0] + t_d + t_(d-1), where t_d counts its
-    torsion summands in degree d: its series is (1 + x^a) / (1 - x^(2q)),
-    with a = 2q + 1 for the leading P ox E factor and a = 2q - 1 for each
-    E ox P.  Over F_p the Kunneth formula has no Tor term, so the model's
-    series b is the product of its factors', one shift-add and one running
-    sum each, and the model's t_d is b_d - [d = 0] - t_(d-1).
-
-    Over Z, Z/x ox Z/y and Tor(Z/x, Z/y) are both Z/gcd(x, y).  Every order
-    here is divisible by p and the E ox P twists are p, so every summand is
-    Z/p except the leading line Z/(p^r k) in degree 2k, tensored with the
-    other factors' Z in degree 0.  Each degree is then one Z/(p^r k) over
-    copies of Z/p: a divisibility chain, whose largest order is the
+    Each factor's homology is Z in degree 0 plus torsion of order divisible
+    by p, so by the universal coefficient theorem its mod-p Betti number in
+    degree d is [d = 0] + t_d + t_(d-1), t_d counting its torsion summands:
+    its series is (1 + x^a) / (1 - x^(2q)), a = 2q + 1 for the leading
+    P ox E and 2q - 1 for each E ox P.  Over F_p the Kunneth formula has no
+    Tor term, so the model's series b is the factors' product, and the
+    model's t_d is b_d - [d = 0] - t_(d-1).  Over Z, Z/x ox Z/y and
+    Tor(Z/x, Z/y) are Z/gcd(x, y) and every twist but the leading p^r is p,
+    so each summand is Z/p but the leading line Z/(p^r k) in degree 2k.
+    Each degree is then a divisibility chain, whose largest order is the
     exponent that ``homology`` prints.  ``verify`` checks it against the
     Kunneth fold of the factors' closed forms and against SNF homology.
 
