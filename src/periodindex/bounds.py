@@ -164,16 +164,20 @@ def padic_valuation(p: int, m: int) -> int:
 
 
 def legendre_valuation(p: int, m: int) -> int:
-    """v_p(m!) as the Legendre sum floor(m/p) + floor(m/p^2) + ..."""
+    """v_p(m!) for a prime p (for p = 4 the sum below is 2 at m = 8, where
+    4^3 divides 8!)."""
     if m < 0:
         raise ValueError("legendre_valuation needs m >= 0")
-    if p < 2:
+    if not is_prime(p):
         raise ValueError("p must be a prime")
-    total = 0
-    q = p
+    return _legendre_sum(p, m)
+
+
+def _legendre_sum(p: int, m: int) -> int:
+    """floor(m/p) + floor(m/p^2) + ..., v_p(m!) for a p already checked prime."""
+    total, q = 0, p
     while q <= m:
-        total += m // q
-        q *= p
+        total, q = total + m // q, q * p
     return total
 
 
@@ -216,7 +220,7 @@ def prime_power_index_bound(p: int, r: int, d: int) -> int:
         raise ValueError("r must be >= 1")
     if not is_prime(p):
         raise ValueError("p must be a prime")
-    return p ** ((d - 1) * r + legendre_valuation(p, d - 1))
+    return p ** ((d - 1) * r + _legendre_sum(p, d - 1))
 
 
 def decimal_string(x: int) -> str:

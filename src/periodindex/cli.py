@@ -21,7 +21,8 @@ from itertools import islice
 from math import lgamma, log, log10
 
 from . import SUITES, __version__
-from .bounds import CeilingError, _comparison, decimal_string, index_bound, is_prime
+from .bounds import (CeilingError, _comparison, decimal_string, factorize, index_bound,
+                     is_prime)
 
 FORMATS = ("pretty-table", "json", "csv")
 
@@ -184,6 +185,12 @@ def _cmd_homology(args, parser) -> int:
         listed = "orders and exponents" if times == 2 else "orders"
         return _refuse("homology", f"p^r or the {listed} listed would have over {MAX_OUTPUT} "
                                    "digits; lower the order or --max-degree")
+    if not have_pr and len(primes := factorize(args.n)) > 1:
+        # each p^r || n's listing is a direct summand of n's (Kunneth, H_0 = Z)
+        part = primary_model_homology(*primes[0], args.max_degree)
+        if sum(m for _, pairs in part.parts for _, m in pairs) > MAX_LISTED:
+            return _refuse("homology", f"the listing would hold over {MAX_LISTED} torsion "
+                                       "summands; lower --max-degree")
     group = (primary_model_homology(args.prime, args.exponent, args.max_degree) if have_pr
              else model_homology(args.n, args.max_degree))
     listed = sum(m for _, pairs in group.parts for _, m in pairs)

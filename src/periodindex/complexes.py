@@ -18,9 +18,9 @@ p-primary homology of K(Z/n, 2), and its torsion exponent in degree 2k is
 exactly p^r * k.  Its closed-form homology is read off one mod-p series,
 by the Kunneth formula over F_p and the universal coefficient theorem.
 The model for composite order is the product of all the prime-power
-models' factors; its closed-form homology splits each factor's torsion
-into prime powers, folds the factors by the Kunneth formula over Z and
-reports every degree in invariant factors.
+models' factors; its closed-form homology is read off one such series per
+prime q and level e, which counts the summands of order divisible by q^e,
+and reports every degree in invariant factors.
 
 Closed-form homology here is independently checkable against the
 Smith-normal-form homology in :mod:`periodindex.snf` by one oracle route:
@@ -38,15 +38,15 @@ only: no Tor rule, no closed form, no Kunneth product.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict, namedtuple
+from collections import Counter, namedtuple
 from enum import Enum
 from functools import cache
-from itertools import accumulate
-from operator import add
+from itertools import accumulate, compress
+from operator import add, neg
 from typing import TYPE_CHECKING
 
-from .bounds import _check_prime_power, factorize
-from .graded import GradedAbelianGroup, _kunneth_by_prime, _rows
+from .bounds import _check_prime_power, _primes_below, factorize
+from .graded import GradedAbelianGroup, _chain
 
 if TYPE_CHECKING:  # the oracle route imports snf when it runs; the closed forms never do
     from .snf import ChainComplex, DirectSum
@@ -129,32 +129,24 @@ def primary_model(p: int, r: int, max_degree: int) -> tuple[ElementaryComplex, .
 def primary_model_homology(p: int, r: int, max_degree: int) -> GradedAbelianGroup:
     """Homology of the p-primary model, read off its mod-p Poincare series.
 
-    Each factor's homology is Z in degree 0 plus torsion of order divisible
-    by p, so by the universal coefficient theorem its mod-p Betti number in
-    degree d is [d = 0] + t_d + t_(d-1), t_d counting its torsion summands:
-    its series is (1 + x^a) / (1 - x^(2q)), a = 2q + 1 for the leading
-    P ox E and 2q - 1 for each E ox P.  Over F_p the Kunneth formula has no
-    Tor term, so the model's series b is the factors' product, and the
-    model's t_d is b_d - [d = 0] - t_(d-1).  Over Z, Z/x ox Z/y and
-    Tor(Z/x, Z/y) are Z/gcd(x, y) and every twist but the leading p^r is p,
-    so each summand is Z/p but the leading line Z/(p^r k) in degree 2k.
-    Each degree is then a divisibility chain, whose largest order is the
-    exponent that ``homology`` prints.  ``verify`` checks it against the
-    Kunneth fold of the factors' closed forms and against SNF homology.
+    Each factor is Z in degree 0 plus torsion of order divisible by p, with
+    mod-p series (1 + x^a) / (1 - x^(2q)), a = 2q + 1 for the leading P ox E
+    and 2q - 1 for each E ox P, so ``_torsion_counts`` gives the model's
+    summand counts.  Over Z, Z/x ox Z/y and Tor(Z/x, Z/y) are Z/gcd(x, y)
+    and every twist but the leading p^r is p, so each summand is Z/p but the
+    leading line Z/(p^r k) in degree 2k: each degree is a divisibility
+    chain, whose largest order is the exponent that ``homology`` prints.
+    ``verify`` checks it against the Kunneth fold of the factors' closed
+    forms and against SNF homology.
 
     >>> primary_model_homology(2, 1, 12).parts[10:]
     ((0, ((2, 1), (10, 1))), (0, ((2, 3),)), (0, ((2, 2), (12, 1))))
     """
-    factors, b = primary_model(p, r, max_degree), [1] + [0] * max_degree
-    for f in factors:
-        s = 2 * f.q
-        a = s + 1 if f.kind is ComplexKind.PE_SECOND else s - 1
-        b[a:] = list(map(add, b[a:], b))  # times 1 + x^a
-        for i in range(s):  # over 1 - x^s: a running sum along each residue mod s
-            b[i::s] = accumulate(b[i::s])
-    parts, t = [(1, ())], 0
-    for d in range(1, max_degree + 1):
-        t = b[d] - t
+    factors = primary_model(p, r, max_degree)
+    series = [(2 * f.q + (1 if f.kind is ComplexKind.PE_SECOND else -1), 2 * f.q)
+              for f in factors]
+    parts = [(1, ())]
+    for d, t in enumerate(_torsion_counts(series, max_degree)[1:], start=1):
         if d % 2:
             pairs = ((p, t),) if t else ()
         elif (line := factors[0].h * (d // 2)) == p:
@@ -165,45 +157,76 @@ def primary_model_homology(p: int, r: int, max_degree: int) -> GradedAbelianGrou
     return GradedAbelianGroup(tuple(parts))
 
 
+def _torsion_counts(series, max_degree: int) -> list[int]:
+    """t_0, ..., t_max_degree: the torsion summands per degree of a product
+    of factors, each Z in degree 0 plus summands of order divisible by q,
+    given by their mod-q series (1 + x^a) / (1 - x^s) as (a, s) pairs.  Over
+    F_q the Kunneth formula has no Tor term, so the product's series b is
+    their product, and b_d = [d = 0] + t_d + t_(d-1) (universal coefficients)."""
+    b = [1] + [0] * max_degree
+    for a, s in series:
+        b[a:] = list(map(add, b[a:], b))  # times 1 + x^a
+        if s * s > max_degree:  # over 1 - x^s: add each block of s to the next
+            for j in range(s, max_degree + 1, s):
+                b[j:j + s] = map(add, b[j:j + s], b[j - s:j])
+        else:  # or a running sum along each residue mod s, whichever takes fewer steps
+            for i in range(s):
+                b[i::s] = accumulate(b[i::s])
+    b[0] = 0  # t_0; then t_d = (-1)^d times the sum of (-1)^j b_j over j <= d
+    b[1::2] = map(neg, b[1::2])
+    t = list(accumulate(b))
+    t[1::2] = map(neg, t[1::2])
+    return t
+
+
 def model_homology(n: int, max_degree: int) -> GradedAbelianGroup:
     """Homology of the full model for order n = p_1^r_1 ... p_k^r_k, in
     invariant factors: d_1 | d_2 | ... in every degree, as SNF reports it,
     whose largest order is the exponent that ``homology`` prints.
 
-    With one prime this is ``primary_model_homology``.  With more, every
-    factor of every prime-power model has its torsion split into prime
-    powers: the model for p^r twists by h = p^r or p, and Z/(hk) becomes
-    Z/(h p^v_p(k)) plus the prime powers of k / p^v_p(k), where
-    k <= max_degree / 2 is the only number factorised.  All the factors then
-    fold once, in ``_fold_order``, with powers of different primes never
-    paired, and each degree is merged back per prime.
+    With one prime this is ``primary_model_homology``.  With more, fix a
+    prime q and a level e >= 1 and send Z to Z, Z/m to Z/q if q^e | m and to
+    0 otherwise: as v_q(gcd(x, y)) >= e exactly when both valuations are,
+    this commutes with ox and Tor of cyclic groups.  So ``_torsion_counts``
+    of the factors' images gives t_(q,e)(d), the summands in degree d of
+    order divisible by q^e: a P ox E with twist h keeps Z/(hk) when
+    q^max(0, e - v_q(h)) divides k, an E ox P all its Z/h or none.  Only the
+    primes of n and those up to max_degree / 2 occur, levels that keep the
+    same summands share one series, and the i-th largest invariant factor
+    has q-exponent #{e : t_(q,e)(d) >= i}, which ``_chain`` reads off.
 
-    >>> model_homology(6, 2).summands(2)
-    (0, (6,))
+    >>> model_homology(6, 4).summands(4)
+    (0, (2, 12))
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     primes = factorize(n)
     if len(primes) == 1:
         return primary_model_homology(*primes[0], max_degree)
-    # each factor's twist h is a power of the prime it came from
-    prime_of = {f: p for p, r in primes for f in primary_model(p, r, max_degree)}
-    factors = []
-    for f in _fold_order(prime_of):
-        p, read = prime_of[f], _rows(closed_form_homology(f, max_degree), max_degree)
-        rows = defaultdict(lambda: defaultdict(list), {0: read[0]})
-        # each order of a closed form lies in one degree, or is its only order,
-        # so joining the rows of ascending orders keeps each row by degree
-        for t, row in read[1].items():
-            own = f.h
-            for q, e in factorize(t // f.h):
-                if q == p:
-                    own *= q ** e
-                else:
-                    rows[q][q ** e] += row
-            rows[p][own] += row
-        factors.append(rows)
-    return _kunneth_by_prime(factors, max_degree)
+    # each factor's twist is a power of its own prime: p^r for P ox E, p for E ox P
+    model = [(p, r if f.kind is ComplexKind.PE_SECOND else 1, f.kind is ComplexKind.PE_SECOND,
+              2 * f.q) for p, r in primes for f in primary_model(p, r, max_degree)]
+    levels = [[] for _ in range(max_degree + 1)]
+    for q in {p for p, _ in primes}.union(_primes_below(max_degree // 2 + 1)):
+        e = 1
+        while True:
+            series, runs = [], []
+            for p, v, pe, s in model:
+                v = v if p == q else 0  # v_q(h)
+                if e <= v:  # every summand kept, through level v
+                    series.append((s + 1 if pe else s - 1, s))
+                    runs.append(v + 1 - e)
+                elif pe and (sm := s * q ** (e - v)) <= max_degree:  # Z/(hk), q^(e-v) | k
+                    series.append((sm + 1, sm))
+                    runs.append(1)
+            if not series:
+                break
+            run = min(runs)
+            t, power = _torsion_counts(series, max_degree), q ** run
+            for d in compress(range(max_degree + 1), t):
+                levels[d].append((t[d], power))
+            e += run
+    return GradedAbelianGroup(((1, ()), *((0, _chain(c)) for c in levels[1:])))
 
 
 def _components(c: ElementaryComplex, top: int) -> list[tuple[int | None, int]]:

@@ -8,11 +8,11 @@ the orders it was built from: ``from_summands`` takes Z/6 and Z/2 + Z/3
 as given, so those two compare unequal, and ``invariant_factors`` gives
 either's divisibility chain.  Model homology is built in that form:
 every degree is d_1 | d_2 | ..., so ``==`` is isomorphism and the largest
-order is the exponent.  A primary degree is one Z/(p^r k) over copies of
-Z/p, a chain as p divides p^r k; ``_chain`` merges each composite degree.
-Work follows distinct orders: ``kunneth`` folds any number of factors as
-order-major rows, one gcd per pair of distinct orders with coprime pairs
-skipped, and builds only the result; a listing copies one block per order.
+order is the exponent.  ``_chain`` builds a chain from level counts: how
+many summands have order divisible by each prime power.  Work follows
+distinct orders: ``kunneth`` folds any number of factors as order-major
+rows, one gcd per pair of distinct orders with coprime pairs skipped, and
+builds only the result; a listing copies one block per order.
 
 Every group carries a truncation cap ``max_degree``: content is only
 known up to that degree, and reading past it is an error, not a zero.
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict, namedtuple
 from itertools import accumulate
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .bounds import decimal_string, factorize, is_prime, padic_valuation
 
@@ -110,8 +110,13 @@ class GradedAbelianGroup(namedtuple("GradedAbelianGroup", "parts")):
         towers = defaultdict(Counter)
         for order, mult in pairs:  # each distinct order is factorised once
             for p, e in factorize(order):
-                towers[p][p ** e] += mult
-        return tuple(_listing(_chain(t.items() for t in towers.values()), int))
+                towers[p][e] += mult
+        levels = []
+        for p, tower in towers.items():  # levels e_below < e <= e_top share one count
+            tops = sorted(tower, reverse=True)
+            counts = accumulate(tower[e] for e in tops)
+            levels += ((c, p ** (e - below)) for c, e, below in zip(counts, tops, tops[1:] + [0]))
+        return tuple(_listing(_chain(levels), int))
 
     def describe(self, degree: int) -> str:
         free, pairs = self._part(degree)
@@ -173,109 +178,66 @@ def kunneth(*factors_and_cap) -> GradedAbelianGroup:
             f"kunneth truncated at {max_degree} needs every factor trusted that far "
             f"(caps are {', '.join(str(f.max_degree) for f in factors)})")
     counts = [{} for _ in range(max_degree + 1)]
-    for orders in _fold((_rows(f, max_degree) for f in factors), max_degree).values():
-        for t, row in orders.items():
-            for d, m in row:
-                counts[d][t] = m
+    for t, row in _fold(factors, max_degree).items():
+        for d, m in row:
+            counts[d][t] = m
     return GradedAbelianGroup(tuple((c.pop(0, 0), c.items()) for c in counts))
 
 
-def _rows(g: GradedAbelianGroup, max_degree: int) -> dict:
-    """``g`` up to ``max_degree`` as ``_fold`` reads a factor: Z under key 0,
-    every torsion order under key 1, so that each pair of orders is tried."""
-    free, torsion = [], defaultdict(list)
-    for d, (rank, pairs) in enumerate(g.parts[:max_degree + 1]):
-        if rank:
-            free.append((d, rank))
-        for t, m in pairs:
-            torsion[t].append((d, m))
-    return {0: {0: free}, 1: torsion}
-
-
 def _fold(factors, max_degree: int) -> dict:
-    """The Kunneth product of ``factors``, one after another from Z in degree
-    0, truncated at ``max_degree``.
+    """The Kunneth product of the groups ``factors``, one after another from
+    Z in degree 0, truncated at ``max_degree``.
 
-    Factors and result are order-major rows {key: {order: [(degree,
-    multiplicity)] by degree}}: key 0 holds Z, as order 0, and any other key
-    a set of torsion orders that pair only among themselves (and with Z), so
-    a caller who keys orders by their prime never has coprime powers paired.
-    Z/x ox Z/y and Tor(Z/x, Z/y) are both Z/gcd(x, y), so the convolution of
-    the torsion pairs of two keys is added twice, the second time one degree
-    up; Tor vanishes against Z.
+    Each factor is read, and the result given, as order-major rows {order:
+    [(degree, multiplicity)] by degree}, with Z as order 0, so gcd pairs Z
+    with Z/y as Z/y and Z with Z as Z.  Z/x ox Z/y and Tor(Z/x, Z/y) are both
+    Z/gcd(x, y), so the convolution of two torsion rows is added twice, the
+    second time one degree up; Tor vanishes against Z.
     """
-    acc = {0: {0: [(0, 1)]}}
-    for factor in factors:
-        new = {}
-        for ka, orders_a in acc.items():
-            for kb, orders_b in factor.items():
-                if ka and kb and ka != kb:
+    acc = {0: [(0, 1)]}
+    for g in factors:
+        factor, out, tor = defaultdict(list), {}, {}
+        for d, (rank, pairs) in enumerate(g.parts[:max_degree + 1]):
+            for t, m in ((0, rank),) * bool(rank) + pairs:
+                factor[t].append((d, m))
+        for x, row_a in acc.items():
+            for y, row_b in factor.items():
+                if (g := gcd(x, y)) == 1:  # Z/x ox Z/y = Tor(Z/x, Z/y) = 0
                     continue
-                out = new.setdefault(ka or kb, {})
-                conv = {} if ka and kb else out
-                for x, row_a in orders_a.items():
-                    for y, row_b in orders_b.items():
-                        if (g := gcd(x, y)) == 1:  # Z/x ox Z/y = Tor(Z/x, Z/y) = 0
-                            continue
-                        row = conv.setdefault(g, {})
-                        for i, m in row_a:
-                            top = max_degree - i
-                            for j, k in row_b:
-                                if j > top:
-                                    break
-                                row[i + j] = row.get(i + j, 0) + m * k
-                if conv is not out:
-                    for g, row in conv.items():
-                        merged = out.setdefault(g, {})
-                        for d, m in row.items():
-                            merged[d] = merged.get(d, 0) + m
-                            if d < max_degree:
-                                merged[d + 1] = merged.get(d + 1, 0) + m
-        acc = {key: {t: sorted(row.items()) for t, row in orders.items()}
-               for key, orders in new.items()}
+                row = (tor if x and y else out).setdefault(g, {})
+                for i, m in row_a:
+                    top = max_degree - i
+                    for j, k in row_b:
+                        if j > top:
+                            break
+                        row[i + j] = row.get(i + j, 0) + m * k
+        for g, row in tor.items():
+            merged = out.setdefault(g, {})
+            for d, m in row.items():
+                merged[d] = merged.get(d, 0) + m
+                if d < max_degree:
+                    merged[d + 1] = merged.get(d + 1, 0) + m
+        acc = {t: sorted(row.items()) for t, row in out.items()}
     return acc
 
 
-def _kunneth_by_prime(factors, max_degree: int) -> GradedAbelianGroup:
-    """The Kunneth product of ``factors`` given as ``_fold`` rows keyed by
-    prime, each torsion order a power of its key, with every degree merged
-    into invariant factors by ``_chain``: no order is factorised."""
-    free = [0] * (max_degree + 1)
-    towers = [defaultdict(list) for _ in free]
-    for p, powers in _fold(factors, max_degree).items():
-        for q, row in powers.items():
-            for d, m in row:
-                if p:
-                    towers[d][p].append((q, m))
-                else:
-                    free[d] = m
-    return GradedAbelianGroup(tuple((f, _chain(t.values())) for f, t in zip(free, towers)))
-
-
-def _chain(towers) -> list[tuple[int, int]]:
+def _chain(levels) -> list[tuple[int, int]]:
     """Invariant factors d_1 | d_2 | ... as ascending (order, multiplicity)
-    pairs, from one non-empty tower of distinct (p^e, multiplicity) pairs per
-    prime p: the i-th largest factor is the product of the i-th largest
-    power of each prime, or 1 past the end of a tower.  Read from the top,
-    that product changes only where one tower's run of a power ends, so it
-    is updated there, and runs between such ends are counted, not listed.
+    pairs, from (count, q) levels, q = p^L standing for L consecutive
+    powers p^j of a prime that each divide exactly count summands' orders.
+    The i-th largest factor is the product of the q whose count is >= i, so
+    from the top it is the product of every q, losing one q at each count.
 
-    >>> _chain([[(2, 1), (4, 1)], [(3, 2)]])
+    >>> _chain([(2, 2), (1, 2), (2, 3)])  # Z/2 + Z/4 and Z/3 + Z/3
     [(6, 1), (12, 1)]
     """
-    ends, factor = [], 1
-    for tower in towers:
-        powers = sorted(tower, reverse=True)
-        factor *= powers[0][0]
-        below = [q for q, _ in powers[1:]] + [1]
-        ends += zip(accumulate(m for _, m in powers), (q for q, _ in powers), below)
-    ends.sort()
-    chain, start = [], 0
-    for end, q, lower in ends:
-        if end > start:
-            chain.append((factor, end - start))
-            start = end
-        factor = factor // q * lower
+    levels = sorted(levels)
+    factor, chain, start = prod(q for _, q in levels), [], 0
+    for count, q in levels:
+        if count > start:
+            chain.append((factor, count - start))
+            start = count
+        factor //= q
     return chain[::-1]
 
 

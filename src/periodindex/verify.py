@@ -98,8 +98,8 @@ def suite_xp_exponent(max_k: int = 12) -> list[CheckResult]:
 
 def suite_composite() -> list[CheckResult]:
     """Composite orders: SNF homology of the direct-sum model over all the
-    prime-power factors == the Kunneth route, whose summands are invariant
-    factors as SNF reports them, degree by degree."""
+    prime-power factors == ``model_homology``'s level counts, whose summands
+    are invariant factors as SNF reports them, degree by degree."""
     max_degree = 12
     results = []
     for n in (6, 12, 30, 360):

@@ -3,16 +3,18 @@ package's one n-ary fold is compared against, with the model homologies
 folded through it factor by factor and the invariant factors read off by
 factorising every order.
 
-The package folds all factors at once as order-major rows, builds only the
-result, and for composite n never pairs powers of different primes.  These
-functions build every intermediate product and pair every order with every
-order, so the tests can check that the two agree.
+The package folds all factors at once as order-major rows and builds only
+the result; these functions build every intermediate product and pair
+every order with every order, so the tests can check that the two agree.
+``split_model_homology`` keeps the fold the package used for composite n
+before it read the model's homology off level counts, as their reference.
 """
 
-from collections import defaultdict
-from itertools import product, zip_longest
+from collections import Counter, defaultdict
+from itertools import accumulate, product, zip_longest
 from math import gcd, prod
 
+from periodindex import graded
 from periodindex.bounds import factorize
 from periodindex.complexes import closed_form_homology, primary_model
 from periodindex.graded import GradedAbelianGroup
@@ -77,3 +79,57 @@ def invariant_factors(g: GradedAbelianGroup, degree: int) -> tuple[int, ...]:
             towers.setdefault(p, []).extend([p ** e] * mult)
     tiers = zip_longest(*(sorted(t, reverse=True) for t in towers.values()), fillvalue=1)
     return tuple(prod(tier) for tier in tiers)[::-1]
+
+
+def split_model_homology(n: int, max_degree: int) -> GradedAbelianGroup:
+    """The model for order n as the package once folded it: every factor's
+    torsion split into prime powers (Z/(hk) into Z/(h p^v_p(k)), h a power
+    of the factor's prime p, plus the prime powers of k / p^v_p(k)), the
+    factors folded by ``graded.kunneth`` one prime at a time, as powers of
+    different primes never pair and every factor's Z lies in degree 0, and
+    every degree read back in invariant factors."""
+    by_prime = defaultdict(list)  # {q: [factor as {degree: Counter of q-powers}]}
+    for p, r in factorize(n):
+        for f in primary_model(p, r, max_degree):
+            split = defaultdict(lambda: defaultdict(Counter))
+            for d, (_, pairs) in enumerate(closed_form_homology(f, max_degree).parts):
+                for t, m in pairs:
+                    own = f.h
+                    for q, e in factorize(t // f.h):
+                        if q == p:
+                            own *= q ** e
+                        else:
+                            split[q][d][q ** e] += m
+                    split[p][d][own] += m
+            for q, degrees in split.items():
+                by_prime[q].append(degrees)
+    torsion = [Counter() for _ in range(max_degree + 1)]
+    for factors in by_prime.values():
+        folded = graded.kunneth(*(GradedAbelianGroup.from_summands(
+            {0: [0], **{d: c.elements() for d, c in f.items()}}, max_degree)
+            for f in factors), max_degree)
+        for c, (_, pairs) in zip(torsion, folded.parts):
+            c.update(dict(pairs))
+    return GradedAbelianGroup(tuple((int(d == 0), _chain_pairs(c)) for d, c in enumerate(torsion)))
+
+
+def _chain_pairs(orders: Counter) -> list[tuple[int, int]]:
+    """Invariant factors of {order: multiplicity}, ascending, as (order,
+    multiplicity) pairs: the i-th largest is the product of the i-th largest
+    power of each prime, which stays the same between the ends of the
+    primes' runs of equal powers, so only those positions are evaluated."""
+    towers = defaultdict(Counter)
+    for order, mult in orders.items():
+        for p, e in factorize(order):
+            towers[p][p ** e] += mult
+    runs = [sorted(t.items(), reverse=True) for t in towers.values()]
+    ends = sorted({end for run in runs for end in accumulate(m for _, m in run)})
+    chain, start = [], 0
+    for end in ends:
+        factor = 1
+        for run in runs:  # the end-th largest power of each prime, 1 past its last
+            seen = accumulate(m for _, m in run)
+            factor *= next((q for (q, _), upto in zip(run, seen) if upto >= end), 1)
+        chain.append((factor, end - start))
+        start = end
+    return chain[::-1]

@@ -67,6 +67,12 @@ class TestNumberTheory:
     def test_legendre_valuation(self, p, m, expected):
         assert legendre_valuation(p, m) == expected
 
+    @pytest.mark.parametrize("p", [4, 6, 9, 1, 0])
+    def test_legendre_valuation_refuses_a_p_that_is_not_prime(self, p):
+        # the Legendre sum for p = 4, m = 8 is 2, but 4^3 divides 8!
+        with pytest.raises(ValueError, match=r"^p must be a prime$"):
+            legendre_valuation(p, 8)
+
     def test_legendre_equals_sum_of_valuations(self):
         for p in (2, 3, 5, 7):
             for m in range(41):

@@ -362,10 +362,12 @@ class TestHomology:
         assert "Traceback" not in captured.err and "summands" in captured.err
         assert elapsed < 1.0
 
-    @pytest.mark.parametrize("argv", [("--prime", "2", "--exponent", "1"), ("2",)])
+    @pytest.mark.parametrize("argv", [("--prime", "2", "--exponent", "1"), ("2",), ("6",),
+                                      ("30",)])
     def test_deep_listing_refused_cold_within_a_second(self, argv):
         # a cold process, as a user runs it: the p = 2 model to degree 16000
-        # holds 3.4e21 summands, counted from the mod-p series and refused
+        # holds 3.4e21 summands, counted from the mod-p series and refused;
+        # for 6 and 30 it is a direct summand of the listing, counted first
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ,
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -16,6 +16,7 @@ from periodindex.complexes import (ComplexKind, ElementaryComplex, _cone, _fold_
                                    realize_chain_complex)
 from periodindex.graded import GradedAbelianGroup, exponent, kunneth
 from periodindex.snf import ChainComplex, homology_of_complex
+from kunneth_reference import split_model_homology
 from tensor_reference import per_kind_realization, tensor_chain_complex
 
 E = ComplexKind.EXTERIOR_FIRST
@@ -331,10 +332,10 @@ class TestModelHomology:
         with pytest.raises(ValueError):
             model_homology(1, 4)
 
-    def test_builds_one_group_per_factor_and_factorises_small_numbers(self, monkeypatch):
-        # each factor's closed form is a group and so is the result; no
-        # intermediate product is built, and the split factorises n and the
-        # k <= cap / 2 of each Z/(p^r k), never p^r k itself
+    def test_builds_one_group_and_factorises_small_numbers(self, monkeypatch):
+        # composite n is read off level counts: the result is the one group
+        # built, with no closed form and no Kunneth fold, and nothing past
+        # max(n, cap) is factorised
         built, factorised = [], []
         real_new, real_factorize = GradedAbelianGroup.__new__, bounds.factorize
 
@@ -346,24 +347,22 @@ class TestModelHomology:
             factorised.append(m)
             return real_factorize(m)
 
+        def no_fold(*args):
+            raise AssertionError("a model folded its factors")
+
         monkeypatch.setattr(GradedAbelianGroup, "__new__", counting_new)
         for module in (bounds, periodindex.complexes, graded):
             monkeypatch.setattr(module, "factorize", spying_factorize)
-        n, cap = 2 * 1000003, 40
-        g = model_homology(n, cap)
-        factors = len(primary_model(2, 1, cap)) + len(primary_model(1000003, 1, cap))
-        assert len(built) == factors + 1
-        assert max(factorised) <= max(n, cap)
-        assert exponent(g, 2 * 20) == (n * 20, 0)
-
-        # a prime power is read off its mod-p series: the result is the one
-        # group built, with no closed form, no Kunneth fold and no factorising
-        def no_fold(*args):
-            raise AssertionError("a prime-power model folded its factors")
-
         for module, name in ((periodindex.complexes, "closed_form_homology"),
                              (graded, "kunneth"), (graded, "_fold")):
             monkeypatch.setattr(module, name, no_fold)
+        n, cap = 2 * 1000003, 40
+        g = model_homology(n, cap)
+        assert built == [GradedAbelianGroup]
+        assert max(factorised) <= max(n, cap)
+        assert exponent(g, 2 * 20) == (n * 20, 0)
+
+        # a prime power is read off its mod-p series: no factorising at all
         built.clear()
         factorised.clear()
         start = time.perf_counter()
@@ -372,6 +371,23 @@ class TestModelHomology:
         assert built == [GradedAbelianGroup]
         assert factorised == []
         assert exponent(g, 6) == (3 * 2 ** 20000, 0)
+
+    @pytest.mark.parametrize("cap", [0, 1, 2, 3, 4, 5, 7, 12, 20, 31, 40, 60, 80])
+    def test_level_counts_equal_the_split_fold(self, cap):
+        # every n <= 120 that is not a prime (prime powers take the series of
+        # one prime), and 510510 = 2*3*5*7*11*13*17, against the fold that
+        # split every factor's torsion into prime powers
+        for n in [m for m in range(4, 121) if not bounds.is_prime(m)] + [510510]:
+            assert model_homology(n, cap).parts == split_model_homology(n, cap).parts, n
+
+    @pytest.mark.parametrize("n, cap", [
+        (30, 74), (360, 74), (30, 60), (360, 60), (210, 48), (330, 48), (2310, 40),
+        (10, 80), (18, 76), (30030, 60), (360, 200), (30, 200), (6, 300), (12, 250),
+        (2 ** 40 * 3, 30), (2 * 1000003, 40)])
+    def test_level_counts_equal_the_split_fold_at_depth(self, n, cap):
+        # the kunneth benchmark's composite tiers and criterion 9's order,
+        # deep caps, a long run of levels and a prime past cap / 2
+        assert model_homology(n, cap).parts == split_model_homology(n, cap).parts
 
 
 class TestExponentBound:

@@ -219,6 +219,12 @@ def test_model_homology_is_the_invariant_factor_chain(n, cap):
                                    reference.invariant_factors(pairwise, d))
 
 
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.integers(2, 120), st.integers(0, 80))
+def test_model_homology_equals_the_split_fold(n, cap):
+    assert model_homology(n, cap).parts == reference.split_model_homology(n, cap).parts
+
+
 @SETTINGS
 @given(st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(1, 4), st.integers(0, 124))
 def test_primary_model_homology_equals_pairwise_reference(p, r, cap):
