@@ -154,7 +154,7 @@ def _cmd_table(args, parser) -> int:
 
 
 def _cmd_homology(args, parser) -> int:
-    from .complexes import model_homology, primary_model_homology
+    from .complexes import _model_homology, primary_model_homology
     have_n = args.n is not None
     have_pr = args.prime is not None or args.exponent is not None
     if have_n == have_pr:
@@ -192,7 +192,7 @@ def _cmd_homology(args, parser) -> int:
             return _refuse("homology", f"the listing would hold over {MAX_LISTED} torsion "
                                        "summands; lower --max-degree")
     group = (primary_model_homology(args.prime, args.exponent, args.max_degree) if have_pr
-             else model_homology(args.n, args.max_degree))
+             else _model_homology(primes, args.max_degree))  # n factorised once, above
     listed = sum(m for _, pairs in group.parts for _, m in pairs)
     if listed > MAX_LISTED:
         return _refuse("homology", f"the listing would hold {listed} torsion summands, "

@@ -38,7 +38,7 @@ only: no Tor rule, no closed form, no Kunneth product.
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from enum import Enum
 from functools import cache
 from itertools import accumulate, compress
@@ -200,7 +200,12 @@ def model_homology(n: int, max_degree: int) -> GradedAbelianGroup:
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    primes = factorize(n)
+    return _model_homology(factorize(n), max_degree)
+
+
+def _model_homology(primes, max_degree: int) -> GradedAbelianGroup:
+    """``model_homology`` of the order whose factorisation, [(p, r), ...], is
+    ``primes``, for a caller that has factorised it already."""
     if len(primes) == 1:
         return primary_model_homology(*primes[0], max_degree)
     # each factor's twist is a power of its own prime: p^r for P ox E, p for E ox P
@@ -319,14 +324,15 @@ def _direct_sum(factors, max_degree: int) -> DirectSum:
     """
     from .snf import DirectSum
     top = max_degree + 1
-    summands = Counter({(_point(), 0): 1})
+    summands = {(_point(), 0): 1}
     for f in factors:
-        parts, folded = _components(f, top), Counter()
+        parts, folded = _components(f, top), {}
         for (a, i), m in summands.items():
             for h, j in parts:
                 if i + j > top:
                     break
-                folded[a if h is None else _cone(a, -h if i % 2 else h), i + j] += m
+                key = a if h is None else _cone(a, -h if i % 2 else h), i + j
+                folded[key] = folded.get(key, 0) + m
         summands = folded
     return DirectSum(summands, top)
 

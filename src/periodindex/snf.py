@@ -12,7 +12,8 @@ blocks to ``homology_counts``, which the route comparison reads; only
 ``homology_of_complex`` lists them out, for the degree asked.  Every
 complex has d o d = 0 checked when it is built, so every complex here is
 a chain complex.  A ``DirectSum`` of translated complexes, the form
-the oracle gives a tensor model in, sums the invariants of its summands,
+the oracle gives a tensor model in, adds up one memoised profile per
+shape (dims, boundary ranks and torsion counts, ``ChainComplex.profile``),
 each reduced once however often it repeats, in one sum or many: it needs
 only that homology commutes with direct sums and translation.
 Swapping in a faster SNF would only touch ``smith_normal_form``.
@@ -205,7 +206,16 @@ def _divisibility_chain(counts) -> dict[int, int]:
 
     >>> _divisibility_chain({2: 1, 3: 1, 4: 1, 1: 1})
     {2: 1, 12: 1}
+
+    Counts that hold one order or none are a chain already:
+
+    >>> _divisibility_chain({}), _divisibility_chain({4: 3})
+    ({}, {4: 3})
+    >>> _divisibility_chain({1: 5}), _divisibility_chain({6: 0})
+    ({}, {})
     """
+    if len(counts) < 2:  # a chain already: one order or none
+        return {e: m for e, m in counts.items() if m and e > 1}
     own = False  # the caller's counts are copied before the first merge, if any
     while True:
         orders = sorted(e for e, m in counts.items() if m and e > 1)
@@ -275,9 +285,10 @@ class ChainComplex:
     columns.  Stored entries are non-zero: zeros given are dropped.  Shapes
     and d o d = 0 are checked here, on every complex, so a complex that
     exists is a chain complex.  Each boundary's rank and invariant factors
-    are kept once computed, as they serve two degrees of homology.  Degrees
-    above ``max_degree`` are unknown, so homology is only asked for below
-    the cap.
+    are kept once computed, as they serve two degrees of homology, and so
+    is ``profile``, the dims, ranks and torsion counts that a ``DirectSum``
+    adds up.  Degrees above ``max_degree`` are unknown, so homology is only
+    asked for below the cap.
     """
 
     def __init__(self, dims, boundaries):
@@ -290,6 +301,7 @@ class ChainComplex:
         self._columns = {n: self._sparse(n, boundaries.get(n, repeat({}, self.dims[n])))
                          for n in range(1, self.max_degree + 1)}
         self._invariants: dict[int, tuple[int, dict[int, int]]] = {0: (0, {})}
+        self._profile = None
         self.validate()
 
     def _sparse(self, n: int, boundary) -> tuple[dict[int, int], ...]:
@@ -337,6 +349,19 @@ class ChainComplex:
             self._invariants[n] = _block_invariants(self.columns(n))
         return self._invariants[n]
 
+    def profile(self) -> tuple[tuple[int, ...], tuple[int, ...],
+                               tuple[tuple[int, dict[int, int]], ...]]:
+        """(dims, boundary ranks, ((n, {factor: multiplicity}), ...)) with
+        only the degrees n whose boundary has torsion: all that a
+        ``DirectSum`` adds up.  Built once from ``boundary_invariants``,
+        whose counts it shares, and kept while the complex lives."""
+        if self._profile is None:
+            invariants = [self.boundary_invariants(n) for n in range(self.max_degree + 1)]
+            self._profile = (self.dims, tuple(rank for rank, _ in invariants),
+                             tuple((n, factors) for n, (_, factors) in enumerate(invariants)
+                                   if factors))
+        return self._profile
+
 
 class DirectSum:
     """Direct sum of translated chain complexes, truncated at ``max_degree``.
@@ -344,23 +369,28 @@ class DirectSum:
     ``summands`` maps (complex, base degree) to a multiplicity; each complex
     is complete (zero above its own ``max_degree``) and has its degree 0 in
     the base degree.  Dims, boundary ranks and torsion {order: multiplicity}
-    are summed here from each distinct complex's memoised
-    ``boundary_invariants``: a summand repeated m times, or in many sums,
-    is reduced once while it lives, and the oracle's live for the process.
+    are summed here from one memoised ``profile`` per shape, cut at
+    ``max_degree``, with plain list and dict arithmetic, and each degree's
+    torsion merged into one divisibility chain: a summand repeated m times,
+    or in many sums, is reduced once while it lives, and the oracle's live
+    for the process.
     """
 
     def __init__(self, summands, max_degree: int):
         self.summands, self.max_degree = dict(summands), max_degree
-        dims, ranks = [0] * (max_degree + 1), [0] * (max_degree + 1)
-        torsion, rows = [Counter() for _ in dims], {}
+        top = max_degree + 1
+        dims, ranks, torsion = [0] * top, [0] * top, [{} for _ in range(top)]
         for (c, base), m in self.summands.items():
-            if c not in rows:
-                rows[c] = [(c.dims[n], *c.boundary_invariants(n)) for n in range(c.max_degree + 1)]
-            for n, (dim, rank, factors) in zip(range(base, max_degree + 1), rows[c]):
+            shape_dims, shape_ranks, shape_torsion = c.profile()
+            for n, dim, rank in zip(range(base, top), shape_dims, shape_ranks):
                 dims[n] += m * dim
                 ranks[n] += m * rank
+            for n, factors in shape_torsion:  # ascending n
+                if base + n >= top:
+                    break
+                counts = torsion[base + n]
                 for e, k in factors.items():
-                    torsion[n][e] += m * k
+                    counts[e] = counts.get(e, 0) + m * k
         self.dims = tuple(dims)
         self._invariants = [(r, _divisibility_chain(t)) for r, t in zip(ranks, torsion)]
 

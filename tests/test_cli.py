@@ -216,6 +216,7 @@ class TestHugeCounts:
         monkeypatch.setattr(cli, "index_bound", work)
         monkeypatch.setattr(words, "word_census", work)
         monkeypatch.setattr(complexes, "model_homology", work)
+        monkeypatch.setattr(complexes, "_model_homology", work)
         monkeypatch.setattr(complexes, "primary_model_homology", work)
 
     @pytest.mark.parametrize("argv", [
@@ -323,6 +324,22 @@ class TestHomology:
         payload = json.loads(out)
         assert payload == model_homology(6, 2).to_json()
         assert payload["2"] == {"free": 0, "torsion": ["6"]}
+
+    def test_composite_factorised_once(self, capsys, monkeypatch):
+        # the count-first check and the model share one factorisation of n
+        expected = model_homology(360, 12).to_json()
+        calls, real = [], bounds.factorize
+
+        def counting(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(cli, "factorize", counting)
+        monkeypatch.setattr(complexes, "factorize", counting)
+        code, out = run(capsys, "homology", "360", "--max-degree", "12", "--format", "json")
+        assert code == 0
+        assert json.loads(out) == expected
+        assert calls == [360]
 
     def test_degree_zero_only(self, capsys):
         code, out = run(capsys, "homology", "--prime", "3", "--exponent", "1",

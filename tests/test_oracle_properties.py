@@ -4,7 +4,8 @@ in every degree, for the factors in any order.  Products of two P or two E
 factors, and twists that share a prime, are where the Tor terms and the
 multi-row blocks of the oracle come in.  The summand oracle, a direct sum
 of translated shapes, gives the same ranks and homology as the whole
-tensor product, and its listed homology is its counted homology."""
+tensor product, and its listed homology is its counted homology.  Summed
+from one profile per shape, it matches the per-summand, per-degree loop."""
 
 import time
 from collections import Counter
@@ -19,7 +20,8 @@ from periodindex import snf
 from periodindex.complexes import (ComplexKind, ElementaryComplex, _cone, _direct_sum, _point,
                                    closed_form_homology, primary_model_chain_complex)
 from periodindex.graded import GradedAbelianGroup, kunneth
-from periodindex.snf import homology_counts, homology_of_complex
+from periodindex.snf import DirectSum, homology_counts, homology_of_complex
+from direct_sum_reference import summed_invariants
 from tensor_reference import per_kind_realization, tensor_chain_complex
 
 SECOND = (ComplexKind.EP_SECOND, ComplexKind.PE_SECOND)
@@ -169,3 +171,58 @@ def test_an_interrupted_build_leaves_the_table_sound(monkeypatch, target):
     after = counts(primary_model_chain_complex(3, 2, 40), 40)
     _cone.cache_clear()
     assert counts(primary_model_chain_complex(3, 2, 40), 40) == after
+
+
+# A direct sum adds up one memoised profile per shape; the per-summand,
+# per-degree loop of tests/direct_sum_reference.py must give the same dims,
+# ranks and torsion chains in every degree.
+
+def cone_tower(twists):
+    shape = _point()
+    for h in twists:
+        shape = _cone(shape, h)
+    return shape
+
+
+shapes = st.lists(st.integers(-12, 12).filter(bool), max_size=4).map(cone_tower)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.integers(0, 12).flatmap(lambda top: st.tuples(
+           # bases up to two past the larger cap, so shapes run past it
+           st.dictionaries(st.tuples(shapes, st.integers(0, top + 2)),
+                           st.integers(0, 10 ** 12), min_size=1, max_size=12),
+           st.lists(st.integers(0, top), min_size=2, max_size=2))))
+def test_summed_profiles_match_the_per_degree_loop(sums):
+    # every shape is shared by the two sums, whose caps differ or not, in
+    # either order
+    summands, caps = sums
+    for cap in caps:
+        summed = DirectSum(summands, cap)
+        dims, invariants = summed_invariants(summands, cap)
+        assert summed.dims == dims
+        for n, (rank, factors) in enumerate(invariants):
+            got_rank, got_factors = summed.boundary_invariants(n)
+            assert (got_rank, list(got_factors.items())) == (rank, list(factors.items()))
+
+
+def test_a_rebuilt_or_smaller_model_reduces_nothing(monkeypatch):
+    # each shape keeps its profile, so the same model again, or at a smaller
+    # cap, reduces no block and reads no boundary's invariants
+    primary_model_chain_complex(3, 1, 40)
+    calls = []
+    block, invariants = snf._block_invariants, snf.ChainComplex.boundary_invariants
+
+    def counted_block(columns):
+        calls.append("_block_invariants")
+        return block(columns)
+
+    def counted_invariants(self, n):
+        calls.append("boundary_invariants")
+        return invariants(self, n)
+
+    monkeypatch.setattr(snf, "_block_invariants", counted_block)
+    monkeypatch.setattr(snf.ChainComplex, "boundary_invariants", counted_invariants)
+    primary_model_chain_complex(3, 1, 40)
+    primary_model_chain_complex(3, 1, 25)
+    assert calls == []
