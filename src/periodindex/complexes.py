@@ -28,12 +28,15 @@ Smith-normal-form homology in :mod:`periodindex.snf` by one oracle route:
 ``primary_model_chain_complex`` and ``model_chain_complex``.  It reads
 each factor as the connected components of its boundary graph (one or two
 cells each, ``_components``) and, as ox distributes over +, folds the
-factors, q descending, into a ``DirectSum`` of translated shapes.  Its one
-product is a shape times an edge e1 -> h*e0, the mapping cone of h on the
-shape (``_cone``).  A cone is untruncated, so no cap or model changes it:
-each is built once and kept for the process, shared by every model of its
-prime.  The route uses components, distributivity, translation and cones
-only: no Tor rule, no closed form, no Kunneth product.
+factors, q descending, into a ``DirectSum`` of translated shapes.  The
+fold keeps one series per shape, an int whose slot b holds the shape's
+multiplicity at base degree b, and moves whole series by shifts and masks.
+Its one product is a shape times an edge e1 -> h*e0, the mapping cone of h
+on the shape (``_cone``).  A cone is untruncated, so no cap or model
+changes it: each is built once and kept for the process, shared by every
+model of its prime.  The route uses components, distributivity,
+translation and cones only: no Tor rule, no closed form, no Kunneth
+product.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from collections import namedtuple
 from enum import Enum
 from functools import cache
 from itertools import accumulate, compress
+from math import prod
 from operator import add, neg
 from typing import TYPE_CHECKING
 
@@ -321,20 +325,41 @@ def _direct_sum(factors, max_degree: int) -> DirectSum:
     e1 -> h*e0 is ``_cone(A, h)``, with h negated when A's base is odd (the
     Koszul sign (-1)^|a|).  ``_cone`` keeps each for the process, keyed by
     identity, which is canonical as every shape descends from ``_point()``.
+
+    The summands are kept as {shape: series}, slot b of the series its
+    multiplicity at base b (``snf.DirectSum``), so the fold works once per
+    shape and component: it shifts the series by the component's base,
+    masks it to the cap's slots, and for an edge splits it into the slots
+    whose old base was even, for h, and odd, for -h.  The product of the factors' cell counts
+    bounds every multiplicity, dim, rank and torsion count of the sum, so
+    slots of its width never carry.
     """
-    from .snf import DirectSum
+    from .snf import DirectSum, _pack, _slot_width
     top = max_degree + 1
-    summands = {(_point(), 0): 1}
-    for f in factors:
-        parts, folded = _components(f, top), {}
-        for (a, i), m in summands.items():
-            for h, j in parts:
-                if i + j > top:
+    parts = [_components(f, top) for f in factors]
+    width = _slot_width(prod(sum(1 if h is None else 2 for h, _ in p) for p in parts))
+    bits = 8 * width
+    cut = (1 << bits * (top + 1)) - 1  # slots 0..top
+    evens = _pack([(1 << bits) - 1, 0] * (top // 2 + 1), width) & cut
+    series = {_point(): 1}
+    for components in parts:
+        folded = {}
+        for a, s in series.items():
+            for h, j in components:
+                moved = s << bits * j & cut
+                if not moved:  # every base past the cap, here and at larger j
                     break
-                key = a if h is None else _cone(a, -h if i % 2 else h), i + j
-                folded[key] = folded.get(key, 0) + m
-        summands = folded
-    return DirectSum(summands, top)
+                if h is None:
+                    folded[a] = folded.get(a, 0) + moved
+                    continue
+                even = moved & evens  # bases i + j: even where i is iff j is even
+                g = -h if j % 2 else h  # the twist where i + j is even
+                for twist, part in ((g, even), (-g, moved ^ even)):
+                    if part:
+                        shape = _cone(a, twist)
+                        folded[shape] = folded.get(shape, 0) + part
+        series = folded
+    return DirectSum.from_series(series, width, top)
 
 
 def primary_model_chain_complex(p: int, r: int, max_degree: int) -> DirectSum:

@@ -12,10 +12,14 @@ blocks to ``homology_counts``, which the route comparison reads; only
 ``homology_of_complex`` lists them out, for the degree asked.  Every
 complex has d o d = 0 checked when it is built, so every complex here is
 a chain complex.  A ``DirectSum`` of translated complexes, the form
-the oracle gives a tensor model in, adds up one memoised profile per
-shape (dims, boundary ranks and torsion counts, ``ChainComplex.profile``),
-each reduced once however often it repeats, in one sum or many: it needs
-only that homology commutes with direct sums and translation.
+the oracle gives a tensor model in, keeps one series per shape: an int
+whose slot b holds the shape's multiplicity at base degree b (Kronecker
+substitution; Schoenhage 1982).  Times the shape's memoised profile, its
+dims, boundary ranks and torsion counts packed the same way
+(``ChainComplex.profile``), a series gives all of that shape's terms in
+one product, and each shape is reduced once however often it repeats, in
+one sum or many: the sum needs only that homology commutes with direct
+sums and translation.
 Swapping in a faster SNF would only touch ``smith_normal_form``.
 
 This module imports nothing else from the package: the oracle knows no
@@ -24,9 +28,12 @@ closed form, no Tor rule and no Kunneth product.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import Counter, defaultdict, namedtuple
-from itertools import chain, repeat, takewhile
+from itertools import chain, compress, repeat, takewhile
 from math import gcd, lcm
+from types import MappingProxyType
 from typing import NamedTuple
 
 
@@ -207,15 +214,22 @@ def _divisibility_chain(counts) -> dict[int, int]:
     >>> _divisibility_chain({2: 1, 3: 1, 4: 1, 1: 1})
     {2: 1, 12: 1}
 
-    Counts that hold one order or none are a chain already:
+    Counts that hold one order or none are a chain already, and so are two
+    orders of which the smaller divides the larger:
 
     >>> _divisibility_chain({}), _divisibility_chain({4: 3})
     ({}, {4: 3})
     >>> _divisibility_chain({1: 5}), _divisibility_chain({6: 0})
     ({}, {})
+    >>> _divisibility_chain({10: 1, 5: 2}), _divisibility_chain({1: 1, 5: 2})
+    ({5: 2, 10: 1}, {5: 2})
     """
     if len(counts) < 2:  # a chain already: one order or none
         return {e: m for e, m in counts.items() if m and e > 1}
+    if len(counts) == 2:
+        (a, m), (b, k) = sorted(counts.items())
+        if m and k and a > 1 and b % a == 0:
+            return {a: m, b: k}
     own = False  # the caller's counts are copied before the first merge, if any
     while True:
         orders = sorted(e for e, m in counts.items() if m and e > 1)
@@ -275,6 +289,46 @@ def _block_invariants(columns) -> tuple[int, dict[int, int]]:
     return rank, _divisibility_chain(factors)
 
 
+# machine formats of the slot widths read and written in one call: native
+# order must be the little-endian order of the packed ints
+_SLOT_FORMATS = {array(c).itemsize: c for c in "BHIQ"} if sys.byteorder == "little" else {}
+
+
+def _slot_width(bound: int) -> int:
+    """Bytes per slot of series whose slots, and whose products' slots,
+    never exceed ``bound``: 1, 2, 4 or 8, or 8k bytes from 2^64 on."""
+    bits = bound.bit_length()
+    return next((w for w in (1, 2, 4, 8) if bits <= 8 * w), 8 * -(-bits // 64))
+
+
+def _pack(values, width: int) -> int:
+    """The series with ``values`` in its slots 0, 1, ..., ``width`` bytes
+    each: one int, slot n at bits 8 * width * n and up.  Widths of 1, 2, 4
+    and 8 bytes are written in one call, wider slots one at a time."""
+    if width in _SLOT_FORMATS:
+        return int.from_bytes(array(_SLOT_FORMATS[width], values).tobytes(), "little")
+    return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
+
+
+def _unpack(series: int, width: int, count: int) -> list[int]:
+    """Slots 0 .. count - 1 of a series of ``width``-byte slots; higher slots
+    are cut off.  Widths of 1, 2, 4 and 8 bytes are read in one cast, wider
+    slots one at a time.
+
+    >>> _unpack(_pack([5, 0, 255], 1), 1, 3)   # the top slot full
+    [5, 0, 255]
+    >>> _unpack(_pack([1, 2 ** 70], 16), 16, 2) == [1, 2 ** 70]
+    True
+    >>> _unpack(0, 2, 3), _unpack(_pack([1, 2, 3], 4), 4, 2)   # empty; cut
+    ([0, 0, 0], [1, 2])
+    """
+    size = width * count
+    data = (series & ((1 << 8 * size) - 1)).to_bytes(size, "little")
+    if width in _SLOT_FORMATS:
+        return memoryview(data).cast(_SLOT_FORMATS[width]).tolist()
+    return [int.from_bytes(data[i:i + width], "little") for i in range(0, size, width)]
+
+
 class ChainComplex:
     """Based free chain complex over the integers, truncated at ``max_degree``.
 
@@ -286,10 +340,12 @@ class ChainComplex:
     and d o d = 0 are checked here, on every complex, so a complex that
     exists is a chain complex.  Each boundary's rank and invariant factors
     are kept once computed, as they serve two degrees of homology, and so
-    is ``profile``, the dims, ranks and torsion counts that a ``DirectSum``
-    adds up.  Degrees above ``max_degree`` are unknown, so homology is only
-    asked for below the cap.
+    is each width's ``profile``, the dims, ranks and torsion counts as the
+    series that a ``DirectSum`` multiplies by.  Degrees above
+    ``max_degree`` are unknown, so homology is only asked for below the cap.
     """
+
+    __slots__ = ("dims", "max_degree", "_columns", "_invariants", "_packed")
 
     def __init__(self, dims, boundaries):
         self.dims = tuple(dims)
@@ -301,7 +357,7 @@ class ChainComplex:
         self._columns = {n: self._sparse(n, boundaries.get(n, repeat({}, self.dims[n])))
                          for n in range(1, self.max_degree + 1)}
         self._invariants: dict[int, tuple[int, dict[int, int]]] = {0: (0, {})}
-        self._profile = None
+        self._packed = {}
         self.validate()
 
     def _sparse(self, n: int, boundary) -> tuple[dict[int, int], ...]:
@@ -349,50 +405,89 @@ class ChainComplex:
             self._invariants[n] = _block_invariants(self.columns(n))
         return self._invariants[n]
 
-    def profile(self) -> tuple[tuple[int, ...], tuple[int, ...],
-                               tuple[tuple[int, dict[int, int]], ...]]:
-        """(dims, boundary ranks, ((n, {factor: multiplicity}), ...)) with
-        only the degrees n whose boundary has torsion: all that a
-        ``DirectSum`` adds up.  Built once from ``boundary_invariants``,
-        whose counts it shares, and kept while the complex lives."""
-        if self._profile is None:
-            invariants = [self.boundary_invariants(n) for n in range(self.max_degree + 1)]
-            self._profile = (self.dims, tuple(rank for rank, _ in invariants),
-                             tuple((n, factors) for n, (_, factors) in enumerate(invariants)
-                                   if factors))
-        return self._profile
+    def profile(self, width: int) -> tuple[int, int, tuple[tuple[int, int], ...]]:
+        """(dims, boundary ranks, ((torsion order e, counts of Z/e), ...)) as
+        series of ``width``-byte slots, slot n for degree n: all that a
+        ``DirectSum`` multiplies its series by.  Built from
+        ``boundary_invariants`` and kept per width while the complex lives."""
+        packed = self._packed.get(width)
+        if packed is None:
+            bits, ranks, orders = 8 * width, [], {}
+            for n in range(self.max_degree + 1):
+                rank, factors = self.boundary_invariants(n)
+                ranks.append(rank)
+                for e, k in factors.items():
+                    orders[e] = orders.get(e, 0) + (k << bits * n)
+            packed = self._packed[width] = (_pack(self.dims, width), _pack(ranks, width),
+                                            tuple(orders.items()))
+        return packed
 
 
 class DirectSum:
     """Direct sum of translated chain complexes, truncated at ``max_degree``.
 
-    ``summands`` maps (complex, base degree) to a multiplicity; each complex
-    is complete (zero above its own ``max_degree``) and has its degree 0 in
-    the base degree.  Dims, boundary ranks and torsion {order: multiplicity}
-    are summed here from one memoised ``profile`` per shape, cut at
-    ``max_degree``, with plain list and dict arithmetic, and each degree's
-    torsion merged into one divisibility chain: a summand repeated m times,
-    or in many sums, is reduced once while it lives, and the oracle's live
-    for the process.
+    Each complex is complete (zero above its own ``max_degree``) and has
+    its degree 0 in its base degree.  The sum is kept as {complex: series}:
+    one int per shape whose slot b, ``width`` bytes wide, holds its
+    multiplicity in base degree b, slots above ``max_degree`` cut off.
+    Dims, boundary ranks and each torsion order's counts are each one sum
+    of products, series times the shape's ``profile`` at that width, read
+    out once, and each degree's torsion merged into one divisibility chain:
+    a shape repeated m times, at any bases, or in many sums, is reduced
+    once while it lives, and the oracle's live for the process.  The width
+    must bound every slot of those sums: the constructor takes the sum of
+    m times the cells of each complex, ``from_series`` the caller's bound.
     """
 
     def __init__(self, summands, max_degree: int):
-        self.summands, self.max_degree = dict(summands), max_degree
+        """The sum of {(complex, base degree): multiplicity}, all >= 0."""
+        summands = dict(summands)
+        if any(base < 0 or m < 0 for (_, base), m in summands.items()):
+            raise ValueError("base degrees and multiplicities must be >= 0")
+        kept = [(c, base, m) for (c, base), m in summands.items() if m and base <= max_degree]
+        width = _slot_width(sum(m * sum(c.dims) for c, _, m in kept))
+        series, bits = {}, 8 * width
+        for c, base, m in kept:
+            series[c] = series.get(c, 0) + (m << bits * base)
+        self._add_up(series, width, max_degree)
+
+    @classmethod
+    def from_series(cls, series, width: int, max_degree: int) -> "DirectSum":
+        """The sum of {complex: series} of ``width``-byte slots, each series
+        cut at ``max_degree``; no slot of any sum of products may overflow."""
+        self = cls.__new__(cls)
+        self._add_up(series, width, max_degree)
+        return self
+
+    def _add_up(self, series, width: int, max_degree: int) -> None:
+        self._series, self._width, self.max_degree = series, width, max_degree
         top = max_degree + 1
-        dims, ranks, torsion = [0] * top, [0] * top, [{} for _ in range(top)]
-        for (c, base), m in self.summands.items():
-            shape_dims, shape_ranks, shape_torsion = c.profile()
-            for n, dim, rank in zip(range(base, top), shape_dims, shape_ranks):
-                dims[n] += m * dim
-                ranks[n] += m * rank
-            for n, factors in shape_torsion:  # ascending n
-                if base + n >= top:
-                    break
-                counts = torsion[base + n]
-                for e, k in factors.items():
-                    counts[e] = counts.get(e, 0) + m * k
-        self.dims = tuple(dims)
-        self._invariants = [(r, _divisibility_chain(t)) for r, t in zip(ranks, torsion)]
+        dims = ranks = 0
+        orders = {}
+        for c, s in series.items():
+            shape_dims, shape_ranks, shape_orders = c.profile(width)
+            dims += s * shape_dims
+            ranks += s * shape_ranks
+            for e, t in shape_orders:
+                orders[e] = orders.get(e, 0) + s * t
+        torsion, bits = [{} for _ in range(top)], 8 * width
+        for e, t in orders.items():  # read from the lowest slot in use to the highest below top
+            low, high = ((t & -t).bit_length() - 1) // bits, min(top, -(-t.bit_length() // bits))
+            counts = _unpack(t >> bits * low, width, max(high - low, 0))
+            for n, k in zip(compress(range(low, high), counts), filter(None, counts)):
+                torsion[n][e] = k
+        self.dims = tuple(_unpack(dims, width, top))
+        self._invariants = [(r, _divisibility_chain(t))
+                            for r, t in zip(_unpack(ranks, width, top), torsion)]
+
+    @property
+    def summands(self):
+        """{(complex, base degree): multiplicity}, a read-only view unpacked
+        from every slot of the series."""
+        width = self._width
+        return MappingProxyType({
+            (c, base): m for c, s in self._series.items()
+            for base, m in enumerate(_unpack(s, width, -(-s.bit_length() // (8 * width)))) if m})
 
     dim = ChainComplex.dim
 

@@ -5,7 +5,8 @@ factors, and twists that share a prime, are where the Tor terms and the
 multi-row blocks of the oracle come in.  The summand oracle, a direct sum
 of translated shapes, gives the same ranks and homology as the whole
 tensor product, and its listed homology is its counted homology.  Summed
-from one profile per shape, it matches the per-summand, per-degree loop."""
+as one series per shape, it matches the per-summand, per-degree loop, at
+the edges of every slot width too."""
 
 import time
 from collections import Counter
@@ -20,7 +21,7 @@ from periodindex import snf
 from periodindex.complexes import (ComplexKind, ElementaryComplex, _cone, _direct_sum, _point,
                                    closed_form_homology, primary_model_chain_complex)
 from periodindex.graded import GradedAbelianGroup, kunneth
-from periodindex.snf import DirectSum, homology_counts, homology_of_complex
+from periodindex.snf import ChainComplex, DirectSum, homology_counts, homology_of_complex
 from direct_sum_reference import summed_invariants
 from tensor_reference import per_kind_realization, tensor_chain_complex
 
@@ -173,8 +174,8 @@ def test_an_interrupted_build_leaves_the_table_sound(monkeypatch, target):
     assert counts(primary_model_chain_complex(3, 2, 40), 40) == after
 
 
-# A direct sum adds up one memoised profile per shape; the per-summand,
-# per-degree loop of tests/direct_sum_reference.py must give the same dims,
+# A direct sum adds up one series per shape times its memoised profile; the
+# per-summand, per-degree loop of tests/direct_sum_reference.py must give the same dims,
 # ranks and torsion chains in every degree.
 
 def cone_tower(twists):
@@ -226,3 +227,46 @@ def test_a_rebuilt_or_smaller_model_reduces_nothing(monkeypatch):
     primary_model_chain_complex(3, 1, 40)
     primary_model_chain_complex(3, 1, 25)
     assert calls == []
+
+
+# Series slots are 1, 2, 4 or 8 bytes wide, or 8k bytes from 2^64 on, as the
+# sum's bound asks: multiplicities on either side of each width's edge, and
+# shapes whose torsion lies wholly above the cap, must sum as the per-degree
+# loop does, and the summands must read back as given, cut at the cap.  A
+# fold keeps no base above its own cap.
+
+EDGES = (2 ** 8 - 1, 2 ** 16 - 1, 2 ** 32 - 1, 2 ** 64 - 1, 2 ** 70)
+
+
+def lone_edge(k, h):
+    """Z in degrees k and k + 1 with d = h: torsion in degree k + 1 alone."""
+    return ChainComplex([0] * k + [1, 1], {k + 1: [{0: h}]})
+
+
+def invariants_of(summed):
+    return [(rank, list(factors.items())) for rank, factors in
+            map(summed.boundary_invariants, range(summed.max_degree + 1))]
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.integers(0, 12).flatmap(lambda cap: st.tuples(
+           st.dictionaries(
+               st.tuples(shapes | st.builds(lone_edge, st.integers(0, 3), st.integers(1, 6)),
+                         st.integers(0, cap + 2)),
+               st.sampled_from((0, 1, *EDGES, *(e + 1 for e in EDGES))),
+               min_size=1, max_size=6),
+           st.just(cap))),
+       st.lists(elementary(), min_size=1, max_size=3), st.integers(0, 16))
+@example(({(_point(), 2): 2 ** 8 - 1}, 2), [ElementaryComplex(ComplexKind.PE_SECOND, 1, 2)], 6)
+@example(({(_point(), 2): 2 ** 64 - 1}, 2), [ElementaryComplex(ComplexKind.EP_SECOND, 1, 3)], 9)
+@example(({(lone_edge(1, 2), 3): 2 ** 70}, 3), [ElementaryComplex(ComplexKind.EXTERIOR_FIRST, 1)], 0)
+def test_packed_slots_match_the_per_degree_loop(sums, factors, fold_cap):
+    summands, cap = sums
+    summed = DirectSum(summands, cap)
+    assert dict(summed.summands) == {key: m for key, m in summands.items() if m and key[1] <= cap}
+    folded = _direct_sum(factors, fold_cap)
+    assert max(base for _, base in folded.summands) <= fold_cap + 1
+    for c, parts in ((summed, summands), (folded, folded.summands)):
+        dims, invariants = summed_invariants(parts, c.max_degree)
+        assert c.dims == dims
+        assert invariants_of(c) == [(rank, list(factors.items())) for rank, factors in invariants]

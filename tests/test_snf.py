@@ -282,6 +282,17 @@ class TestHomology:
         assert summed.boundary_invariants(2) == (7, {3: 7})
         assert homology_of_complex(summed, 1) == (0, [3] * 7)
 
+    def test_direct_sum_refuses_negative_bases_and_multiplicities(self):
+        # a series holds no negative slot; the summands read back as given
+        two = ChainComplex([1, 1], {1: [{0: 2}]})
+        for summands in ({(two, -1): 1}, {(two, 0): -1}):
+            with pytest.raises(ValueError, match=r"^base degrees and multiplicities must be >= 0$"):
+                DirectSum(summands, 3)
+        summed = DirectSum({(two, 0): 0, (two, 2): 5, (two, 4): 1}, 3)
+        assert summed.summands == {(two, 2): 5}
+        with pytest.raises(TypeError):
+            summed.summands[two, 0] = 1
+
     def test_negative_degree_is_named(self):
         # refused for the degree, not blamed on the truncation cap
         summed = DirectSum({(ChainComplex([1, 1], {1: [{0: 2}]}), 0): 3}, 4)
