@@ -214,22 +214,15 @@ def _divisibility_chain(counts) -> dict[int, int]:
     >>> _divisibility_chain({2: 1, 3: 1, 4: 1, 1: 1})
     {2: 1, 12: 1}
 
-    Counts that hold one order or none are a chain already, and so are two
-    orders of which the smaller divides the larger:
+    Counts that hold one order or none are a chain already:
 
     >>> _divisibility_chain({}), _divisibility_chain({4: 3})
     ({}, {4: 3})
     >>> _divisibility_chain({1: 5}), _divisibility_chain({6: 0})
     ({}, {})
-    >>> _divisibility_chain({10: 1, 5: 2}), _divisibility_chain({1: 1, 5: 2})
-    ({5: 2, 10: 1}, {5: 2})
     """
     if len(counts) < 2:  # a chain already: one order or none
         return {e: m for e, m in counts.items() if m and e > 1}
-    if len(counts) == 2:
-        (a, m), (b, k) = sorted(counts.items())
-        if m and k and a > 1 and b % a == 0:
-            return {a: m, b: k}
     own = False  # the caller's counts are copied before the first merge, if any
     while True:
         orders = sorted(e for e, m in counts.items() if m and e > 1)
@@ -289,8 +282,8 @@ def _block_invariants(columns) -> tuple[int, dict[int, int]]:
     return rank, _divisibility_chain(factors)
 
 
-# machine formats of the slot widths read and written in one call: native
-# order must be the little-endian order of the packed ints
+# machine formats of the slot widths read in one cast: native order must be
+# the little-endian order of the packed ints
 _SLOT_FORMATS = {array(c).itemsize: c for c in "BHIQ"} if sys.byteorder == "little" else {}
 
 
@@ -303,10 +296,7 @@ def _slot_width(bound: int) -> int:
 
 def _pack(values, width: int) -> int:
     """The series with ``values`` in its slots 0, 1, ..., ``width`` bytes
-    each: one int, slot n at bits 8 * width * n and up.  Widths of 1, 2, 4
-    and 8 bytes are written in one call, wider slots one at a time."""
-    if width in _SLOT_FORMATS:
-        return int.from_bytes(array(_SLOT_FORMATS[width], values).tobytes(), "little")
+    each: one int, slot n at bits 8 * width * n and up."""
     return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
 
 
@@ -435,8 +425,9 @@ class DirectSum:
     out once, and each degree's torsion merged into one divisibility chain:
     a shape repeated m times, at any bases, or in many sums, is reduced
     once while it lives, and the oracle's live for the process.  The width
-    must bound every slot of those sums: the constructor takes the sum of
-    m times the cells of each complex, ``from_series`` the caller's bound.
+    must bound every slot of the series and of those sums: the constructor
+    takes the sum of m times the cells of each complex (one at least, for a
+    complex with no cells), ``from_series`` the caller's bound.
     """
 
     def __init__(self, summands, max_degree: int):
@@ -445,7 +436,7 @@ class DirectSum:
         if any(base < 0 or m < 0 for (_, base), m in summands.items()):
             raise ValueError("base degrees and multiplicities must be >= 0")
         kept = [(c, base, m) for (c, base), m in summands.items() if m and base <= max_degree]
-        width = _slot_width(sum(m * sum(c.dims) for c, _, m in kept))
+        width = _slot_width(sum(m * max(1, sum(c.dims)) for c, _, m in kept))
         series, bits = {}, 8 * width
         for c, base, m in kept:
             series[c] = series.get(c, 0) + (m << bits * base)

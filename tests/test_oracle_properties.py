@@ -260,6 +260,8 @@ def invariants_of(summed):
 @example(({(_point(), 2): 2 ** 8 - 1}, 2), [ElementaryComplex(ComplexKind.PE_SECOND, 1, 2)], 6)
 @example(({(_point(), 2): 2 ** 64 - 1}, 2), [ElementaryComplex(ComplexKind.EP_SECOND, 1, 3)], 9)
 @example(({(lone_edge(1, 2), 3): 2 ** 70}, 3), [ElementaryComplex(ComplexKind.EXTERIOR_FIRST, 1)], 0)
+@example(({(ChainComplex([0], {}), 0): 2 ** 8, (lone_edge(0, 2), 1): 1}, 2),
+         [ElementaryComplex(ComplexKind.EXTERIOR_FIRST, 1)], 0)
 def test_packed_slots_match_the_per_degree_loop(sums, factors, fold_cap):
     summands, cap = sums
     summed = DirectSum(summands, cap)

@@ -292,6 +292,11 @@ class TestHomology:
         assert summed.summands == {(two, 2): 5}
         with pytest.raises(TypeError):
             summed.summands[two, 0] = 1
+        # a complex with no cells still needs its multiplicity's slot width
+        empty = ChainComplex([0], {})
+        summed = DirectSum({(empty, 0): 256, (two, 0): 1}, 1)
+        assert summed.summands == {(empty, 0): 256, (two, 0): 1}
+        assert summed.dims == (1, 1)
 
     def test_negative_degree_is_named(self):
         # refused for the degree, not blamed on the truncation cap
