@@ -314,6 +314,22 @@ def _fold_order(factors) -> list[ElementaryComplex]:
     return sorted(factors, key=lambda f: -f.q)
 
 
+def _largest_dim(parts, top: int) -> int:
+    """The largest coefficient, in degrees 0..``top``, of the product of the
+    cell-count polynomials of factors given as their ``_components``: a
+    lone cell in degree j is x^j, an edge x^j + x^(j+1).  The product is
+    packed at the width of the product of the factors' cell counts, which
+    no coefficient fills, so no slot carries."""
+    from .snf import _slot_width, _unpack
+    width = _slot_width(prod(len(p) + sum(h is not None for h, _ in p) for p in parts))
+    bits = 8 * width
+    cut, edge = (1 << bits * (top + 1)) - 1, (1 << bits) + 1
+    cells = 1
+    for components in parts:
+        cells = cells * sum((1 if h is None else edge) << bits * j for h, j in components) & cut
+    return max(_unpack(cells, width, top + 1))
+
+
 def _direct_sum(factors, max_degree: int) -> DirectSum:
     """The tensor product of the elementary ``factors``, in their order and
     truncated at ``max_degree`` + 1, as a sum of translated shapes.
@@ -330,17 +346,25 @@ def _direct_sum(factors, max_degree: int) -> DirectSum:
     multiplicity at base b (``snf.DirectSum``), so the fold works once per
     shape and component: it shifts the series by the component's base,
     masks it to the cap's slots, and for an edge splits it into the slots
-    whose old base was even, for h, and odd, for -h.  The product of the factors' cell counts
-    bounds every multiplicity, dim, rank and torsion count of the sum, so
-    slots of its width never carry.
+    whose old base was even, for h, and odd, for -h, by the mask of even
+    slots (2^bits - 1)(X^(2k) - 1)/(X^2 - 1) at X = 2^bits.
+
+    The product of the factors' cell-count polynomials, x^j for each cell in
+    degree j, has the sum's dims as its coefficients up to the cap.  Every
+    factor has a cell in degree 0, so the product of any of them is at most
+    that one, coefficient by coefficient, and its largest coefficient up to
+    the cap bounds every multiplicity of the fold and every dim, rank and
+    torsion count of the sum (``_largest_dim``): slots of its width never
+    carry.
     """
-    from .snf import DirectSum, _pack, _slot_width
+    from .snf import DirectSum, _slot_width
     top = max_degree + 1
     parts = [_components(f, top) for f in factors]
-    width = _slot_width(prod(sum(1 if h is None else 2 for h, _ in p) for p in parts))
+    width = _slot_width(_largest_dim(parts, top))
     bits = 8 * width
     cut = (1 << bits * (top + 1)) - 1  # slots 0..top
-    evens = _pack([(1 << bits) - 1, 0] * (top // 2 + 1), width) & cut
+    k = top // 2 + 1  # even slots 0, 2, .., 2k - 2 <= top, all ones
+    evens = ((1 << bits) - 1) * ((1 << 2 * bits * k) - 1) // ((1 << 2 * bits) - 1)
     series = {_point(): 1}
     for components in parts:
         folded = {}
@@ -352,12 +376,13 @@ def _direct_sum(factors, max_degree: int) -> DirectSum:
                 if h is None:
                     folded[a] = folded.get(a, 0) + moved
                     continue
-                even = moved & evens  # bases i + j: even where i is iff j is even
                 g = -h if j % 2 else h  # the twist where i + j is even
-                for twist, part in ((g, even), (-g, moved ^ even)):
-                    if part:
-                        shape = _cone(a, twist)
-                        folded[shape] = folded.get(shape, 0) + part
+                if even := moved & evens:  # bases i + j: even where i is iff j is even
+                    shape = _cone(a, g)
+                    folded[shape] = folded.get(shape, 0) + even
+                if odd := moved ^ even:
+                    shape = _cone(a, -g)
+                    folded[shape] = folded.get(shape, 0) + odd
         series = folded
     return DirectSum.from_series(series, width, top)
 

@@ -19,7 +19,14 @@ dims, boundary ranks and torsion counts packed the same way
 (``ChainComplex.profile``), a series gives all of that shape's terms in
 one product, and each shape is reduced once however often it repeats, in
 one sum or many: the sum needs only that homology commutes with direct
-sums and translation.
+sums and translation.  The oracle's models sum in slots as wide as their
+largest dim needs, the largest coefficient up to the cap of the product
+of the factors' cell-count polynomials, which bounds every count in the
+sum.  Each torsion order is
+read out once, in ascending order, so a degree whose orders each divide
+the next is a divisibility chain as read, and the homology of every degree
+below the cap is one table, built with the sum, that ``homology_counts``
+reads.
 Swapping in a faster SNF would only touch ``smith_normal_form``.
 
 This module imports nothing else from the package: the oracle knows no
@@ -31,8 +38,9 @@ from __future__ import annotations
 import sys
 from array import array
 from collections import Counter, defaultdict, namedtuple
-from itertools import chain, compress, repeat, takewhile
+from itertools import chain, repeat, takewhile
 from math import gcd, lcm
+from operator import mod
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -206,13 +214,17 @@ def _divisibility_chain(counts) -> dict[int, int]:
     """Invariant factors > 1 of the sum of m copies of Z/e over the
     {e: m} ``counts``, as {factor: multiplicity}, ascending.
 
-    Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b): neighbouring orders that do not
+    Orders that each divide the next, in the order given, are an ascending
+    chain already, which one pass checks.  Otherwise, as Z/a + Z/b =
+    Z/gcd(a, b) + Z/lcm(a, b), neighbouring orders, sorted, that do not
     divide one another are replaced by their gcd and lcm until the distinct
-    orders form a chain.  Each step spreads a pair apart at a fixed product,
-    so the loop ends.
+    orders form a chain.  Each step spreads a pair apart at a fixed
+    product, so the loop ends.
 
     >>> _divisibility_chain({2: 1, 3: 1, 4: 1, 1: 1})
     {2: 1, 12: 1}
+    >>> _divisibility_chain({4: 1, 2: 3})   # a chain, but not in this order
+    {2: 3, 4: 1}
 
     Counts that hold one order or none are a chain already:
 
@@ -221,9 +233,10 @@ def _divisibility_chain(counts) -> dict[int, int]:
     >>> _divisibility_chain({1: 5}), _divisibility_chain({6: 0})
     ({}, {})
     """
-    if len(counts) < 2:  # a chain already: one order or none
-        return {e: m for e, m in counts.items() if m and e > 1}
-    own = False  # the caller's counts are copied before the first merge, if any
+    kept = {e: m for e, m in counts.items() if m and e > 1}
+    if len(kept) < 2 or not any(map(mod, list(kept)[1:], kept)):  # each order divides the next
+        return kept
+    counts = Counter(kept)
     while True:
         orders = sorted(e for e, m in counts.items() if m and e > 1)
         pair = next(((a, b) for a, b in zip(orders, orders[1:]) if b % a), None)
@@ -231,8 +244,6 @@ def _divisibility_chain(counts) -> dict[int, int]:
             return {e: counts[e] for e in orders}
         a, b = pair
         t = min(counts[a], counts[b])
-        if not own:
-            counts, own = Counter(counts), True
         counts.update({a: -t, b: -t, gcd(a, b): t, lcm(a, b): t})
 
 
@@ -422,12 +433,17 @@ class DirectSum:
     multiplicity in base degree b, slots above ``max_degree`` cut off.
     Dims, boundary ranks and each torsion order's counts are each one sum
     of products, series times the shape's ``profile`` at that width, read
-    out once, and each degree's torsion merged into one divisibility chain:
-    a shape repeated m times, at any bases, or in many sums, is reduced
-    once while it lives, and the oracle's live for the process.  The width
-    must bound every slot of the series and of those sums: the constructor
-    takes the sum of m times the cells of each complex (one at least, for a
-    complex with no cells), ``from_series`` the caller's bound.
+    out once, the orders ascending, and each degree's torsion merged into
+    one divisibility chain: a shape repeated m times, at any bases, or in
+    many sums, is reduced once while it lives, and the oracle's live for
+    the process.  The homology of each degree below ``max_degree``, (dim
+    less both boundary ranks, torsion of the next boundary), is tabled
+    from the unpacked counts as the sum is built.  The width must bound
+    every slot, up to ``max_degree``, of the series and of those sums; a
+    product's slots above that may carry, upwards only.  The constructor
+    takes the sum of m times the cells of each complex (one at least, for
+    a complex with no cells), ``from_series`` the caller's bound, which
+    for the oracle's fold is its largest dim.
     """
 
     def __init__(self, summands, max_degree: int):
@@ -445,7 +461,8 @@ class DirectSum:
     @classmethod
     def from_series(cls, series, width: int, max_degree: int) -> "DirectSum":
         """The sum of {complex: series} of ``width``-byte slots, each series
-        cut at ``max_degree``; no slot of any sum of products may overflow."""
+        cut at ``max_degree``; no slot up to ``max_degree`` of any sum of
+        products may overflow."""
         self = cls.__new__(cls)
         self._add_up(series, width, max_degree)
         return self
@@ -462,14 +479,18 @@ class DirectSum:
             for e, t in shape_orders:
                 orders[e] = orders.get(e, 0) + s * t
         torsion, bits = [{} for _ in range(top)], 8 * width
-        for e, t in orders.items():  # read from the lowest slot in use to the highest below top
-            low, high = ((t & -t).bit_length() - 1) // bits, min(top, -(-t.bit_length() // bits))
-            counts = _unpack(t >> bits * low, width, max(high - low, 0))
-            for n, k in zip(compress(range(low, high), counts), filter(None, counts)):
-                torsion[n][e] = k
-        self.dims = tuple(_unpack(dims, width, top))
-        self._invariants = [(r, _divisibility_chain(t))
-                            for r, t in zip(_unpack(ranks, width, top), torsion)]
+        slot, cut = (1 << bits) - 1, (1 << bits * top) - 1
+        for e in sorted(orders):  # ascending, so each degree's counts are too
+            t = orders[e] & cut
+            while t:  # the slots in use below top, lowest first
+                n = ((t & -t).bit_length() - 1) // bits
+                torsion[n][e] = t >> bits * n & slot
+                t &= ~(slot << bits * n)
+        self.dims = dims = tuple(_unpack(dims, width, top))
+        ranks = _unpack(ranks, width, top)
+        self._invariants = invariants = list(zip(ranks, map(_divisibility_chain, torsion)))
+        self._homology = [(dim - out - into, counts) for dim, out, (into, counts)
+                          in zip(dims, ranks, invariants[1:])]
 
     @property
     def summands(self):
@@ -493,9 +514,10 @@ def homology_counts(c: ChainComplex | DirectSum, n: int) -> tuple[int, dict[int,
 
     H_n = Z^(dim C_n - rk d_n - rk d_(n+1)) + the sum of Z/e over the
     invariant factors e > 1 of d_(n+1), both boundaries reduced block by
-    block (``boundary_invariants``); the counts are the memoised ones, so
-    read them, do not mutate.  Raises for n < 0, and for n == max_degree,
-    where the incoming boundary is unknown under truncation.
+    block (``boundary_invariants``); a ``DirectSum`` reads its table of
+    them.  The counts are the memoised ones, so read them, do not mutate.
+    Raises for n < 0, and for n >= max_degree, where the incoming boundary
+    is unknown under truncation.
     """
     if n < 0:
         raise ValueError(f"no homology in negative degree {n}")
@@ -503,6 +525,8 @@ def homology_counts(c: ChainComplex | DirectSum, n: int) -> tuple[int, dict[int,
         raise ValueError(
             f"homology needs the boundary from degree {n + 1}; "
             f"complex is truncated at {c.max_degree}")
+    if isinstance(c, DirectSum):
+        return c._homology[n]
     rank_out, _ = c.boundary_invariants(n)
     rank_in, torsion = c.boundary_invariants(n + 1)
     return c.dim(n) - rank_out - rank_in, torsion

@@ -272,3 +272,47 @@ def test_packed_slots_match_the_per_degree_loop(sums, factors, fold_cap):
         dims, invariants = summed_invariants(parts, c.max_degree)
         assert c.dims == dims
         assert invariants_of(c) == [(rank, list(factors.items())) for rank, factors in invariants]
+
+
+# A fold's slots are as wide as its largest dim needs, no wider: the
+# cell-count polynomial it is read from runs through slot top = cap + 1,
+# where four EP factors put 286 cells (every lower slot holds at most 220).
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.lists(elementary(), min_size=1, max_size=4), st.integers(0, 22))
+@example([ElementaryComplex(ComplexKind.EP_SECOND, 1, 3)] * 4, 9)
+def test_a_fold_takes_the_slot_width_of_its_largest_dim(factors, cap):
+    folded = _direct_sum(factors, cap)
+    assert folded._width == snf._slot_width(max(folded.dims))
+    dims, invariants = summed_invariants(folded.summands, folded.max_degree)
+    assert folded.dims == dims
+    assert invariants_of(folded) == [(rank, list(torsion.items())) for rank, torsion in invariants]
+
+
+# A sum's homology is one table built with it: in every degree below the cap
+# the free rank is the dim less both boundary ranks and the torsion is that
+# of the next boundary, and degrees outside it are refused as for a complex.
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.integers(0, 12).flatmap(lambda cap: st.tuples(
+           st.dictionaries(
+               st.tuples(shapes | st.builds(lone_edge, st.integers(0, 3), st.integers(1, 6)),
+                         st.integers(0, cap + 2)),
+               st.sampled_from((0, 1, 2 ** 8, 2 ** 64)), min_size=1, max_size=6),
+           st.just(cap))),
+       st.lists(elementary(), min_size=1, max_size=3), st.integers(0, 16))
+def test_homology_counts_read_the_table_of_the_sum(sums, factors, fold_cap):
+    summands, cap = sums
+    for c in (DirectSum(summands, cap), _direct_sum(factors, fold_cap)):
+        top = c.max_degree
+        dims, invariants = summed_invariants(c.summands, top)
+        for n in range(top):
+            (out, _), (into, torsion) = invariants[n], invariants[n + 1]
+            free, counts = homology_counts(c, n)
+            assert (free, list(counts.items())) == (dims[n] - out - into, list(torsion.items()))
+        with pytest.raises(ValueError, match=r"^no homology in negative degree -1$"):
+            homology_counts(c, -1)
+        for n in (top, top + 1):
+            with pytest.raises(ValueError, match=rf"^homology needs the boundary from degree "
+                                                 rf"{n + 1}; complex is truncated at {top}$"):
+                homology_counts(c, n)
