@@ -22,11 +22,10 @@ one sum or many: the sum needs only that homology commutes with direct
 sums and translation.  The oracle's models sum in slots as wide as their
 largest dim needs, the largest coefficient up to the cap of the product
 of the factors' cell-count polynomials, which bounds every count in the
-sum.  Each torsion order is
-read out once, in ascending order, so a degree whose orders each divide
-the next is a divisibility chain as read, and the homology of every degree
-below the cap is one table, built with the sum, that ``homology_counts``
-reads.
+sum.  Each torsion order is read out once, in ascending order, so a
+degree whose orders each divide the next is a divisibility chain as read,
+and the homology of every degree below the cap is one table, built with
+the sum, that ``homology_counts`` reads.
 Swapping in a faster SNF would only touch ``smith_normal_form``.
 
 This module imports nothing else from the package: the oracle knows no
@@ -212,7 +211,7 @@ def smith_normal_form(m: IntegerMatrix, with_transforms: bool = False) -> SmithN
 
 def _divisibility_chain(counts) -> dict[int, int]:
     """Invariant factors > 1 of the sum of m copies of Z/e over the
-    {e: m} ``counts``, as {factor: multiplicity}, ascending.
+    {e: m} ``counts``, e >= 1, as {factor: multiplicity}, ascending.
 
     Orders that each divide the next, in the order given, are an ascending
     chain already, which one pass checks.  Otherwise, as Z/a + Z/b =
@@ -233,10 +232,11 @@ def _divisibility_chain(counts) -> dict[int, int]:
     >>> _divisibility_chain({1: 5}), _divisibility_chain({6: 0})
     ({}, {})
     """
-    kept = {e: m for e, m in counts.items() if m and e > 1}
-    if len(kept) < 2 or not any(map(mod, list(kept)[1:], kept)):  # each order divides the next
-        return kept
-    counts = Counter(kept)
+    if 1 in counts or 0 in counts.values():
+        counts = {e: m for e, m in counts.items() if m and e > 1}
+    if len(counts) < 2 or not any(map(mod, list(counts)[1:], counts)):  # each divides the next
+        return dict(counts)
+    counts = Counter(counts)
     while True:
         orders = sorted(e for e, m in counts.items() if m and e > 1)
         pair = next(((a, b) for a, b in zip(orders, orders[1:]) if b % a), None)
@@ -307,8 +307,10 @@ def _slot_width(bound: int) -> int:
 
 def _pack(values, width: int) -> int:
     """The series with ``values`` in its slots 0, 1, ..., ``width`` bytes
-    each: one int, slot n at bits 8 * width * n and up."""
-    return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
+    each: one int, slot n at bits 8 * width * n and up.  A value too wide
+    for its slot carries into the slots above it, never below."""
+    bits = 8 * width
+    return sum(v << bits * n for n, v in enumerate(values))
 
 
 def _unpack(series: int, width: int, count: int) -> list[int]:
@@ -439,8 +441,9 @@ class DirectSum:
     the process.  The homology of each degree below ``max_degree``, (dim
     less both boundary ranks, torsion of the next boundary), is tabled
     from the unpacked counts as the sum is built.  The width must bound
-    every slot, up to ``max_degree``, of the series and of those sums; a
-    product's slots above that may carry, upwards only.  The constructor
+    every slot, up to ``max_degree``, of the series and of those sums;
+    above it the slots of a shape's profile and of the products may carry,
+    upwards only, past every slot read.  The constructor
     takes the sum of m times the cells of each complex (one at least, for
     a complex with no cells), ``from_series`` the caller's bound, which
     for the oracle's fold is its largest dim.

@@ -289,6 +289,17 @@ def test_a_fold_takes_the_slot_width_of_its_largest_dim(factors, cap):
     assert invariants_of(folded) == [(rank, list(torsion.items())) for rank, torsion in invariants]
 
 
+def test_a_shape_past_the_cap_may_overflow_its_slots():
+    # the width bounds a sum up to its cap, not its shapes past it: at base
+    # 2 under cap 2, the 300 cells and Z/2's of this shape's degrees 1 and 2
+    # overflow its 1-byte profile, which carries upwards only
+    wide = ChainComplex([1, 300, 300], {2: [{i: 2} for i in range(300)]})
+    summed = DirectSum.from_series({wide: 1 << 16}, 1, 2)
+    dims, invariants = summed_invariants({(wide, 2): 1}, 2)
+    assert summed.dims == dims == (0, 0, 1)
+    assert invariants_of(summed) == [(rank, list(torsion.items())) for rank, torsion in invariants]
+
+
 # A sum's homology is one table built with it: in every degree below the cap
 # the free rank is the dim less both boundary ranks and the torsion is that
 # of the next boundary, and degrees outside it are refused as for a complex.
