@@ -248,15 +248,17 @@ def invariants_of(summed):
             map(summed.boundary_invariants, range(summed.max_degree + 1))]
 
 
+packed_sums = st.integers(0, 12).flatmap(lambda cap: st.tuples(
+    st.dictionaries(
+        st.tuples(shapes | st.builds(lone_edge, st.integers(0, 3), st.integers(1, 6)),
+                  st.integers(0, cap + 2)),
+        st.sampled_from((0, 1, *EDGES, *(e + 1 for e in EDGES))),
+        min_size=1, max_size=6),
+    st.just(cap)))
+
+
 @settings(max_examples=100, deadline=None, database=None)
-@given(st.integers(0, 12).flatmap(lambda cap: st.tuples(
-           st.dictionaries(
-               st.tuples(shapes | st.builds(lone_edge, st.integers(0, 3), st.integers(1, 6)),
-                         st.integers(0, cap + 2)),
-               st.sampled_from((0, 1, *EDGES, *(e + 1 for e in EDGES))),
-               min_size=1, max_size=6),
-           st.just(cap))),
-       st.lists(elementary(), min_size=1, max_size=3), st.integers(0, 16))
+@given(packed_sums, st.lists(elementary(), min_size=1, max_size=3), st.integers(0, 16))
 @example(({(_point(), 2): 2 ** 8 - 1}, 2), [ElementaryComplex(ComplexKind.PE_SECOND, 1, 2)], 6)
 @example(({(_point(), 2): 2 ** 64 - 1}, 2), [ElementaryComplex(ComplexKind.EP_SECOND, 1, 3)], 9)
 @example(({(lone_edge(1, 2), 3): 2 ** 70}, 3), [ElementaryComplex(ComplexKind.EXTERIOR_FIRST, 1)], 0)
@@ -305,13 +307,7 @@ def test_a_shape_past_the_cap_may_overflow_its_slots():
 # of the next boundary, and degrees outside it are refused as for a complex.
 
 @settings(max_examples=100, deadline=None, database=None)
-@given(st.integers(0, 12).flatmap(lambda cap: st.tuples(
-           st.dictionaries(
-               st.tuples(shapes | st.builds(lone_edge, st.integers(0, 3), st.integers(1, 6)),
-                         st.integers(0, cap + 2)),
-               st.sampled_from((0, 1, 2 ** 8, 2 ** 64)), min_size=1, max_size=6),
-           st.just(cap))),
-       st.lists(elementary(), min_size=1, max_size=3), st.integers(0, 16))
+@given(packed_sums, st.lists(elementary(), min_size=1, max_size=3), st.integers(0, 16))
 def test_homology_counts_read_the_table_of_the_sum(sums, factors, fold_cap):
     summands, cap = sums
     for c in (DirectSum(summands, cap), _direct_sum(factors, fold_cap)):
