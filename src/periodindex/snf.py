@@ -443,10 +443,10 @@ class DirectSum:
     from the unpacked counts as the sum is built.  The width must bound
     every slot, up to ``max_degree``, of the series and of those sums;
     above it the slots of a shape's profile and of the products may carry,
-    upwards only, past every slot read.  The constructor
-    takes the sum of m times the cells of each complex (one at least, for
-    a complex with no cells), ``from_series`` the caller's bound, which
-    for the oracle's fold is its largest dim.
+    upwards only, past every slot read.  The constructor takes the sum of
+    m times the cells of each complex (one at least, for a complex with no
+    cells), ``from_series`` the caller's bound, which for the oracle's
+    fold is its largest dim.
     """
 
     def __init__(self, summands, max_degree: int):
