@@ -20,7 +20,10 @@ by the Kunneth formula over F_p and the universal coefficient theorem.
 The model for composite order is the product of all the prime-power
 models' factors; its closed-form homology is read off one such series per
 prime q and level e, which counts the summands of order divisible by q^e,
-and reports every degree in invariant factors.
+and reports every degree in invariant factors.  Each series is one int of
+fixed-width slots (Kronecker substitution, :mod:`periodindex.packing`),
+multiplied and divided by shifts and masks and unpacked once as counts
+(``_torsion_counts``); the closed forms import ``packing``, never ``snf``.
 
 Closed-form homology here is independently checkable against the
 Smith-normal-form homology in :mod:`periodindex.snf` by one oracle route:
@@ -44,13 +47,14 @@ from __future__ import annotations
 from collections import namedtuple
 from enum import Enum
 from functools import cache
-from itertools import accumulate, compress
+from itertools import compress
 from math import prod
-from operator import add, neg
+from operator import add
 from typing import TYPE_CHECKING
 
 from .bounds import _check_prime_power, _primes_below, factorize
 from .graded import GradedAbelianGroup, _chain
+from .packing import _slot_width, _unpack
 
 if TYPE_CHECKING:  # the oracle route imports snf when it runs; the closed forms never do
     from .snf import ChainComplex, DirectSum
@@ -149,38 +153,60 @@ def primary_model_homology(p: int, r: int, max_degree: int) -> GradedAbelianGrou
     factors = primary_model(p, r, max_degree)
     series = [(2 * f.q + (1 if f.kind is ComplexKind.PE_SECOND else -1), 2 * f.q)
               for f in factors]
-    parts = [(1, ())]
-    for d, t in enumerate(_torsion_counts(series, max_degree)[1:], start=1):
-        if d % 2:
-            pairs = ((p, t),) if t else ()
-        elif (line := factors[0].h * (d // 2)) == p:
-            pairs = ((p, t),)
-        else:  # the leading line is one of the t summands
-            pairs = ((p, t - 1), (line, 1)) if t > 1 else ((line, 1),)
-        parts.append((0, pairs))
+    t, h = _torsion_counts(series, max_degree), factors[0].h
+    parts = [(1, ())] * (max_degree + 1)
+    parts[1::2] = [(0, ((p, c),) if c else ()) for c in t[1::2]]
+    # the leading line is one of the c >= 1 summands; in degree 2 it is the only one
+    parts[2::2] = [(0, ((p, c - 1), (h * k, 1)) if c > 1 else ((h * k, 1),))
+                   for k, c in enumerate(t[2::2], start=1)]
     return GradedAbelianGroup(tuple(parts))
 
 
 def _torsion_counts(series, max_degree: int) -> list[int]:
     """t_0, ..., t_max_degree: the torsion summands per degree of a product
     of factors, each Z in degree 0 plus summands of order divisible by q,
-    given by their mod-q series (1 + x^a) / (1 - x^s) as (a, s) pairs.  Over
-    F_q the Kunneth formula has no Tor term, so the product's series b is
-    their product, and b_d = [d = 0] + t_d + t_(d-1) (universal coefficients)."""
-    b = [1] + [0] * max_degree
+    given by their mod-q series (1 + x^a) / (1 - x^s) as (a, s) pairs, s even
+    and a = s +- 1.  Over F_q the Kunneth formula has no Tor term, so the
+    product's series b is their product, and b_d = [d = 0] + t_d + t_(d-1)
+    (universal coefficients): t = (b - 1) / (1 + x).
+
+    It is read off one packed series (``packing``), cut to slots
+    0..max_degree after every shift.  Times 1 + x^a is one shift-add; over
+    1 - x^s is the product (1 + x^s)(1 + x^2s)(1 + x^4s)... until the step
+    passes the cap.  With b_0 set to 0, over 1 - x^2 the same way gives
+    P_d, the sum of b_j over j <= d with j = d mod 2, and t = P - x P.  That
+    subtraction borrows from no slot, as t_d = P_d - P_(d-1) >= 0: each
+    factor is 1 + (1 + x) x^(s-1) / (1 - x^s) or 1 + (1 + x) x^s / (1 - x^s),
+    so b - 1 is 1 + x times a series with coefficients >= 0.
+
+    The slots are as wide as N, the product over the factors of
+    2(max_degree // s + 1), needs.  Up to the cap a factor's series has at
+    most that many monomials, x^(ks) and x^(a+ks) (a is odd, s even), each
+    with coefficient 1, so N counts the choices of one monomial per factor
+    up to the cap, and bounds the sum of b_j over j <= max_degree.  Every
+    factor is 1 plus terms >= 0, so each partial product, and each step of
+    a doubling, is at most b, coefficient by coefficient; every P_d is a
+    sub-sum of the b_j.  No slot ever exceeds N, so none carries.
+
+    >>> _torsion_counts([(3, 2)], 6)   # P(2) ox E(3) mod q: one summand per even degree
+    [0, 0, 1, 0, 1, 0, 1]
+    """
+    top = max_degree + 1
+    width = _slot_width(prod(2 * (max_degree // s + 1) for _, s in series))
+    bits = 8 * width
+    cut = (1 << bits * top) - 1  # slots 0..max_degree
+    b = 1
     for a, s in series:
-        b[a:] = list(map(add, b[a:], b))  # times 1 + x^a
-        if s * s > max_degree:  # over 1 - x^s: add each block of s to the next
-            for j in range(s, max_degree + 1, s):
-                b[j:j + s] = map(add, b[j:j + s], b[j - s:j])
-        else:  # or a running sum along each residue mod s, whichever takes fewer steps
-            for i in range(s):
-                b[i::s] = accumulate(b[i::s])
-    b[0] = 0  # t_0; then t_d = (-1)^d times the sum of (-1)^j b_j over j <= d
-    b[1::2] = map(neg, b[1::2])
-    t = list(accumulate(b))
-    t[1::2] = map(neg, t[1::2])
-    return t
+        b += b << bits * a & cut
+        while s <= max_degree:
+            b += b << bits * s & cut
+            s *= 2
+    b -= 1
+    s = 2
+    while s <= max_degree:
+        b += b << bits * s & cut
+        s *= 2
+    return _unpack(b - (b << bits & cut), width, top)
 
 
 def model_homology(n: int, max_degree: int) -> GradedAbelianGroup:
@@ -215,12 +241,14 @@ def _model_homology(primes, max_degree: int) -> GradedAbelianGroup:
     # each factor's twist is a power of its own prime: p^r for P ox E, p for E ox P
     model = [(p, r if f.kind is ComplexKind.PE_SECOND else 1, f.kind is ComplexKind.PE_SECOND,
               2 * f.q) for p, r in primes for f in primary_model(p, r, max_degree)]
+    leading = [f for f in model if f[2]]  # all that keeps summands at a q not dividing n
+    own = {p for p, _ in primes}
     levels = [[] for _ in range(max_degree + 1)]
-    for q in {p for p, _ in primes}.union(_primes_below(max_degree // 2 + 1)):
+    for q in own.union(_primes_below(max_degree // 2 + 1)):
         e = 1
         while True:
             series, runs = [], []
-            for p, v, pe, s in model:
+            for p, v, pe, s in model if q in own else leading:
                 v = v if p == q else 0  # v_q(h)
                 if e <= v:  # every summand kept, through level v
                     series.append((s + 1 if pe else s - 1, s))
@@ -320,7 +348,6 @@ def _largest_dim(parts, top: int) -> int:
     lone cell in degree j is x^j, an edge x^j + x^(j+1).  The product is
     packed at the width of the product of the factors' cell counts, which
     no coefficient fills, so no slot carries."""
-    from .snf import _slot_width, _unpack
     width = _slot_width(prod(len(p) + sum(h is not None for h, _ in p) for p in parts))
     bits = 8 * width
     cut, edge = (1 << bits * (top + 1)) - 1, (1 << bits) + 1
@@ -357,7 +384,7 @@ def _direct_sum(factors, max_degree: int) -> DirectSum:
     torsion count of the sum (``_largest_dim``): slots of its width never
     carry.
     """
-    from .snf import DirectSum, _slot_width
+    from .snf import DirectSum
     top = max_degree + 1
     parts = [_components(f, top) for f in factors]
     width = _slot_width(_largest_dim(parts, top))

@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict, namedtuple
 from itertools import accumulate
 from math import gcd, lcm, prod
+from operator import itemgetter
 
 from .bounds import decimal_string, factorize, is_prime, padic_valuation
 
@@ -86,7 +87,7 @@ class GradedAbelianGroup(namedtuple("GradedAbelianGroup", "parts")):
 
     def _part(self, degree: int) -> tuple[int, tuple[tuple[int, int], ...]]:
         if not 0 <= degree <= self.max_degree:
-            raise ValueError(f"degree {degree} is outside the trusted range 0..{self.max_degree}")
+            raise _outside(degree, self.max_degree)
         return self.parts[degree]
 
     def summands(self, degree: int) -> tuple[int, tuple[int, ...]]:
@@ -131,12 +132,24 @@ class GradedAbelianGroup(namedtuple("GradedAbelianGroup", "parts")):
         exceed what consumers with fixed-width numbers parse losslessly.
         """
         names = {t: decimal_string(t) for t in {u for _, pairs in self.parts for u, _ in pairs}}
-        return {str(d): {"free": free, "torsion": _listing(pairs, names.get)}
-                for d, (free, pairs) in enumerate(self.parts)}
+        listed = {}
+        for d, (free, pairs) in enumerate(self.parts):
+            if len(pairs) == 1:  # one order, as most degrees of a model have
+                (t, m), = pairs
+                torsion = [names[t]] * m
+            else:
+                torsion = _listing(pairs, names.get)
+            listed[str(d)] = {"free": free, "torsion": torsion}
+        return listed
 
     def __str__(self):
         lines = [f"H_{d} = {self.describe(d)}" for d in self.nonzero_degrees()]
         return "\n".join(lines) if lines else "0"
+
+
+def _outside(degree: int, max_degree: int) -> ValueError:
+    """The refusal of a degree past either end of a group's range."""
+    return ValueError(f"degree {degree} is outside the trusted range 0..{max_degree}")
 
 
 def _listing(pairs, name) -> list:
@@ -232,7 +245,7 @@ def _chain(levels) -> list[tuple[int, int]]:
     [(6, 1), (12, 1)]
     """
     levels = sorted(levels)
-    factor, chain, start = prod(q for _, q in levels), [], 0
+    factor, chain, start = prod(map(itemgetter(1), levels)), [], 0
     for count, q in levels:
         if count > start:
             chain.append((factor, count - start))
@@ -246,8 +259,11 @@ def exponent(a: GradedAbelianGroup, degree: int) -> tuple[int, int]:
 
     Free rank is reported separately since no finite integer kills a Z summand.
     """
-    free, pairs = a._part(degree)
-    return lcm(*(t for t, _ in pairs)), free
+    parts = a.parts
+    if not 0 <= degree < len(parts):
+        raise _outside(degree, len(parts) - 1)
+    free, pairs = parts[degree]
+    return (pairs[0][0] if len(pairs) == 1 else lcm(*dict(pairs))), free
 
 
 def primary_part(a: GradedAbelianGroup, p: int) -> GradedAbelianGroup:

@@ -28,20 +28,22 @@ and the homology of every degree below the cap is one table, built with
 the sum, that ``homology_counts`` reads.
 Swapping in a faster SNF would only touch ``smith_normal_form``.
 
-This module imports nothing else from the package: the oracle knows no
-closed form, no Tor rule and no Kunneth product.
+From the package this module imports only the leaf
+:mod:`periodindex.packing`, which packs and unpacks series and imports
+nothing itself: the oracle knows no closed form, no Tor rule and no
+Kunneth product.
 """
 
 from __future__ import annotations
 
-import sys
-from array import array
 from collections import Counter, defaultdict, namedtuple
 from itertools import chain, repeat, takewhile
 from math import gcd, lcm
 from operator import mod
 from types import MappingProxyType
 from typing import NamedTuple
+
+from .packing import _pack, _slot_width, _unpack
 
 
 class IntegerMatrix(namedtuple("IntegerMatrix", "rows cols entries")):
@@ -293,45 +295,6 @@ def _block_invariants(columns) -> tuple[int, dict[int, int]]:
     return rank, _divisibility_chain(factors)
 
 
-# machine formats of the slot widths read in one cast: native order must be
-# the little-endian order of the packed ints
-_SLOT_FORMATS = {array(c).itemsize: c for c in "BHIQ"} if sys.byteorder == "little" else {}
-
-
-def _slot_width(bound: int) -> int:
-    """Bytes per slot of series whose slots, and whose products' slots,
-    never exceed ``bound``: 1, 2, 4 or 8, or 8k bytes from 2^64 on."""
-    bits = bound.bit_length()
-    return next((w for w in (1, 2, 4, 8) if bits <= 8 * w), 8 * -(-bits // 64))
-
-
-def _pack(values, width: int) -> int:
-    """The series with ``values`` in its slots 0, 1, ..., ``width`` bytes
-    each: one int, slot n at bits 8 * width * n and up.  A value too wide
-    for its slot carries into the slots above it, never below."""
-    bits = 8 * width
-    return sum(v << bits * n for n, v in enumerate(values))
-
-
-def _unpack(series: int, width: int, count: int) -> list[int]:
-    """Slots 0 .. count - 1 of a series of ``width``-byte slots; higher slots
-    are cut off.  Widths of 1, 2, 4 and 8 bytes are read in one cast, wider
-    slots one at a time.
-
-    >>> _unpack(_pack([5, 0, 255], 1), 1, 3)   # the top slot full
-    [5, 0, 255]
-    >>> _unpack(_pack([1, 2 ** 70], 16), 16, 2) == [1, 2 ** 70]
-    True
-    >>> _unpack(0, 2, 3), _unpack(_pack([1, 2, 3], 4), 4, 2)   # empty; cut
-    ([0, 0, 0], [1, 2])
-    """
-    size = width * count
-    data = (series & ((1 << 8 * size) - 1)).to_bytes(size, "little")
-    if width in _SLOT_FORMATS:
-        return memoryview(data).cast(_SLOT_FORMATS[width]).tolist()
-    return [int.from_bytes(data[i:i + width], "little") for i in range(0, size, width)]
-
-
 class ChainComplex:
     """Based free chain complex over the integers, truncated at ``max_degree``.
 
@@ -539,4 +502,7 @@ def homology_of_complex(c: ChainComplex | DirectSum, n: int) -> tuple[int, list[
     """H_n(c) as (free rank, invariant factors > 1, ascending), each factor
     listed as often as it occurs: ``homology_counts`` listed out."""
     free, torsion = homology_counts(c, n)
-    return free, list(chain.from_iterable(map(repeat, torsion, torsion.values())))
+    listed = []
+    for e, m in torsion.items():
+        listed += [e] * m
+    return free, listed

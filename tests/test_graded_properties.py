@@ -1,7 +1,9 @@
 """Property tests: the multiplicity-form Kunneth product against the
 pairwise list product it replaced, plus its algebraic laws and JSON, the
-closed forms against the per-degree summand lists they replaced, and the
-n-ary fold and the model homologies against the pairwise fold."""
+closed forms against the per-degree summand lists they replaced, the
+n-ary fold and the model homologies against the pairwise fold, the packed
+torsion counts against the list-based ones, and the per-degree reads
+against the bodies they replaced."""
 
 import json
 from functools import reduce
@@ -15,9 +17,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 import kunneth_reference as reference
-from periodindex import graded
-from periodindex.complexes import (ComplexKind, ElementaryComplex, closed_form_homology,
-                                   model_homology, primary_model_homology)
+import torsion_counts_reference
+from periodindex import complexes, graded
+from periodindex.complexes import (ComplexKind, ElementaryComplex, _torsion_counts,
+                                   closed_form_homology, model_homology, primary_model_homology)
 from periodindex.graded import GradedAbelianGroup, exponent, kunneth
 
 
@@ -238,3 +241,50 @@ def test_primary_model_homology_equals_pairwise_reference(p, r, cap):
 def test_invariant_factors_equal_the_tower_reference(g):
     for d in range(g.max_degree + 1):
         assert g.invariant_factors(d) == reference.invariant_factors(g, d)
+
+
+# mod-q series of the model factors: s even, a = s - 1 (E ox P) or s + 1 (P ox E)
+SERIES = st.tuples(st.integers(1, 220), st.sampled_from([-1, 1])).map(
+    lambda k_sign: (2 * k_sign[0] + k_sign[1], 2 * k_sign[0]))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.lists(SERIES, max_size=12), st.integers(0, 400))
+@example([(3, 2)], 0)
+@example([(3, 2), (5, 6)], 1)
+@example([(39, 40)], 39)  # one factor, s past the cap and a at it
+@example([(3, 2)] * 8, 400)  # 402^8 > 2^64: 16-byte slots
+def test_packed_torsion_counts_equal_the_list_reference(series, cap):
+    with mock.patch.object(complexes, "_unpack", wraps=complexes._unpack) as spy:
+        counts = _torsion_counts(series, cap)
+    assert counts == torsion_counts_reference.torsion_counts(series, cap)
+    (packed, width, slots), _ = spy.call_args  # one series, cut to the cap's slots
+    assert slots == cap + 1 and 0 <= packed < 1 << 8 * width * slots
+
+
+def reference_exponent(a, degree):
+    free, pairs = a._part(degree)
+    return lcm(*(t for t, _ in pairs)), free
+
+
+def reference_to_json(a):
+    names = {t: graded.decimal_string(t) for t in {u for _, pairs in a.parts for u, _ in pairs}}
+    return {str(d): {"free": free, "torsion": graded._listing(pairs, names.get)}
+            for d, (free, pairs) in enumerate(a.parts)}
+
+
+@SETTINGS
+@given(groups(orders=LISTED_ORDERS))
+@example(GradedAbelianGroup.from_summands({0: [0], 1: [4, 6], 2: [6, 4, 4]}, 3))  # lcm 12
+@example(GradedAbelianGroup.from_summands({}, 0))
+def test_per_degree_reads_equal_the_bodies_they_replaced(g):
+    assert g.to_json() == reference_to_json(g)
+    for d in range(g.max_degree + 1):
+        assert exponent(g, d) == reference_exponent(g, d)
+    for d in (-1, -5, g.max_degree + 1, g.max_degree + 7):
+        message = f"degree {d} is outside the trusted range 0..{g.max_degree}"
+        with pytest.raises(ValueError) as ours:
+            exponent(g, d)
+        with pytest.raises(ValueError) as theirs:
+            reference_exponent(g, d)
+        assert str(ours.value) == str(theirs.value) == message
