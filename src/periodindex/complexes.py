@@ -177,16 +177,17 @@ def _torsion_counts(series, max_degree: int) -> list[int]:
     P_d, the sum of b_j over j <= d with j = d mod 2, and t = P - x P.  That
     subtraction borrows from no slot, as t_d = P_d - P_(d-1) >= 0: each
     factor is 1 + (1 + x) x^(s-1) / (1 - x^s) or 1 + (1 + x) x^s / (1 - x^s),
-    so b - 1 is 1 + x times a series with coefficients >= 0.
+    so b - 1 is (1 + x) times a series with coefficients >= 0, which is t.
 
-    The slots are as wide as N, the product over the factors of
-    2(max_degree // s + 1), needs.  Up to the cap a factor's series has at
-    most that many monomials, x^(ks) and x^(a+ks) (a is odd, s even), each
-    with coefficient 1, so N counts the choices of one monomial per factor
-    up to the cap, and bounds the sum of b_j over j <= max_degree.  Every
-    factor is 1 plus terms >= 0, so each partial product, and each step of
-    a doubling, is at most b, coefficient by coefficient; every P_d is a
-    sub-sum of the b_j.  No slot ever exceeds N, so none carries.
+    The slots are ``_slot_width(N)`` wide, N the product over the factors of
+    2(max_degree // s + 1).  Up to the cap a factor's series has at most
+    that many monomials, x^(ks) and x^(a+ks) (a is odd, s even), each with
+    coefficient 1, so at most N choices of one monomial per factor lie up to
+    the cap, and N bounds the sum of b_j over j <= max_degree.  Every factor
+    is 1 plus terms >= 0, so each partial product is at most b, coefficient
+    by coefficient, and each step of a doubling at most the quotient it
+    ends at; every P_d is a sub-sum of the b_j.  No slot ever exceeds N, so
+    none carries.
 
     >>> _torsion_counts([(3, 2)], 6)   # P(2) ox E(3) mod q: one summand per even degree
     [0, 0, 1, 0, 1, 0, 1]

@@ -16,11 +16,11 @@ sum in packed series, and neither route learns the other through it.
 from __future__ import annotations
 
 import sys
-from array import array
 
 # machine formats of the slot widths read in one cast: native order must be
 # the little-endian order of the packed ints
-_SLOT_FORMATS = {array(c).itemsize: c for c in "BHIQ"} if sys.byteorder == "little" else {}
+_SLOT_FORMATS = ({memoryview(bytes(8)).cast(c).itemsize: c for c in "BHIQ"}
+                 if sys.byteorder == "little" else {})
 
 
 def _slot_width(bound: int) -> int:
