@@ -12,7 +12,10 @@ order is the exponent.  ``_chain`` builds a chain from level counts: how
 many summands have order divisible by each prime power.  Work follows
 distinct orders: ``kunneth`` folds any number of factors as order-major
 rows, one gcd per pair of distinct orders with coprime pairs skipped, and
-builds only the result; a listing copies one block per order.
+builds only the result; a listing copies one block per order.  The one
+constructor checks every group it builds, in one pass per degree: an
+empty degree costs one test and a one-order degree, as most degrees of a
+model are, is checked as it stands, with no sort.
 
 Every group carries a truncation cap ``max_degree``: content is only
 known up to that degree, and reading past it is an error, not a zero.
@@ -43,17 +46,32 @@ class GradedAbelianGroup(namedtuple("GradedAbelianGroup", "parts")):
     __slots__ = ()
 
     def __new__(cls, parts: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]):
+        """Check and sort ``parts``, (free rank, pairs) per degree with the
+        pairs in any sized collection, in one pass per degree: the rank is
+        checked first, an empty degree becomes (), one pair is checked as it
+        stands, and longer pairs are sorted once and walked once, each order
+        above the one before it (the first above 1), so the orders are
+        distinct and >= 2."""
         if not parts:
             raise ValueError("a graded group needs at least degree 0")
         fixed = []
         for free, pairs in parts:
-            if not pairs and free >= 0:  # an empty or free-only degree: nothing to sort
+            if free < 0:
+                raise _invalid()
+            if not pairs:  # an empty or free-only degree
                 fixed.append((free, ()))
                 continue
-            pairs = tuple(sorted(pairs))
-            if (free < 0 or any(t < 2 or m < 1 for t, m in pairs)
-                    or len({t for t, _ in pairs}) < len(pairs)):
-                raise ValueError("parts need rank >= 0, distinct orders >= 2 and counts >= 1")
+            if len(pairs) == 1:  # most degrees of a model: nothing to sort
+                pairs = pairs if type(pairs) is tuple else tuple(pairs)
+                (t, m), = pairs
+                if t < 2 or m < 1:
+                    raise _invalid()
+            else:
+                pairs, previous = tuple(sorted(pairs)), 1
+                for t, m in pairs:
+                    if t <= previous or m < 1:
+                        raise _invalid()
+                    previous = t
             fixed.append((free, pairs))
         return tuple.__new__(cls, (tuple(fixed),))
 
@@ -145,6 +163,11 @@ class GradedAbelianGroup(namedtuple("GradedAbelianGroup", "parts")):
     def __str__(self):
         lines = [f"H_{d} = {self.describe(d)}" for d in self.nonzero_degrees()]
         return "\n".join(lines) if lines else "0"
+
+
+def _invalid() -> ValueError:
+    """The constructor's refusal of a degree's free rank or pairs."""
+    return ValueError("parts need rank >= 0, distinct orders >= 2 and counts >= 1")
 
 
 def _outside(degree: int, max_degree: int) -> ValueError:

@@ -22,10 +22,12 @@ one sum or many: the sum needs only that homology commutes with direct
 sums and translation.  The oracle's models sum in slots as wide as their
 largest dim needs, the largest coefficient up to the cap of the product
 of the factors' cell-count polynomials, which bounds every count in the
-sum.  Each torsion order is read out once, in ascending order, so a
-degree whose orders each divide the next is a divisibility chain as read,
-and the homology of every degree below the cap is one table, built with
-the sum, that ``homology_counts`` reads.
+sum.  Each torsion order is read out once, in ascending order, and each
+is a block's invariant factor > 1 with a count read from a set slot, so a
+degree whose orders each divide the next, as one order or none do, is a
+divisibility chain as read: only the other degrees are merged.  The
+homology of every degree below the cap is one table, built with the sum,
+that ``homology_counts`` reads.
 Swapping in a faster SNF would only touch ``smith_normal_form``.
 
 From the package this module imports only the leaf
@@ -215,29 +217,20 @@ def _divisibility_chain(counts) -> dict[int, int]:
     """Invariant factors > 1 of the sum of m copies of Z/e over the
     {e: m} ``counts``, e >= 1, as {factor: multiplicity}, ascending.
 
-    Orders that each divide the next, in the order given, are an ascending
-    chain already, which one pass checks.  Otherwise, as Z/a + Z/b =
-    Z/gcd(a, b) + Z/lcm(a, b), neighbouring orders, sorted, that do not
-    divide one another are replaced by their gcd and lcm until the distinct
-    orders form a chain.  Each step spreads a pair apart at a fixed
-    product, so the loop ends.
+    As Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b), neighbouring orders > 1 with
+    a count, sorted, that do not divide one another are replaced by their
+    gcd and lcm until the distinct orders form a chain.  Each step spreads
+    a pair apart at a fixed product, so the loop ends.
 
     >>> _divisibility_chain({2: 1, 3: 1, 4: 1, 1: 1})
     {2: 1, 12: 1}
     >>> _divisibility_chain({4: 1, 2: 3})   # a chain, but not in this order
     {2: 3, 4: 1}
-
-    Counts that hold one order or none are a chain already:
-
     >>> _divisibility_chain({}), _divisibility_chain({4: 3})
     ({}, {4: 3})
     >>> _divisibility_chain({1: 5}), _divisibility_chain({6: 0})
     ({}, {})
     """
-    if 1 in counts or 0 in counts.values():
-        counts = {e: m for e, m in counts.items() if m and e > 1}
-    if len(counts) < 2 or not any(map(mod, list(counts)[1:], counts)):  # each divides the next
-        return dict(counts)
     counts = Counter(counts)
     while True:
         orders = sorted(e for e, m in counts.items() if m and e > 1)
@@ -401,15 +394,19 @@ class DirectSum:
     out once, the orders ascending, and each degree's torsion merged into
     one divisibility chain: a shape repeated m times, at any bases, or in
     many sums, is reduced once while it lives, and the oracle's live for
-    the process.  The homology of each degree below ``max_degree``, (dim
-    less both boundary ranks, torsion of the next boundary), is tabled
-    from the unpacked counts as the sum is built.  The width must bound
-    every slot, up to ``max_degree``, of the series and of those sums;
-    above it the slots of a shape's profile and of the products may carry,
-    upwards only, past every slot read.  The constructor takes the sum of
-    m times the cells of each complex (one at least, for a complex with no
-    cells), ``from_series`` the caller's bound, which for the oracle's
-    fold is its largest dim.
+    the process.  A degree whose orders each divide the next, as one order
+    or none do, is its own chain and is not merged: every order of a
+    profile comes from the chain that ``_block_invariants`` returns, so it
+    is > 1, and each count is read from a slot that holds a set bit, so it
+    is >= 1.  The homology of each degree below ``max_degree``, (dim less
+    both boundary ranks, torsion of the next boundary), is tabled from the
+    unpacked counts as the sum is built.  The width must bound every slot,
+    up to ``max_degree``, of the series and of those sums; above it the
+    slots of a shape's profile and of the products may carry, upwards
+    only, past every slot read.  The constructor takes the sum of m times
+    the cells of each complex (one at least, for a complex with no cells),
+    ``from_series`` the caller's bound, which for the oracle's fold is its
+    largest dim.
     """
 
     def __init__(self, summands, max_degree: int):
@@ -454,7 +451,10 @@ class DirectSum:
                 t &= ~(slot << bits * n)
         self.dims = dims = tuple(_unpack(dims, width, top))
         ranks = _unpack(ranks, width, top)
-        self._invariants = invariants = list(zip(ranks, map(_divisibility_chain, torsion)))
+        # orders that each divide the next are a chain as read (class docstring)
+        self._invariants = invariants = list(zip(ranks, [
+            counts if len(counts) < 2 or not any(map(mod, list(counts)[1:], counts))
+            else _divisibility_chain(counts) for counts in torsion]))
         self._homology = [(dim - out - into, counts) for dim, out, (into, counts)
                           in zip(dims, ranks, invariants[1:])]
 

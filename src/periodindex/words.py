@@ -27,6 +27,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterator, Sequence
 from enum import IntEnum
+from math import log10
 from operator import attrgetter
 
 from .bounds import _check_prime_power, decimal_string, is_prime
@@ -60,7 +61,7 @@ class Symbol(namedtuple("Symbol", "kind prime psi_exponent text ascii_text")):
         elif kind is SymbolKind.PSI:
             if psi_exponent is None or psi_exponent < 1:
                 raise ValueError("psi needs an exponent f >= 1")
-            suffix = "_" + decimal_string(prime ** psi_exponent)
+            suffix = "_" + _power_string(prime, psi_exponent)
         elif psi_exponent is not None:
             raise ValueError("only psi carries an exponent")
         else:
@@ -78,6 +79,24 @@ class Symbol(namedtuple("Symbol", "kind prime psi_exponent text ascii_text")):
         if symbol != fields:
             raise ValueError(f"the text of {symbol[:3]} is {symbol[3:]}, not {fields[3:]}")
         return symbol
+
+
+def _power_string(p: int, f: int) -> str:
+    """``decimal_string(p ** f)``, without forming p ** f once it is past
+    ``decimal_string``'s 4096 bits: ``pow`` is Karatsuba at best, while an
+    exact ``Decimal`` power multiplies in decimal at sub-quadratic cost.  Its
+    precision is above the digit count of p^f, and a rounded or overflowing
+    result raises rather than print wrong digits.
+
+    >>> _power_string(3, 5), len(_power_string(2, 5000))
+    ('243', 1506)
+    """
+    if f * (p.bit_length() - 1) < 4096:  # p^f may lie below 2^4096
+        return decimal_string(p ** f)
+    from decimal import MAX_EMAX, Context, Decimal, Inexact, Overflow, localcontext
+    with localcontext(Context(prec=int(f * log10(p)) + 2, Emax=MAX_EMAX,
+                              traps=[Inexact, Overflow])):
+        return str(Decimal(p) ** f)
 
 
 def sigma() -> Symbol:

@@ -9,7 +9,7 @@ import random
 import subprocess
 import sys
 import time
-from math import factorial, gcd
+from math import factorial, gcd, log10
 from pathlib import Path
 
 import periodindex
@@ -264,3 +264,21 @@ def test_criterion_18_oracle_frontier_k220_memory():
     print(f"criterion 18: peak RSS {peak_kib / 1024:.0f} MiB, budget 100 MiB")
     assert (failed, checked) == (0, 1320)
     assert peak_kib < 100 * 1024
+
+
+def test_criterion_19_words_with_a_huge_prime_power_cold_cli():
+    # psi_{p^r} prints the 4,799,995 digits of 999983^800000 on the auxiliary row
+    src = str(Path(periodindex.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONIOENCODING="utf-8",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    p, r = 999983, 800000
+    argv = [sys.executable, "-m", "periodindex.cli", "words", str(p), str(r), "--max-degree", "2",
+            "--format", "csv"]
+    with _Timed(f"criterion 19: cold `periodindex words {p} {r} --max-degree 2 --format csv`",
+                2.0):
+        done = subprocess.run(argv, capture_output=True, env=env, check=True)
+    lines = done.stdout.decode().splitlines()
+    assert lines[0] == "degree,height,word" and lines[2] == "2,2,σσ" and len(lines) == 3
+    digits = lines[1].removeprefix("2,1,ψ_")
+    assert len(digits) == 4799995 == int(r * log10(p)) + 1
+    assert int(digits[-20:]) == pow(p, r, 10 ** 20)

@@ -2,8 +2,9 @@
 pairwise list product it replaced, plus its algebraic laws and JSON, the
 closed forms against the per-degree summand lists they replaced, the
 n-ary fold and the model homologies against the pairwise fold, the packed
-torsion counts against the list-based ones, and the per-degree reads
-against the bodies they replaced."""
+torsion counts against the list-based ones, the per-degree reads against
+the bodies they replaced, and the one-pass constructor against the
+sort-then-check body it replaced."""
 
 import json
 from functools import reduce
@@ -18,6 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import kunneth_reference as reference
 import torsion_counts_reference
+from graded_constructor_reference import checked_parts
 from periodindex import complexes, graded
 from periodindex.complexes import (ComplexKind, ElementaryComplex, _torsion_counts,
                                    closed_form_homology, model_homology, primary_model_homology)
@@ -288,3 +290,42 @@ def test_per_degree_reads_equal_the_bodies_they_replaced(g):
         with pytest.raises(ValueError) as theirs:
             reference_exponent(g, d)
         assert str(ours.value) == str(theirs.value) == message
+
+
+# The constructor checks and sorts each degree in one pass: on valid and
+# invalid parts alike it must keep what the sort-then-check body kept, or
+# raise its ValueError with the same message.  Pairs come as tuples, lists
+# and dict views, sorted or not, with orders 0 and 1, count 0 and repeats.
+
+PAIRS = st.lists(st.tuples(st.sampled_from([0, 1, 2, 3, 4, 6, 9, 12]), st.integers(-1, 3)),
+                 max_size=4)
+DEGREE_PAIRS = PAIRS.flatmap(lambda pairs: st.sampled_from(
+    [tuple(pairs), list(pairs), tuple(sorted(pairs)), dict(pairs).items()]))
+
+
+def built_or_refused(build, parts):
+    try:
+        return "built", build(parts)
+    except ValueError as refusal:
+        return "refused", str(refusal)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(st.tuples(st.integers(-2, 3), DEGREE_PAIRS), max_size=5)
+       .flatmap(lambda parts: st.sampled_from([tuple(parts), parts])))
+@example(())
+@example([])
+@example(((-1, ()),))
+@example(((1, ()), (-1, ((2, 1),))))
+@example(((0, ((0, 1),)),))
+@example(((0, ((1, 1),)),))
+@example(((0, ((2, 0),)),))
+@example(((0, ((3, 1), (1, 2))),))
+@example(((0, ((4, 1), (0, 1))),))
+@example(((0, ((4, 1), (2, 0))),))
+@example(((0, ((2, 1), (2, 3))),))
+@example(((0, ((4, 1), (3, 1), (4, 2))),))
+@example(((1, [(4, 1), (2, 3)]), (0, {3: 2}.items()), (0, {9: 1, 3: 2}.items())))
+def test_constructor_equals_the_sort_then_check_reference(parts):
+    ours = built_or_refused(lambda parts: GradedAbelianGroup(parts).parts, parts)
+    assert ours == built_or_refused(checked_parts, parts)

@@ -6,7 +6,8 @@ multi-row blocks of the oracle come in.  The summand oracle, a direct sum
 of translated shapes, gives the same ranks and homology as the whole
 tensor product, and its listed homology is its counted homology.  Summed
 as one series per shape, it matches the per-summand, per-degree loop, at
-the edges of every slot width too."""
+the edges of every slot width too, and every degree of its homology table
+is a divisibility chain."""
 
 import time
 from collections import Counter
@@ -323,3 +324,31 @@ def test_homology_counts_read_the_table_of_the_sum(sums, factors, fold_cap):
             with pytest.raises(ValueError, match=rf"^homology needs the boundary from degree "
                                                  rf"{n + 1}; complex is truncated at {top}$"):
                 homology_counts(c, n)
+
+
+# Every degree of a sum's table is canonical: ascending orders > 1, counts
+# >= 1, each order dividing the next, as the per-degree loop merges them.
+# Two lone edges at base 0 give Z/2 + Z/3 in degree 0, which only the
+# chain step turns into Z/6.
+
+def is_chain(counts):
+    orders = list(counts)
+    return (orders == sorted(orders) and all(e > 1 for e in orders)
+            and all(m >= 1 for m in counts.values())
+            and all(b % a == 0 for a, b in zip(orders, orders[1:])))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(packed_sums, st.lists(elementary(), min_size=1, max_size=4), st.integers(0, 22))
+@example(({(lone_edge(0, 2), 0): 1, (lone_edge(0, 3), 0): 1}, 2),
+         [ElementaryComplex(ComplexKind.PE_SECOND, 1, 2)], 6)
+@example(({(lone_edge(1, 4), 1): 3, (lone_edge(0, 6), 2): 2, (_point(), 0): 1}, 4),
+         [ElementaryComplex(ComplexKind.EP_SECOND, 1, 3)] * 2, 9)
+def test_every_degree_of_the_table_is_a_divisibility_chain(sums, factors, fold_cap):
+    summands, cap = sums
+    for c in (DirectSum(summands, cap), _direct_sum(factors, fold_cap)):
+        _, invariants = summed_invariants(c.summands, c.max_degree)
+        for n in range(c.max_degree):
+            _, counts = homology_counts(c, n)
+            assert is_chain(counts)
+            assert list(counts.items()) == list(invariants[n + 1][1].items())

@@ -4,7 +4,8 @@ from itertools import product
 
 import pytest
 
-from periodindex.words import (Symbol, SymbolKind, Word, count_words, degree,
+from periodindex.bounds import decimal_string
+from periodindex.words import (Symbol, SymbolKind, Word, _power_string, count_words, degree,
                                enumerate_words, format_word, gamma, height,
                                is_admissible, phi, psi, render_keys, sigma,
                                word_census, words_by_degree)
@@ -33,6 +34,16 @@ class TestSymbolValidation:
     def test_only_psi_carries_exponent(self):
         with pytest.raises(ValueError):
             Symbol(SymbolKind.PHI, prime=2, psi_exponent=1)
+
+    # p^f is formed as an int while f * (bits(p) - 1) < 4096 and as a Decimal
+    # power from there; decimal_string itself switches at p^f = 2^4096
+    @pytest.mark.parametrize("p, f", [
+        *((2, f) for f in (1, 2048, 4095, 4096, 4097, 20000)),
+        *((3, f) for f in (2584, 2585, 2586, 4095, 4096, 4097)),
+        *((999983, f) for f in (205, 206, 207, 215, 216, 217, 3000))])
+    def test_psi_digits_equal_decimal_string_across_the_threshold(self, p, f):
+        assert _power_string(p, f) == decimal_string(p ** f)
+        assert psi(p, f).ascii_text == "y_" + decimal_string(p ** f)
 
 
 class TestWordValidation:
