@@ -14,7 +14,7 @@ distinct orders: ``kunneth`` folds any number of factors as order-major
 rows, one gcd per pair of distinct orders with coprime pairs skipped, and
 builds only the result; a listing copies one block per order.  The one
 constructor checks every group it builds, in one pass per degree: an
-empty degree costs one test and a one-order degree, as most degrees of a
+empty degree is kept as (), and a one-order degree, as most degrees of a
 model are, is checked as it stands, with no sort.
 
 Every group carries a truncation cap ``max_degree``: content is only
