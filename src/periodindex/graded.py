@@ -14,8 +14,7 @@ distinct orders: ``kunneth`` folds any number of factors as order-major
 rows, one gcd per pair of distinct orders with coprime pairs skipped, and
 builds only the result; a listing copies one block per order.  The one
 constructor checks every group it builds, in one pass per degree: an
-empty degree is kept as (), and a one-order degree, as most degrees of a
-model are, is checked as it stands, with no sort.
+empty degree is kept as (), and any other is sorted once and walked once.
 
 Every group carries a truncation cap ``max_degree``: content is only
 known up to that degree, and reading past it is an error, not a zero.
@@ -47,11 +46,10 @@ class GradedAbelianGroup(namedtuple("GradedAbelianGroup", "parts")):
 
     def __new__(cls, parts: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]):
         """Check and sort ``parts``, (free rank, pairs) per degree with the
-        pairs in any sized collection, in one pass per degree: the rank is
-        checked first, an empty degree becomes (), one pair is checked as it
-        stands, and longer pairs are sorted once and walked once, each order
-        above the one before it (the first above 1), so the orders are
-        distinct and >= 2."""
+        pairs in any iterable, in one pass per degree: the rank is checked
+        first, an empty degree becomes (), and other pairs are sorted once
+        and walked once, each order above the one before it (the first
+        above 1), so the orders are distinct and >= 2."""
         if not parts:
             raise ValueError("a graded group needs at least degree 0")
         fixed = []
@@ -61,17 +59,11 @@ class GradedAbelianGroup(namedtuple("GradedAbelianGroup", "parts")):
             if not pairs:  # an empty or free-only degree
                 fixed.append((free, ()))
                 continue
-            if len(pairs) == 1:  # most degrees of a model: nothing to sort
-                pairs = pairs if type(pairs) is tuple else tuple(pairs)
-                (t, m), = pairs
-                if t < 2 or m < 1:
+            pairs, previous = tuple(sorted(pairs)), 1
+            for t, m in pairs:
+                if t <= previous or m < 1:
                     raise _invalid()
-            else:
-                pairs, previous = tuple(sorted(pairs)), 1
-                for t, m in pairs:
-                    if t <= previous or m < 1:
-                        raise _invalid()
-                    previous = t
+                previous = t
             fixed.append((free, pairs))
         return tuple.__new__(cls, (tuple(fixed),))
 

@@ -30,7 +30,7 @@ from enum import IntEnum
 from math import log10
 from operator import attrgetter
 
-from .bounds import _check_prime_power, decimal_string, is_prime
+from .bounds import _check_prime_power, is_prime
 
 
 class SymbolKind(IntEnum):
@@ -82,17 +82,17 @@ class Symbol(namedtuple("Symbol", "kind prime psi_exponent text ascii_text")):
 
 
 def _power_string(p: int, f: int) -> str:
-    """``decimal_string(p ** f)``, without forming p ** f once it is past
-    ``decimal_string``'s 4096 bits: ``pow`` is Karatsuba at best, while an
-    exact ``Decimal`` power multiplies in decimal at sub-quadratic cost.  Its
-    precision is above the digit count of p^f, and a rounded or overflowing
-    result raises rather than print wrong digits.
+    """The decimal digits of p^f, formed as an exact ``Decimal`` power.
+
+    p^f is never an int here: past a few thousand bits ``pow`` is Karatsuba
+    at best and ``str`` quadratic, while a ``Decimal`` power multiplies in
+    decimal at sub-quadratic cost.  Its precision is above the digit count
+    of p^f, and a rounded or overflowing result raises rather than print
+    wrong digits.
 
     >>> _power_string(3, 5), len(_power_string(2, 5000))
     ('243', 1506)
     """
-    if f * (p.bit_length() - 1) < 4096:  # p^f may lie below 2^4096
-        return decimal_string(p ** f)
     from decimal import MAX_EMAX, Context, Decimal, Inexact, Overflow, localcontext
     with localcontext(Context(prec=int(f * log10(p)) + 2, Emax=MAX_EMAX,
                               traps=[Inexact, Overflow])):

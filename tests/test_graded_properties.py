@@ -329,3 +329,19 @@ def built_or_refused(build, parts):
 def test_constructor_equals_the_sort_then_check_reference(parts):
     ours = built_or_refused(lambda parts: GradedAbelianGroup(parts).parts, parts)
     assert ours == built_or_refused(checked_parts, parts)
+
+
+# Pairs with no length, read once from a generator, are sorted and checked
+# as the reference sorts and checks them; an empty one is an empty degree.
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.lists(st.tuples(st.integers(-2, 3), PAIRS), max_size=5))
+@example([(0, [])])
+@example([(-1, [])])
+@example([(2, []), (0, [(3, 1)]), (0, [(9, 1), (3, 2)])])
+@example([(0, [(2, 1), (2, 3)])])
+def test_constructor_reads_pairs_from_a_generator_as_the_reference_does(degrees):
+    def parts():  # fresh generators for each build
+        return tuple((free, (pair for pair in pairs)) for free, pairs in degrees)
+    ours = built_or_refused(lambda parts: GradedAbelianGroup(parts).parts, parts())
+    assert ours == built_or_refused(checked_parts, parts())

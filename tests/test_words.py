@@ -35,12 +35,13 @@ class TestSymbolValidation:
         with pytest.raises(ValueError):
             Symbol(SymbolKind.PHI, prime=2, psi_exponent=1)
 
-    # p^f is formed as an int while f * (bits(p) - 1) < 4096 and as a Decimal
-    # power from there; decimal_string itself switches at p^f = 2^4096
+    # the psi digits come from a Decimal power, never from p ** f; they must
+    # match decimal_string(p ** f), which itself switches at p^f = 2^4096
     @pytest.mark.parametrize("p, f", [
-        *((2, f) for f in (1, 2048, 4095, 4096, 4097, 20000)),
-        *((3, f) for f in (2584, 2585, 2586, 4095, 4096, 4097)),
-        *((999983, f) for f in (205, 206, 207, 215, 216, 217, 3000))])
+        *((2, f) for f in (1, 2, 3, 10, 2048, 4095, 4096, 4097, 20000)),
+        *((3, f) for f in (1, 2, 5, 2584, 2585, 2586, 4095, 4096, 4097)),
+        *((5, f) for f in (1, 2, 7)), (7, 1), (97, 3),
+        *((999983, f) for f in (1, 2, 205, 206, 207, 215, 216, 217, 3000))])
     def test_psi_digits_equal_decimal_string_across_the_threshold(self, p, f):
         assert _power_string(p, f) == decimal_string(p ** f)
         assert psi(p, f).ascii_text == "y_" + decimal_string(p ** f)
