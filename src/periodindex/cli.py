@@ -9,16 +9,21 @@ a listing of over ``MAX_LISTED`` summands, rows or cells or over
 ``MAX_OUTPUT`` letters, table characters or (estimated) digits, or an integer
 too large to factorise exactly.  Each subcommand imports the modules it runs
 when it runs: a cold ``bound`` or ``table`` loads ``bounds`` alone.
+
+The command line is read from one table, ``COMMANDS``, by ``Parser``, which
+accepts what argparse accepted (unique option prefixes, ``--opt=value``,
+negative-number positionals, ``--``, ``-h``) and prints the same usage lines,
+messages and exit codes, without argparse's import and parser set-up.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from collections.abc import Iterable, Sequence
 from itertools import islice
 from math import lgamma, log, log10
+from types import SimpleNamespace
 
 from . import SUITES, __version__
 from .bounds import (CeilingError, _comparison, decimal_string, factorize, index_bound,
@@ -280,55 +285,287 @@ def _cmd_verify(args, parser) -> int:
     return 1 if failed else 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="periodindex",
-        description="Index bounds for topological Brauer classes and the "
-                    "Eilenberg-MacLane homology models behind them.")
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+# The command line, one table for reading it and for its usage, help and
+# errors.  Each subcommand has its handler, a one-line help and its
+# arguments, each (name, kind, default, required, help).  A name without
+# dashes is a positional: an int, left out only where not required, or at
+# the top level the command, which takes every argument after it.  An
+# option's kind is int, a tuple of choices, or bool for a flag set to True.
+_FORMAT = ("--format", FORMATS, "pretty-table", False, "output format")
+COMMANDS = {
+    "bound": (_cmd_bound, "index bound for period n, dimension 2d", (
+        ("n", int, None, True, "the period n >= 1"),
+        ("d", int, None, True, "half the dimension 2d, d >= 1"),
+        ("--compare", bool, False, False, "also compare against the best known sharp value"),
+        _FORMAT)),
+    "table": (_cmd_table, "grid of bounds over n and d ranges", (
+        ("--n-max", int, None, True, "the largest period n in the grid"),
+        ("--d-max", int, None, True, "the largest d in the grid"),
+        _FORMAT)),
+    "homology": (_cmd_homology, "model homology for an order n, or one prime power", (
+        ("n", int, None, False, "the order n >= 2, unless --prime and --exponent are given"),
+        ("--prime", int, None, False, "the prime p of an order p^r"),
+        ("--exponent", int, None, False, "the exponent r >= 1 of an order p^r"),
+        ("--max-degree", int, None, True, "the highest degree listed"),
+        _FORMAT)),
+    "words": (_cmd_words, "enumerate admissible and auxiliary words", (
+        ("p", int, None, True, "the prime p of the period p^r"),
+        ("r", int, None, True, "the exponent r >= 1 of the period p^r"),
+        ("--max-degree", int, None, True, "the highest degree listed"),
+        ("--ascii", bool, False, False, "render symbols as s, g, f, y instead of unicode"),
+        _FORMAT)),
+    "verify": (_cmd_verify, "run the oracle cross-check suites", (
+        ("--suite", SUITES + ("all",), "all", False, "the suite to run"),
+        ("--seed", int, 0, False, "the seed of the randomized snf suite"))),
+}
+_TOP = ("Index bounds for topological Brauer classes and the Eilenberg-MacLane homology\n"
+        "models behind them.", (
+            ("--version", "version", None, False, "show program's version number and exit"),
+            ("command", tuple(COMMANDS), None, True, "")))
+_HELP = ("-h/--help", "help", None, False, "show this help message and exit")
+_WIDTH = 78  # of a usage line, as argparse wrapped it for 80 columns
 
-    def add_format(p):
-        p.add_argument("--format", choices=FORMATS, default="pretty-table")
 
-    p_bound = sub.add_parser("bound", help="index bound for period n, dimension 2d")
-    p_bound.add_argument("n", type=int)
-    p_bound.add_argument("d", type=int)
-    p_bound.add_argument("--compare", action="store_true",
-                         help="also compare against the best known sharp value")
-    add_format(p_bound)
-    p_bound.set_defaults(func=_cmd_bound)
+def _dest(name: str) -> str:
+    return name.lstrip("-").replace("-", "_")
 
-    p_table = sub.add_parser("table", help="grid of bounds over n and d ranges")
-    p_table.add_argument("--n-max", type=int, required=True)
-    p_table.add_argument("--d-max", type=int, required=True)
-    add_format(p_table)
-    p_table.set_defaults(func=_cmd_table)
 
-    p_hom = sub.add_parser(
-        "homology", help="model homology for an order n, or one prime power")
-    p_hom.add_argument("n", type=int, nargs="?")
-    p_hom.add_argument("--prime", type=int)
-    p_hom.add_argument("--exponent", type=int)
-    p_hom.add_argument("--max-degree", type=int, required=True)
-    add_format(p_hom)
-    p_hom.set_defaults(func=_cmd_homology)
+def _arity(spec: tuple) -> str:
+    """How many values an argument reads: "0" (a flag), "1", "?" (an int
+    positional that may be left out) or "+" (the command and all after it)."""
+    name, kind, _, required, _ = spec
+    if name.startswith("-"):
+        return "0" if kind in (bool, "help", "version") else "1"
+    return "+" if isinstance(kind, tuple) else "1" if required else "?"
 
-    p_words = sub.add_parser("words", help="enumerate admissible and auxiliary words")
-    p_words.add_argument("p", type=int)
-    p_words.add_argument("r", type=int)
-    p_words.add_argument("--max-degree", type=int, required=True)
-    p_words.add_argument("--ascii", action="store_true",
-                         help="render symbols as s, g, f, y instead of unicode")
-    add_format(p_words)
-    p_words.set_defaults(func=_cmd_words)
 
-    p_verify = sub.add_parser("verify", help="run the oracle cross-check suites")
-    p_verify.add_argument("--suite", choices=SUITES + ("all",), default="all")
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.set_defaults(func=_cmd_verify)
+def _span(marks: str, i: int, arity: str) -> int | None:
+    """How many arguments from ``i`` a positional of ``arity`` reads, or None
+    if it cannot.  ``marks`` holds "A" for a value, "O" for an option and
+    "-" for the "--" separator, which goes with the positional next to it."""
+    j = i
+    while marks[j:j + 1] == "-":
+        j += 1
+    if marks[j:j + 1] == "A":
+        j = len(marks) if arity == "+" else j + 1
+    elif arity != "?":
+        return None
+    while marks[j:j + 1] == "-":
+        j += 1
+    return j - i
 
-    return parser
+
+def _negative(arg: str) -> bool:
+    """Whether ``arg``, which starts with "-", reads as a negative number
+    such as -5 or -.5, and so as a positional, not an option."""
+    body = arg[1:-1] if arg.endswith("\n") else arg[1:]
+    whole, dot, fraction = body.partition(".")
+    if not dot:
+        return whole.isdecimal()
+    return fraction.isdecimal() and (not whole or whole.isdecimal())
+
+
+def _wrap(parts: list[str], indent: str, used: int) -> list[str]:
+    """``parts`` joined by spaces on lines of at most ``_WIDTH`` columns,
+    each after ``indent``; the first line has ``used`` + 1 columns taken."""
+    lines, line = [], []
+    for part in parts:
+        if line and used + 1 + len(part) > _WIDTH:
+            lines.append(indent + " ".join(line))
+            line, used = [], len(indent) - 1
+        line.append(part)
+        used += len(part) + 1
+    return [*lines, indent + " ".join(line)] if line else lines
+
+
+class Parser:
+    """One level of the command line, the top one or a subcommand's, read
+    as argparse read it: unique prefixes of long options, ``--opt=value``,
+    ``-hh``, negative-number positionals and ``--``.  ``error`` prints the
+    usage and ``<prog>: error: <message>`` to stderr and exits 2."""
+
+    def __init__(self, command: str | None = None):
+        self.prog = f"periodindex {command}" if command else "periodindex"
+        self.about, arguments = COMMANDS[command][1:] if command else _TOP
+        self.arguments = (_HELP, *arguments)
+        self.flags = {flag: spec for spec in self.arguments if spec[0].startswith("-")
+                      for flag in spec[0].split("/")}
+
+    def error(self, message: str):
+        sys.stderr.write(f"{self.usage()}{self.prog}: error: {message}\n")
+        sys.exit(2)
+
+    def usage(self) -> str:
+        """``usage: <prog> <options> <positionals>``, wrapped as argparse did."""
+        options, positionals = [], []
+        for name, kind, _, required, _ in self.arguments:
+            if not name.startswith("-"):
+                positionals.append(f"{{{','.join(kind)}}} ..." if isinstance(kind, tuple)
+                                   else name if required else f"[{name}]")
+                continue
+            part = self._invocation(name, kind).split(", ")[0]
+            options.append(part if required else f"[{part}]")
+        line = " ".join([self.prog, *options, *positionals])
+        if len(line) + 7 <= _WIDTH:
+            return f"usage: {line}\n"
+        indent = " " * (len(self.prog) + 8)
+        lines = _wrap([self.prog, *options], indent, 6) + _wrap(positionals, indent, len(indent) - 1)
+        return "usage: " + "\n".join(lines)[len(indent):] + "\n"
+
+    @staticmethod
+    def _invocation(name: str, kind) -> str:
+        if name.startswith("-") and kind not in (bool, "help", "version"):
+            name += f" {{{','.join(kind)}}}" if isinstance(kind, tuple) else f" {_dest(name).upper()}"
+        return name.replace("/", ", ")
+
+    def help(self) -> str:
+        """The usage, what the command does, and a line for each command,
+        positional and option: its choices, and its default or that it is
+        required."""
+        sections = {"commands:": [], "positional arguments:": [], "options:": []}
+        for name, kind, default, required, about in self.arguments:
+            if name == "command":
+                sections["commands:"] = [(command, COMMANDS[command][1]) for command in kind]
+                continue
+            if default not in (None, False):
+                about += f" (default: {default})"
+            elif required and name.startswith("-"):
+                about += " (required)"
+            sections["options:" if name.startswith("-") else "positional arguments:"].append(
+                (self._invocation(name, kind), about))
+        blocks = [self.usage().rstrip("\n"), self.about]
+        for title, rows in sections.items():
+            if rows:
+                blocks.append("\n".join([title, *(f"  {left:<20}  {right}" if len(left) <= 20
+                                                  else f"  {left}\n{'':24}{right}"
+                                                  for left, right in rows)]))
+        return "\n\n".join(blocks) + "\n"
+
+    def _option(self, arg: str) -> tuple | None:
+        """(spec, or None for an unknown option; the flag; its ``=`` value or
+        None) for an option, or None for a positional."""
+        if not arg.startswith("-"):
+            return None
+        if arg in self.flags:
+            return self.flags[arg], arg, None
+        if len(arg) == 1:
+            return None
+        head, eq, value = arg.partition("=")
+        if eq and head in self.flags:
+            return self.flags[head], head, value
+        if arg[1] == "-":  # a unique prefix of a long option
+            hits = [(flag, value if eq else None) for flag in self.flags if flag.startswith(head)]
+        else:  # -hX, read as -h X
+            hits = [(flag, arg[2:]) for flag in self.flags if flag == arg[:2]]
+        if len(hits) > 1:
+            self.error(f"ambiguous option: {arg} could match "
+                       f"{', '.join(flag for flag, _ in hits)}")
+        if hits:
+            return self.flags[hits[0][0]], *hits[0]
+        return None if _negative(arg) or " " in arg else (None, arg, None)
+
+    def read(self, args: list[str]) -> tuple[dict, list[str]]:
+        """The values that ``args`` set, by dest, and the arguments left
+        unread.  Options and runs of positionals are read as they come."""
+        marks, found = [], {}
+        for i, arg in enumerate(args):
+            if arg == "--":  # every argument after it is a positional
+                marks.append("-" + "A" * (len(args) - i - 1))
+                break
+            if option := self._option(arg):
+                found[i] = option
+            marks.append("O" if option else "A")
+        marks = "".join(marks)
+        separator = marks.find("-")
+        values = {_dest(spec[0]): spec[2] for spec in self.arguments[1:] if spec[1] != "version"}
+        positionals = [spec for spec in self.arguments if not spec[0].startswith("-")]
+        seen, extras = set(), []
+
+        def take(spec: tuple, strings: list[str]) -> None:
+            name, kind = spec[:2]
+            seen.add(name)
+            if kind == "help":
+                sys.stdout.write(self.help())
+                sys.exit(0)
+            if kind == "version":
+                print(f"periodindex {__version__}")
+                sys.exit(0)
+            if kind is bool:
+                value = True
+            elif not strings:  # an int positional left out
+                value = None
+            elif kind is int:
+                try:
+                    value = int(strings[0])
+                except ValueError:
+                    self.error(f"argument {name}: invalid int value: {strings[0]!r}")
+            elif strings[0] in kind:
+                value = strings[0]
+            else:
+                self.error(f"argument {name}: invalid choice: {strings[0]!r} "
+                           f"(choose from {', '.join(map(repr, kind))})")
+            values[_dest(name)] = value
+            if name == "command":
+                more, unread = Parser(value).read(strings[1:])
+                values.update(more)
+                extras.extend(unread)
+
+        def read_positionals(start: int) -> int:
+            while positionals and (span := _span(marks, start, _arity(positionals[0]))) is not None:
+                spec, stop = positionals.pop(0), start + span
+                # the command reads "--" as one of its subcommand's arguments
+                take(spec, args[start:] if spec[0] == "command"
+                     else [args[k] for k in range(start, stop) if k != separator])
+                start = stop
+            return start
+
+        def read_option(i: int) -> int:
+            spec, flag, explicit = found[i]
+            if spec is None:
+                extras.append(args[i])
+                return i + 1
+            if explicit is None:
+                if _arity(spec) == "0":
+                    take(spec, [])
+                    return i + 1
+                if marks[i + 1:i + 2] != "A":  # never "--" or an option
+                    self.error(f"argument {spec[0]}: expected one argument")
+                take(spec, [args[i + 1]])
+                return i + 2
+            if _arity(spec) == "0":
+                rest = explicit.lstrip("h") if flag == "-h" else explicit  # -hh: -h -h
+                if rest or not explicit or flag != "-h":
+                    self.error(f"argument {spec[0]}: ignored explicit argument {rest!r}")
+            take(spec, [explicit])
+            return i + 1
+
+        start, last = 0, max(found, default=-1)
+        while start <= last:
+            following = min(i for i in found if i >= start)
+            if start != following:
+                end = read_positionals(start)
+                if end > start:
+                    start = end
+                    continue
+                extras.extend(args[start:following])
+                start = following
+            start = read_option(start)
+        start = read_positionals(start)
+        extras.extend(args[start:])
+        if missing := [spec[0] for spec in self.arguments if spec[3] and spec[0] not in seen]:
+            self.error(f"the following arguments are required: {', '.join(missing)}")
+        return values, extras
+
+
+def parse_args(argv: Sequence[str]) -> SimpleNamespace:
+    """The values of a ``periodindex`` command line: ``command`` and its
+    subcommand's arguments.  After ``-h`` or ``--version`` exit 0, and on a
+    usage error exit 2."""
+    parser = Parser()
+    values, extras = parser.read(list(argv))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
@@ -341,9 +578,8 @@ def main(argv=None) -> int:
     if get_limit:
         sys.set_int_max_str_digits(0)
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
-        return args.func(args, parser)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        return COMMANDS[args.command][0](args, Parser(args.command))
     except CeilingError as exc:
         return _refuse(args.command, str(exc))
     finally:

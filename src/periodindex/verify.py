@@ -12,7 +12,7 @@ from math import prod
 from typing import NamedTuple
 
 from . import SUITES
-from .bounds import differential_order_bound, padic_valuation
+from .bounds import differential_order_bound, padic_valuation, prime_power_index_bound
 from .complexes import (ComplexKind, ElementaryComplex, closed_form_homology,
                         model_chain_complex, model_homology, primary_model,
                         primary_model_chain_complex, primary_model_homology,
@@ -64,7 +64,9 @@ def suite_xp_exponent(max_k: int = 12) -> list[CheckResult]:
     of ``primary_model_homology`` must agree in every degree with both the
     Kunneth fold of the factors' closed forms and SNF homology of the
     direct-sum model: check k compares degrees 2k - 1, which holds the Tor
-    terms' Z/p, and 2k, and check 1 compares degrees 0 to 2.
+    terms' Z/p, and 2k, and check 1 compares degrees 0 to 2.  Check k also
+    requires Theorem A's closed form ``prime_power_index_bound(p, r, k + 1)``
+    to be the product of the factors for j = 1..k.
     """
     results = []
     for p in (2, 3, 5):
@@ -74,6 +76,7 @@ def suite_xp_exponent(max_k: int = 12) -> list[CheckResult]:
             via_kunneth = kunneth(*(closed_form_homology(f, cap)
                                     for f in primary_model(p, r, cap)), cap)
             chain = primary_model_chain_complex(p, r, cap)
+            product = 1  # of the factors to k: Theorem A's bound in dimension 2(k + 1)
             for k in range(1, max_k + 1):
                 name = f"xp-exponent p={p} r={r} k={k}"
                 degrees = range(0 if k == 1 else 2 * k - 1, 2 * k + 1)
@@ -89,9 +92,13 @@ def suite_xp_exponent(max_k: int = 12) -> list[CheckResult]:
                     problems.append(
                         f"exponent {exp_series}/{exp_snf} != p^r*k = {expected}")
                 p_part = p ** padic_valuation(p, exp_series)
-                if p_part != differential_order_bound(p, r, k):
-                    problems.append(f"p-part {p_part} != p^(r+v_p(k)) = "
-                                    f"{differential_order_bound(p, r, k)}")
+                factor = differential_order_bound(p, r, k)
+                if p_part != factor:
+                    problems.append(f"p-part {p_part} != p^(r+v_p(k)) = {factor}")
+                product *= factor
+                if (bound := prime_power_index_bound(p, r, k + 1)) != product:
+                    problems.append(f"Theorem A bound {bound} != product of the factors "
+                                    f"to k = {product}")
                 results.append(CheckResult(name, not problems, "; ".join(problems)))
     return results
 

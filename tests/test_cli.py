@@ -249,7 +249,7 @@ class TestHugeCounts:
 
 class TestBigN:
     """An n past Python's 4300-digit int-string limit is read, not refused
-    by argparse, and main leaves the limit as it found it."""
+    by the parser, and main leaves the limit as it found it."""
 
     def test_read_and_printed(self, capsys):
         limit_before = getattr(sys, "get_int_max_str_digits", lambda: None)()

@@ -77,7 +77,7 @@ def test_answer_or_refusal(argv):
     with redirect_stdout(out), redirect_stderr(err):
         try:
             code = cli.main(argv)
-        except SystemExit as exc:  # argparse usage errors
+        except SystemExit as exc:  # usage errors, from the parser or a handler
             code = exc.code
     assert code in (0, 2), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
