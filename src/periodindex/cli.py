@@ -381,8 +381,10 @@ def _wrap(parts: list[str], indent: str, used: int) -> list[str]:
 class Parser:
     """One level of the command line, the top one or a subcommand's, read
     as argparse read it: unique prefixes of long options, ``--opt=value``,
-    ``-hh``, negative-number positionals and ``--``.  ``error`` prints the
-    usage and ``<prog>: error: <message>`` to stderr and exits 2."""
+    ``-hh``, negative-number positionals and ``--``.  A value "--", after
+    "=" or after the separator, is read as given, where argparse dropped it.
+    ``error`` prints the usage and ``<prog>: error: <message>`` to stderr
+    and exits 2."""
 
     def __init__(self, command: str | None = None):
         self.prog = f"periodindex {command}" if command else "periodindex"

@@ -5,6 +5,8 @@ On generated command lines (every subcommand; abbreviated, ``=`` and
 missing values, missing required options, bad choices, extra and missing
 positionals, ``--``) both parsers give the same exit code, the same parsed
 values and the same stderr, and print the same usage before any help.
+The one difference is a "--" read as a value, after "=" or after the
+separator "--": argparse dropped it, and the table's parser refuses it.
 """
 
 import io
@@ -118,6 +120,16 @@ def test_same_as_argparse(argv):
         assert new[2].split("\n\n")[0] == old[2].split("\n\n")[0], argv
     else:
         assert new[2] == old[2], argv
+
+
+@pytest.mark.parametrize("argv", [["table", "--n-max=--", "--d-max", "2"],
+                                  ["bound", "6", "4", "--format=--"],
+                                  ["bound", "--", "5", "--"]])
+def test_a_double_dash_value_is_refused(argv):
+    # argparse dropped a "--" value and stored [], so `table` and `bound`
+    # raised TypeError and `--format=--` printed the pretty table
+    code, values, _, err = outcome(cli.parse_args, argv)
+    assert code == 2 and values is None and "'--'" in err
 
 
 def test_help_lists_every_command():
