@@ -45,7 +45,7 @@ COMMANDS = {
     "words": (2, {"--max-degree": INTS, "--ascii": None, "--format": FORMATS}),
     "verify": (0, {"--suite": SUITE_NAMES, "--seed": INTS}),
 }
-STRAYS = st.sampled_from(["--foo", "-x", "--bogus=1", "-5x", "--", "--=1", "-", "--s",
+STRAYS = st.sampled_from(["--foo", "-x", "--bogus=1", "-5x", "--=1", "-", "--s",
                           "-h", "--help", "--he", "-hh", "-hx", "--help=1", "--version",
                           "--vers", "--compare=1", "-h="])
 
@@ -67,7 +67,9 @@ def argvs(draw):
             words.append([f"{spelled}={value}"] if joined else [spelled, value])
     words += [[draw(STRAYS)] for _ in range(draw(st.integers(0, 1)))]
     argv = [command, *(word for group in draw(st.permutations(words)) for word in group)]
-    if draw(st.integers(0, 4)) == 0:  # one "--", anywhere after the command
+    # one "--" at most, anywhere after the command: argparse dropped a second
+    # one read as a value, which the table's parser refuses (tested below)
+    if draw(st.integers(0, 4)) == 0:
         argv.insert(draw(st.integers(1, len(argv))), "--")
     if draw(st.integers(0, 9)) == 0:  # an option before the command
         argv.insert(0, draw(STRAYS))
