@@ -7,7 +7,7 @@ The package has three layers:
   and homology of based free chain complexes;
 * the homology model for K(Z/n, 2) (:mod:`periodindex.words`,
   :mod:`periodindex.graded`, :mod:`periodindex.complexes`): word calculus,
-  graded abelian groups with a Kunneth product, and the elementary dg
+  graded abelian groups in multiplicity form, and the elementary dg
   complexes whose tensor products carry the torsion;
 * the period-index arithmetic (:mod:`periodindex.bounds`): per-prime
   differential-order bounds and the resulting index bound
@@ -32,7 +32,7 @@ _EXPORTS = {
         legendre_valuation padic_valuation prime_power_index_bound""",
     "complexes": """ComplexKind ElementaryComplex closed_form_homology model_chain_complex model_homology primary_model primary_model_chain_complex
         primary_model_homology realize_chain_complex""",
-    "graded": "GradedAbelianGroup exponent kunneth primary_part",
+    "graded": "GradedAbelianGroup exponent primary_part",
     "snf": """ChainComplex IntegerMatrix SmithNormalForm determinant homology_counts
         homology_of_complex smith_normal_form""",
     "words": """Symbol SymbolKind Word count_words degree enumerate_words format_word gamma

@@ -144,8 +144,7 @@ def primary_model_homology(p: int, r: int, max_degree: int) -> GradedAbelianGrou
     and every twist but the leading p^r is p, so each summand is Z/p but the
     leading line Z/(p^r k) in degree 2k: each degree is a divisibility
     chain, whose largest order is the exponent that ``homology`` prints.
-    ``verify`` checks it against the Kunneth fold of the factors' closed
-    forms and against SNF homology.
+    ``verify`` checks it against SNF homology.
 
     >>> primary_model_homology(2, 1, 12).parts[10:]
     ((0, ((2, 1), (10, 1))), (0, ((2, 3),)), (0, ((2, 2), (12, 1))))

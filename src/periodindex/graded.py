@@ -10,9 +10,7 @@ either's divisibility chain.  Model homology is built in that form:
 every degree is d_1 | d_2 | ..., so ``==`` is isomorphism and the largest
 order is the exponent.  ``_chain`` builds a chain from level counts: how
 many summands have order divisible by each prime power.  Work follows
-distinct orders: ``kunneth`` folds any number of factors as order-major
-rows, one gcd per pair of distinct orders with coprime pairs skipped, and
-builds only the result; a listing copies one block per order.  The one
+distinct orders: a listing copies one block per order.  The one
 constructor checks every group it builds, in one pass per degree: an
 empty degree is kept as (), and any other is sorted once and walked once.
 
@@ -25,7 +23,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict, namedtuple
 from itertools import accumulate
-from math import gcd, lcm, prod
+from math import lcm, prod
 from operator import itemgetter
 
 from .bounds import decimal_string, factorize, is_prime, padic_valuation
@@ -183,70 +181,6 @@ def _describe(free: int, torsion: list[str]) -> str:
     if torsion:
         pieces.append("Z/" + " + Z/".join(torsion))
     return " + ".join(pieces) or "0"
-
-
-def kunneth(*factors_and_cap) -> GradedAbelianGroup:
-    """``kunneth(A_1, ..., A_k, max_degree)``: the graded Kunneth product of
-    the factors, truncated at ``max_degree``.
-
-    Degree n of A ox B is the sum of A_i ox B_j over i + j = n plus
-    Tor(A_i, B_j) over i + j = n - 1; the factors fold in the order given,
-    by ``_fold``, and only the result becomes a group.  Every factor must be
-    trusted up to the requested cap: a factor of unknown content in low
-    degrees could otherwise leak wrong answers below the cap.  One gcd per
-    pair of distinct orders: a coprime pair adds nothing.
-
-    >>> a = GradedAbelianGroup.from_summands({0: [0], 1: [4]}, 2)
-    >>> kunneth(a, GradedAbelianGroup.from_summands({0: [0], 1: [3]}, 2), 2).parts
-    ((1, ()), (0, ((3, 1), (4, 1))), (0, ()))
-    """
-    *factors, max_degree = factors_and_cap
-    if any(max_degree > f.max_degree for f in factors):
-        raise ValueError(
-            f"kunneth truncated at {max_degree} needs every factor trusted that far "
-            f"(caps are {', '.join(str(f.max_degree) for f in factors)})")
-    counts = [{} for _ in range(max_degree + 1)]
-    for t, row in _fold(factors, max_degree).items():
-        for d, m in row:
-            counts[d][t] = m
-    return GradedAbelianGroup(tuple((c.pop(0, 0), c.items()) for c in counts))
-
-
-def _fold(factors, max_degree: int) -> dict:
-    """The Kunneth product of the groups ``factors``, one after another from
-    Z in degree 0, truncated at ``max_degree``.
-
-    Each factor is read, and the result given, as order-major rows {order:
-    [(degree, multiplicity)] by degree}, with Z as order 0, so gcd pairs Z
-    with Z/y as Z/y and Z with Z as Z.  Z/x ox Z/y and Tor(Z/x, Z/y) are both
-    Z/gcd(x, y), so the convolution of two torsion rows is added twice, the
-    second time one degree up; Tor vanishes against Z.
-    """
-    acc = {0: [(0, 1)]}
-    for g in factors:
-        factor, out, tor = defaultdict(list), {}, {}
-        for d, (rank, pairs) in enumerate(g.parts[:max_degree + 1]):
-            for t, m in ((0, rank),) * bool(rank) + pairs:
-                factor[t].append((d, m))
-        for x, row_a in acc.items():
-            for y, row_b in factor.items():
-                if (g := gcd(x, y)) == 1:  # Z/x ox Z/y = Tor(Z/x, Z/y) = 0
-                    continue
-                row = (tor if x and y else out).setdefault(g, {})
-                for i, m in row_a:
-                    top = max_degree - i
-                    for j, k in row_b:
-                        if j > top:
-                            break
-                        row[i + j] = row.get(i + j, 0) + m * k
-        for g, row in tor.items():
-            merged = out.setdefault(g, {})
-            for d, m in row.items():
-                merged[d] = merged.get(d, 0) + m
-                if d < max_degree:
-                    merged[d + 1] = merged.get(d + 1, 0) + m
-        acc = {t: sorted(row.items()) for t, row in out.items()}
-    return acc
 
 
 def _chain(levels) -> list[tuple[int, int]]:

@@ -452,11 +452,10 @@ class DirectSum:
         self.dims = dims = tuple(_unpack(dims, width, top))
         ranks = _unpack(ranks, width, top)
         # orders that each divide the next are a chain as read (class docstring)
-        self._invariants = invariants = list(zip(ranks, [
-            counts if len(counts) < 2 or not any(map(mod, list(counts)[1:], counts))
-            else _divisibility_chain(counts) for counts in torsion]))
-        self._homology = [(dim - out - into, counts) for dim, out, (into, counts)
-                          in zip(dims, ranks, invariants[1:])]
+        chains = [counts if len(counts) < 2 or not any(map(mod, list(counts)[1:], counts))
+                  else _divisibility_chain(counts) for counts in torsion[1:]]
+        self._homology = [(dim - out - into, counts) for dim, out, into, counts
+                          in zip(dims, ranks, ranks[1:], chains)]
 
     @property
     def summands(self):
@@ -468,11 +467,6 @@ class DirectSum:
             for base, m in enumerate(_unpack(s, width, -(-s.bit_length() // (8 * width)))) if m})
 
     dim = ChainComplex.dim
-
-    def boundary_invariants(self, n: int) -> tuple[int, dict[int, int]]:
-        """(rank, {invariant factor > 1: multiplicity}) of the degree-n boundary."""
-        self.dim(n)  # the range check
-        return self._invariants[n]
 
 
 def homology_counts(c: ChainComplex | DirectSum, n: int) -> tuple[int, dict[int, int]]:

@@ -1,20 +1,19 @@
-"""The pairwise Kunneth product, kept test-side as the reference the
-package's one n-ary fold is compared against, with the model homologies
-folded through it factor by factor and the invariant factors read off by
-factorising every order.
+"""The pairwise Kunneth product, the tests' one reference for products of
+graded groups, with the model homologies folded through it factor by
+factor and the invariant factors read off by factorising every order.
 
-The package folds all factors at once as order-major rows and builds only
-the result; these functions build every intermediate product and pair
-every order with every order, so the tests can check that the two agree.
-``split_model_homology`` keeps the fold the package used for composite n
-before it read the model's homology off level counts, as their reference.
+The package forms no Kunneth product: it reads the model homologies off
+mod-p series and level counts, and these functions are what the tests
+compare those readings with.  ``split_model_homology`` keeps the fold the
+package used for composite n before it read the model's homology off
+level counts, as their reference.
 """
 
 from collections import Counter, defaultdict
+from functools import reduce
 from itertools import accumulate, product, zip_longest
 from math import gcd, prod
 
-from periodindex import graded
 from periodindex.bounds import factorize
 from periodindex.complexes import closed_form_homology, primary_model
 from periodindex.graded import GradedAbelianGroup
@@ -85,7 +84,7 @@ def split_model_homology(n: int, max_degree: int) -> GradedAbelianGroup:
     """The model for order n as the package once folded it: every factor's
     torsion split into prime powers (Z/(hk) into Z/(h p^v_p(k)), h a power
     of the factor's prime p, plus the prime powers of k / p^v_p(k)), the
-    factors folded by ``graded.kunneth`` one prime at a time, as powers of
+    factors folded by ``kunneth`` one prime at a time, as powers of
     different primes never pair and every factor's Z lies in degree 0, and
     every degree read back in invariant factors."""
     by_prime = defaultdict(list)  # {q: [factor as {degree: Counter of q-powers}]}
@@ -105,9 +104,10 @@ def split_model_homology(n: int, max_degree: int) -> GradedAbelianGroup:
                 by_prime[q].append(degrees)
     torsion = [Counter() for _ in range(max_degree + 1)]
     for factors in by_prime.values():
-        folded = graded.kunneth(*(GradedAbelianGroup.from_summands(
-            {0: [0], **{d: c.elements() for d, c in f.items()}}, max_degree)
-            for f in factors), max_degree)
+        folded = reduce(lambda a, b: kunneth(a, b, max_degree), (
+            GradedAbelianGroup.from_summands(
+                {0: [0], **{d: c.elements() for d, c in f.items()}}, max_degree)
+            for f in factors))
         for c, (_, pairs) in zip(torsion, folded.parts):
             c.update(dict(pairs))
     return GradedAbelianGroup(tuple((int(d == 0), _chain_pairs(c)) for d, c in enumerate(torsion)))

@@ -739,22 +739,6 @@ class TestVerify:
         assert code == 1
         assert f"FAIL  {failed[0].name}: {failed[0].detail}" in out.splitlines()
 
-    def test_xp_exponent_catches_a_kunneth_fold_disagreement(self, monkeypatch):
-        # the third route: the fold of the factors' closed forms made wrong in
-        # degree 4 only fails the one check that compares degree 4
-        real = verify.kunneth
-
-        def wrong_in_degree_four(*args):
-            parts = list(real(*args).parts)
-            parts[4] = parts[4][0] + 1, parts[4][1]
-            return GradedAbelianGroup(tuple(parts))
-
-        monkeypatch.setattr(verify, "kunneth", wrong_in_degree_four)
-        failed = [res for res in verify.run_suite("xp-exponent") if not res.passed]
-        assert [res.name for res in failed] == [f"xp-exponent p={p} r={r} k=2"
-                                                for p in (2, 3, 5) for r in (1, 2)]
-        assert all(res.detail.startswith("degree 4: Kunneth fold (1, ") for res in failed)
-
     def test_passing_checks_list_no_summand(self, monkeypatch):
         # the routes are compared as (order, multiplicity) counts: summands
         # are listed only to write a failure, and every check here passes

@@ -14,9 +14,9 @@ from periodindex.complexes import (ComplexKind, ElementaryComplex, _cone, _fold_
                                    primary_model_chain_complex,
                                    primary_model_homology,
                                    realize_chain_complex)
-from periodindex.graded import GradedAbelianGroup, exponent, kunneth
+from periodindex.graded import GradedAbelianGroup, exponent
 from periodindex.snf import ChainComplex, homology_of_complex
-from kunneth_reference import split_model_homology
+from kunneth_reference import primary_model_homology as pairwise_fold, split_model_homology
 from tensor_reference import per_kind_realization, tensor_chain_complex
 
 E = ComplexKind.EXTERIOR_FIRST
@@ -286,9 +286,9 @@ class TestPrimaryModelHomology:
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_series_equals_the_kunneth_fold_at_depth(self, p, r, cap):
         # the deepest prime-power queries of the kunneth benchmark, and r to
-        # 4: the series gives the Kunneth fold of the factors' closed forms
-        fold = kunneth(*(closed_form_homology(f, cap) for f in primary_model(p, r, cap)), cap)
-        assert primary_model_homology(p, r, cap).parts == fold.parts
+        # 4: the series gives the pairwise Kunneth fold of the factors'
+        # closed forms
+        assert primary_model_homology(p, r, cap).parts == pairwise_fold(p, r, cap).parts
 
     def test_first_factor_dominates_p_part(self):
         for p, r in ((2, 1), (2, 2), (3, 1)):
@@ -334,8 +334,8 @@ class TestModelHomology:
 
     def test_builds_one_group_and_factorises_small_numbers(self, monkeypatch):
         # composite n is read off level counts: the result is the one group
-        # built, with no closed form and no Kunneth fold, and nothing past
-        # max(n, cap) is factorised
+        # built, with no closed form, which any fold of the factors reads,
+        # and nothing past max(n, cap) is factorised
         built, factorised = [], []
         real_new, real_factorize = GradedAbelianGroup.__new__, bounds.factorize
 
@@ -347,15 +347,13 @@ class TestModelHomology:
             factorised.append(m)
             return real_factorize(m)
 
-        def no_fold(*args):
-            raise AssertionError("a model folded its factors")
+        def no_closed_form(*args):
+            raise AssertionError("a model read a factor's closed form")
 
         monkeypatch.setattr(GradedAbelianGroup, "__new__", counting_new)
         for module in (bounds, periodindex.complexes, graded):
             monkeypatch.setattr(module, "factorize", spying_factorize)
-        for module, name in ((periodindex.complexes, "closed_form_homology"),
-                             (graded, "kunneth"), (graded, "_fold")):
-            monkeypatch.setattr(module, name, no_fold)
+        monkeypatch.setattr(periodindex.complexes, "closed_form_homology", no_closed_form)
         n, cap = 2 * 1000003, 40
         g = model_homology(n, cap)
         assert built == [GradedAbelianGroup]

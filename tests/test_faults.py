@@ -5,12 +5,20 @@ on test data selection", IEEE Computer 11(4), 1978)."""
 
 import pytest
 
-from periodindex import bounds, verify
+from periodindex import bounds, snf, verify
 
 FAULTS = [  # (module, function, its faulty stand-in, the verify suite that must fail)
     # Theorem A's exponent loses v_p((d-1)!): only the suite's product check sees it
     pytest.param(bounds, "_legendre_sum", lambda p, m: 0, "xp-exponent",
                  id="legendre_sum-zero"),
+    # torsion orders kept as read, never merged into a divisibility chain:
+    # Z/2 + Z/3 stays two summands where the closed form has one Z/6
+    pytest.param(snf, "_divisibility_chain",
+                 lambda counts: {e: m for e, m in counts.items() if m and e > 1}, "composite",
+                 id="divisibility_chain-unmerged"),
+    # v_p(j) drops out of the differential-order bound p^(r + v_p(j))
+    pytest.param(bounds, "padic_valuation", lambda p, m: 0, "xp-exponent",
+                 id="padic_valuation-zero"),
 ]
 
 

@@ -1,13 +1,12 @@
-"""Property tests: the multiplicity-form Kunneth product against the
-pairwise list product it replaced, plus its algebraic laws and JSON, the
-closed forms against the per-degree summand lists they replaced, the
-n-ary fold and the model homologies against the pairwise fold, the packed
-torsion counts against the list-based ones, the per-degree reads against
-the bodies they replaced, and the one-pass constructor against the
-sort-then-check body it replaced."""
+"""Property tests: the test-side pairwise Kunneth product against its
+literal definition, one list entry per pair of cyclic summands, JSON, the
+closed forms against the per-degree summand lists they replaced, the model
+homologies against the pairwise fold, the packed torsion counts against
+the list-based ones, the per-degree reads against the bodies they
+replaced, and the one-pass constructor against the sort-then-check body
+it replaced."""
 
 import json
-from functools import reduce
 from math import gcd, lcm
 from unittest import mock
 
@@ -23,7 +22,7 @@ from graded_constructor_reference import checked_parts
 from periodindex import complexes, graded
 from periodindex.complexes import (ComplexKind, ElementaryComplex, _torsion_counts,
                                    closed_form_homology, model_homology, primary_model_homology)
-from periodindex.graded import GradedAbelianGroup, exponent, kunneth
+from periodindex.graded import GradedAbelianGroup, exponent
 
 
 def reference_kunneth(a, b, max_degree):
@@ -57,20 +56,11 @@ def groups(draw, cap=None, orders=ORDERS):
     return GradedAbelianGroup.from_summands(summands, cap)
 
 
-def same_cap(n):
-    return CAPS.flatmap(lambda cap: st.tuples(*(groups(cap) for _ in range(n))))
-
-
-def iso_type(g):
-    """Free rank and invariant factors per degree: the group up to isomorphism."""
-    return [(g.summands(d)[0], g.invariant_factors(d)) for d in range(g.max_degree + 1)]
-
-
 @SETTINGS
 @given(groups(), groups())
-def test_kunneth_equals_pairwise_reference(a, b):
+def test_pairwise_kunneth_equals_its_definition(a, b):
     cap = min(a.max_degree, b.max_degree)
-    out, expected = kunneth(a, b, cap), reference_kunneth(a, b, cap)
+    out, expected = reference.kunneth(a, b, cap), reference_kunneth(a, b, cap)
     assert out == expected
     assert out.to_json() == expected.to_json()
 
@@ -82,37 +72,9 @@ COPRIME_ORDERS = st.one_of(ORDERS, st.sampled_from([7, 25, 10 ** 20 + 39]))
 
 @SETTINGS
 @given(groups(orders=COPRIME_ORDERS), groups(orders=COPRIME_ORDERS))
-def test_kunneth_with_coprime_orders_equals_pairwise_reference(a, b):
+def test_pairwise_kunneth_with_coprime_orders_equals_its_definition(a, b):
     cap = min(a.max_degree, b.max_degree)
-    assert kunneth(a, b, cap) == reference_kunneth(a, b, cap)
-
-
-@SETTINGS
-@given(groups(orders=COPRIME_ORDERS), st.data())
-def test_kunneth_with_unit_is_restriction(a, data):
-    cap = data.draw(st.integers(0, a.max_degree))
-    unit = GradedAbelianGroup.from_summands({0: [0]}, cap)
-    restricted = GradedAbelianGroup(a.parts[:cap + 1])
-    assert kunneth(a, unit, cap) == restricted
-    assert kunneth(unit, a, cap) == restricted
-
-
-@SETTINGS
-@given(same_cap(2))
-def test_kunneth_commutes_up_to_isomorphism(pair):
-    a, b = pair
-    cap = a.max_degree
-    assert iso_type(kunneth(a, b, cap)) == iso_type(kunneth(b, a, cap))
-
-
-@SETTINGS
-@given(same_cap(3))
-def test_kunneth_associates_up_to_isomorphism(triple):
-    a, b, c = triple
-    cap = a.max_degree
-    left = kunneth(kunneth(a, b, cap), c, cap)
-    right = kunneth(a, kunneth(b, c, cap), cap)
-    assert iso_type(left) == iso_type(right)
+    assert reference.kunneth(a, b, cap) == reference_kunneth(a, b, cap)
 
 
 @SETTINGS
@@ -194,15 +156,6 @@ def elementary(draw):
 @example(ElementaryComplex(ComplexKind.PE_SECOND, 4, 1), 60)
 def test_closed_form_equals_summand_lists(c, cap):
     assert closed_form_homology(c, cap).parts == reference_closed_form(c, cap).parts
-
-
-@SETTINGS
-@given(st.lists(groups(orders=LISTED_ORDERS), max_size=4), CAPS)
-def test_nary_fold_equals_pairwise_reference(factors, cap):
-    cap = min([cap] + [g.max_degree for g in factors])
-    expected = reduce(lambda a, b: reference.kunneth(a, b, cap), factors,
-                      GradedAbelianGroup.from_summands({0: [0]}, cap))
-    assert kunneth(*factors, cap) == expected
 
 
 def assert_chains(g):

@@ -30,7 +30,7 @@ PUBLIC = {
                   "model_chain_complex", "model_homology", "primary_model",
                   "primary_model_chain_complex", "primary_model_homology",
                   "realize_chain_complex"},
-    "graded": {"GradedAbelianGroup", "exponent", "kunneth", "primary_part"},
+    "graded": {"GradedAbelianGroup", "exponent", "primary_part"},
     "snf": {"ChainComplex", "IntegerMatrix", "SmithNormalForm", "determinant",
             "homology_counts", "homology_of_complex", "smith_normal_form"},
     "words": {"Symbol", "SymbolKind", "Word", "count_words", "degree", "enumerate_words",
