@@ -87,12 +87,36 @@ class TestKunneth:
         assert out.summands(8) == (0, (2,))   # Tor(Z/4, Z/2), shifted by one
         assert out.nonzero_degrees() == [0, 3, 4, 7, 8]
 
+    def test_unit(self):
+        a = G({0: [0], 2: [2, 3], 5: [0, 8]}, 9)
+        unit = G({0: [0]}, 9)
+        assert kunneth(a, unit, 9) == a
+        assert kunneth(unit, a, 9) == a
+
     def test_window_enforced(self):
         a = G({0: [0]}, 4)
         b = G({0: [0]}, 9)
         with pytest.raises(ValueError):
             kunneth(a, b, 5)
         assert kunneth(a, b, 4).max_degree == 4
+
+    def test_symmetry_randomized(self):
+        rng = random.Random(101)
+        for _ in range(30):
+            a = _random_group(rng)
+            b = _random_group(rng)
+            cap = min(a.max_degree, b.max_degree)
+            assert kunneth(a, b, cap) == kunneth(b, a, cap)
+
+    def test_associativity_randomized(self):
+        # the model references fold their factors in any order
+        rng = random.Random(202)
+        for _ in range(20):
+            a, b, c = (_random_group(rng) for _ in range(3))
+            cap = min(a.max_degree, b.max_degree, c.max_degree)
+            left = kunneth(kunneth(a, b, cap), c, cap)
+            right = kunneth(a, kunneth(b, c, cap), cap)
+            assert left == right
 
     def test_exponent_upper_bound(self):
         rng = random.Random(303)

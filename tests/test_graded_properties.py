@@ -1,10 +1,10 @@
 """Property tests: the test-side pairwise Kunneth product against its
-literal definition, one list entry per pair of cyclic summands, JSON, the
-closed forms against the per-degree summand lists they replaced, the model
-homologies against the pairwise fold, the packed torsion counts against
-the list-based ones, the per-degree reads against the bodies they
-replaced, and the one-pass constructor against the sort-then-check body
-it replaced."""
+literal definition, one list entry per pair of cyclic summands, plus its
+algebraic laws and JSON, the closed forms against the per-degree summand
+lists they replaced, the model homologies against the pairwise fold, the
+packed torsion counts against the list-based ones, the per-degree reads
+against the bodies they replaced, and the one-pass constructor against
+the sort-then-check body it replaced."""
 
 import json
 from math import gcd, lcm
@@ -56,9 +56,18 @@ def groups(draw, cap=None, orders=ORDERS):
     return GradedAbelianGroup.from_summands(summands, cap)
 
 
+def same_cap(n):
+    return CAPS.flatmap(lambda cap: st.tuples(*(groups(cap) for _ in range(n))))
+
+
+def iso_type(g):
+    """Free rank and invariant factors per degree: the group up to isomorphism."""
+    return [(g.summands(d)[0], g.invariant_factors(d)) for d in range(g.max_degree + 1)]
+
+
 @SETTINGS
 @given(groups(), groups())
-def test_pairwise_kunneth_equals_its_definition(a, b):
+def test_kunneth_equals_pairwise_reference(a, b):
     cap = min(a.max_degree, b.max_degree)
     out, expected = reference.kunneth(a, b, cap), reference_kunneth(a, b, cap)
     assert out == expected
@@ -72,9 +81,39 @@ COPRIME_ORDERS = st.one_of(ORDERS, st.sampled_from([7, 25, 10 ** 20 + 39]))
 
 @SETTINGS
 @given(groups(orders=COPRIME_ORDERS), groups(orders=COPRIME_ORDERS))
-def test_pairwise_kunneth_with_coprime_orders_equals_its_definition(a, b):
+def test_kunneth_with_coprime_orders_equals_pairwise_reference(a, b):
     cap = min(a.max_degree, b.max_degree)
     assert reference.kunneth(a, b, cap) == reference_kunneth(a, b, cap)
+
+
+@SETTINGS
+@given(groups(orders=COPRIME_ORDERS), st.data())
+def test_kunneth_with_unit_is_restriction(a, data):
+    cap = data.draw(st.integers(0, a.max_degree))
+    unit = GradedAbelianGroup.from_summands({0: [0]}, cap)
+    restricted = GradedAbelianGroup(a.parts[:cap + 1])
+    assert reference.kunneth(a, unit, cap) == restricted
+    assert reference.kunneth(unit, a, cap) == restricted
+
+
+# the model references fold their factors one by one in whatever order
+# they come, which these two laws make safe
+@SETTINGS
+@given(same_cap(2))
+def test_kunneth_commutes_up_to_isomorphism(pair):
+    a, b = pair
+    cap = a.max_degree
+    assert iso_type(reference.kunneth(a, b, cap)) == iso_type(reference.kunneth(b, a, cap))
+
+
+@SETTINGS
+@given(same_cap(3))
+def test_kunneth_associates_up_to_isomorphism(triple):
+    a, b, c = triple
+    cap = a.max_degree
+    left = reference.kunneth(reference.kunneth(a, b, cap), c, cap)
+    right = reference.kunneth(a, reference.kunneth(b, c, cap), cap)
+    assert iso_type(left) == iso_type(right)
 
 
 @SETTINGS
