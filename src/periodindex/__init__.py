@@ -7,7 +7,7 @@ The package has three layers:
   and homology of based free chain complexes;
 * the homology model for K(Z/n, 2) (:mod:`periodindex.words`,
   :mod:`periodindex.graded`, :mod:`periodindex.complexes`): word calculus,
-  graded abelian groups in multiplicity form, and the elementary dg
+  graded abelian groups in invariant factors, and the elementary dg
   complexes whose tensor products carry the torsion;
 * the period-index arithmetic (:mod:`periodindex.bounds`): per-prime
   differential-order bounds and the resulting index bound

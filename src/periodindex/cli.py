@@ -207,7 +207,7 @@ def _cmd_homology(args, parser) -> int:
         return _refuse("homology", f"the torsion orders listed would have about {digits:.0f} "
                                    f"digits, over the limit of {MAX_OUTPUT}; lower --max-degree")
     if args.format != "json":  # the pretty and csv listings also print each degree's
-        # exponent, its largest order: model degrees are divisibility chains
+        # exponent, its largest order
         digits += log10(2) * sum(pairs[-1][0].bit_length() for _, pairs in group.parts if pairs)
         if digits > MAX_OUTPUT:
             return _refuse("homology", f"the torsion orders and exponents listed would have "

@@ -19,11 +19,11 @@ exactly p^r * k.  Its closed-form homology is read off one mod-p series,
 by the Kunneth formula over F_p and the universal coefficient theorem.
 The model for composite order is the product of all the prime-power
 models' factors; its closed-form homology is read off one such series per
-prime q and level e, which counts the summands of order divisible by q^e,
-and reports every degree in invariant factors.  Each series is one int of
-fixed-width slots (Kronecker substitution, :mod:`periodindex.packing`),
-multiplied and divided by shifts and masks and unpacked once as counts
-(``_torsion_counts``); the closed forms import ``packing``, never ``snf``.
+prime q and level e, which counts the summands of order divisible by q^e.
+Each series is one int of fixed-width slots (Kronecker substitution,
+:mod:`periodindex.packing`), multiplied and divided by shifts and masks
+and unpacked once as counts (``_torsion_counts``); the closed forms import
+``packing``, never ``snf``.
 
 Closed-form homology here is independently checkable against the
 Smith-normal-form homology in :mod:`periodindex.snf` by one oracle route:
@@ -142,9 +142,8 @@ def primary_model_homology(p: int, r: int, max_degree: int) -> GradedAbelianGrou
     and 2q - 1 for each E ox P, so ``_torsion_counts`` gives the model's
     summand counts.  Over Z, Z/x ox Z/y and Tor(Z/x, Z/y) are Z/gcd(x, y)
     and every twist but the leading p^r is p, so each summand is Z/p but the
-    leading line Z/(p^r k) in degree 2k: each degree is a divisibility
-    chain, whose largest order is the exponent that ``homology`` prints.
-    ``verify`` checks it against SNF homology.
+    leading line Z/(p^r k) in degree 2k.  ``verify`` checks it against SNF
+    homology.
 
     >>> primary_model_homology(2, 1, 12).parts[10:]
     ((0, ((2, 1), (10, 1))), (0, ((2, 3),)), (0, ((2, 2), (12, 1))))
@@ -210,9 +209,7 @@ def _torsion_counts(series, max_degree: int) -> list[int]:
 
 
 def model_homology(n: int, max_degree: int) -> GradedAbelianGroup:
-    """Homology of the full model for order n = p_1^r_1 ... p_k^r_k, in
-    invariant factors: d_1 | d_2 | ... in every degree, as SNF reports it,
-    whose largest order is the exponent that ``homology`` prints.
+    """Homology of the full model for order n = p_1^r_1 ... p_k^r_k.
 
     With one prime this is ``primary_model_homology``.  With more, fix a
     prime q and a level e >= 1 and send Z to Z, Z/m to Z/q if q^e | m and to

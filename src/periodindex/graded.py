@@ -1,18 +1,20 @@
-"""Finitely generated graded abelian groups in multiplicity form.
+"""Finitely generated graded abelian groups in invariant factors.
 
 A cyclic summand is encoded by its order: 0 stands for Z, any integer
 >= 2 for Z/n, and order-1 summands are dropped.  A graded group stores,
 per degree, the free rank and the distinct finite orders, each with its
-multiplicity, so a million copies of Z/4 cost one pair.  A group keeps
-the orders it was built from: ``from_summands`` takes Z/6 and Z/2 + Z/3
-as given, so those two compare unequal, and ``invariant_factors`` gives
-either's divisibility chain.  Model homology is built in that form:
-every degree is d_1 | d_2 | ..., so ``==`` is isomorphism and the largest
-order is the exponent.  ``_chain`` builds a chain from level counts: how
-many summands have order divisible by each prime power.  Work follows
-distinct orders: a listing copies one block per order.  The one
-constructor checks every group it builds, in one pass per degree: an
-empty degree is kept as (), and any other is sorted once and walked once.
+multiplicity, so a million copies of Z/4 cost one pair.  Its canonical
+form is the invariant factors d_1 | d_2 | ... of every degree: the one
+constructor keeps a degree whose orders each divide the next as given,
+as every model degree is, and merges any other into its chain
+(``packing._divisibility_chain``, Z/a + Z/b = Z/gcd + Z/lcm).  So Z/6
+and Z/2 + Z/3 build the same group, ``==`` is isomorphism, and a
+degree's largest order is its exponent.  ``_chain`` builds a chain from
+level counts: how many summands have order divisible by each prime
+power.  Work follows distinct orders: a listing copies one block per
+order.  The constructor checks every group it builds, in one pass per
+degree: an empty degree is kept as (), and any other is sorted once and
+walked once.
 
 Every group carries a truncation cap ``max_degree``: content is only
 known up to that degree, and reading past it is an error, not a zero.
@@ -21,16 +23,17 @@ known up to that degree, and reading past it is an error, not a zero.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict, namedtuple
-from itertools import accumulate
-from math import lcm, prod
+from collections import Counter, namedtuple
+from math import prod
 from operator import itemgetter
 
-from .bounds import decimal_string, factorize, is_prime, padic_valuation
+from .bounds import decimal_string, is_prime, padic_valuation
+from .packing import _divisibility_chain
 
 
 class GradedAbelianGroup(namedtuple("GradedAbelianGroup", "parts")):
-    """Graded abelian group: parts[n] = (free rank, sorted (order, multiplicity) pairs).
+    """Graded abelian group: parts[n] = (free rank, invariant factors as
+    ascending (order, multiplicity) pairs).
 
     The length of ``parts`` is max_degree + 1; trailing empty degrees are
     meaningful (they assert the group is known to be trivial there).
@@ -38,6 +41,8 @@ class GradedAbelianGroup(namedtuple("GradedAbelianGroup", "parts")):
     >>> g = GradedAbelianGroup.from_summands({0: [0], 2: [4, 2, 4]}, max_degree=3)
     >>> g.parts[2], g.summands(2), g.describe(2)
     ((0, ((2, 1), (4, 2))), (0, (2, 4, 4)), 'Z/2 + Z/4 + Z/4')
+    >>> GradedAbelianGroup.from_summands({1: [4, 6]}, 1).summands(1)  # Z/4 + Z/6
+    (0, (2, 12))
     """
 
     __slots__ = ()
@@ -47,7 +52,8 @@ class GradedAbelianGroup(namedtuple("GradedAbelianGroup", "parts")):
         pairs in any iterable, in one pass per degree: the rank is checked
         first, an empty degree becomes (), and other pairs are sorted once
         and walked once, each order above the one before it (the first
-        above 1), so the orders are distinct and >= 2."""
+        above 1), so the orders are distinct and >= 2.  A degree whose
+        orders do not each divide the next is merged into its chain."""
         if not parts:
             raise ValueError("a graded group needs at least degree 0")
         fixed = []
@@ -57,11 +63,15 @@ class GradedAbelianGroup(namedtuple("GradedAbelianGroup", "parts")):
             if not pairs:  # an empty or free-only degree
                 fixed.append((free, ()))
                 continue
-            pairs, previous = tuple(sorted(pairs)), 1
+            pairs, previous, chain = tuple(sorted(pairs)), 1, True
             for t, m in pairs:
                 if t <= previous or m < 1:
                     raise _invalid()
+                if t % previous:
+                    chain = False
                 previous = t
+            if not chain:
+                pairs = tuple(_divisibility_chain(dict(pairs)).items())
             fixed.append((free, pairs))
         return tuple.__new__(cls, (tuple(fixed),))
 
@@ -99,33 +109,12 @@ class GradedAbelianGroup(namedtuple("GradedAbelianGroup", "parts")):
         return self.parts[degree]
 
     def summands(self, degree: int) -> tuple[int, tuple[int, ...]]:
-        """(free rank, sorted finite orders) in one degree; errors past the cap."""
+        """(free rank, invariant factors ascending) in one degree; errors past the cap."""
         free, pairs = self._part(degree)
         return free, tuple(_listing(pairs, int))
 
     def nonzero_degrees(self) -> list[int]:
         return [d for d, (free, tors) in enumerate(self.parts) if free or tors]
-
-    def invariant_factors(self, degree: int) -> tuple[int, ...]:
-        """Torsion in divisibility-chain form d_1 | d_2 | ..., ascending.
-
-        This is the isomorphism-invariant shape, and the form a
-        Smith-normal-form homology computation reports.
-
-        >>> GradedAbelianGroup.from_summands({1: [4, 6]}, 1).invariant_factors(1)
-        (2, 12)
-        """
-        _, pairs = self._part(degree)
-        towers = defaultdict(Counter)
-        for order, mult in pairs:  # each distinct order is factorised once
-            for p, e in factorize(order):
-                towers[p][e] += mult
-        levels = []
-        for p, tower in towers.items():  # levels e_below < e <= e_top share one count
-            tops = sorted(tower, reverse=True)
-            counts = accumulate(tower[e] for e in tops)
-            levels += ((c, p ** (e - below)) for c, e, below in zip(counts, tops, tops[1:] + [0]))
-        return tuple(_listing(_chain(levels), int))
 
     def describe(self, degree: int) -> str:
         free, pairs = self._part(degree)
@@ -204,7 +193,8 @@ def _chain(levels) -> list[tuple[int, int]]:
 
 
 def exponent(a: GradedAbelianGroup, degree: int) -> tuple[int, int]:
-    """(lcm of the finite orders, 1 if there are none; free rank) in one degree.
+    """(exponent, the largest finite order or 1 if there is none; free rank)
+    in one degree.
 
     Free rank is reported separately since no finite integer kills a Z summand.
     """
@@ -212,7 +202,7 @@ def exponent(a: GradedAbelianGroup, degree: int) -> tuple[int, int]:
     if not 0 <= degree < len(parts):
         raise _outside(degree, len(parts) - 1)
     free, pairs = parts[degree]
-    return (pairs[0][0] if len(pairs) == 1 else lcm(*dict(pairs))), free
+    return (pairs[-1][0] if pairs else 1), free
 
 
 def primary_part(a: GradedAbelianGroup, p: int) -> GradedAbelianGroup:

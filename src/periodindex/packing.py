@@ -8,14 +8,22 @@ series multiplies the polynomials, as long as no slot carries into the
 next.  A caller picks the width from a bound on every coefficient it
 forms (``_slot_width``), packs once and unpacks once.
 
+It also holds ``_divisibility_chain``, the merge of cyclic orders into
+invariant factors by Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b), which every
+graded group's constructor (:mod:`periodindex.graded`) and the SNF
+oracle's homology table (:mod:`periodindex.snf`) apply.
+
 This module imports nothing from the package: both the closed forms
-(:mod:`periodindex.complexes`) and the SNF oracle (:mod:`periodindex.snf`)
-sum in packed series, and neither route learns the other through it.
+(:mod:`periodindex.complexes`) and the SNF oracle sum in packed series, and
+neither route learns the other through it.  The closed forms build their
+degrees as chains already, so they never reach the merge.
 """
 
 from __future__ import annotations
 
 import sys
+from collections import Counter
+from math import gcd, lcm
 
 # machine formats of the slot widths read in one cast: native order must be
 # the little-endian order of the packed ints
@@ -55,3 +63,32 @@ def _unpack(series: int, width: int, count: int) -> list[int]:
     if width in _SLOT_FORMATS:
         return memoryview(data).cast(_SLOT_FORMATS[width]).tolist()
     return [int.from_bytes(data[i:i + width], "little") for i in range(0, size, width)]
+
+
+def _divisibility_chain(counts) -> dict[int, int]:
+    """Invariant factors > 1 of the sum of m copies of Z/e over the
+    {e: m} ``counts``, e >= 1, as {factor: multiplicity}, ascending.
+
+    As Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b), neighbouring orders > 1 with
+    a count, sorted, that do not divide one another are replaced by their
+    gcd and lcm until the distinct orders form a chain.  Each step spreads
+    a pair apart at a fixed product, so the loop ends.
+
+    >>> _divisibility_chain({2: 1, 3: 1, 4: 1, 1: 1})
+    {2: 1, 12: 1}
+    >>> _divisibility_chain({4: 1, 2: 3})   # a chain, but not in this order
+    {2: 3, 4: 1}
+    >>> _divisibility_chain({}), _divisibility_chain({4: 3})
+    ({}, {4: 3})
+    >>> _divisibility_chain({1: 5}), _divisibility_chain({6: 0})
+    ({}, {})
+    """
+    counts = Counter(counts)
+    while True:
+        orders = sorted(e for e, m in counts.items() if m and e > 1)
+        pair = next(((a, b) for a, b in zip(orders, orders[1:]) if b % a), None)
+        if pair is None:
+            return {e: counts[e] for e in orders}
+        a, b = pair
+        t = min(counts[a], counts[b])
+        counts.update({a: -t, b: -t, gcd(a, b): t, lcm(a, b): t})

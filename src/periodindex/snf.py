@@ -31,21 +31,21 @@ that ``homology_counts`` reads.
 Swapping in a faster SNF would only touch ``smith_normal_form``.
 
 From the package this module imports only the leaf
-:mod:`periodindex.packing`, which packs and unpacks series and imports
-nothing itself: the oracle knows no closed form, no Tor rule and no
-Kunneth product.
+:mod:`periodindex.packing`, which packs and unpacks series, merges orders
+into a divisibility chain and imports nothing itself: the oracle knows no
+closed form, no Tor rule and no Kunneth product.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict, namedtuple
 from itertools import chain, repeat, takewhile
-from math import gcd, lcm
+from math import gcd
 from operator import mod
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .packing import _pack, _slot_width, _unpack
+from .packing import _divisibility_chain, _pack, _slot_width, _unpack
 
 
 class IntegerMatrix(namedtuple("IntegerMatrix", "rows cols entries")):
@@ -211,35 +211,6 @@ def smith_normal_form(m: IntegerMatrix, with_transforms: bool = False) -> SmithN
     return SmithNormalForm(factors, len(factors),
                            IntegerMatrix.from_rows([row[cols:] for row in a[:rows]], cols=rows),
                            IntegerMatrix.from_rows([row[:cols] for row in a[rows:]], cols=cols))
-
-
-def _divisibility_chain(counts) -> dict[int, int]:
-    """Invariant factors > 1 of the sum of m copies of Z/e over the
-    {e: m} ``counts``, e >= 1, as {factor: multiplicity}, ascending.
-
-    As Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b), neighbouring orders > 1 with
-    a count, sorted, that do not divide one another are replaced by their
-    gcd and lcm until the distinct orders form a chain.  Each step spreads
-    a pair apart at a fixed product, so the loop ends.
-
-    >>> _divisibility_chain({2: 1, 3: 1, 4: 1, 1: 1})
-    {2: 1, 12: 1}
-    >>> _divisibility_chain({4: 1, 2: 3})   # a chain, but not in this order
-    {2: 3, 4: 1}
-    >>> _divisibility_chain({}), _divisibility_chain({4: 3})
-    ({}, {4: 3})
-    >>> _divisibility_chain({1: 5}), _divisibility_chain({6: 0})
-    ({}, {})
-    """
-    counts = Counter(counts)
-    while True:
-        orders = sorted(e for e, m in counts.items() if m and e > 1)
-        pair = next(((a, b) for a, b in zip(orders, orders[1:]) if b % a), None)
-        if pair is None:
-            return {e: counts[e] for e in orders}
-        a, b = pair
-        t = min(counts[a], counts[b])
-        counts.update({a: -t, b: -t, gcd(a, b): t, lcm(a, b): t})
 
 
 def _dense(columns, index, rows: int) -> IntegerMatrix:

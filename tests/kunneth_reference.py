@@ -1,6 +1,6 @@
 """The pairwise Kunneth product, the tests' one reference for products of
 graded groups, with the model homologies folded through it factor by
-factor and the invariant factors read off by factorising every order.
+factor, and invariant factors read off by factorising every order.
 
 The package forms no Kunneth product: it reads the model homologies off
 mod-p series and level counts, and these functions are what the tests
@@ -69,11 +69,12 @@ def model_homology(n: int, max_degree: int) -> GradedAbelianGroup:
     return result
 
 
-def invariant_factors(g: GradedAbelianGroup, degree: int) -> tuple[int, ...]:
-    """The torsion of ``g`` in ``degree`` as ascending invariant factors,
-    from one descending tower of prime powers per prime."""
+def invariant_factors(pairs) -> tuple[int, ...]:
+    """The sum of m copies of Z/t over the (t, m) ``pairs``, t >= 2, as
+    ascending invariant factors, from one descending tower of prime powers
+    per prime."""
     towers: dict[int, list[int]] = {}
-    for order, mult in g.parts[degree][1]:
+    for order, mult in pairs:
         for p, e in factorize(order):
             towers.setdefault(p, []).extend([p ** e] * mult)
     tiers = zip_longest(*(sorted(t, reverse=True) for t in towers.values()), fillvalue=1)

@@ -14,7 +14,7 @@ from periodindex.complexes import (ComplexKind, ElementaryComplex, _cone, _fold_
                                    primary_model_chain_complex,
                                    primary_model_homology,
                                    realize_chain_complex)
-from periodindex.graded import GradedAbelianGroup, exponent
+from periodindex.graded import GradedAbelianGroup, exponent, primary_part
 from periodindex.snf import ChainComplex, homology_of_complex
 from kunneth_reference import primary_model_homology as pairwise_fold, split_model_homology
 from tensor_reference import per_kind_realization, tensor_chain_complex
@@ -351,7 +351,8 @@ class TestModelHomology:
             raise AssertionError("a model read a factor's closed form")
 
         monkeypatch.setattr(GradedAbelianGroup, "__new__", counting_new)
-        for module in (bounds, periodindex.complexes, graded):
+        assert not hasattr(graded, "factorize")  # groups merge orders without factorising
+        for module in (bounds, periodindex.complexes):
             monkeypatch.setattr(module, "factorize", spying_factorize)
         monkeypatch.setattr(periodindex.complexes, "closed_form_homology", no_closed_form)
         n, cap = 2 * 1000003, 40
@@ -386,6 +387,26 @@ class TestModelHomology:
         # the kunneth benchmark's composite tiers and criterion 9's order,
         # deep caps, a long run of levels and a prime past cap / 2
         assert model_homology(n, cap).parts == split_model_homology(n, cap).parts
+
+
+def test_closed_forms_never_reach_the_merge(monkeypatch):
+    # the closed forms build every degree as a divisibility chain themselves:
+    # the constructor's gcd/lcm merge, shared with the SNF oracle, is never run
+    def no_merge(counts):
+        raise AssertionError(f"a closed form merged {counts}")
+
+    monkeypatch.setattr(graded, "_divisibility_chain", no_merge)
+    for p in (2, 3, 5, 7):
+        for r in (1, 2, 3):
+            for cap in (0, 1, 2, 3, 7, 30, 64, 200):
+                primary_part(primary_model_homology(p, r, cap), p)
+    for n in range(2, 121):
+        for cap in (0, 1, 4, 5, 12, 30):
+            model_homology(n, cap)
+    for q in (1, 2, 3):
+        for kind in ComplexKind:
+            for h in (None,) if kind in (E, P) else (1, 2, 6, 12):
+                closed_form_homology(ElementaryComplex(kind, q, h), 40)
 
 
 class TestExponentBound:

@@ -5,7 +5,9 @@ on test data selection", IEEE Computer 11(4), 1978)."""
 
 import pytest
 
-from periodindex import bounds, snf, verify
+from periodindex import bounds, complexes, snf, verify
+
+_torsion_counts, _components = complexes._torsion_counts, complexes._components
 
 FAULTS = [  # (module, function, its faulty stand-in, the verify suite that must fail)
     # Theorem A's exponent loses v_p((d-1)!): only the suite's product check sees it
@@ -19,6 +21,16 @@ FAULTS = [  # (module, function, its faulty stand-in, the verify suite that must
     # v_p(j) drops out of the differential-order bound p^(r + v_p(j))
     pytest.param(bounds, "padic_valuation", lambda p, m: 0, "xp-exponent",
                  id="padic_valuation-zero"),
+    # the closed forms' series count one summand too many in every degree
+    # = 3 (mod 7): the oracle's model homology has none of them
+    pytest.param(complexes, "_torsion_counts",
+                 lambda series, cap: [t + (d % 7 == 3)
+                                      for d, t in enumerate(_torsion_counts(series, cap))],
+                 "xp-exponent", id="torsion_counts-extra-summand"),
+    # the oracle's factors lose their top component: its homology misses the
+    # closed form's top degrees
+    pytest.param(complexes, "_components", lambda c, top: _components(c, top)[:-1],
+                 "elementary", id="components-drop-last"),
 ]
 
 

@@ -3,7 +3,7 @@ the pairwise product the tests fold model homologies through."""
 
 import json
 import random
-from math import lcm
+from math import lcm, prod
 
 import pytest
 
@@ -139,44 +139,54 @@ class TestKunneth:
                 assert bound % exp == 0
 
 
-def _random_group(rng):
+def _random_summands(rng):
     max_degree = rng.randint(0, 12)
     summands = {}
     for d in range(max_degree + 1):
         k = rng.randint(0, 5)
         if k:
             summands[d] = [rng.choice([0, 2, 3, 4, 5, 6, 8, 9, 12, 16]) for _ in range(k)]
-    return G(summands, max_degree)
+    return summands, max_degree
+
+
+def _random_group(rng):
+    return G(*_random_summands(rng))
 
 
 class TestInvariantFactors:
+    # every group is built in invariant factors, so == is isomorphism
     def test_coprime_summands_merge(self):
         g = G({2: [2, 3]}, 2)
-        assert g.invariant_factors(2) == (6,)
+        assert g.summands(2) == (0, (6,))
+        assert g == G({2: [6]}, 2)
 
     def test_mixed_orders(self):
         # Z/4 + Z/6 = Z/2 + Z/12
         g = G({1: [4, 6]}, 1)
-        assert g.invariant_factors(1) == (2, 12)
+        assert g.summands(1) == (0, (2, 12))
+        assert g == G({1: [12, 2]}, 1)
 
     def test_chain_property_randomized(self):
         rng = random.Random(505)
         for _ in range(30):
-            g = _random_group(rng)
-            for d in range(g.max_degree + 1):
-                chain = g.invariant_factors(d)
+            summands, max_degree = _random_summands(rng)
+            g = G(summands, max_degree)
+            for d, orders in summands.items():
+                free, chain = g.summands(d)
                 assert all(b % a == 0 for a, b in zip(chain, chain[1:]))
-                # same group: exponent and total order both preserved
-                _, torsion = g.summands(d)
-                exp, _ = exponent(g, d)
-                assert (lcm(*chain) if chain else 1) == exp
-                prod_orders = 1
-                for t in torsion:
-                    prod_orders *= t
-                prod_chain = 1
-                for t in chain:
-                    prod_chain *= t
-                assert prod_orders == prod_chain
+                # same group as drawn: free rank, exponent and total order preserved
+                torsion = [t for t in orders if t]
+                assert free == orders.count(0)
+                assert exponent(g, d) == (lcm(*torsion), free)
+                assert prod(torsion) == prod(chain)
+
+    def test_large_coprime_orders_merge_without_factorising(self):
+        # two Mersenne primes: Z/x + Z/y = Z/xy by gcd and lcm alone, where
+        # factorising xy is out of reach
+        x, y = 2 ** 89 - 1, 2 ** 107 - 1
+        g = G({1: [x, y]}, 1)
+        assert g == G({1: [x * y]}, 1)
+        assert exponent(g, 1) == (x * y, 0)
 
 
 class TestExponent:

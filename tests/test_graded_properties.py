@@ -4,9 +4,11 @@ algebraic laws and JSON, the closed forms against the per-degree summand
 lists they replaced, the model homologies against the pairwise fold, the
 packed torsion counts against the list-based ones, the per-degree reads
 against the bodies they replaced, and the one-pass constructor against
-the sort-then-check body it replaced."""
+the sort-then-check body it replaced, merging into invariant factors
+through the tower reference."""
 
 import json
+from collections import Counter
 from math import gcd, lcm
 from unittest import mock
 
@@ -50,19 +52,19 @@ SETTINGS = settings(max_examples=80, deadline=None, database=None)
 
 
 @st.composite
-def groups(draw, cap=None, orders=ORDERS):
+def summand_lists(draw, cap=None, orders=ORDERS):
+    """({degree: cyclic orders as drawn}, cap), the input of ``from_summands``."""
     cap = draw(CAPS) if cap is None else cap
-    summands = {d: draw(st.lists(orders, max_size=4)) for d in range(cap + 1)}
-    return GradedAbelianGroup.from_summands(summands, cap)
+    return {d: draw(st.lists(orders, max_size=4)) for d in range(cap + 1)}, cap
+
+
+def groups(cap=None, orders=ORDERS):
+    return summand_lists(cap, orders).map(
+        lambda drawn: GradedAbelianGroup.from_summands(*drawn))
 
 
 def same_cap(n):
     return CAPS.flatmap(lambda cap: st.tuples(*(groups(cap) for _ in range(n))))
-
-
-def iso_type(g):
-    """Free rank and invariant factors per degree: the group up to isomorphism."""
-    return [(g.summands(d)[0], g.invariant_factors(d)) for d in range(g.max_degree + 1)]
 
 
 @SETTINGS
@@ -97,13 +99,14 @@ def test_kunneth_with_unit_is_restriction(a, data):
 
 
 # the model references fold their factors one by one in whatever order
-# they come, which these two laws make safe
+# they come, which these two laws make safe; groups are in invariant
+# factors, so == is isomorphism
 @SETTINGS
 @given(same_cap(2))
 def test_kunneth_commutes_up_to_isomorphism(pair):
     a, b = pair
     cap = a.max_degree
-    assert iso_type(reference.kunneth(a, b, cap)) == iso_type(reference.kunneth(b, a, cap))
+    assert reference.kunneth(a, b, cap).parts == reference.kunneth(b, a, cap).parts
 
 
 @SETTINGS
@@ -113,7 +116,7 @@ def test_kunneth_associates_up_to_isomorphism(triple):
     cap = a.max_degree
     left = reference.kunneth(reference.kunneth(a, b, cap), c, cap)
     right = reference.kunneth(a, reference.kunneth(b, c, cap), cap)
-    assert iso_type(left) == iso_type(right)
+    assert left.parts == right.parts
 
 
 @SETTINGS
@@ -149,11 +152,12 @@ def test_listings_agree_and_convert_each_order_once(g):
 
 
 @SETTINGS
-@given(groups())
-def test_exponent_is_lcm_of_expanded_summands(g):
-    for d in range(g.max_degree + 1):
-        free, torsion = g.summands(d)
-        assert exponent(g, d) == (lcm(*torsion), free)
+@given(summand_lists())
+def test_exponent_is_lcm_of_expanded_summands(drawn):
+    summands, cap = drawn
+    g = GradedAbelianGroup.from_summands(summands, cap)
+    for d, orders in summands.items():  # as drawn, not in invariant factors
+        assert exponent(g, d) == (lcm(*(t for t in orders if t)), orders.count(0))
 
 
 def reference_closed_form(c, max_degree):
@@ -209,11 +213,10 @@ def assert_chains(g):
 @settings(max_examples=150, deadline=None, database=None)
 @given(st.integers(2, 60), st.integers(0, 24))
 def test_model_homology_is_the_invariant_factor_chain(n, cap):
+    # the pairwise fold's orders (Z/2 + Z/3) are merged by its constructor
     got, pairwise = model_homology(n, cap), reference.model_homology(n, cap)
     assert_chains(got)
-    for d in range(cap + 1):
-        assert got.summands(d) == (pairwise.summands(d)[0],
-                                   reference.invariant_factors(pairwise, d))
+    assert got.parts == pairwise.parts
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -231,10 +234,13 @@ def test_primary_model_homology_equals_pairwise_reference(p, r, cap):
 
 
 @SETTINGS
-@given(groups())
-def test_invariant_factors_equal_the_tower_reference(g):
-    for d in range(g.max_degree + 1):
-        assert g.invariant_factors(d) == reference.invariant_factors(g, d)
+@given(summand_lists())
+def test_invariant_factors_equal_the_tower_reference(drawn):
+    summands, cap = drawn
+    g = GradedAbelianGroup.from_summands(summands, cap)
+    for d, orders in summands.items():
+        torsion = Counter(t for t in orders if t > 1)
+        assert g.summands(d) == (orders.count(0), reference.invariant_factors(torsion.items()))
 
 
 # mod-q series of the model factors: s even, a = s - 1 (E ox P) or s + 1 (P ox E)
@@ -285,9 +291,11 @@ def test_per_degree_reads_equal_the_bodies_they_replaced(g):
 
 
 # The constructor checks and sorts each degree in one pass: on valid and
-# invalid parts alike it must keep what the sort-then-check body kept, or
-# raise its ValueError with the same message.  Pairs come as tuples, lists
-# and dict views, sorted or not, with orders 0 and 1, count 0 and repeats.
+# invalid parts alike it must keep what the sort-then-check body kept, with
+# every degree that is no divisibility chain merged into one, or raise its
+# ValueError with the same message.  Pairs come as tuples, lists and dict
+# views, sorted or not, with orders 0 and 1, count 0 and repeats, in chains
+# (2 | 4 | 12) and not (4, 6).
 
 PAIRS = st.lists(st.tuples(st.sampled_from([0, 1, 2, 3, 4, 6, 9, 12]), st.integers(-1, 3)),
                  max_size=4)
@@ -318,6 +326,10 @@ def built_or_refused(build, parts):
 @example(((0, ((2, 1), (2, 3))),))
 @example(((0, ((4, 1), (3, 1), (4, 2))),))
 @example(((1, [(4, 1), (2, 3)]), (0, {3: 2}.items()), (0, {9: 1, 3: 2}.items())))
+@example(((0, ((2, 1), (3, 1))),))  # Z/6
+@example(((0, ((2, 1), (4, 1), (6, 1))),))  # each divides by the first, 6 not by 4
+@example(((1, ((2, 3), (4, 1))), (0, [(6, 2), (4, 1)]), (0, {2: 1, 12: 2}.items()),
+          (2, {9: 1, 6: 2, 4: 3}.items())))  # chains and not, mixed
 def test_constructor_equals_the_sort_then_check_reference(parts):
     ours = built_or_refused(lambda parts: GradedAbelianGroup(parts).parts, parts)
     assert ours == built_or_refused(checked_parts, parts)
@@ -332,6 +344,7 @@ def test_constructor_equals_the_sort_then_check_reference(parts):
 @example([(-1, [])])
 @example([(2, []), (0, [(3, 1)]), (0, [(9, 1), (3, 2)])])
 @example([(0, [(2, 1), (2, 3)])])
+@example([(0, [(3, 1), (2, 1)]), (1, [(4, 1), (2, 2)]), (0, [(6, 1), (4, 1), (2, 1)])])
 def test_constructor_reads_pairs_from_a_generator_as_the_reference_does(degrees):
     def parts():  # fresh generators for each build
         return tuple((free, (pair for pair in pairs)) for free, pairs in degrees)

@@ -1,0 +1,34 @@
+"""The benchmark's calls into the package, read from its sources: every
+``from periodindex.<module> import <name>`` in ``perfbench/*.py``, and every
+``pi.<module>.<name>`` in ``perfbench/workloads.py``, must name something
+the package still has.  A refactor that moves or renames one of them breaks
+the benchmark (``record_digests.py`` included) without failing any other
+test.  The tracer's targets are strings, not calls, and are left out."""
+
+import ast
+import importlib
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _references() -> set[tuple[str, str, str]]:
+    """{(file, module, name)} of the package names the benchmark calls."""
+    found = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("periodindex."):
+                found.update((path.name, node.module, alias.name) for alias in node.names)
+            elif (path.name == "workloads.py" and isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Attribute)
+                  and isinstance(node.value.value, ast.Name) and node.value.value.id == "pi"):
+                found.add((path.name, f"periodindex.{node.value.attr}", node.attr))
+    return found
+
+
+def test_every_package_name_the_benchmark_calls_resolves():
+    references = _references()
+    assert {file for file, _, _ in references} == {"record_digests.py", "workloads.py"}
+    missing = [f"{file}: {module}.{name}" for file, module, name in sorted(references)
+               if not hasattr(importlib.import_module(module), name)]
+    assert not missing, missing
