@@ -6,9 +6,10 @@ The package has three layers:
 * exact integer linear algebra (:mod:`periodindex.snf`): Smith normal form
   and homology of based free chain complexes;
 * the homology model for K(Z/n, 2) (:mod:`periodindex.words`,
-  :mod:`periodindex.graded`, :mod:`periodindex.complexes`): word calculus,
-  graded abelian groups in invariant factors, and the elementary dg
-  complexes whose tensor products carry the torsion;
+  :mod:`periodindex.graded`, :mod:`periodindex.complexes`): the admissible
+  words, listed and counted as kind-digit keys, graded abelian groups in
+  invariant factors, and the elementary dg complexes whose tensor products
+  carry the torsion;
 * the period-index arithmetic (:mod:`periodindex.bounds`): per-prime
   differential-order bounds and the resulting index bound
   n^(d-1) * prod p^(v_p((d-1)!)).
@@ -35,8 +36,7 @@ _EXPORTS = {
     "graded": "GradedAbelianGroup exponent primary_part",
     "snf": """ChainComplex IntegerMatrix SmithNormalForm determinant homology_counts
         homology_of_complex smith_normal_form""",
-    "words": """Symbol SymbolKind Word count_words degree enumerate_words format_word gamma
-        height is_admissible phi psi sigma word_census""",
+    "words": "enumerate_words format_word word_census",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -1,9 +1,10 @@
 """Word calculus indexing the torsion of H_*(K(Z/n, 2)).
 
-Words are built from four symbols: the suspension sigma, one divided-power
-symbol gamma_p and one transpotence symbol phi_p per prime, and psi_{p^f},
-which can only ever stand last.  Degree and height are the two gradings
-the homology recipe reads off a word:
+The words are Cartan's admissible words (Séminaire H. Cartan 1954/55),
+built from four symbols: the suspension sigma, one divided-power symbol
+gamma_p and one transpotence symbol phi_p per prime, and psi_{p^f}, which
+can only ever stand last.  Degree and height are the two gradings the
+homology recipe reads off a word:
 
     deg(empty)     = 0            height counts the sigma, phi and psi
     deg(sigma a)   = 1 + deg(a)   letters; gamma is height-free.
@@ -16,69 +17,27 @@ letter (so at least two letters), both sigma or phi_p, and every gamma_p or
 phi_p letter has an even number of sigma letters strictly to its right.
 The shortest admissible word is sigma^2, of degree 2.  ``enumerate_words``
 lists the admissible words together with the auxiliary family
-sigma^(h-1) psi, which is what the elementary-complex model consumes.  It
-builds checked ``Word``s from the keys of ``words_by_degree``, which grows
-degree d from degrees d - 1, d / p and (d - 2) / p; the CLI renders the
-keys many at a time (``render_keys``) instead.
+sigma^(h-1) psi, which is what the elementary-complex model consumes.
+
+A word has one representation here, its key: the word spelled in kind
+digits, "0" sigma, "1" gamma_p, "2" phi_p and "3" psi_{p^r}, so that keys
+order like words.  ``words_by_degree`` grows the keys of degree d from
+those of degrees d - 1, d / p and (d - 2) / p, ``word_census`` counts them
+without building one, and ``render_keys`` spells them in symbols, many at
+a time.  The checked symbol-and-word definition the keys must meet is kept
+with the tests (``tests/words_reference.py``).
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from collections.abc import Iterator, Sequence
-from enum import IntEnum
 from math import log10
-from operator import attrgetter
 
-from .bounds import _check_prime_power, is_prime
+from .bounds import _check_prime_power
 
-
-class SymbolKind(IntEnum):
-    # the integer values fix the enumeration sort order
-    SIGMA = 0
-    GAMMA = 1
-    PHI = 2
-    PSI = 3
-
-
-_UNICODE, _ASCII = "σγφψ", "sgfy"  # indexed by kind
+_UNICODE, _ASCII = "σγφψ", "sgfy"  # indexed by kind digit
 _KEY_LETTERS = bytes.maketrans(b"0123", _ASCII.encode())  # kind digit -> ascii letter
-
-
-class Symbol(namedtuple("Symbol", "kind prime psi_exponent text ascii_text")):
-    """One letter of a word.  ``text`` and ``ascii_text`` are its rendering
-    (e.g. γ_3 and g_3), worked out from the other fields when it is built."""
-
-    __slots__ = ()
-
-    def __new__(cls, kind: SymbolKind, prime: int | None = None, psi_exponent: int | None = None):
-        if kind is SymbolKind.SIGMA:
-            if prime is not None or psi_exponent is not None:
-                raise ValueError("sigma carries no prime or exponent")
-            suffix = ""
-        elif prime is None or not is_prime(prime):
-            raise ValueError(f"{kind.name} needs a prime, got {prime}")
-        elif kind is SymbolKind.PSI:
-            if psi_exponent is None or psi_exponent < 1:
-                raise ValueError("psi needs an exponent f >= 1")
-            suffix = "_" + _power_string(prime, psi_exponent)
-        elif psi_exponent is not None:
-            raise ValueError("only psi carries an exponent")
-        else:
-            suffix = f"_{prime}"
-        return tuple.__new__(cls, (kind, prime, psi_exponent,
-                                   _UNICODE[kind] + suffix, _ASCII[kind] + suffix))
-
-    def __getnewargs__(self):
-        return self[:3]
-
-    @classmethod
-    def _make(cls, iterable) -> "Symbol":  # _replace calls this too
-        fields = tuple(iterable)
-        symbol = cls(*fields[:3])
-        if symbol != fields:
-            raise ValueError(f"the text of {symbol[:3]} is {symbol[3:]}, not {fields[3:]}")
-        return symbol
+_TO_ASCII = str.maketrans(_UNICODE, _ASCII)
 
 
 def _power_string(p: int, f: int) -> str:
@@ -99,122 +58,20 @@ def _power_string(p: int, f: int) -> str:
         return str(Decimal(p) ** f)
 
 
-def sigma() -> Symbol:
-    return Symbol(SymbolKind.SIGMA)
+def _symbol_texts(p: int, r: int, letters: str) -> tuple[str, str, str, str]:
+    """The texts of sigma, gamma_p, phi_p and psi_{p^r}, indexed by kind
+    digit, in the alphabet ``letters`` (``_UNICODE`` or ``_ASCII``).
 
-
-def gamma(p: int) -> Symbol:
-    return Symbol(SymbolKind.GAMMA, prime=p)
-
-
-def phi(p: int) -> Symbol:
-    return Symbol(SymbolKind.PHI, prime=p)
-
-
-def psi(p: int, f: int) -> Symbol:
-    """psi indexed by the prime power p^f."""
-    return Symbol(SymbolKind.PSI, prime=p, psi_exponent=f)
-
-
-_KIND, _PRIME = attrgetter("kind"), attrgetter("prime")
-_TEXT, _ASCII_TEXT = attrgetter("text"), attrgetter("ascii_text")
-
-
-class Word:
-    """Immutable sequence of symbols over a single prime; psi only last."""
-
-    __slots__ = ("_symbols",)
-    symbols = property(attrgetter("_symbols"))
-
-    def __init__(self, symbols: tuple[Symbol, ...]):
-        symbols = tuple(symbols)
-        primes = set(map(_PRIME, symbols))
-        primes.discard(None)
-        if len(primes) > 1:
-            raise ValueError(f"word mixes primes {sorted(primes)}")
-        if SymbolKind.PSI in map(_KIND, symbols[:-1]):
-            raise ValueError("psi may only appear as the last symbol")
-        self._symbols = symbols
-
-    def __eq__(self, other):
-        return self.symbols == other.symbols if isinstance(other, Word) else NotImplemented
-
-    def __hash__(self):
-        return hash(self.symbols)
-
-    def __repr__(self):
-        return f"Word(symbols={self.symbols!r})"
-
-    @property
-    def prime(self) -> int | None:
-        """The single prime the non-sigma symbols share (None if all sigma)."""
-        return next((s.prime for s in self.symbols if s.prime is not None), None)
-
-    def __len__(self):
-        return len(self.symbols)
-
-    def __iter__(self):
-        return iter(self.symbols)
-
-    def __str__(self):
-        return format_word(self)
-
-
-def degree(word: Word) -> int:
-    """Recursively defined degree; total on valid words, empty word -> 0."""
-    d = 0
-    for s in reversed(word.symbols):
-        if s.kind is SymbolKind.SIGMA:
-            d += 1
-        elif s.kind is SymbolKind.GAMMA:
-            d *= s.prime
-        elif s.kind is SymbolKind.PHI:
-            d = 2 + s.prime * d
-        else:  # psi is last, so it is processed first here, on degree 0
-            d = 2
-    return d
-
-
-def height(word: Word) -> int:
-    """Number of sigma, phi and psi letters."""
-    return sum(1 for s in word.symbols if s.kind is not SymbolKind.GAMMA)
-
-
-def is_admissible(word: Word, p: int) -> bool:
-    """Admissibility over the prime p.
-
-    Raises ValueError for words containing psi (those belong to the
-    auxiliary family, not the admissible one) and for words over a
-    different prime.  The sigma-parity condition counts the sigma letters
-    strictly to the right of each gamma/phi letter.  Needing both a first
-    and a last letter rules out one-letter words, so every admissible word
-    has height >= 2 and degree >= 2.
+    >>> _symbol_texts(3, 2, _ASCII)
+    ('s', 'g_3', 'f_3', 'y_9')
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if any(s.kind is SymbolKind.PSI for s in word.symbols):
-        raise ValueError("admissibility is undefined for psi words")
-    if word.prime not in (None, p):
-        raise ValueError(f"word over prime {word.prime} queried at {p}")
-    if len(word.symbols) < 2:
-        return False
-    ends = (SymbolKind.SIGMA, SymbolKind.PHI)
-    if word.symbols[0].kind not in ends or word.symbols[-1].kind not in ends:
-        return False
-    sigmas_right = 0
-    for s in reversed(word.symbols):
-        if s.kind is SymbolKind.SIGMA:
-            sigmas_right += 1
-        elif sigmas_right % 2:
-            return False
-    return True
+    sigma, gamma, phi, psi = letters
+    return sigma, f"{gamma}_{p}", f"{phi}_{p}", f"{psi}_{_power_string(p, r)}"
 
 
 def words_by_degree(p: int, r: int, max_degree: int) -> Iterator[tuple[int, int, str]]:
     """The rows of ``enumerate_words(p, r, max_degree)`` as (degree, height,
-    key), in the same order, one degree at a time.  The key spells the word
-    in kind digits, "0" sigma, "1" gamma_p, "2" phi_p and "3" psi_{p^r}, so
-    it orders like the word; ``render_keys`` renders it.
+    key), in the same order, one degree at a time.
 
     >>> list(words_by_degree(2, 1, 2))
     [(2, 1, '3'), (2, 2, '00')]
@@ -244,54 +101,41 @@ def words_by_degree(p: int, r: int, max_degree: int) -> Iterator[tuple[int, int,
                 yield d, h, k
 
 
-def _key_symbols(p: int, r: int) -> dict[str, Symbol]:
-    return {str(int(s.kind)): s for s in (sigma(), gamma(p), phi(p), psi(p, r))}
-
-
 def render_keys(p: int, r: int, keys: Sequence[str], ascii_symbols: bool = False) -> list[str]:
-    """The keys of ``words_by_degree`` rendered as ``format_word`` renders
-    their words: over all keys at once, digits become ascii letters, then
-    each letter its symbol's text, whose digits no later pass rewrites.
+    """The keys of ``words_by_degree`` spelled in symbols: over all keys at
+    once, digits become ascii letters, then each letter its symbol's text,
+    whose digits no later pass rewrites.
 
     >>> render_keys(3, 2, ["0123", "00"])
     ['σγ_3φ_3ψ_9', 'σσ']
     """
     text = "\n".join(keys).encode().translate(_KEY_LETTERS).decode()
-    for s in _key_symbols(p, r).values():
-        text = text.replace(_ASCII[s.kind], s.ascii_text if ascii_symbols else s.text)
+    for letter, symbol in zip(_ASCII, _symbol_texts(p, r, _ASCII if ascii_symbols else _UNICODE)):
+        text = text.replace(letter, symbol)
     return text.split("\n") if keys else []
 
 
-def enumerate_words(p: int, r: int, max_degree: int) -> list[tuple[Word, int, int]]:
+def enumerate_words(p: int, r: int, max_degree: int) -> list[tuple[str, int, int]]:
     """All admissible p-words of degree <= max_degree, plus the auxiliary
     words sigma^(h-1) psi_{p^r} (height h, degree h + 1).
 
-    Returns (word, degree, height) triples sorted by degree, then height,
-    then the symbol sequence with sigma < gamma < phi < psi: the rows of
-    ``words_by_degree``, each key built into a checked ``Word``.
+    Returns (word, degree, height) triples, each word spelled in symbols,
+    sorted by degree, then height, then the symbol sequence with
+    sigma < gamma < phi < psi: the rows of ``words_by_degree`` with their
+    keys rendered.
 
-    >>> [str(w) for w, _, h in enumerate_words(2, 1, 3) if h == 2]
+    >>> [w for w, _, h in enumerate_words(2, 1, 3) if h == 2]
     ['σσ', 'σφ_2', 'σψ_2']
     """
-    _check_prime_power(p, r, max_degree)
-    letter = _key_symbols(p, r).__getitem__  # one shared Symbol per digit
-    return [(Word(tuple(map(letter, key))), d, h)
-            for d, h, key in words_by_degree(p, r, max_degree)]
-
-
-def count_words(p: int, r: int, max_degree: int, limit: int | None = None) -> int:
-    """``len(enumerate_words(p, r, max_degree))``: the rows of ``word_census``.
-
-    >>> count_words(2, 1, 3)
-    5
-    """
-    return word_census(p, r, max_degree, max_rows=limit)[0]
+    rows = list(words_by_degree(p, r, max_degree))
+    words = render_keys(p, r, [key for _, _, key in rows])
+    return [(word, d, h) for word, (d, h, _) in zip(words, rows)]
 
 
 def word_census(p: int, r: int, max_degree: int, max_rows: int | None = None,
                 max_letters: int | None = None) -> tuple[int, int]:
     """(rows, letters) of ``enumerate_words(p, r, max_degree)``: the number
-    of words and their total length, without building a word.
+    of words and their total length in symbols, without building a word.
 
     Counts the suffixes of ``words_by_degree`` by degree, sigma parity and
     whether gamma leads, with their total length.  The count stops as soon
@@ -329,8 +173,11 @@ def word_census(p: int, r: int, max_degree: int, max_rows: int | None = None,
     return rows, letters
 
 
-def format_word(word: Word, ascii_symbols: bool = False) -> str:
-    """Render a word, e.g. σγ_3φ_3; with ascii_symbols: sg_3f_3."""
-    if not word.symbols:
-        return "(empty)"
-    return "".join(map(_ASCII_TEXT if ascii_symbols else _TEXT, word.symbols))
+def format_word(word: str, ascii_symbols: bool = False) -> str:
+    """A word of ``enumerate_words`` as it is, or with ascii_symbols in the
+    ascii alphabet σγφψ -> sgfy, e.g. σγ_3φ_3 -> sg_3f_3.
+
+    >>> format_word("σγ_3φ_3ψ_9", ascii_symbols=True)
+    'sg_3f_3y_9'
+    """
+    return word.translate(_TO_ASCII) if ascii_symbols else word

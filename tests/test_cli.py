@@ -17,7 +17,7 @@ from periodindex.bounds import PRIME_CEILING, compare_bounds, decimal_string, in
 from periodindex.graded import GradedAbelianGroup, exponent
 from periodindex.complexes import model_homology, primary_model_homology
 from periodindex.verify import CheckResult
-from periodindex.words import enumerate_words, format_word
+from words_reference import key_of, reference_words, spell
 
 
 def run(capsys, *argv):
@@ -660,19 +660,20 @@ def parse_words(fmt, out):
 
 
 class TestWordsAgainstLibrary:
-    """`words` renders its rows from keys; they must be ``format_word`` over
-    ``enumerate_words`` on the reference domain, in every format."""
+    """`words` renders its rows from keys; they must be the reference words,
+    spelled, on the reference domain, in every format."""
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_rows_and_bytes(self, capsys, p, r):
+        reference = reference_words(p, r, 40)
         # (degree, height, kinds) strictly increasing: sorted, no duplicates
-        keys = [(d, h, tuple(s.kind for s in w.symbols)) for w, d, h in enumerate_words(p, r, 40)]
+        keys = [(d, h, key_of(w)) for w, d, h in reference]
         assert keys == sorted(set(keys))
         for cap in range(41):
-            listing = enumerate_words(p, r, cap)
+            listing = [row for row in reference if row[1] <= cap]
             for ascii_flag in ([], ["--ascii"]):
-                rows = [(d, h, format_word(w, bool(ascii_flag))) for w, d, h in listing]
+                rows = [(d, h, spell(w, bool(ascii_flag))) for w, d, h in listing]
                 for fmt in cli.FORMATS:
                     argv = ["words", str(p), str(r), "--max-degree", str(cap), "--format", fmt,
                             *ascii_flag]

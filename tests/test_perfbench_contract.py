@@ -3,10 +3,13 @@
 ``pi.<module>.<name>`` in ``perfbench/workloads.py``, must name something
 the package still has.  A refactor that moves or renames one of them breaks
 the benchmark (``record_digests.py`` included) without failing any other
-test.  The tracer's targets are strings, not calls, and are left out."""
+test.  The tracer's targets are strings, not calls, and are left out.
+The ``words`` rows the benchmark checks against recorded digests are
+recomputed here, so a change to them fails Tier-1, not only a benchmark run."""
 
 import ast
 import importlib
+import json
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -32,3 +35,17 @@ def test_every_package_name_the_benchmark_calls_resolves():
     missing = [f"{file}: {module}.{name}" for file, module, name in sorted(references)
                if not hasattr(importlib.import_module(module), name)]
     assert not missing, missing
+
+
+def test_words_rows_reproduce_the_recorded_digests(monkeypatch):
+    """The benchmark checks each ``words`` listing of the ``cli`` workload
+    against a digest recorded from ``enumerate_words`` and ``format_word``;
+    recomputed through ``record_digests.words_digest``, all must still match."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    record_digests = importlib.import_module("record_digests")
+    workloads = importlib.import_module("workloads")
+    recorded = json.loads((PERFBENCH / "digests.json").read_text())["words"]
+    assert sorted(recorded) == sorted(f"{p}/{r}/{deg}" for p, r, deg in workloads.WORDS_DOMAIN)
+    changed = [f"{p}/{r}/{deg}" for p, r, deg in workloads.WORDS_DOMAIN
+               if record_digests.words_digest(p, r, deg) != recorded[f"{p}/{r}/{deg}"]]
+    assert not changed, changed

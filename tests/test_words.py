@@ -1,14 +1,16 @@
-"""Word calculus: degrees, heights, admissibility, enumeration."""
+"""Word calculus: the checked reference definition (degrees, heights,
+admissibility) and the package's keys, rows and renderings against it."""
 
 from itertools import product
 
 import pytest
 
 from periodindex.bounds import decimal_string
-from periodindex.words import (Symbol, SymbolKind, Word, _power_string, count_words, degree,
-                               enumerate_words, format_word, gamma, height,
-                               is_admissible, phi, psi, render_keys, sigma,
+from periodindex.words import (_power_string, enumerate_words, format_word, render_keys,
                                word_census, words_by_degree)
+from words_reference import (Symbol, SymbolKind, Word, count_words, degree, gamma, height,
+                             is_admissible, key_of, phi, psi, reference_words, sigma, spell,
+                             word_of_key)
 
 
 def W(*symbols):
@@ -44,7 +46,8 @@ class TestSymbolValidation:
         *((999983, f) for f in (1, 2, 205, 206, 207, 215, 216, 217, 3000))])
     def test_psi_digits_equal_decimal_string_across_the_threshold(self, p, f):
         assert _power_string(p, f) == decimal_string(p ** f)
-        assert psi(p, f).ascii_text == "y_" + decimal_string(p ** f)
+        assert render_keys(p, f, ["3"], ascii_symbols=True) == [psi(p, f).ascii_text] == \
+            ["y_" + decimal_string(p ** f)]
 
 
 class TestWordValidation:
@@ -79,7 +82,8 @@ class TestDegree:
 
     def test_recursion_rules_on_enumerated_words(self):
         for p in (2, 3):
-            for word, deg, _ in enumerate_words(p, 1, 20):
+            for deg, _, key in words_by_degree(p, 1, 20):
+                word = word_of_key(key, p, 1)
                 assert degree(word) == deg
                 assert degree(Word((sigma(),) + word.symbols)) == 1 + deg
                 assert degree(Word((gamma(p),) + word.symbols)) == p * deg
@@ -162,15 +166,10 @@ def _brute_enumeration(p, max_degree):
     return out
 
 
-def _as_kinds(word):
-    table = {SymbolKind.SIGMA: "s", SymbolKind.GAMMA: "g", SymbolKind.PHI: "f"}
-    return "".join(table[s.kind] for s in word.symbols)
-
-
 class TestEnumeration:
     def test_height_two_at_cap_three(self):
         listing = enumerate_words(2, 1, 3)
-        height_two = {str(w) for w, _, h in listing if h == 2}
+        height_two = {w for w, _, h in listing if h == 2}
         assert height_two == {"σσ", "σφ_2", "σψ_2"}
 
     def test_empty_below_minimal_degree(self):
@@ -179,56 +178,46 @@ class TestEnumeration:
 
     def test_p3_height_two_members(self):
         listing = enumerate_words(3, 1, 7)
-        assert [(str(w), d) for w, d, h in listing if h == 2] == \
+        assert [(w, d) for w, d, h in listing if h == 2] == \
             [("σσ", 2), ("σφ_3", 3), ("σψ_3", 3), ("σγ_3φ_3", 7)]
 
     def test_matches_brute_force(self):
         for p, cap in ((2, 9), (3, 9), (5, 8)):
-            enumerated = {_as_kinds(w) for w, _, h in enumerate_words(p, 1, cap)
-                          if all(s.kind is not SymbolKind.PSI for s in w.symbols)}
+            enumerated = {key.translate(str.maketrans("012", "sgf"))
+                          for _, _, key in words_by_degree(p, 1, cap) if "3" not in key}
             assert enumerated == _brute_enumeration(p, cap)
 
     def test_sorted_and_unique(self):
-        listing = enumerate_words(2, 1, 12)
-        keys = [(d, h, tuple(int(s.kind) for s in w.symbols)) for w, d, h in listing]
-        assert keys == sorted(keys)
-        assert len({w.symbols for w, _, _ in listing}) == len(listing)
+        keys = list(words_by_degree(2, 1, 12))
+        assert keys == sorted(set(keys))
 
     def test_auxiliary_family(self):
         listing = enumerate_words(2, 2, 10)
-        auxiliary = [(w, d, h) for w, d, h in listing
-                     if any(s.kind is SymbolKind.PSI for s in w.symbols)]
+        auxiliary = [(w, d, h) for w, d, h in listing if "ψ" in w]
         # sigma^(h-1) psi_{p^r} for every h with h + 1 <= cap
-        assert len(auxiliary) == 9
-        for w, d, h in auxiliary:
-            assert d == h + 1
-            assert w.symbols[-1] == psi(2, 2)
-            assert all(s == sigma() for s in w.symbols[:-1])
+        assert auxiliary == [("σ" * (h - 1) + "ψ_4", h + 1, h) for h in range(1, 10)]
 
     def test_height_two_census(self):
         # the complete height-2 list: sigma^2, sigma gamma^k phi,
         # phi gamma^k phi, sigma psi, with degrees 2, 1+2p^k, 2+2p^(k+1), 3
         for p in (2, 3, 5):
             cap = 2 + 2 * p ** 2
-            expected = {W(sigma(), sigma()).symbols: 2,
-                        W(sigma(), psi(p, 1)).symbols: 3}
+            expected = {W(sigma(), sigma()): 2, W(sigma(), psi(p, 1)): 3}
             k = 0
             while 1 + 2 * p ** k <= cap:
-                word = W(sigma(), *[gamma(p)] * k, phi(p))
-                expected[word.symbols] = 1 + 2 * p ** k
+                expected[W(sigma(), *[gamma(p)] * k, phi(p))] = 1 + 2 * p ** k
                 k += 1
             k = 0
             while 2 + 2 * p ** (k + 1) <= cap:
-                word = W(phi(p), *[gamma(p)] * k, phi(p))
-                expected[word.symbols] = 2 + 2 * p ** (k + 1)
+                expected[W(phi(p), *[gamma(p)] * k, phi(p))] = 2 + 2 * p ** (k + 1)
                 k += 1
-            listing = {w.symbols: d for w, d, h in enumerate_words(p, 1, cap) if h == 2}
-            assert listing == expected
+            listing = {w: d for w, d, h in enumerate_words(p, 1, cap) if h == 2}
+            assert listing == {spell(w): d for w, d in expected.items()}
 
     def test_words_longer_than_the_recursion_limit(self):
         listing = enumerate_words(1009, 1, 1100)
-        assert len(listing) == count_words(1009, 1, 1100) == 3296
-        assert listing[-1] == (W(*[sigma()] * 1100), 1100, 1100)
+        assert len(listing) == word_census(1009, 1, 1100)[0] == 3296
+        assert listing[-1] == ("σ" * 1100, 1100, 1100)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -242,93 +231,36 @@ class TestEnumeration:
 class TestByDegree:
     def test_keys_spell_the_listing(self):
         for p, r, cap in ((2, 1, 24), (3, 2, 40), (7, 3, 60)):
-            listing = enumerate_words(p, r, cap)
-            assert list(words_by_degree(p, r, cap)) == \
-                [(d, h, "".join(str(int(s.kind)) for s in w.symbols)) for w, d, h in listing]
+            keys = [key for _, _, key in words_by_degree(p, r, cap)]
+            assert [(w, d, h) for (d, h, _), w in zip(words_by_degree(p, r, cap),
+                                                       render_keys(p, r, keys))] == \
+                enumerate_words(p, r, cap)
 
-    def test_render_keys_like_format_word(self):
+    def test_render_keys_like_the_reference(self):
         # the symbols' own digits (γ_2, ψ_32, ψ_1331...) must survive every pass
         for p, r, cap in ((5, 3, 60), (2, 1, 36), (2, 5, 36), (3, 3, 50), (11, 2, 60)):
             keys = [key for _, _, key in words_by_degree(p, r, cap)]
             for ascii_symbols in (False, True):
                 assert render_keys(p, r, keys, ascii_symbols) == \
-                    [format_word(w, ascii_symbols) for w, _, _ in enumerate_words(p, r, cap)]
+                    [spell(word_of_key(key, p, r), ascii_symbols) for key in keys]
         assert render_keys(2, 3, ["0123"], ascii_symbols=True) == ["sg_2f_2y_8"]
         assert render_keys(2, 1, []) == []
 
 
 class TestFormatting:
     def test_unicode(self):
-        assert format_word(W(sigma(), gamma(3), phi(3))) == "σγ_3φ_3"
-        assert format_word(W(sigma(), psi(2, 2))) == "σψ_4"
+        assert format_word("σγ_3φ_3") == "σγ_3φ_3"
+        assert format_word("σψ_4") == "σψ_4"
 
     def test_ascii(self):
-        assert format_word(W(sigma(), gamma(3), phi(3)), ascii_symbols=True) == "sg_3f_3"
-        assert format_word(W(sigma(), psi(2, 2)), ascii_symbols=True) == "sy_4"
+        assert format_word("σγ_3φ_3", ascii_symbols=True) == "sg_3f_3"
+        assert format_word("σψ_4", ascii_symbols=True) == "sy_4"
 
-    def test_empty(self):
-        assert format_word(W()) == "(empty)"
-
-
-# The recursive enumerator and the renderer that enumerate_words and
-# format_word replaced, kept as the reference: one list per suffix,
-# degree() and height() per word, a tuple of kinds as the sort key, and the
-# glyphs looked up per symbol.
-def reference_enumerate_words(p, r, max_degree):
-    s, g, f = sigma(), gamma(p), phi(p)
-    found = []
-
-    def record(symbols):
-        w = Word(tuple(symbols))
-        found.append((w, degree(w), height(w)))
-
-    def grow(suffix, deg, sigma_count):
-        if len(suffix) >= 2 and suffix[0].kind is not SymbolKind.GAMMA:
-            record(suffix)
-        nxt = 1 + deg
-        if nxt <= max_degree:
-            grow([s] + suffix, nxt, sigma_count + 1)
-        if sigma_count % 2 == 0:
-            nxt = p * deg
-            if nxt <= max_degree:
-                grow([g] + suffix, nxt, sigma_count)
-            nxt = 2 + p * deg
-            if nxt <= max_degree:
-                grow([f] + suffix, nxt, sigma_count)
-
-    if max_degree >= 1:
-        grow([s], 1, 1)
-    if max_degree >= 2:
-        grow([f], 2, 0)
-    last = psi(p, r)
-    h = 1
-    while h + 1 <= max_degree:
-        record([s] * (h - 1) + [last])
-        h += 1
-    found.sort(key=lambda item: (item[1], item[2], tuple(int(s.kind) for s in item[0].symbols)))
-    return found
-
-
-REFERENCE_GLYPHS = ({SymbolKind.SIGMA: "σ", SymbolKind.GAMMA: "γ",
-                     SymbolKind.PHI: "φ", SymbolKind.PSI: "ψ"},
-                    {SymbolKind.SIGMA: "s", SymbolKind.GAMMA: "g",
-                     SymbolKind.PHI: "f", SymbolKind.PSI: "y"})
-
-
-def reference_format_word(word, ascii_symbols=False):
-    glyphs = REFERENCE_GLYPHS[ascii_symbols]
-    if not word.symbols:
-        return "(empty)"
-    parts = []
-    for s in word.symbols:
-        g = glyphs[s.kind]
-        if s.kind in (SymbolKind.GAMMA, SymbolKind.PHI):
-            parts.append(f"{g}_{s.prime}")
-        elif s.kind is SymbolKind.PSI:
-            parts.append(f"{g}_{s.prime ** s.psi_exponent}")
-        else:
-            parts.append(g)
-    return "".join(parts)
+    def test_ascii_spelling_is_the_rendered_ascii(self):
+        for p, r, cap in ((2, 1, 24), (13, 4, 30)):
+            keys = [key for _, _, key in words_by_degree(p, r, cap)]
+            assert [format_word(w, ascii_symbols=True) for w, _, _ in enumerate_words(p, r, cap)] \
+                == render_keys(p, r, keys, ascii_symbols=True)
 
 
 REFERENCE_CAP = 40
@@ -338,41 +270,41 @@ class TestAgainstReference:
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_listing_and_renderings(self, p, r):
-        reference = reference_enumerate_words(p, r, REFERENCE_CAP)
+        reference = reference_words(p, r, REFERENCE_CAP)
         # the reference prunes exactly and sorts by degree first, so its
         # listing at a lower cap is the part of degree <= cap
         for cap in range(REFERENCE_CAP + 1):
+            below = [row for row in reference if row[1] <= cap]
+            assert list(words_by_degree(p, r, cap)) == [(d, h, key_of(w)) for w, d, h in below]
             listing = enumerate_words(p, r, cap)
-            assert listing == [row for row in reference if row[1] <= cap], cap
-            assert count_words(p, r, cap) == len(listing)
-        for (word, deg, ht), (_, ref_deg, ref_ht) in zip(listing, reference):
-            assert (degree(word), height(word)) == (deg, ht) == (ref_deg, ref_ht)
-            for ascii_symbols in (False, True):
-                assert format_word(word, ascii_symbols) == \
-                    reference_format_word(word, ascii_symbols)
+            assert listing == [(spell(w), d, h) for w, d, h in below], cap
+            assert word_census(p, r, cap)[0] == len(listing) == count_words(p, r, cap)
+        for (word, deg, ht), (text, _, _) in zip(reference, listing):
+            assert (degree(word), height(word)) == (deg, ht)
+            assert format_word(text, ascii_symbols=True) == spell(word, ascii_symbols=True)
 
 
 class TestCount:
-    # count_words(p, r, cap) == len(enumerate_words(p, r, cap)) is checked
-    # for every reference listing above
+    # word_census(p, r, cap)[0] == count_words(p, r, cap) is checked for
+    # every reference listing above
     def test_limit_stops_above_it(self):
-        assert count_words(2, 1, 60) == 20042
-        assert 10 < count_words(2, 1, 60, limit=10) < 20042
-        assert count_words(2, 1, 10 ** 18, limit=10 ** 6) > 10 ** 6
+        assert word_census(2, 1, 60)[0] == 20042
+        assert 10 < word_census(2, 1, 60, max_rows=10)[0] < 20042
+        assert word_census(2, 1, 10 ** 18, max_rows=10 ** 6)[0] > 10 ** 6
 
     def test_invalid_arguments(self):
         for args in ((6, 1, 5), (2, 0, 5), (2, 1, -1)):
             with pytest.raises(ValueError):
-                count_words(*args)
+                word_census(*args)
             with pytest.raises(ValueError):
                 next(words_by_degree(*args))
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_census_letters_match_listing(self, p):
         for cap in range(REFERENCE_CAP + 1):
-            listing = enumerate_words(p, 1, cap)
+            reference = reference_words(p, 1, cap)
             assert word_census(p, 1, cap) == \
-                (len(listing), sum(len(word) for word, _, _ in listing)), cap
+                (len(reference), sum(len(word) for word, _, _ in reference)), cap
 
     def test_letter_limit_stops_above_it(self):
         assert word_census(1000003, 1, 20000) == (59996, 599989998)
