@@ -143,11 +143,13 @@ def test_criterion_11_oracle_frontier():
 
 
 def test_criterion_12_words_frontier():
-    with _Timed("criterion 12: enumerate_words(2, 1, 80) rendered row by row", 2.0):
+    with _Timed("criterion 12: enumerate_words(2, 1, 80), keys rendered in bulk, "
+                "and every row's ascii spelling", 2.0):
         listing = enumerate_words(2, 1, 80)
-        rendered = [format_word(w) for w, _, _ in listing]
-    assert len(rendered) == 70722
-    assert rendered[0] == "ψ_2" and rendered[-1] == "σ" * 80
+        spelled = [format_word(w, ascii_symbols=True) for w, _, _ in listing]
+    assert len(listing) == len(spelled) == 70722
+    assert listing[0][0] == "ψ_2" and listing[-1][0] == "σ" * 80
+    assert spelled[0] == "y_2" and spelled[-1] == "s" * 80
 
 
 def test_criterion_13_oracle_frontier_k60():

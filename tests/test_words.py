@@ -230,11 +230,10 @@ class TestEnumeration:
 
 class TestByDegree:
     def test_keys_spell_the_listing(self):
-        for p, r, cap in ((2, 1, 24), (3, 2, 40), (7, 3, 60)):
-            keys = [key for _, _, key in words_by_degree(p, r, cap)]
-            assert [(w, d, h) for (d, h, _), w in zip(words_by_degree(p, r, cap),
-                                                       render_keys(p, r, keys))] == \
-                enumerate_words(p, r, cap)
+        # beyond TestAgainstReference's domain: p = 11, r = 5, degree 60
+        for p, r, cap in ((7, 3, 60), (11, 2, 60), (2, 5, 36)):
+            assert list(words_by_degree(p, r, cap)) == \
+                [(d, h, key_of(w)) for w, d, h in reference_words(p, r, cap)]
 
     def test_render_keys_like_the_reference(self):
         # the symbols' own digits (γ_2, ψ_32, ψ_1331...) must survive every pass
@@ -261,6 +260,10 @@ class TestFormatting:
             keys = [key for _, _, key in words_by_degree(p, r, cap)]
             assert [format_word(w, ascii_symbols=True) for w, _, _ in enumerate_words(p, r, cap)] \
                 == render_keys(p, r, keys, ascii_symbols=True)
+
+    def test_empty(self):
+        # no listing row is empty; the reference spells the empty word
+        assert spell(W()) == str(W()) == "(empty)"
 
 
 REFERENCE_CAP = 40

@@ -1,6 +1,8 @@
-"""Property tests: the kind-digit keys of ``periodindex.words`` against the
-checked reference words of ``tests/words_reference.py``, on any prime
-p <= 7, r <= 3 and degree <= 40."""
+"""Property test: every row of ``periodindex.words`` is an admissible word
+of the checked reference in ``tests/words_reference.py``, on any prime
+p <= 7, r <= 3 and degree <= 40. The rows' texts, degrees and heights are
+compared with the reference exhaustively on that domain in
+``tests/test_words.py::TestAgainstReference``."""
 
 import pytest
 
@@ -8,32 +10,16 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from periodindex.words import enumerate_words, render_keys, words_by_degree
-from words_reference import (SymbolKind, degree, height, is_admissible, psi, reference_words,
-                             sigma, spell, word_of_key)
-
-SETTINGS = settings(max_examples=60, deadline=None, database=None)
-listings = st.tuples(st.sampled_from([2, 3, 5, 7]), st.integers(1, 3), st.integers(0, 40))
+from periodindex.words import words_by_degree
+from words_reference import SymbolKind, is_admissible, psi, sigma, word_of_key
 
 
-@SETTINGS
-@given(listings, st.booleans())
-def test_rendered_keys_are_the_reference_words(listing, ascii_symbols):
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.tuples(st.sampled_from([2, 3, 5, 7]), st.integers(1, 3), st.integers(0, 40)))
+def test_every_row_is_admissible_or_a_psi_word(listing):
     p, r, cap = listing
-    keys = [key for _, _, key in words_by_degree(p, r, cap)]
-    reference = reference_words(p, r, cap)
-    assert render_keys(p, r, keys, ascii_symbols) == \
-        [spell(word, ascii_symbols) for word, _, _ in reference]
-    assert enumerate_words(p, r, cap) == [(spell(word), d, h) for word, d, h in reference]
-
-
-@SETTINGS
-@given(listings)
-def test_reference_gradings_and_admissibility_agree_with_every_row(listing):
-    p, r, cap = listing
-    for d, h, key in words_by_degree(p, r, cap):
+    for _, h, key in words_by_degree(p, r, cap):
         word = word_of_key(key, p, r)
-        assert (degree(word), height(word)) == (d, h), key
         if word.symbols[-1].kind is SymbolKind.PSI:
             assert word.symbols == (sigma(),) * (h - 1) + (psi(p, r),), key
         else:
