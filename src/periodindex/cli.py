@@ -10,10 +10,12 @@ a listing of over ``MAX_LISTED`` summands, rows or cells or over
 too large to factorise exactly.  Each subcommand imports the modules it runs
 when it runs: a cold ``bound`` or ``table`` loads ``bounds`` alone.
 
-The command line is read from one table, ``COMMANDS``, by ``Parser``, which
-accepts what argparse accepted (unique option prefixes, ``--opt=value``,
-negative-number positionals, ``--``, ``-h``) and prints the same usage lines,
-messages and exit codes, without argparse's import and parser set-up.
+The command line is declared once, in ``COMMANDS``.  ``_plain`` reads a
+plain line (the subcommand, then its options in full and its positionals,
+every value valid) without importing argparse; any other line, ``-h`` and
+every usage error included, goes to the argparse parser that
+``build_parser`` builds from the same table, so argparse's own rules decide
+prefixes, ``--``, help and messages.
 """
 
 from __future__ import annotations
@@ -190,14 +192,21 @@ def _cmd_homology(args, parser) -> int:
         listed = "orders and exponents" if times == 2 else "orders"
         return _refuse("homology", f"p^r or the {listed} listed would have over {MAX_OUTPUT} "
                                    "digits; lower the order or --max-degree")
-    if not have_pr and len(primes := factorize(args.n)) > 1:
-        # each p^r || n's listing is a direct summand of n's (Kunneth, H_0 = Z)
-        part = primary_model_homology(*primes[0], args.max_degree)
+    primes = [(args.prime, args.exponent)] if have_pr else factorize(args.n)
+    # the first p^r || n's listing is a direct summand of n's (Kunneth, H_0 =
+    # Z), and its listing to a lower degree is a prefix of it: counted to
+    # degrees growing fourfold, a deep listing is refused after a small build
+    cap = min(64, args.max_degree)
+    while True:
+        part = primary_model_homology(*primes[0], cap)
         if sum(m for _, pairs in part.parts for _, m in pairs) > MAX_LISTED:
             return _refuse("homology", f"the listing would hold over {MAX_LISTED} torsion "
                                        "summands; lower --max-degree")
-    group = (primary_model_homology(args.prime, args.exponent, args.max_degree) if have_pr
-             else _model_homology(primes, args.max_degree))  # n factorised once, above
+        if cap == args.max_degree:
+            break
+        cap = min(4 * cap, args.max_degree)
+    # n is factorised once, above
+    group = part if len(primes) == 1 else _model_homology(primes, args.max_degree)
     listed = sum(m for _, pairs in group.parts for _, m in pairs)
     if listed > MAX_LISTED:
         return _refuse("homology", f"the listing would hold {listed} torsion summands, "
@@ -285,12 +294,11 @@ def _cmd_verify(args, parser) -> int:
     return 1 if failed else 0
 
 
-# The command line, one table for reading it and for its usage, help and
-# errors.  Each subcommand has its handler, a one-line help and its
-# arguments, each (name, kind, default, required, help).  A name without
-# dashes is a positional: an int, left out only where not required, or at
-# the top level the command, which takes every argument after it.  An
-# option's kind is int, a tuple of choices, or bool for a flag set to True.
+# The command line, one table for ``_plain`` and ``build_parser``.  Each
+# subcommand has its handler, a one-line help and its arguments, each (name,
+# kind, default, required, help).  A name without dashes is an int
+# positional, left out only where not required.  An option's kind is int, a
+# tuple of choices, or bool for a flag set to True.
 _FORMAT = ("--format", FORMATS, "pretty-table", False, "output format")
 COMMANDS = {
     "bound": (_cmd_bound, "index bound for period n, dimension 2d", (
@@ -303,7 +311,7 @@ COMMANDS = {
         ("--d-max", int, None, True, "the largest d in the grid"),
         _FORMAT)),
     "homology": (_cmd_homology, "model homology for an order n, or one prime power", (
-        ("n", int, None, False, "the order n >= 2, unless --prime and --exponent are given"),
+        ("n", int, None, False, "the order n >= 2, without --prime and --exponent"),
         ("--prime", int, None, False, "the prime p of an order p^r"),
         ("--exponent", int, None, False, "the exponent r >= 1 of an order p^r"),
         ("--max-degree", int, None, True, "the highest degree listed"),
@@ -318,255 +326,108 @@ COMMANDS = {
         ("--suite", SUITES + ("all",), "all", False, "the suite to run"),
         ("--seed", int, 0, False, "the seed of the randomized snf suite"))),
 }
-_TOP = ("Index bounds for topological Brauer classes and the Eilenberg-MacLane homology\n"
-        "models behind them.", (
-            ("--version", "version", None, False, "show program's version number and exit"),
-            ("command", tuple(COMMANDS), None, True, "")))
-_HELP = ("-h/--help", "help", None, False, "show this help message and exit")
-_WIDTH = 78  # of a usage line, as argparse wrapped it for 80 columns
 
 
 def _dest(name: str) -> str:
     return name.lstrip("-").replace("-", "_")
 
 
-def _arity(spec: tuple) -> str:
-    """How many values an argument reads: "0" (a flag), "1", "?" (an int
-    positional that may be left out) or "+" (the command and all after it)."""
-    name, kind, _, required, _ = spec
-    if name.startswith("-"):
-        return "0" if kind in (bool, "help", "version") else "1"
-    return "+" if isinstance(kind, tuple) else "1" if required else "?"
-
-
-def _span(marks: str, i: int, arity: str) -> int | None:
-    """How many arguments from ``i`` a positional of ``arity`` reads, or None
-    if it cannot.  ``marks`` holds "A" for a value, "O" for an option and
-    "-" for the "--" separator, which goes with the positional next to it."""
-    j = i
-    while marks[j:j + 1] == "-":
-        j += 1
-    if marks[j:j + 1] == "A":
-        j = len(marks) if arity == "+" else j + 1
-    elif arity != "?":
-        return None
-    while marks[j:j + 1] == "-":
-        j += 1
-    return j - i
-
-
-def _negative(arg: str) -> bool:
-    """Whether ``arg``, which starts with "-", reads as a negative number
-    such as -5 or -.5, and so as a positional, not an option."""
-    body = arg[1:-1] if arg.endswith("\n") else arg[1:]
-    whole, dot, fraction = body.partition(".")
-    if not dot:
-        return whole.isdecimal()
-    return fraction.isdecimal() and (not whole or whole.isdecimal())
-
-
-def _wrap(parts: list[str], indent: str, used: int) -> list[str]:
-    """``parts`` joined by spaces on lines of at most ``_WIDTH`` columns,
-    each after ``indent``; the first line has ``used`` + 1 columns taken."""
-    lines, line = [], []
-    for part in parts:
-        if line and used + 1 + len(part) > _WIDTH:
-            lines.append(indent + " ".join(line))
-            line, used = [], len(indent) - 1
-        line.append(part)
-        used += len(part) + 1
-    return [*lines, indent + " ".join(line)] if line else lines
-
-
-class Parser:
-    """One level of the command line, the top one or a subcommand's, read
-    as argparse read it: unique prefixes of long options, ``--opt=value``,
-    ``-hh``, negative-number positionals and ``--``.  A value "--", after
-    "=" or after the separator, is read as given, where argparse dropped it.
-    ``error`` prints the usage and ``<prog>: error: <message>`` to stderr
-    and exits 2."""
-
-    def __init__(self, command: str | None = None):
-        self.prog = f"periodindex {command}" if command else "periodindex"
-        self.about, arguments = COMMANDS[command][1:] if command else _TOP
-        self.arguments = (_HELP, *arguments)
-        self.flags = {flag: spec for spec in self.arguments if spec[0].startswith("-")
-                      for flag in spec[0].split("/")}
-
-    def error(self, message: str):
-        sys.stderr.write(f"{self.usage()}{self.prog}: error: {message}\n")
-        sys.exit(2)
-
-    def usage(self) -> str:
-        """``usage: <prog> <options> <positionals>``, wrapped as argparse did."""
-        options, positionals = [], []
-        for name, kind, _, required, _ in self.arguments:
-            if not name.startswith("-"):
-                positionals.append(f"{{{','.join(kind)}}} ..." if isinstance(kind, tuple)
-                                   else name if required else f"[{name}]")
-                continue
-            part = self._invocation(name, kind).split(", ")[0]
-            options.append(part if required else f"[{part}]")
-        line = " ".join([self.prog, *options, *positionals])
-        if len(line) + 7 <= _WIDTH:
-            return f"usage: {line}\n"
-        indent = " " * (len(self.prog) + 8)
-        lines = _wrap([self.prog, *options], indent, 6) + _wrap(positionals, indent, len(indent) - 1)
-        return "usage: " + "\n".join(lines)[len(indent):] + "\n"
-
-    @staticmethod
-    def _invocation(name: str, kind) -> str:
-        if name.startswith("-") and kind not in (bool, "help", "version"):
-            name += f" {{{','.join(kind)}}}" if isinstance(kind, tuple) else f" {_dest(name).upper()}"
-        return name.replace("/", ", ")
-
-    def help(self) -> str:
-        """The usage, what the command does, and a line for each command,
-        positional and option: its choices, and its default or that it is
-        required."""
-        sections = {"commands:": [], "positional arguments:": [], "options:": []}
-        for name, kind, default, required, about in self.arguments:
-            if name == "command":
-                sections["commands:"] = [(command, COMMANDS[command][1]) for command in kind]
-                continue
+def build_parser(command: str | None = None):
+    """The argparse parser of the command line, or of one subcommand, built
+    from ``COMMANDS`` with each argument's help, its choices and its default
+    or that it is required."""
+    import argparse
+    if command is None:
+        parser = argparse.ArgumentParser(
+            prog="periodindex", description="Index bounds for topological Brauer classes and "
+                                            "the Eilenberg-MacLane homology models behind them.")
+        parser.add_argument("--version", action="version", version=f"periodindex {__version__}")
+        sub = parser.add_subparsers(dest="command", required=True)
+        parsers = {name: sub.add_parser(name, help=about, description=about)
+                   for name, (_, about, _) in COMMANDS.items()}
+    else:
+        parser = argparse.ArgumentParser(prog=f"periodindex {command}",
+                                         description=COMMANDS[command][1])
+        parsers = {command: parser}
+    for command, subparser in parsers.items():
+        for name, kind, default, required, about in COMMANDS[command][2]:
             if default not in (None, False):
                 about += f" (default: {default})"
             elif required and name.startswith("-"):
                 about += " (required)"
-            sections["options:" if name.startswith("-") else "positional arguments:"].append(
-                (self._invocation(name, kind), about))
-        blocks = [self.usage().rstrip("\n"), self.about]
-        for title, rows in sections.items():
-            if rows:
-                blocks.append("\n".join([title, *(f"  {left:<20}  {right}" if len(left) <= 20
-                                                  else f"  {left}\n{'':24}{right}"
-                                                  for left, right in rows)]))
-        return "\n\n".join(blocks) + "\n"
+            reads = ({"action": "store_true"} if kind is bool
+                     else {"type": int} if kind is int else {"choices": kind})
+            if name.startswith("-"):
+                reads.update(default=default, required=required)
+            elif not required:
+                reads["nargs"] = "?"
+            subparser.add_argument(name, help=about, **reads)
+    return parser
 
-    def _option(self, arg: str) -> tuple | None:
-        """(spec, or None for an unknown option; the flag; its ``=`` value or
-        None) for an option, or None for a positional."""
-        if not arg.startswith("-"):
-            return None
-        if arg in self.flags:
-            return self.flags[arg], arg, None
-        if len(arg) == 1:
-            return None
-        head, eq, value = arg.partition("=")
-        if eq and head in self.flags:
-            return self.flags[head], head, value
-        if arg[1] == "-":  # a unique prefix of a long option
-            hits = [(flag, value if eq else None) for flag in self.flags if flag.startswith(head)]
-        else:  # -hX, read as -h X
-            hits = [(flag, arg[2:]) for flag in self.flags if flag == arg[:2]]
-        if len(hits) > 1:
-            self.error(f"ambiguous option: {arg} could match "
-                       f"{', '.join(flag for flag, _ in hits)}")
-        if hits:
-            return self.flags[hits[0][0]], *hits[0]
-        return None if _negative(arg) or " " in arg else (None, arg, None)
 
-    def read(self, args: list[str]) -> tuple[dict, list[str]]:
-        """The values that ``args`` set, by dest, and the arguments left
-        unread.  Options and runs of positionals are read as they come."""
-        marks, found = [], {}
-        for i, arg in enumerate(args):
-            if arg == "--":  # every argument after it is a positional
-                marks.append("-" + "A" * (len(args) - i - 1))
-                break
-            if option := self._option(arg):
-                found[i] = option
-            marks.append("O" if option else "A")
-        marks = "".join(marks)
-        separator = marks.find("-")
-        values = {_dest(spec[0]): spec[2] for spec in self.arguments[1:] if spec[1] != "version"}
-        positionals = [spec for spec in self.arguments if not spec[0].startswith("-")]
-        seen, extras = set(), []
-
-        def take(spec: tuple, strings: list[str]) -> None:
-            name, kind = spec[:2]
-            seen.add(name)
-            if kind == "help":
-                sys.stdout.write(self.help())
-                sys.exit(0)
-            if kind == "version":
-                print(f"periodindex {__version__}")
-                sys.exit(0)
-            if kind is bool:
+def _plain(argv: Sequence[str]) -> dict | None:
+    """The values of a plain command line, which argparse reads the same way,
+    or None for any other line: the subcommand first, then its own options
+    in full (``--opt value``, ``--opt=value`` or a bare flag) and its int
+    positionals, no value starting with "-", every int read by ``int()``,
+    every choice one of its choices, each required argument given and none
+    left over.  A repeated option keeps its last value, as in argparse."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    arguments = COMMANDS[argv[0]][2]
+    options = {spec[0]: spec for spec in arguments if spec[0].startswith("-")}
+    positionals = [spec for spec in arguments if not spec[0].startswith("-")]
+    values = {"command": argv[0], **{_dest(spec[0]): spec[2] for spec in arguments}}
+    given, words = set(), iter(argv[1:])
+    for word in words:
+        if not word.startswith("-"):
+            if not positionals:
+                return None
+            spec, value = positionals.pop(0), word
+        else:
+            name, eq, value = word.partition("=")
+            spec = options.get(name)
+            if spec is None or (eq and spec[1] is bool):
+                return None
+            if spec[1] is bool:
                 value = True
-            elif not strings:  # an int positional left out
-                value = None
-            elif kind is int:
-                try:
-                    value = int(strings[0])
-                except ValueError:
-                    self.error(f"argument {name}: invalid int value: {strings[0]!r}")
-            elif strings[0] in kind:
-                value = strings[0]
-            else:
-                self.error(f"argument {name}: invalid choice: {strings[0]!r} "
-                           f"(choose from {', '.join(map(repr, kind))})")
-            values[_dest(name)] = value
-            if name == "command":
-                more, unread = Parser(value).read(strings[1:])
-                values.update(more)
-                extras.extend(unread)
-
-        def read_positionals(start: int) -> int:
-            while positionals and (span := _span(marks, start, _arity(positionals[0]))) is not None:
-                spec, stop = positionals.pop(0), start + span
-                # the command reads "--" as one of its subcommand's arguments
-                take(spec, args[start:] if spec[0] == "command"
-                     else [args[k] for k in range(start, stop) if k != separator])
-                start = stop
-            return start
-
-        def read_option(i: int) -> int:
-            spec, flag, explicit = found[i]
-            if spec is None:
-                extras.append(args[i])
-                return i + 1
-            if explicit is None:
-                if _arity(spec) == "0":
-                    take(spec, [])
-                    return i + 1
-                if marks[i + 1:i + 2] != "A":  # never "--" or an option
-                    self.error(f"argument {spec[0]}: expected one argument")
-                take(spec, [args[i + 1]])
-                return i + 2
-            if _arity(spec) == "0":
-                rest = explicit.lstrip("h") if flag == "-h" else explicit  # -hh: -h -h
-                if rest or not explicit or flag != "-h":
-                    self.error(f"argument {spec[0]}: ignored explicit argument {rest!r}")
-            take(spec, [explicit])
-            return i + 1
-
-        start, last = 0, max(found, default=-1)
-        while start <= last:
-            following = min(i for i in found if i >= start)
-            if start != following:
-                end = read_positionals(start)
-                if end > start:
-                    start = end
-                    continue
-                extras.extend(args[start:following])
-                start = following
-            start = read_option(start)
-        start = read_positionals(start)
-        extras.extend(args[start:])
-        if missing := [spec[0] for spec in self.arguments if spec[3] and spec[0] not in seen]:
-            self.error(f"the following arguments are required: {', '.join(missing)}")
-        return values, extras
+            elif not eq and (value := next(words, None)) is None:
+                return None
+        if spec[1] is int:
+            if value.startswith("-"):
+                return None
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif spec[1] is not bool and value not in spec[1]:
+            return None
+        values[_dest(spec[0])] = value
+        given.add(spec[0])
+    if any(spec[3] and spec[0] not in given for spec in arguments):
+        return None
+    return values
 
 
 def parse_args(argv: Sequence[str]) -> SimpleNamespace:
     """The values of a ``periodindex`` command line: ``command`` and its
-    subcommand's arguments.  After ``-h`` or ``--version`` exit 0, and on a
-    usage error exit 2."""
-    parser = Parser()
-    values, extras = parser.read(list(argv))
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    subcommand's arguments.  A plain line, or ``--version`` alone, is read
+    without argparse; any other goes to ``build_parser``.  After ``-h`` or
+    ``--version`` exit 0, and on a usage error exit 2."""
+    argv = list(argv)
+    if argv == ["--version"]:
+        print(f"periodindex {__version__}")
+        sys.exit(0)
+    values = _plain(argv)
+    if values is None:
+        values = vars(build_parser().parse_args(argv))
+        # argparse drops a "--" read as a value and stores []: refuse that value
+        for name, kind, *_ in COMMANDS[values["command"]][2]:
+            if values[_dest(name)] == []:
+                build_parser(values["command"]).error(
+                    f"argument {name}: invalid int value: '--'" if kind is int else
+                    f"argument {name}: invalid choice: '--' "
+                    f"(choose from {', '.join(map(repr, kind))})")
     return SimpleNamespace(**values)
 
 
@@ -581,7 +442,9 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
-        return COMMANDS[args.command][0](args, Parser(args.command))
+        # a handler's usage error builds its subcommand's parser
+        parser = SimpleNamespace(error=lambda message: build_parser(args.command).error(message))
+        return COMMANDS[args.command][0](args, parser)
     except CeilingError as exc:
         return _refuse(args.command, str(exc))
     finally:

@@ -195,9 +195,11 @@ def test_criterion_15_import_set():
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     argvs = {"version": ["--version"],
              "bound": ["bound", "360", "4", "--compare", "--format", "json"],
+             "bound csv": ["bound", "6", "4", "--format=csv"],
              "table": ["table", "--n-max", "6", "--d-max", "4"],
              "words": ["words", "2", "1", "--max-degree", "10"],
              "homology": ["homology", "12", "--max-degree", "8"],
+             "homology p^r": ["homology", "--prime", "2", "--exponent", "1", "--max-degree", "8"],
              "verify": ["verify", "--suite", "snf"]}
     loaded = {name: set(subprocess.run([sys.executable, "-c", _LOADED_BY, *argv], env=env,
                                        capture_output=True, text=True, check=True).stdout.split())
@@ -207,20 +209,22 @@ def test_criterion_15_import_set():
         package = {m for m in modules if m.startswith("periodindex.")}
         if {"dataclasses", "inspect"} & modules:
             failures.append(f"{name} loaded {sorted({'dataclasses', 'inspect'} & modules)}")
-        if {"argparse", "gettext", "locale"} & modules:  # the CLI reads its own table
+        # a plain line is read without argparse, which only -h and usage errors load
+        if {"argparse", "gettext", "locale"} & modules:
             failures.append(f"{name} loaded {sorted({'argparse', 'gettext', 'locale'} & modules)}")
-        if name in ("version", "bound", "table") and package - {"periodindex.cli",
-                                                                "periodindex.bounds"}:
+        if name in ("version", "bound", "bound csv", "table") and package - {
+                "periodindex.cli", "periodindex.bounds"}:
             failures.append(f"{name} loaded {sorted(package)}")
-        if name in ("version", "table") and {"json", "decimal", "fractions"} & modules:
+        if name in ("version", "bound csv", "table") and {"json", "decimal", "fractions"} & modules:
             failures.append(f"{name} loaded {sorted({'json', 'decimal', 'fractions'} & modules)}")
     words = {f"periodindex.{m}" for m in ("complexes", "snf", "graded", "verify")}
     if words & loaded["words"]:
         failures.append(f"words loaded {sorted(words & loaded['words'])}")
-    homology = {m for m in loaded["homology"] if m.startswith("periodindex.")}
     closed_forms = {f"periodindex.{m}" for m in ("cli", "bounds", "graded", "complexes", "packing")}
-    if homology != closed_forms:  # the closed forms run neither the checks nor the SNF oracle
-        failures.append(f"homology loaded {sorted(homology)}, not {sorted(closed_forms)}")
+    for name in ("homology", "homology p^r"):
+        homology = {m for m in loaded[name] if m.startswith("periodindex.")}
+        if homology != closed_forms:  # the closed forms run neither the checks nor the SNF oracle
+            failures.append(f"{name} loaded {sorted(homology)}, not {sorted(closed_forms)}")
     print(f"{'FAIL' if failures else 'PASS'}  criterion 15: a cold process loads only what "
           f"its subcommand runs")
     assert not failures, failures

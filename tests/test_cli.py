@@ -379,18 +379,24 @@ class TestHomology:
         assert "Traceback" not in captured.err and "summands" in captured.err
         assert elapsed < 1.0
 
-    @pytest.mark.parametrize("argv", [("--prime", "2", "--exponent", "1"), ("2",), ("6",),
-                                      ("30",)])
-    def test_deep_listing_refused_cold_within_a_second(self, argv):
+    @pytest.mark.parametrize("argv, cap", [
+        (("--prime", "2", "--exponent", "1"), 16000), (("2",), 16000), (("6",), 16000),
+        (("30",), 16000),
+        # caps that pass the digit estimates in JSON: counted to the full cap,
+        # the listings took 25 s and 15 s to build before they were refused
+        (("--prime", "2", "--exponent", "1", "--format", "json"), 999999),
+        (("3426", "--format", "json"), 910167)])
+    def test_deep_listing_refused_cold_within_a_second(self, argv, cap):
         # a cold process, as a user runs it: the p = 2 model to degree 16000
         # holds 3.4e21 summands, counted from the mod-p series and refused;
-        # for 6 and 30 it is a direct summand of the listing, counted first
+        # for 6, 30 and 3426 the first prime's model is a direct summand of
+        # the listing, counted first, and each is counted to growing degrees
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ,
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         start = time.perf_counter()
         done = subprocess.run([sys.executable, "-m", "periodindex.cli", "homology", *argv,
-                               "--max-degree", "16000"], capture_output=True, text=True, env=env)
+                               "--max-degree", str(cap)], capture_output=True, text=True, env=env)
         elapsed = time.perf_counter() - start
         assert done.returncode == 2 and done.stdout == ""
         assert len(done.stderr.splitlines()) == 1 and "summands" in done.stderr
