@@ -6,9 +6,10 @@ bounds), ``homology`` (model homology for an order or a prime power),
 cross-check suites).  Data goes to stdout, diagnostics to stderr.  Exit
 codes: 0 success, 1 verification failure, 2 usage error or a refused input:
 a listing of over ``MAX_LISTED`` summands, rows or cells or over
-``MAX_OUTPUT`` letters, table characters or (estimated) digits, or an integer
-too large to factorise exactly.  Each subcommand imports the modules it runs
-when it runs: a cold ``bound`` or ``table`` loads ``bounds`` alone.
+``MAX_OUTPUT`` letters, (estimated) digits or padded table characters, or an
+integer too large to factorise exactly; ``homology`` sizes its listing as it
+builds it.  Each subcommand imports the modules it runs when it runs: a cold
+``bound`` or ``table`` loads ``bounds`` alone.
 
 The command line is declared once, in ``COMMANDS``.  ``_plain`` reads a
 plain line (the subcommand, then its options in full and its positionals,
@@ -38,8 +39,8 @@ FORMATS = ("pretty-table", "json", "csv")
 # of growing their output until memory runs out.
 MAX_LISTED = 10 ** 6
 # The same for the letters and the psi_{p^r} digits of a `words` listing, the
-# torsion digits and padded table of a `homology` listing and the digits of a
-# `table` or a `bound`.
+# torsion digits of a `homology` listing, the digits of a `table` or a `bound`
+# and the characters of any padded pretty table.
 MAX_OUTPUT = 5 * 10 ** 6
 
 
@@ -60,18 +61,27 @@ def _over_output(count: int, digits_each: float, more: float = 0.0) -> bool:
     return more > MAX_OUTPUT or (digits_each > 0 and count > (MAX_OUTPUT - more) / digits_each)
 
 
-def _emit(fmt: str, headers: Sequence[str], rows: Iterable[tuple]) -> None:
+def _emit(command: str, fmt: str, headers: Sequence[str], rows: Iterable[tuple]) -> int:
     """Write rows to stdout as an aligned table, as csv lines or as a JSON
-    list of objects keyed by the headers.  csv and JSON are written 4096 rows
-    at a time, as the rows come; the table needs all rows for its widths.
-    Values are str or int, which JSON encodes column by column."""
+    list of objects keyed by the headers, and return the exit code.  csv and
+    JSON are written 4096 rows at a time, as the rows come; the table needs
+    all rows for its widths, and is refused (exit 2) if padded it would
+    write over MAX_OUTPUT characters.  Values are str or int, which JSON
+    encodes column by column."""
     if fmt == "pretty-table":
         rows = [tuple(headers), *(tuple(map(str, row)) for row in rows)]
         widths = [max(map(len, column)) for column in zip(*rows)]
+        # every line, the rule too, pads all but its last cell and adds a gap
+        # of two spaces after each, then its last cell and a newline
+        padded = ((len(rows) + 1) * (sum(widths) - widths[-1] + 2 * len(widths) - 1)
+                  + sum(len(row[-1]) for row in rows) + widths[-1])
+        if padded > MAX_OUTPUT:
+            return _refuse(command, f"the padded table would write {padded} characters, over "
+                                    f"the limit of {MAX_OUTPUT}; use --format csv")
         rows.insert(1, tuple("-" * w for w in widths))
         line = "  ".join(f"%-{w}s" for w in widths)  # pads like str.ljust
         print("\n".join(map(str.rstrip, map(line.__mod__, rows))))
-        return
+        return 0
     csv, write, rows = fmt == "csv", sys.stdout.write, iter(rows)
     if csv:
         line, sep = ",".join(["%s"] * len(headers)), "\n"
@@ -87,6 +97,7 @@ def _emit(fmt: str, headers: Sequence[str], rows: Iterable[tuple]) -> None:
         write(lead + sep.join(map(line.__mod__, chunk)))
         lead = sep
     write("\n" if csv else "]\n")
+    return 0
 
 
 def _cmd_bound(args, parser) -> int:
@@ -116,8 +127,7 @@ def _cmd_bound(args, parser) -> int:
             headers += ["sharp", "ratio"]
             row += [str(sharp.value) if sharp else "",
                     str(comparison.ratio) if comparison.ratio is not None else ""]
-        _emit("csv", headers, [tuple(row)])
-        return 0
+        return _emit("bound", "csv", headers, [tuple(row)])
 
     print(f"period n = {report.n}, dimension 2d = {2 * report.d} (d = {report.d})")
     theorem_a = decimal_string(report.theorem_a_bound)
@@ -153,15 +163,14 @@ def _cmd_table(args, parser) -> int:
     ns, ds = range(1, args.n_max + 1), range(1, args.d_max + 1)
     grid = zip(ns, ([str(index_bound(n, d).theorem_a_bound) for d in ds] for n in ns))
     if args.format == "pretty-table":
-        _emit(args.format, ["n\\d", *map(str, ds)], ((n, *row) for n, row in grid))
-    else:
-        _emit(args.format, ["n", "d", "theorem_a"],
-              ((n, d, bound) for n, row in grid for d, bound in zip(ds, row)))
-    return 0
+        return _emit("table", args.format, ["n\\d", *map(str, ds)],
+                     ((n, *row) for n, row in grid))
+    return _emit("table", args.format, ["n", "d", "theorem_a"],
+                 ((n, d, bound) for n, row in grid for d, bound in zip(ds, row)))
 
 
 def _cmd_homology(args, parser) -> int:
-    from .complexes import _model_homology, primary_model_homology
+    from .complexes import _model_homology
     have_n = args.n is not None
     have_pr = args.prime is not None or args.exponent is not None
     if have_n == have_pr:
@@ -193,35 +202,28 @@ def _cmd_homology(args, parser) -> int:
         return _refuse("homology", f"p^r or the {listed} listed would have over {MAX_OUTPUT} "
                                    "digits; lower the order or --max-degree")
     primes = [(args.prime, args.exponent)] if have_pr else factorize(args.n)
-    # the first p^r || n's listing is a direct summand of n's (Kunneth, H_0 =
-    # Z), and its listing to a lower degree is a prefix of it: counted to
-    # degrees growing fourfold, a deep listing is refused after a small build
+    # a model's listing to a lower degree is a prefix of its listing to a
+    # higher one: built and sized to degrees growing fourfold, a listing over
+    # a limit is refused at the first degree that passes it
     cap = min(64, args.max_degree)
     while True:
-        part = primary_model_homology(*primes[0], cap)
-        if sum(m for _, pairs in part.parts for _, m in pairs) > MAX_LISTED:
-            return _refuse("homology", f"the listing would hold over {MAX_LISTED} torsion "
-                                       "summands; lower --max-degree")
+        group = _model_homology(primes, cap)
+        listed = sum(m for _, pairs in group.parts for _, m in pairs)
+        if listed > MAX_LISTED:
+            return _refuse("homology", f"the listing to degree {cap} holds {listed} torsion "
+                                       f"summands, over the limit of {MAX_LISTED}; "
+                                       "lower --max-degree")
+        bits = sum(m * t.bit_length() for _, pairs in group.parts for t, m in pairs)
+        if args.format != "json":  # pretty and csv also print each degree's largest order
+            bits += sum(pairs[-1][0].bit_length() for _, pairs in group.parts if pairs)
+        if (digits := log10(2) * bits) > MAX_OUTPUT:
+            listed = "orders" if args.format == "json" else "orders and exponents"
+            return _refuse("homology", f"the torsion {listed} listed to degree {cap} would "
+                                       f"have about {digits:.0f} digits, over the limit of "
+                                       f"{MAX_OUTPUT}; lower --max-degree")
         if cap == args.max_degree:
             break
         cap = min(4 * cap, args.max_degree)
-    # n is factorised once, above
-    group = part if len(primes) == 1 else _model_homology(primes, args.max_degree)
-    listed = sum(m for _, pairs in group.parts for _, m in pairs)
-    if listed > MAX_LISTED:
-        return _refuse("homology", f"the listing would hold {listed} torsion summands, "
-                                   f"over the limit of {MAX_LISTED}; lower --max-degree")
-    digits = log10(2) * sum(m * t.bit_length() for _, pairs in group.parts for t, m in pairs)
-    if digits > MAX_OUTPUT:
-        return _refuse("homology", f"the torsion orders listed would have about {digits:.0f} "
-                                   f"digits, over the limit of {MAX_OUTPUT}; lower --max-degree")
-    if args.format != "json":  # the pretty and csv listings also print each degree's
-        # exponent, its largest order
-        digits += log10(2) * sum(pairs[-1][0].bit_length() for _, pairs in group.parts if pairs)
-        if digits > MAX_OUTPUT:
-            return _refuse("homology", f"the torsion orders and exponents listed would have "
-                                       f"about {digits:.0f} digits or more, over the limit of "
-                                       f"{MAX_OUTPUT}; lower --max-degree")
 
     listing = group.to_json()  # converts each distinct order once
     if args.format == "json":  # one object keyed by degree, not a list of rows
@@ -235,18 +237,8 @@ def _cmd_homology(args, parser) -> int:
         exp = torsion[-1] if torsion else "1"
         rows.append((d, free, exp, "+".join(torsion)) if csv
                     else (d, _describe(free, torsion), exp))
-    if not csv:  # every line, header and rule too, pads degree and group to their
-        # widest cell, then adds two gaps of two spaces, its exponent cell and a newline
-        exps = [len("exponent"), *(len(exp) for *_, exp in rows)]
-        widths = max(6, len(str(args.max_degree))) + max(5, *(len(g) for _, g, _ in rows))
-        padded = (len(rows) + 2) * (widths + 5) + sum(exps) + max(exps)  # max: the rule
-        if padded > MAX_OUTPUT:
-            return _refuse("homology", f"the padded table would write {padded} characters, over "
-                                       f"the limit of {MAX_OUTPUT}; lower --max-degree or use "
-                                       "--format csv")
-    _emit(args.format, ["degree", "free", "exponent", "torsion"] if csv
-          else ["degree", "group", "exponent"], rows)
-    return 0
+    return _emit("homology", args.format, ["degree", "free", "exponent", "torsion"] if csv
+                 else ["degree", "group", "exponent"], rows)
 
 
 def _cmd_words(args, parser) -> int:
@@ -277,9 +269,8 @@ def _cmd_words(args, parser) -> int:
             degrees, heights, keys = zip(*chunk)
             words = render_keys(args.p, args.r, keys, args.ascii)
             yield from zip(words, degrees, heights) if word_first else zip(degrees, heights, words)
-    _emit(args.format, ["word", "degree", "height"] if word_first
-          else ["degree", "height", "word"], rows())
-    return 0
+    return _emit("words", args.format, ["word", "degree", "height"] if word_first
+                 else ["degree", "height", "word"], rows())
 
 
 def _cmd_verify(args, parser) -> int:

@@ -166,7 +166,7 @@ def test_criterion_14_words_frontier_cold_cli():
     argv = [sys.executable, "-m", "periodindex.cli", "words", "2", "1", "--max-degree", "80",
             "--format", "csv"]
     with _Timed("criterion 14: cold `periodindex words 2 1 --max-degree 80 --format csv`", 1.2):
-        done = subprocess.run(argv, capture_output=True, env=env, check=True)
+        done = subprocess.run(argv, capture_output=True, env=env, check=True, timeout=12)
     lines = done.stdout.decode().splitlines()
     assert len(lines) == 1 + 70722
     assert lines[1] == "2,1,ψ_2" and lines[-1] == "80,80," + "σ" * 80
@@ -202,7 +202,8 @@ def test_criterion_15_import_set():
              "homology p^r": ["homology", "--prime", "2", "--exponent", "1", "--max-degree", "8"],
              "verify": ["verify", "--suite", "snf"]}
     loaded = {name: set(subprocess.run([sys.executable, "-c", _LOADED_BY, *argv], env=env,
-                                       capture_output=True, text=True, check=True).stdout.split())
+                                       capture_output=True, text=True, check=True,
+                                       timeout=10).stdout.split())
               for name, argv in argvs.items()}
     failures = []
     for name, modules in loaded.items():
@@ -255,7 +256,7 @@ def _xp_exponent_cold(max_k):
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", _XP_EXPONENT_COLD, str(max_k)], env=env,
-                          capture_output=True, text=True, check=True)
+                          capture_output=True, text=True, check=True, timeout=100)
     return tuple(map(int, done.stdout.split()))
 
 
@@ -285,7 +286,7 @@ def test_criterion_19_words_with_a_huge_prime_power_cold_cli():
             "--format", "csv"]
     with _Timed(f"criterion 19: cold `periodindex words {p} {r} --max-degree 2 --format csv`",
                 2.0):
-        done = subprocess.run(argv, capture_output=True, env=env, check=True)
+        done = subprocess.run(argv, capture_output=True, env=env, check=True, timeout=20)
     lines = done.stdout.decode().splitlines()
     assert lines[0] == "degree,height,word" and lines[2] == "2,2,σσ" and len(lines) == 3
     digits = lines[1].removeprefix("2,1,ψ_")

@@ -385,18 +385,21 @@ class TestHomology:
         # caps that pass the digit estimates in JSON: counted to the full cap,
         # the listings took 25 s and 15 s to build before they were refused
         (("--prime", "2", "--exponent", "1", "--format", "json"), 999999),
-        (("3426", "--format", "json"), 910167)])
+        (("3426", "--format", "json"), 910167),
+        # two primes near 10^6: almost every summand is a cross term of both,
+        # which took 1.5 s and 100 s to build before they were refused
+        (("1000036000099",), 20000), (("1000036000099", "--format", "json"), 200000)])
     def test_deep_listing_refused_cold_within_a_second(self, argv, cap):
-        # a cold process, as a user runs it: the p = 2 model to degree 16000
-        # holds 3.4e21 summands, counted from the mod-p series and refused;
-        # for 6, 30 and 3426 the first prime's model is a direct summand of
-        # the listing, counted first, and each is counted to growing degrees
+        # a cold process, as a user runs it: the whole listing is built and
+        # counted to degrees 64, 256, 1024, ..., each a prefix of the next,
+        # and refused at the first degree where it holds over 10^6 summands
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ,
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         start = time.perf_counter()
         done = subprocess.run([sys.executable, "-m", "periodindex.cli", "homology", *argv,
-                               "--max-degree", str(cap)], capture_output=True, text=True, env=env)
+                               "--max-degree", str(cap)], capture_output=True, text=True, env=env,
+                              timeout=10)
         elapsed = time.perf_counter() - start
         assert done.returncode == 2 and done.stdout == ""
         assert len(done.stderr.splitlines()) == 1 and "summands" in done.stderr
@@ -463,17 +466,20 @@ class TestHomology:
                          "--max-degree", "4", "--format", "csv"]) == 2
         assert "exponents" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [("--prime", "2", "--exponent", "3", "--max-degree", "30"),
-                                      ("360", "--max-degree", "24"), ("6", "--max-degree", "0")])
+    @pytest.mark.parametrize("argv", [
+        ("homology", "--prime", "2", "--exponent", "3", "--max-degree", "30"),
+        ("homology", "360", "--max-degree", "24"), ("homology", "6", "--max-degree", "0"),
+        # `_emit` counts every pretty table, not only the homology listing
+        ("table", "--n-max", "12", "--d-max", "7"), ("words", "3", "2", "--max-degree", "14")])
     def test_padded_table_counted_to_the_character(self, capsys, monkeypatch, argv):
         # the guard counts what the table writes, padding included: the limit
         # at its length passes, one character less refuses on one line
-        code, out = run(capsys, "homology", *argv)
+        code, out = run(capsys, *argv)
         assert code == 0
         monkeypatch.setattr(cli, "MAX_OUTPUT", len(out))
-        assert run(capsys, "homology", *argv) == (0, out)
+        assert run(capsys, *argv) == (0, out)
         monkeypatch.setattr(cli, "MAX_OUTPUT", len(out) - 1)
-        assert cli.main(["homology", *argv]) == 2
+        assert cli.main(list(argv)) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
         assert f"padded table would write {len(out)} characters" in captured.err
@@ -635,7 +641,7 @@ class TestEmitJson:
         (["n", "d", "theorem_a"], []),
     ])
     def test_bytes_equal_json_dumps(self, capsys, headers, rows):
-        cli._emit("json", headers, iter(rows))
+        assert cli._emit("words", "json", headers, iter(rows)) == 0
         out = capsys.readouterr().out
         assert out == json.dumps([dict(zip(headers, row)) for row in rows]) + "\n"
 
@@ -755,7 +761,7 @@ class TestVerify:
         monkeypatch.setattr(verify, "homology_of_complex", no_listing)
         monkeypatch.setattr(GradedAbelianGroup, "summands", no_listing)
         results = verify.run_suite("all")
-        assert len(results) == 218 and all(res.passed for res in results)
+        assert len(results) == 250 and all(res.passed for res in results)
 
     def test_suite_table_is_suites(self):
         # SUITES, which the CLI reads without loading verify, names exactly

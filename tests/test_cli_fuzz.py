@@ -4,7 +4,7 @@ and past-the-float-range integers either answer (exit 0) or refuse (exit
 2), never with a traceback.  Sizes are drawn either small or past the
 output guards, so every example answers or refuses well within a second.
 A `homology` input refused before its group is built has that group's
-listing over the digit limit, as the guards after the build count it."""
+listing over the digit limit, as the build loop's guards count it."""
 
 import io
 from contextlib import redirect_stderr, redirect_stdout
@@ -107,6 +107,7 @@ def test_refused_before_the_build_only_when_over_the_limit(order, cap, fmt, limi
     with (mock.patch.object(cli, "MAX_OUTPUT", limit),
           mock.patch.object(complexes, "primary_model_homology", built),
           mock.patch.object(complexes, "model_homology", built),
+          mock.patch.object(complexes, "_model_homology", built),
           redirect_stderr(io.StringIO())):
         try:
             assert cli.main(argv) == 2
@@ -115,7 +116,7 @@ def test_refused_before_the_build_only_when_over_the_limit(order, cap, fmt, limi
     if cap < 2:  # no torsion to list: the refusal counts p^r (or n), which the model is built on
         assert (r or 1) * log10(n) > limit
         return
-    # the digits the guards after the build count: every torsion order, and
+    # the digits the build loop's guards count: every torsion order, and
     # in pretty and csv each degree's exponent, its largest order, once more
     group = (complexes.primary_model_homology(n, r, cap) if r
              else complexes.model_homology(n, cap))

@@ -225,6 +225,19 @@ def test_model_homology_equals_the_split_fold(n, cap):
     assert model_homology(n, cap).parts == reference.split_model_homology(n, cap).parts
 
 
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.one_of(st.integers(2, 120), st.sampled_from([1000003 * 1000033, 2 * 999983])),
+       st.integers(0, 259), st.integers(1, 260))
+@example(1000003 * 1000033, 63, 260)
+def test_model_homology_to_a_lower_degree_is_a_prefix(n, cap, more):
+    # `homology` builds a listing to degrees growing fourfold and refuses it
+    # at the first degree past a limit: that needs each build to be a prefix
+    # of every deeper one, though factors and primes above the lower degree
+    # drop out of its model
+    top = min(cap + more, 260)
+    assert model_homology(n, cap).parts == model_homology(n, top).parts[:cap + 1]
+
+
 @SETTINGS
 @given(st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(1, 4), st.integers(0, 124))
 def test_primary_model_homology_equals_pairwise_reference(p, r, cap):

@@ -42,7 +42,7 @@ def _in_fresh_interpreter(code):
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True).stdout.split()
+                          text=True, check=True, timeout=10).stdout.split()
 
 
 class TestLazyNamespace:
