@@ -220,6 +220,11 @@ def prime_power_index_bound(p: int, r: int, d: int) -> int:
         raise ValueError("r must be >= 1")
     if not is_prime(p):
         raise ValueError("p must be a prime")
+    return _prime_power_bound(p, r, d)
+
+
+def _prime_power_bound(p: int, r: int, d: int) -> int:
+    """``prime_power_index_bound`` for a p already known prime and r, d >= 1."""
     return p ** ((d - 1) * r + _legendre_sum(p, d - 1))
 
 
@@ -319,7 +324,7 @@ def index_bound(n: int, d: int) -> BoundReport:
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
     breakdown = tuple(
-        (p, r, prime_power_index_bound(p, r, d)) for p, r in factorize(n))
+        (p, r, _prime_power_bound(p, r, d)) for p, r in factorize(n))
     return BoundReport(
         n=n,
         d=d,

@@ -1,12 +1,9 @@
 """Elementary dg complexes and the tensor models for K(Z/n, 2) homology.
 
-Four kinds of elementary complex occur.  First type, with zero
-differential:
-
-    E(x, 2q-1)   exterior algebra on an odd generator
-    P(x, 2q)     divided power algebra on an even generator
-
-Second type, twisted by an integer h >= 1 through d(y) = h*x:
+Every elementary complex is an exterior algebra E on an odd generator
+tensored with a divided power algebra P on an even one, twisted by an
+integer h >= 1 through d(y) = h*x (Cartan, *Seminaire H. Cartan* 1954/55).
+Two kinds occur:
 
     E(x, 2q-1) ox P(y, 2q)   homology Z/h on x*gamma_k(y), degree 2q-1+2qk
     P(x, 2q)   ox E(y, 2q+1) homology Z/hk on gamma_k(x), degree 2qk
@@ -61,28 +58,22 @@ if TYPE_CHECKING:  # the oracle route imports snf when it runs; the closed forms
 
 
 class ComplexKind(Enum):
-    EXTERIOR_FIRST = "E"
-    DIVIDED_POWER_FIRST = "P"
+    """EP is E(x, 2q-1) ox P(y, 2q) and PE is P(x, 2q) ox E(y, 2q+1), each with d(y) = h*x."""
+
     EP_SECOND = "EP"
     PE_SECOND = "PE"
 
 
-_SECOND = (ComplexKind.EP_SECOND, ComplexKind.PE_SECOND)
-
-
 class ElementaryComplex(namedtuple("ElementaryComplex", "kind q h")):
-    """One elementary complex; ``h`` is the twist of the second-type kinds."""
+    """One elementary complex: the twisted pair ``kind`` on q, its twist ``h`` >= 1."""
 
     __slots__ = ()
 
     def __new__(cls, kind: ComplexKind, q: int, h: int | None = None):
         if q < 1:
             raise ValueError("q must be >= 1")
-        if kind in _SECOND:
-            if h is None or h < 1:
-                raise ValueError(f"{kind.value} needs a twist h >= 1")
-        elif h is not None:
-            raise ValueError("first-type complexes carry no twist")
+        if h is None or h < 1:
+            raise ValueError(f"{kind.value} needs a twist h >= 1")
         return tuple.__new__(cls, (kind, q, h))
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # checked, and so is _replace
@@ -98,21 +89,14 @@ def closed_form_homology(c: ElementaryComplex, max_degree: int) -> GradedAbelian
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     q, h = c.q, c.h
+    if c.kind is ComplexKind.EP_SECOND:  # Z/h in degree 2q-1+2qk
+        orders = ((h, d) for d in range(2 * q - 1, max_degree + 1, 2 * q))
+    else:  # PE: Z/(h*k) in degree 2qk; k = 0 is the Z placed in degree 0 below
+        orders = ((h * k, d) for k, d in enumerate(range(2 * q, max_degree + 1, 2 * q), start=1))
     parts = [(1, ())] + [(0, ())] * max_degree  # only the non-zero degrees are written
-    if c.kind is ComplexKind.EXTERIOR_FIRST:
-        if 2 * q - 1 <= max_degree:
-            parts[2 * q - 1] = (1, ())
-    elif c.kind is ComplexKind.DIVIDED_POWER_FIRST:
-        for d in range(2 * q, max_degree + 1, 2 * q):
-            parts[d] = (1, ())
-    elif c.kind is ComplexKind.EP_SECOND:
-        if h > 1:
-            for d in range(2 * q - 1, max_degree + 1, 2 * q):
-                parts[d] = (0, ((h, 1),))
-    else:  # PE: Z/(h*k) in degree 2qk; k = 0 is the Z already placed in degree 0
-        for k, d in enumerate(range(2 * q, max_degree + 1, 2 * q), start=1):
-            if h * k > 1:
-                parts[d] = (0, ((h * k, 1),))
+    for t, d in orders:
+        if t > 1:
+            parts[d] = (0, ((t, 1),))
     return GradedAbelianGroup(tuple(parts))
 
 
@@ -288,10 +272,6 @@ def _components(c: ElementaryComplex, top: int) -> list[tuple[int | None, int]]:
     ``_cone`` is a validated ``ChainComplex``.
     """
     q, h = c.q, c.h
-    if c.kind is ComplexKind.EXTERIOR_FIRST:
-        return [(None, n) for n in (0, 2 * q - 1) if n <= top]
-    if c.kind is ComplexKind.DIVIDED_POWER_FIRST:
-        return [(None, n) for n in range(0, top + 1, 2 * q)]
     if c.kind is ComplexKind.EP_SECOND:
         pairs = [(h, n) for n in range(2 * q - 1, top + 1, 2 * q)]
     else:

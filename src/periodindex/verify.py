@@ -22,6 +22,12 @@ from .snf import (IntegerMatrix, determinant, homology_counts, homology_of_compl
                   smith_normal_form)
 
 
+_ELEMENTARY_CAP = 30  # suite_elementary's top degree
+_SNF_CASES = 100  # the random matrices suite_snf checks
+# k = 28 for p = 2: the model's largest dim there, 302, needs 2-byte slots
+_MAX_K = {2: 28, 3: 12, 5: 12}
+
+
 class CheckResult(NamedTuple):
     name: str
     passed: bool
@@ -39,24 +45,17 @@ def _mismatch(chain, closed, degrees) -> str:
     return ""
 
 
-def suite_elementary(max_degree: int = 30) -> list[CheckResult]:
+def suite_elementary() -> list[CheckResult]:
     """Closed-form homology == SNF homology of the oracle's one-factor
-    complex, degree by degree, for every elementary kind."""
-    results = []
-    for q in (1, 2, 3):
-        for c in (ElementaryComplex(ComplexKind.EXTERIOR_FIRST, q),
-                  ElementaryComplex(ComplexKind.DIVIDED_POWER_FIRST, q),
-                  *(ElementaryComplex(kind, q, h) for h in (2, 3, 4, 5, 8, 9)
-                    for kind in (ComplexKind.EP_SECOND, ComplexKind.PE_SECOND))):
-            mismatch = _mismatch(realize_chain_complex(c, max_degree),
-                                 closed_form_homology(c, max_degree), range(max_degree + 1))
-            results.append(CheckResult(f"elementary {c.kind.value} q={c.q}"
-                                       + (f" h={c.h}" if c.h else ""), not mismatch, mismatch))
+    complex, degree by degree, for both elementary kinds."""
+    top, results = _ELEMENTARY_CAP, []
+    for c in (ElementaryComplex(kind, q, h) for q in (1, 2, 3) for h in (2, 3, 4, 5, 8, 9)
+              for kind in ComplexKind):
+        mismatch = _mismatch(realize_chain_complex(c, top), closed_form_homology(c, top),
+                             range(top + 1))
+        results.append(CheckResult(f"elementary {c.kind.value} q={c.q} h={c.h}", not mismatch,
+                                   mismatch))
     return results
-
-
-# k = 28 for p = 2: the model's largest dim there, 302, needs 2-byte slots
-_MAX_K = {2: 28, 3: 12, 5: 12}
 
 
 def suite_xp_exponent(max_k: int | None = None) -> list[CheckResult]:
@@ -171,11 +170,11 @@ def _check_one_snf(rng: random.Random, name: str) -> CheckResult:
     return CheckResult(name, not problems, "; ".join(problems))
 
 
-def suite_snf(seed: int = 0, cases: int = 100) -> list[CheckResult]:
+def suite_snf(seed: int = 0) -> list[CheckResult]:
     """Randomized SNF properties: divisibility chain, unimodular transforms,
     invariance under unimodular change of basis, determinant consistency."""
     rng = random.Random(seed)
-    return [_check_one_snf(rng, f"snf case {i}") for i in range(cases)]
+    return [_check_one_snf(rng, f"snf case {i}") for i in range(_SNF_CASES)]
 
 
 _RUNNERS = {  # each suite of SUITES, run for a seed that only snf reads

@@ -18,20 +18,15 @@ def per_kind_realization(c, max_degree: int) -> ChainComplex:
     sum, ``realize_chain_complex``, and the factors the fold below takes."""
     top, q = max_degree + 1, c.q
     dims, boundaries = [0] * (top + 1), {}
-    if c.kind is ComplexKind.EXTERIOR_FIRST:
-        dims[0] = 1
-        if 2 * q - 1 <= top:
-            dims[2 * q - 1] = 1
-    else:  # gamma_k of the even generator, degree 2qk
-        for d in range(0, top + 1, 2 * q):
-            dims[d] = 1
+    for d in range(0, top + 1, 2 * q):  # gamma_k of the even generator, degree 2qk
+        dims[d] = 1
     if c.kind is ComplexKind.EP_SECOND:
         # x gamma_k(y), degree 2q-1+2qk; d(gamma_k(y)) = h x gamma_(k-1)(y)
         for d in range(2 * q - 1, top + 1, 2 * q):
             dims[d] = 1
         for d in range(2 * q, top + 1, 2 * q):
             boundaries[d] = ({0: c.h},)
-    elif c.kind is ComplexKind.PE_SECOND:
+    else:
         # y gamma_k(x), degree 2q+1+2qk, to h(k+1) gamma_(k+1)(x)
         for k, d in enumerate(range(2 * q + 1, top + 1, 2 * q)):
             dims[d] = 1

@@ -4,20 +4,16 @@ Each test prints a single PASS/FAIL line (run with ``pytest -s`` to see
 them even on success) and enforces the stated wall-clock budget.
 """
 
-import os
 import random
-import subprocess
-import sys
 import time
 from math import factorial, gcd, log10
-from pathlib import Path
 
-import periodindex
 from periodindex.bounds import compare_bounds, index_bound
 from periodindex.complexes import model_homology, primary_model_homology
 from periodindex.graded import exponent
 from periodindex.verify import suite_elementary, suite_snf, suite_xp_exponent
 from periodindex.words import enumerate_words, format_word
+from conftest import run_cold
 from words_reference import Word, gamma, phi, psi, sigma, spell
 
 
@@ -68,7 +64,7 @@ def test_criterion_3_sharp_comparison():
 
 def test_criterion_4_elementary_oracle_equivalence():
     with _Timed("criterion 4: closed forms == SNF oracle (elementary complexes)", 10.0):
-        results = suite_elementary(max_degree=30)
+        results = suite_elementary()
         failures = [r for r in results if not r.passed]
         assert not failures, failures
 
@@ -115,7 +111,7 @@ def test_criterion_7_word_census():
 
 def test_criterion_8_snf_property_suite():
     with _Timed("criterion 8: SNF divisibility, unimodularity, determinants", 5.0):
-        results = suite_snf(seed=2024, cases=100)
+        results = suite_snf(seed=2024)
         failures = [r for r in results if not r.passed]
         assert not failures, failures
 
@@ -160,13 +156,9 @@ def test_criterion_13_oracle_frontier_k60():
 
 
 def test_criterion_14_words_frontier_cold_cli():
-    src = str(Path(periodindex.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONIOENCODING="utf-8",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    argv = [sys.executable, "-m", "periodindex.cli", "words", "2", "1", "--max-degree", "80",
-            "--format", "csv"]
+    argv = ["-m", "periodindex.cli", "words", "2", "1", "--max-degree", "80", "--format", "csv"]
     with _Timed("criterion 14: cold `periodindex words 2 1 --max-degree 80 --format csv`", 1.2):
-        done = subprocess.run(argv, capture_output=True, env=env, check=True, timeout=12)
+        done = run_cold(argv, text=False, check=True, timeout=12, PYTHONIOENCODING="utf-8")
     lines = done.stdout.decode().splitlines()
     assert len(lines) == 1 + 70722
     assert lines[1] == "2,1,ψ_2" and lines[-1] == "80,80," + "σ" * 80
@@ -190,9 +182,6 @@ print(" ".join(sorted(set(sys.modules) - before)))
 
 def test_criterion_15_import_set():
     # module sets, not times: a cold process loads only what its subcommand runs
-    src = str(Path(periodindex.__file__).resolve().parents[1])
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     argvs = {"version": ["--version"],
              "bound": ["bound", "360", "4", "--compare", "--format", "json"],
              "bound csv": ["bound", "6", "4", "--format=csv"],
@@ -201,10 +190,8 @@ def test_criterion_15_import_set():
              "homology": ["homology", "12", "--max-degree", "8"],
              "homology p^r": ["homology", "--prime", "2", "--exponent", "1", "--max-degree", "8"],
              "verify": ["verify", "--suite", "snf"]}
-    loaded = {name: set(subprocess.run([sys.executable, "-c", _LOADED_BY, *argv], env=env,
-                                       capture_output=True, text=True, check=True,
-                                       timeout=10).stdout.split())
-              for name, argv in argvs.items()}
+    loaded = {name: set(run_cold(["-c", _LOADED_BY, *argv], check=True,
+                                 timeout=10).stdout.split()) for name, argv in argvs.items()}
     failures = []
     for name, modules in loaded.items():
         package = {m for m in modules if m.startswith("periodindex.")}
@@ -252,11 +239,7 @@ print(sum(not r.passed for r in results), len(results),
 
 
 def _xp_exponent_cold(max_k):
-    src = str(Path(periodindex.__file__).resolve().parents[1])
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", _XP_EXPONENT_COLD, str(max_k)], env=env,
-                          capture_output=True, text=True, check=True, timeout=100)
+    done = run_cold(["-c", _XP_EXPONENT_COLD, str(max_k)], check=True, timeout=100)
     return tuple(map(int, done.stdout.split()))
 
 
@@ -278,15 +261,11 @@ def test_criterion_18_oracle_frontier_k220_memory():
 
 def test_criterion_19_words_with_a_huge_prime_power_cold_cli():
     # psi_{p^r} prints the 4,799,995 digits of 999983^800000 on the auxiliary row
-    src = str(Path(periodindex.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONIOENCODING="utf-8",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     p, r = 999983, 800000
-    argv = [sys.executable, "-m", "periodindex.cli", "words", str(p), str(r), "--max-degree", "2",
-            "--format", "csv"]
+    argv = ["-m", "periodindex.cli", "words", str(p), str(r), "--max-degree", "2", "--format", "csv"]
     with _Timed(f"criterion 19: cold `periodindex words {p} {r} --max-degree 2 --format csv`",
                 2.0):
-        done = subprocess.run(argv, capture_output=True, env=env, check=True, timeout=20)
+        done = run_cold(argv, text=False, check=True, timeout=20, PYTHONIOENCODING="utf-8")
     lines = done.stdout.decode().splitlines()
     assert lines[0] == "degree,height,word" and lines[2] == "2,2,σσ" and len(lines) == 3
     digits = lines[1].removeprefix("2,1,ψ_")

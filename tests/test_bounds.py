@@ -156,6 +156,19 @@ class TestIndexBound:
     def test_trivial_class(self):
         assert index_bound(1, 5).theorem_a_bound == 1
 
+    def test_primes_of_n_not_tested_again(self, monkeypatch):
+        # below 10^6, factorize finds every prime by trial division alone, and
+        # index_bound takes its primes as found: no is_prime call at all
+        ns = (2, 6, 360, 30030, 65536, 999983, 2 * 499979, 997 * 997, 999999)
+        expected = {(n, d): prod(prime_power_index_bound(p, r, d) for p, r in factorize(n))
+                    for n in ns for d in (1, 2, 5, 30)}
+
+        def no_test(m):
+            raise AssertionError(f"is_prime({m}) called")
+
+        monkeypatch.setattr(bounds, "is_prime", no_test)
+        assert {key: index_bound(*key).theorem_a_bound for key in expected} == expected
+
     def test_report_invariants(self):
         rng = random.Random(9)
         for _ in range(50):

@@ -19,8 +19,6 @@ from periodindex.snf import ChainComplex, homology_of_complex
 from kunneth_reference import primary_model_homology as pairwise_fold, split_model_homology
 from tensor_reference import per_kind_realization, tensor_chain_complex
 
-E = ComplexKind.EXTERIOR_FIRST
-P = ComplexKind.DIVIDED_POWER_FIRST
 EP = ComplexKind.EP_SECOND
 PE = ComplexKind.PE_SECOND
 
@@ -36,11 +34,9 @@ def closed_groups(group):
 
 class TestElementaryComplex:
     def test_twist_only_on_second_type(self):
-        with pytest.raises(ValueError):
-            ElementaryComplex(E, q=1, h=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="twist"):
             ElementaryComplex(EP, q=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="twist"):
             ElementaryComplex(PE, q=1, h=0)
 
 
@@ -55,15 +51,6 @@ class TestClosedFormHomology:
         h = closed_form_homology(ElementaryComplex(PE, q=1, h=2), 8)
         assert [h.describe(d) for d in range(9)] == \
             ["Z", "0", "Z/2", "0", "Z/4", "0", "Z/6", "0", "Z/8"]
-
-    def test_exterior_first(self):
-        h = closed_form_homology(ElementaryComplex(E, q=1), 5)
-        assert h.nonzero_degrees() == [0, 1]
-        assert h.summands(0) == (1, ()) and h.summands(1) == (1, ())
-
-    def test_divided_power_first(self):
-        h = closed_form_homology(ElementaryComplex(P, q=2), 13)
-        assert h.nonzero_degrees() == [0, 4, 8, 12]
 
     def test_twist_one_leaves_only_degree_zero(self):
         h = closed_form_homology(ElementaryComplex(EP, q=1, h=1), 9)
@@ -88,11 +75,11 @@ def edges(chain):
 
 class TestRealization:
     def test_matches_the_per_kind_construction(self):
-        # every kind, q 1-4, h 1-9 (none for the first type), caps 0-60
+        # both kinds, q 1-4, h 1-9, caps 0-60
         cases = 0
         for kind in ComplexKind:
             for q in range(1, 5):
-                for h in (range(1, 10) if kind in (EP, PE) else (None,)):
+                for h in range(1, 10):
                     c = ElementaryComplex(kind, q, h)
                     for cap in range(61):
                         reference = per_kind_realization(c, cap)
@@ -101,7 +88,7 @@ class TestRealization:
                         assert chain.max_degree == reference.max_degree == cap + 1, (c, cap)
                         assert oracle_groups(chain, cap) == oracle_groups(reference, cap), (c, cap)
                         cases += 1
-        assert cases == 4880
+        assert cases == 4392
 
     def test_pe_boundary_coefficient(self):
         # d(y gamma_1 x) = 2*2 gamma_2(x): the edge cone based in degree 4
@@ -117,13 +104,6 @@ class TestRealization:
         assert edges(chain) == {3: ({0: 3},), 7: ({0: 3},)}
         assert chain.dim(3) == 1
         assert homology_of_complex(chain, 3) == (0, [3])
-
-    def test_first_type_boundaries_vanish(self):
-        # lone cells only: no summand is a cone
-        for c in (ElementaryComplex(E, 2), ElementaryComplex(P, 2)):
-            chain = realize_chain_complex(c, 10)
-            assert chain.summands
-            assert all(shape.dims == (1,) for shape, _ in chain.summands)
 
     def test_one_degree_above_cap(self):
         chain = realize_chain_complex(ElementaryComplex(PE, q=1, h=2), 6)
@@ -160,7 +140,7 @@ class TestTensor:
     def test_koszul_sign(self):
         # a = x in odd degree 1 and d(e1) = 2 e0: the cone's column of x ox e1
         # is dx ox e1 - 2 x ox e0, a minus sign
-        left = per_kind_realization(ElementaryComplex(E, q=1), 2)     # 1 and x, degrees 0, 1
+        left = ChainComplex([1, 1, 0, 0], {})  # 1 and x, degrees 0, 1, to degree 3
         out = _cone(left, 2)
         # degree n lists a ox e0 for a in A_n, then a ox e1 for a in A_(n-1)
         assert out.dims == (1, 2, 1, 0, 0)
@@ -405,7 +385,7 @@ def test_closed_forms_never_reach_the_merge(monkeypatch):
             model_homology(n, cap)
     for q in (1, 2, 3):
         for kind in ComplexKind:
-            for h in (None,) if kind in (E, P) else (1, 2, 6, 12):
+            for h in (1, 2, 6, 12):
                 closed_form_homology(ElementaryComplex(kind, q, h), 40)
 
 

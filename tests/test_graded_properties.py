@@ -165,15 +165,7 @@ def reference_closed_form(c, max_degree):
     ``from_summands``."""
     q = c.q
     summands = {0: [0]}
-    if c.kind is ComplexKind.EXTERIOR_FIRST:
-        if 2 * q - 1 <= max_degree:
-            summands[2 * q - 1] = [0]
-    elif c.kind is ComplexKind.DIVIDED_POWER_FIRST:
-        k = 1
-        while 2 * q * k <= max_degree:
-            summands[2 * q * k] = [0]
-            k += 1
-    elif c.kind is ComplexKind.EP_SECOND:
+    if c.kind is ComplexKind.EP_SECOND:
         k = 0
         while 2 * q - 1 + 2 * q * k <= max_degree:
             summands[2 * q - 1 + 2 * q * k] = [c.h]
@@ -189,8 +181,7 @@ def reference_closed_form(c, max_degree):
 @st.composite
 def elementary(draw):
     kind = draw(st.sampled_from(ComplexKind))
-    h = draw(st.integers(1, 9)) if kind.value in ("EP", "PE") else None
-    return ElementaryComplex(kind, draw(st.integers(1, 4)), h)
+    return ElementaryComplex(kind, draw(st.integers(1, 4)), draw(st.integers(1, 9)))
 
 
 @settings(max_examples=300, deadline=None, database=None)

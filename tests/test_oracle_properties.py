@@ -1,8 +1,8 @@
 """Property test: on any product of elementary complexes, the SNF homology of
 the tensored chain complex equals the Kunneth product of the closed forms,
-in every degree, for the factors in any order.  Products of two P or two E
-factors, and twists that share a prime, are where the Tor terms and the
-multi-row blocks of the oracle come in.  The summand oracle, a direct sum
+in every degree, for the factors in any order.  Products of factors whose
+twists share a prime are where the Tor terms and the multi-row blocks of
+the oracle come in.  The summand oracle, a direct sum
 of translated shapes, gives the same ranks and homology as the whole
 tensor product, and its listed homology is its counted homology.  Summed
 as one series per shape, it matches the per-summand, per-degree loop, at
@@ -27,14 +27,10 @@ from direct_sum_reference import summed_invariants
 from kunneth_reference import kunneth
 from tensor_reference import per_kind_realization, tensor_chain_complex
 
-SECOND = (ComplexKind.EP_SECOND, ComplexKind.PE_SECOND)
-
-
 @st.composite
 def elementary(draw):
     kind = draw(st.sampled_from(list(ComplexKind)))
-    return ElementaryComplex(kind, draw(st.integers(1, 3)),
-                             draw(st.integers(1, 12)) if kind in SECOND else None)
+    return ElementaryComplex(kind, draw(st.integers(1, 3)), draw(st.integers(1, 12)))
 
 
 def snf_homology(factors, cap):
@@ -269,9 +265,9 @@ packed_sums = st.integers(0, 12).flatmap(lambda cap: st.tuples(
 @given(packed_sums, st.lists(elementary(), min_size=1, max_size=3), st.integers(0, 16))
 @example(({(_point(), 2): 2 ** 8 - 1}, 2), [ElementaryComplex(ComplexKind.PE_SECOND, 1, 2)], 6)
 @example(({(_point(), 2): 2 ** 64 - 1}, 2), [ElementaryComplex(ComplexKind.EP_SECOND, 1, 3)], 9)
-@example(({(lone_edge(1, 2), 3): 2 ** 70}, 3), [ElementaryComplex(ComplexKind.EXTERIOR_FIRST, 1)], 0)
+@example(({(lone_edge(1, 2), 3): 2 ** 70}, 3), [ElementaryComplex(ComplexKind.EP_SECOND, 1, 2)], 0)
 @example(({(ChainComplex([0], {}), 0): 2 ** 8, (lone_edge(0, 2), 1): 1}, 2),
-         [ElementaryComplex(ComplexKind.EXTERIOR_FIRST, 1)], 0)
+         [ElementaryComplex(ComplexKind.EP_SECOND, 1, 2)], 0)
 def test_packed_slots_match_the_per_degree_loop(sums, factors, fold_cap):
     summands, cap = sums
     summed = DirectSum(summands, cap)

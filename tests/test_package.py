@@ -3,11 +3,7 @@ behave as the frozen values they replaced."""
 
 import copy
 import importlib
-import os
 import pickle
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -17,6 +13,7 @@ from periodindex.complexes import ComplexKind, ElementaryComplex
 from periodindex.graded import GradedAbelianGroup
 from periodindex.snf import IntegerMatrix, smith_normal_form
 from periodindex.verify import CheckResult
+from conftest import run_cold
 from words_reference import Word, gamma, phi, psi, sigma
 
 # The public API by home module.  A name a module exports here but the
@@ -38,11 +35,7 @@ PUBLIC = {
 
 
 def _in_fresh_interpreter(code):
-    src = str(Path(periodindex.__file__).resolve().parents[1])
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True, timeout=10).stdout.split()
+    return run_cold(["-c", code], check=True, timeout=10).stdout.split()
 
 
 class TestLazyNamespace:
