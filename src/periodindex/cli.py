@@ -25,12 +25,12 @@ import os
 import sys
 from collections.abc import Iterable, Sequence
 from itertools import islice
-from math import lgamma, log, log10
+from math import lgamma, log, log10, prod
 from types import SimpleNamespace
 
 from . import SUITES, __version__
-from .bounds import (CeilingError, _comparison, decimal_string, factorize, index_bound,
-                     is_prime)
+from .bounds import (CeilingError, _comparison, _prime_power_bound, decimal_string, factorize,
+                     index_bound, is_prime)
 
 FORMATS = ("pretty-table", "json", "csv")
 
@@ -161,7 +161,9 @@ def _cmd_table(args, parser) -> int:
         return _refuse("table", f"the grid would hold over {MAX_LISTED} cells or over "
                                 f"{MAX_OUTPUT} digits; lower --n-max or --d-max")
     ns, ds = range(1, args.n_max + 1), range(1, args.d_max + 1)
-    grid = zip(ns, ([str(index_bound(n, d).theorem_a_bound) for d in ds] for n in ns))
+    # each n factorised once per row; a cell is index_bound's product, no report
+    grid = zip(ns, ([str(prod(_prime_power_bound(p, r, d) for p, r in primes)) for d in ds]
+                    for primes in map(factorize, ns)))
     if args.format == "pretty-table":
         return _emit("table", args.format, ["n\\d", *map(str, ds)],
                      ((n, *row) for n, row in grid))

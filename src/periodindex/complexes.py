@@ -32,11 +32,12 @@ factors, q descending, into a ``DirectSum`` of translated shapes.  The
 fold keeps one series per shape, an int whose slot b holds the shape's
 multiplicity at base degree b, and moves whole series by shifts and masks.
 Its one product is a shape times an edge e1 -> h*e0, the mapping cone of h
-on the shape (``_cone``).  A cone is untruncated, so no cap or model
-changes it: each is built once and kept for the process, shared by every
-model of its prime.  The route uses components, distributivity,
-translation and cones only: no Tor rule, no closed form, no Kunneth
-product.
+on the shape (``_cone``), whatever the shape's base: homology sees the sum
+only up to isomorphism, and the cones of h and -h are isomorphic.  A cone
+is untruncated, so no cap or model changes it: each is built once and
+kept for the process, shared by every model of its prime.  The route uses
+components, distributivity, translation and cones only: no Tor rule, no
+closed form, no Kunneth product.
 """
 
 from __future__ import annotations
@@ -299,7 +300,9 @@ def _cone(a: ChainComplex, h: int) -> ChainComplex:
     Introduction to Homological Algebra*, 1.5), complete one degree above A.
 
     In degree n the basis is a ox e0 for a in A_n, then a ox e1 for a in
-    A_(n-1), and d(a ox e1) = da ox e1 + (-1)^|a| h a ox e0.
+    A_(n-1), and d(a ox e1) = da ox e1 + (-1)^|a| h a ox e0.  That sign
+    makes d o d = 0; the sign of h does not matter, as negating every
+    a ox e1 is an isomorphism from the cone of -h to the cone of h.
     """
     from .snf import ChainComplex
     dims, top = a.dims, a.max_degree
@@ -341,17 +344,16 @@ def _direct_sum(factors, max_degree: int) -> DirectSum:
     Each factor enters, never realised, as its ``_components`` under that
     cap, which leaves the product unchanged up to it.  Each summand takes
     one component from each factor: its shape is the product of the edges
-    taken, as a lone cell only translates.  A shape A times an edge
-    e1 -> h*e0 is ``_cone(A, h)``, with h negated when A's base is odd (the
-    Koszul sign (-1)^|a|).  ``_cone`` keeps each for the process, keyed by
-    identity, which is canonical as every shape descends from ``_point()``.
+    taken, as a lone cell only translates.  A shape A at base i times an
+    edge e1 -> h*e0 is, with its Koszul sign, the cone of (-1)^i h on A,
+    which is isomorphic to ``_cone(A, h)``: every edge gives that one cone,
+    at any base.  ``_cone`` keeps each for the process, keyed by identity,
+    which is canonical as every shape descends from ``_point()``.
 
     The summands are kept as {shape: series}, slot b of the series its
     multiplicity at base b (``snf.DirectSum``), so the fold works once per
-    shape and component: it shifts the series by the component's base,
-    masks it to the cap's slots, and for an edge splits it into the slots
-    whose old base was even, for h, and odd, for -h, by the mask of even
-    slots (2^bits - 1)(X^(2k) - 1)/(X^2 - 1) at X = 2^bits.
+    shape and component: it shifts the series by the component's base and
+    masks it to the cap's slots.
 
     The product of the factors' cell-count polynomials, x^j for each cell in
     degree j, has the sum's dims as its coefficients up to the cap.  Every
@@ -367,8 +369,6 @@ def _direct_sum(factors, max_degree: int) -> DirectSum:
     width = _slot_width(_largest_dim(parts, top))
     bits = 8 * width
     cut = (1 << bits * (top + 1)) - 1  # slots 0..top
-    k = top // 2 + 1  # even slots 0, 2, .., 2k - 2 <= top, all ones
-    evens = ((1 << bits) - 1) * ((1 << 2 * bits * k) - 1) // ((1 << 2 * bits) - 1)
     series = {_point(): 1}
     for components in parts:
         folded = {}
@@ -377,16 +377,8 @@ def _direct_sum(factors, max_degree: int) -> DirectSum:
                 moved = s << bits * j & cut
                 if not moved:  # every base past the cap, here and at larger j
                     break
-                if h is None:
-                    folded[a] = folded.get(a, 0) + moved
-                    continue
-                g = -h if j % 2 else h  # the twist where i + j is even
-                if even := moved & evens:  # bases i + j: even where i is iff j is even
-                    shape = _cone(a, g)
-                    folded[shape] = folded.get(shape, 0) + even
-                if odd := moved ^ even:
-                    shape = _cone(a, -g)
-                    folded[shape] = folded.get(shape, 0) + odd
+                shape = a if h is None else _cone(a, h)
+                folded[shape] = folded.get(shape, 0) + moved
         series = folded
     return DirectSum.from_series(series, width, top)
 

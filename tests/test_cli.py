@@ -288,12 +288,22 @@ class TestTable:
     def test_usage_error(self, capsys):
         assert run_usage_error(capsys, "table", "--n-max", "0", "--d-max", "2") == 2
 
+    def test_each_n_factorised_once_and_no_report_built(self, capsys, monkeypatch):
+        # a row is one factorisation and the product index_bound forms, per d
+        seen = []
+        monkeypatch.setattr(cli, "factorize", lambda n: seen.append(n) or bounds.factorize(n))
+        monkeypatch.setattr(cli, "index_bound", None)
+        code, out = run(capsys, "table", "--n-max", "30", "--d-max", "5", "--format", "csv")
+        assert code == 0 and seen == list(range(1, 31))
+        assert out.splitlines()[1:] == [f"{n},{d},{index_bound(n, d).theorem_a_bound}"
+                                        for n in range(1, 31) for d in range(1, 6)]
+
     @pytest.mark.parametrize("argv", [
         ("--n-max", "300", "--d-max", "300"),    # about 2.7e7 digits
         ("--n-max", "2000", "--d-max", "1000"),  # 2e6 cells
     ])
     def test_oversized_grid_refused(self, capsys, monkeypatch, argv):
-        monkeypatch.setattr(cli, "index_bound", None)  # refused before any bound
+        monkeypatch.setattr(cli, "factorize", None)  # refused before any row
         start = time.perf_counter()
         code = cli.main(["table", *argv])
         elapsed = time.perf_counter() - start

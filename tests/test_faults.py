@@ -7,7 +7,8 @@ import pytest
 
 from periodindex import bounds, complexes, snf, verify
 
-_torsion_counts, _components = complexes._torsion_counts, complexes._components
+_torsion_counts, _components, _cone = (complexes._torsion_counts, complexes._components,
+                                       complexes._cone)
 
 FAULTS = [  # (module, function, its faulty stand-in, the verify suite that must fail)
     # Theorem A's exponent loses v_p((d-1)!): only the suite's product check sees it
@@ -35,6 +36,9 @@ FAULTS = [  # (module, function, its faulty stand-in, the verify suite that must
     # carry into the next degree, which only the p = 2 model to k = 28 reaches
     pytest.param(complexes, "_largest_dim", lambda parts, top: 1, "xp-exponent",
                  id="largest_dim-one"),
+    # the fold's one product loses its twist: every edge is the cone of 1,
+    # which is acyclic, so the oracle's sums lose all their torsion
+    pytest.param(complexes, "_cone", lambda a, h: _cone(a, 1), "elementary", id="cone-untwisted"),
 ]
 
 

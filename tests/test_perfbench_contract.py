@@ -3,7 +3,9 @@
 ``pi.<module>.<name>`` in ``perfbench/workloads.py``, must name something
 the package still has.  A refactor that moves or renames one of them breaks
 the benchmark (``record_digests.py`` included) without failing any other
-test.  The tracer's targets are strings, not calls, and are left out.
+test.  The tracer's targets are strings, not calls: each is read from
+``TARGETS`` in ``perfbench/tracer.py`` and must resolve too, or the
+per-layer metric it feeds reads 0 instead of failing.
 The ``words`` rows the benchmark checks against recorded digests are
 recomputed here, so a change to them fails Tier-1, not only a benchmark run."""
 
@@ -34,6 +36,26 @@ def test_every_package_name_the_benchmark_calls_resolves():
     assert {file for file, _, _ in references} == {"record_digests.py", "workloads.py"}
     missing = [f"{file}: {module}.{name}" for file, module, name in sorted(references)
                if not hasattr(importlib.import_module(module), name)]
+    assert not missing, missing
+
+
+# targets whose functions left the package; the tracer lists them as absent
+RETIRED_TARGETS = {"graded.kunneth", "complexes.tensor_chain_complex"}
+
+
+def test_every_tracer_target_resolves():
+    # each target is (metric, module, attribute or Class.method, sizes)
+    tree = ast.parse((PERFBENCH / "tracer.py").read_text())
+    targets, = (ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"])
+    assert RETIRED_TARGETS <= {name for name, *_ in targets}
+    missing = []
+    for name, module, attr, _ in targets:
+        owner = importlib.import_module(module)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner) and name not in RETIRED_TARGETS:
+            missing.append(name)
     assert not missing, missing
 
 
