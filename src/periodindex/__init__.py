@@ -28,9 +28,9 @@ __version__ = "0.1.0"
 SUITES = ("elementary", "xp-exponent", "composite", "snf")  # of periodindex.verify, for the CLI
 
 _EXPORTS = {
-    "bounds": """PRIME_CEILING BoundComparison BoundReport CeilingError SharpBound compare_bounds
-        differential_order_bound factorize index_bound is_prime known_sharp_bound
-        legendre_valuation padic_valuation prime_power_index_bound""",
+    "bounds": """PRIME_CEILING BoundReport CeilingError SharpBound differential_order_bound
+        factorize index_bound is_prime known_sharp_bound legendre_valuation padic_valuation
+        prime_power_index_bound""",
     "complexes": """ComplexKind ElementaryComplex closed_form_homology model_chain_complex model_homology primary_model primary_model_chain_complex
         primary_model_homology realize_chain_complex""",
     "graded": "GradedAbelianGroup exponent primary_part",

@@ -8,8 +8,9 @@ index divides
 the product of the per-prime differential-order bounds p^(r + v_p(j)) over
 j = 1..d-1.  ``index_bound`` evaluates this, reports the per-prime
 breakdown, and attaches the best known sharp value in the low dimensions
-where one is known (d <= 4).  Reports serialise with the bound under the
-key "theorem_a" and the coprime-case flag under "corollary_b".
+where one is known (d <= 4); the report's ``ratio`` and ``sharp_improves``
+compare the two.  Reports serialise with the bound under the key
+"theorem_a" and the coprime-case flag under "corollary_b".
 """
 
 from __future__ import annotations
@@ -312,6 +313,24 @@ class BoundReport(NamedTuple):
             "sharp": self.known_sharp.to_json_dict() if self.known_sharp else None,
         }
 
+    @property
+    def ratio(self) -> Fraction | None:
+        """theorem_a / sharp, or None where no sharp value is known.
+
+        >>> index_bound(4, 4).ratio
+        Fraction(2, 1)
+        """
+        if self.known_sharp is None:
+            return None
+        from fractions import Fraction
+        return Fraction(self.theorem_a_bound, self.known_sharp.value)
+
+    @property
+    def sharp_improves(self) -> bool:
+        """Whether the sharp value is a proper divisor of theorem_a."""
+        sharp, bound = self.known_sharp, self.theorem_a_bound
+        return sharp is not None and sharp.value < bound and bound % sharp.value == 0
+
 
 def index_bound(n: int, d: int) -> BoundReport:
     """Evaluate the index bound for period n in dimension 2d.
@@ -334,43 +353,3 @@ def index_bound(n: int, d: int) -> BoundReport:
         corollary_b_applies=all(p > d - 1 for p, _, _ in breakdown),
         known_sharp=known_sharp_bound(n, d),
     )
-
-
-class BoundComparison(NamedTuple):
-    """General bound vs the best known sharp value for the same (n, d)."""
-
-    n: int
-    d: int
-    theorem_a_bound: int
-    known_sharp: SharpBound | None
-    ratio: Fraction | None
-    sharp_improves: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "theorem_a": decimal_string(self.theorem_a_bound),
-            "sharp": self.known_sharp.to_json_dict() if self.known_sharp else None,
-            "ratio": str(self.ratio) if self.ratio is not None else None,
-            "sharp_improves": self.sharp_improves,
-        }
-
-
-def compare_bounds(n: int, d: int) -> BoundComparison:
-    """Compare the general bound against the known sharp value, if any.
-
-    >>> compare_bounds(4, 4).ratio
-    Fraction(2, 1)
-    """
-    return _comparison(index_bound(n, d))
-
-
-def _comparison(report: BoundReport) -> BoundComparison:
-    """The comparison for an existing report, so n is not factorised again."""
-    n, d, bound, sharp = report.n, report.d, report.theorem_a_bound, report.known_sharp
-    if sharp is None:
-        return BoundComparison(n, d, bound, None, None, False)
-    improves = sharp.value < bound and bound % sharp.value == 0
-    from fractions import Fraction
-    return BoundComparison(n, d, bound, sharp, Fraction(bound, sharp.value), improves)

@@ -29,8 +29,7 @@ from math import lgamma, log, log10, prod
 from types import SimpleNamespace
 
 from . import SUITES, __version__
-from .bounds import (CeilingError, _comparison, _prime_power_bound, decimal_string, factorize,
-                     index_bound, is_prime)
+from .bounds import CeilingError, _prime_power_bound, factorize, index_bound, is_prime
 
 FORMATS = ("pretty-table", "json", "csv")
 
@@ -108,39 +107,38 @@ def _cmd_bound(args, parser) -> int:
     if _over_output(2 * (args.d - 1), log10(args.n)):
         return _refuse("bound", f"the bound could have over {MAX_OUTPUT} digits; lower d")
     report = index_bound(args.n, args.d)
-    comparison = _comparison(report) if args.compare else None
+    payload = report.to_json_dict()  # converts each bound once, for every format
+    sharp = payload["sharp"]
+    ratio = str(report.ratio) if args.compare and sharp else None
 
     if args.format == "json":
         import json
-        payload = report.to_json_dict()
-        if comparison is not None:
-            payload["comparison"] = comparison.to_json_dict()
+        if args.compare:
+            payload["comparison"] = {"n": report.n, "d": report.d,
+                                     "theorem_a": payload["theorem_a"], "sharp": sharp,
+                                     "ratio": ratio, "sharp_improves": report.sharp_improves}
         print(json.dumps(payload, sort_keys=True))
         return 0
 
-    sharp = report.known_sharp
+    corollary_b = str(report.corollary_b_applies).lower()
     if args.format == "csv":
         headers = ["n", "d", "theorem_a", "corollary_b"]
-        row = [str(report.n), str(report.d), decimal_string(report.theorem_a_bound),
-               str(report.corollary_b_applies).lower()]
+        row = [str(report.n), str(report.d), payload["theorem_a"], corollary_b]
         if args.compare:
             headers += ["sharp", "ratio"]
-            row += [str(sharp.value) if sharp else "",
-                    str(comparison.ratio) if comparison.ratio is not None else ""]
+            row += [sharp["value"] if sharp else "", ratio or ""]
         return _emit("bound", "csv", headers, [tuple(row)])
 
     print(f"period n = {report.n}, dimension 2d = {2 * report.d} (d = {report.d})")
-    theorem_a = decimal_string(report.theorem_a_bound)
-    for p, r, bound in report.prime_breakdown:  # for a prime power, bound is theorem_a
-        shown = theorem_a if bound == report.theorem_a_bound else decimal_string(bound)
-        print(f"  p = {p}, r = {r}: bound {shown}")
-    print(f"theorem_a = {theorem_a}")
-    print(f"corollary_b_applies = {str(report.corollary_b_applies).lower()}")
+    for prime in payload["primes"]:
+        print(f"  p = {prime['p']}, r = {prime['r']}: bound {prime['bound']}")
+    print(f"theorem_a = {payload['theorem_a']}")
+    print(f"corollary_b_applies = {corollary_b}")
     if sharp is not None:
-        print(f"sharp = {sharp.value} ({sharp.source})")
-    if comparison is not None and comparison.ratio is not None:
-        print(f"ratio theorem_a / sharp = {comparison.ratio}")
-        if comparison.sharp_improves:
+        print(f"sharp = {sharp['value']} ({sharp['source']})")
+    if ratio is not None:
+        print(f"ratio theorem_a / sharp = {ratio}")
+        if report.sharp_improves:
             print("the sharp value strictly improves on theorem_a")
     return 0
 

@@ -8,7 +8,7 @@ import random
 import time
 from math import factorial, gcd, log10
 
-from periodindex.bounds import compare_bounds, index_bound
+from periodindex.bounds import index_bound
 from periodindex.complexes import model_homology, primary_model_homology
 from periodindex.graded import exponent
 from periodindex.verify import suite_elementary, suite_snf, suite_xp_exponent
@@ -57,9 +57,10 @@ def test_criterion_2_coprime_property():
 
 def test_criterion_3_sharp_comparison():
     with _Timed("criterion 3: sharp d=4 value improves on the general bound", 1.0):
-        c = compare_bounds(4, 4)
+        c = index_bound(4, 4)
         assert c.theorem_a_bound == 128
         assert c.known_sharp.value == 64
+        assert c.ratio == 2 and c.sharp_improves
 
 
 def test_criterion_4_elementary_oracle_equivalence():

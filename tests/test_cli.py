@@ -10,7 +10,7 @@ from decimal import MAX_EMAX, Decimal, localcontext
 import pytest
 
 from periodindex import SUITES, bounds, cli, complexes, verify, words
-from periodindex.bounds import PRIME_CEILING, compare_bounds, decimal_string, index_bound
+from periodindex.bounds import PRIME_CEILING, decimal_string, index_bound
 from periodindex.graded import GradedAbelianGroup, exponent
 from periodindex.complexes import model_homology, primary_model_homology
 from periodindex.verify import CheckResult
@@ -52,12 +52,39 @@ class TestBound:
         assert code == 0
         assert json.loads(out) == index_bound(6, 4).to_json_dict()
 
-    @pytest.mark.parametrize("n, d", [(4, 4), (6, 6), (3, 3)])
-    def test_compare_json(self, capsys, n, d):
+    @pytest.mark.parametrize("n, d, expected", [
+        (4, 4, '{"comparison": {"d": 4, "n": 4, "ratio": "2", "sharp": {"source": "realized by '
+               '8-dimensional examples", "value": "64"}, "sharp_improves": true, "theorem_a": '
+               '"128"}, "corollary_b": false, "d": 4, "n": 4, "primes": [{"bound": "128", "p": '
+               '2, "r": 2}], "sharp": {"source": "realized by 8-dimensional examples", "value": '
+               '"64"}, "theorem_a": "128"}'),
+        (6, 6, '{"comparison": {"d": 6, "n": 6, "ratio": null, "sharp": null, "sharp_improves": '
+               'false, "theorem_a": "186624"}, "corollary_b": false, "d": 6, "n": 6, "primes": '
+               '[{"bound": "256", "p": 2, "r": 1}, {"bound": "729", "p": 3, "r": 1}], "sharp": '
+               'null, "theorem_a": "186624"}'),
+        (3, 3, '{"comparison": {"d": 3, "n": 3, "ratio": "1", "sharp": {"source": "realized by '
+               '6-dimensional examples", "value": "9"}, "sharp_improves": false, "theorem_a": '
+               '"9"}, "corollary_b": true, "d": 3, "n": 3, "primes": [{"bound": "9", "p": 3, '
+               '"r": 1}], "sharp": {"source": "realized by 6-dimensional examples", "value": '
+               '"9"}, "theorem_a": "9"}'),
+    ])
+    def test_compare_json(self, capsys, n, d, expected):
         code, out = run(capsys, "bound", str(n), str(d), "--compare", "--format", "json")
         assert code == 0
-        assert json.loads(out) == {**index_bound(n, d).to_json_dict(),
-                                   "comparison": compare_bounds(n, d).to_json_dict()}
+        assert out == expected + "\n"
+
+    def test_compare_json_converts_the_bound_once(self, capsys, monkeypatch):
+        # the report's JSON and its comparison share the one theorem_a string
+        real, calls = bounds.decimal_string, []
+
+        def counting(x):
+            calls.append(x)
+            return real(x)
+
+        monkeypatch.setattr(bounds, "decimal_string", counting)
+        code, _ = run(capsys, "bound", "4", "4", "--compare", "--format", "json")
+        assert code == 0
+        assert calls == [128]
 
     def test_csv(self, capsys):
         code, out = run(capsys, "bound", "6", "4", "--format", "csv")

@@ -9,6 +9,7 @@ from periodindex import bounds, complexes, snf, verify
 
 _torsion_counts, _components, _cone = (complexes._torsion_counts, complexes._components,
                                        complexes._cone)
+_smith_normal_form = verify.smith_normal_form
 
 FAULTS = [  # (module, function, its faulty stand-in, the verify suite that must fail)
     # Theorem A's exponent loses v_p((d-1)!): only the suite's product check sees it
@@ -39,6 +40,13 @@ FAULTS = [  # (module, function, its faulty stand-in, the verify suite that must
     # the fold's one product loses its twist: every edge is the cone of 1,
     # which is acyclic, so the oracle's sums lose all their torsion
     pytest.param(complexes, "_cone", lambda a, h: _cone(a, 1), "elementary", id="cone-untwisted"),
+    # the invariant factors come out in descending order: the route suites
+    # call snf's own smith_normal_form and never see verify's name, so only
+    # the randomized properties (divisibility chain, U @ M @ V) can fail
+    pytest.param(verify, "smith_normal_form",
+                 lambda m, with_transforms=False: (s := _smith_normal_form(m, with_transforms))
+                 ._replace(invariant_factors=s.invariant_factors[::-1]),
+                 "snf", id="smith_normal_form-reversed"),
 ]
 
 
